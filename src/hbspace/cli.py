@@ -65,7 +65,10 @@ def parse_symbol(text: str) -> RationalFn:
         return RationalFn(_poly_from(data), Poly([1]))
     if isinstance(data, dict):
         if "num" in data and "den" in data:
-            return RationalFn(_poly_from(data["num"]), _poly_from(data["den"]))
+            den = _poly_from(data["den"])
+            if den.is_zero:
+                raise InputFormatError("symbol denominator is the zero polynomial")
+            return RationalFn(_poly_from(data["num"]), den)
         if "coeffs" in data:
             return RationalFn(Poly.from_json(data), Poly([1]))
     raise InputFormatError(

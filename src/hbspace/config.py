@@ -11,6 +11,8 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from .errors import InputFormatError
+
 DEFAULT_SEED = 0
 SEED_ENV_VAR = "HB_SEED"
 
@@ -19,9 +21,6 @@ D_TRUNC = 64
 
 # Circle grid used for sup-norm style residuals.
 CIRCLE_GRID = 1024
-
-# Probe depth for annihilation and defect scans.
-ORACLE_K = 12
 
 # Shift-orbit length for subspace distances.  Generators of the same
 # subspace that differ by a factor vanishing on the circle approximate
@@ -74,7 +73,7 @@ def resolve_seed(cli_seed: int | None = None) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+            raise InputFormatError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
     if cli_seed is not None:
         return cli_seed
     return DEFAULT_SEED

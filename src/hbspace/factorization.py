@@ -230,7 +230,7 @@ def pythagorean_mate(
         got = "no consistent clustering" if best is None else f"residual {best[0]:.3e}"
         raise FactorizationError(f"mate factorization failed: {got}")
     _, r, pairs = best
-    return _finalize(b, r, None, pairs, zs, qv, pv, density)
+    return _finalize(b, r, pairs, zs, qv, pv)
 
 
 def _circle_residual(factor: Poly, gamma2: float, zs, qv, density) -> float:
@@ -238,9 +238,7 @@ def _circle_residual(factor: Poly, gamma2: float, zs, qv, density) -> float:
     return float(np.max(np.abs(rv2 - density) / np.abs(qv) ** 2))
 
 
-def _finalize(b, r: Poly, gamma2, pairs, zs, qv, pv, density) -> MateResult:
-    if gamma2 is not None:
-        r = r * np.sqrt(gamma2)
+def _finalize(b, r: Poly, pairs, zs, qv, pv) -> MateResult:
     a = RationalFn(r, b.den)
     a0 = a(0)
     if abs(a0) == 0:

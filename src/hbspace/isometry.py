@@ -12,10 +12,10 @@ weak form <beta_m f, g>_b, which only needs inner products:
 
 Monomials suffice as probes.  The Gram entries G[j, k] = <z^k, z^j>_b of
 a rational symbol satisfy a fixed linear recurrence along diagonals
-(their plus companions come from Toeplitz solves against rational Taylor
-data), so once the m-th diagonal difference of G vanishes on a window
-wider than the recurrence length plus the transient, it vanishes for all
-indices.  The default probe window adds a comfortable margin on top of
+(G = I + C^H C with C the Toeplitz matrix of the Taylor coefficients of
+the rational phi = b/a), so once the m-th diagonal difference of G
+vanishes on a window wider than the recurrence length plus the
+transient, it vanishes for all indices.  The default probe window adds a comfortable margin on top of
 that length.
 """
 

@@ -197,13 +197,12 @@ def ladder_spaces(space: HbSpace) -> list[SubspaceDescriptor]:
 
 def _orbit_columns(space: HbSpace, f, orbit: int, degree: int, window: int) -> np.ndarray:
     f = as_rational(f)
-    base = f.as_poly() if f.is_polynomial else f.taylor_poly(degree)
+    base = (f.as_poly() if f.is_polynomial else f.taylor_poly(degree)).coeff_array()
+    if len(base) + orbit > window:
+        raise InputFormatError("orbit window too small for the generator degree")
     cols = np.zeros((window, orbit + 1), dtype=complex)
     for k in range(orbit + 1):
-        shifted = base.shifted(k)
-        if shifted.degree >= window:
-            raise InputFormatError("orbit window too small for the generator degree")
-        cols[:, k] = shifted.coeff_array(window)
+        cols[k : k + len(base), k] = base
     return cols
 
 

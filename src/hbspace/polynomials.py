@@ -28,8 +28,6 @@ from .errors import (
 
 NEG_INF = float("-inf")
 
-_COEFF_EPS = 0.0  # construction trims exact zeros only
-
 
 def _as_complex_tuple(coeffs: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(complex(c) for c in coeffs)

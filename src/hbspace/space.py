@@ -5,10 +5,17 @@ there is an f+ in H^2 with T_conj(a) f+ = T_conj(b) f, and then
 
     <f, g>_b = <f, g>_H2 + <f+, g+>_H2.
 
-For a polynomial f the companion f+ is again a polynomial of degree at
-most deg f, found by back-substitution on an upper-triangular Toeplitz
-system built from the Taylor coefficients of a and b.  That makes inner
-products of polynomials exact up to rounding.
+Since a and b share a denominator, the quotient phi = b/a is rational
+and T_conj(a) T_conj(phi) = T_conj(b), so f+ = T_conj(phi) f.  For a
+polynomial f the companion is a polynomial of degree at most deg f, the
+correlation of f with the Taylor coefficients of phi:
+
+    f+_j = sum_i conj(phi_i) f_(i+j).
+
+On monomials the companion map is the upper-triangular Toeplitz matrix
+C[j, k] = conj(phi_(k-j)), so the Gram matrix of the monomials is
+G = I + C^H C, and the shift defect G[j+1, k+1] - G[j, k] has rank one.
+Inner products of polynomials are exact up to rounding.
 
 A handful of rational members have closed-form companions, derived from
 the Toeplitz calculus (P denotes the analytic projection):
@@ -30,11 +37,12 @@ import numpy as np
 
 from .config import CIRCLE_GRID, D_TRUNC, DEFAULT_TOLERANCES, Tolerances
 from .errors import (
+    InputFormatError,
     OrderTooHighError,
     SingularSystemError,
     VerificationError,
 )
-from .factorization import MateResult, is_nonextreme, pythagorean_mate
+from .factorization import MateResult, pythagorean_mate
 from .polynomials import Poly, RationalFn, as_rational
 
 _ZP = Poly([0, 1])
@@ -105,10 +113,9 @@ class HbSpace:
         rng: np.random.Generator | None = None,
     ):
         b = as_rational(b)
-        # raises the typed validation errors for poles, ball, extremality
-        is_nonextreme(b, tol=tol, grid_n=grid_n)
         self.tol = tol
         self.b = b
+        # raises the typed validation errors for poles, ball, extremality
         self.mate: MateResult = pythagorean_mate(b, tol=tol, grid_n=grid_n, rng=rng)
         self.a = self.mate.a
         self.n = int(max(b.degree, 0))
@@ -120,61 +127,41 @@ class HbSpace:
         self.norm_b_sq = 1.0 / self._a0**2 - 1.0
         b0 = b(0)
         self.norm_Lb_sq = 1.0 - abs(b0) ** 2 - self._a0**2
-        self._taylor_a = np.zeros(0, dtype=complex)
-        self._taylor_b = np.zeros(0, dtype=complex)
-        self._monomial_plus: list[np.ndarray] = []
-
-    # -- Taylor caches -----------------------------------------------------
-
-    def taylor_a(self, n: int) -> np.ndarray:
-        if len(self._taylor_a) < n + 1:
-            self._taylor_a = self.a.taylor(max(n, 2 * len(self._taylor_a) + 8))
-        return self._taylor_a[: n + 1]
-
-    def taylor_b(self, n: int) -> np.ndarray:
-        if len(self._taylor_b) < n + 1:
-            self._taylor_b = self.b.taylor(max(n, 2 * len(self._taylor_b) + 8))
-        return self._taylor_b[: n + 1]
+        self._phi = np.zeros(0, dtype=complex)
 
     # -- the plus companion -------------------------------------------------
+
+    def _phi_coeffs(self, n: int) -> np.ndarray:
+        """Taylor coefficients of phi = b/a through degree n, cached."""
+        if len(self._phi) < n + 1:
+            # a and b share the denominator b.den, so phi = b.num / a.num
+            phi = RationalFn(self.b.num, self.a.num)
+            self._phi = phi.taylor(max(n, 2 * len(self._phi) + 8))
+        return self._phi[: n + 1]
 
     def plus_function(self, f: Poly) -> Poly:
         """The unique polynomial f+ with T_conj(a) f+ = T_conj(b) f.
 
-        Solved from the top coefficient down; deg f+ <= deg f.
+        f+ = T_conj(phi) f, row j the correlation of conj(phi) with the
+        coefficients of f from index j on; deg f+ <= deg f.
         """
         if f.is_zero:
             return Poly()
         n = int(f.degree)
         fa = f.coeff_array(n + 1)
-        ca = np.conj(self.taylor_a(n))
-        cb = np.conj(self.taylor_b(n))
-        if abs(ca[0]) < 1e-15:
-            raise SingularSystemError("a(0) ~ 0 in back-substitution")
-        rhs = np.empty(n + 1, dtype=complex)
-        for j in range(n + 1):
-            rhs[j] = np.dot(cb[: n + 1 - j], fa[j:])
-        out = np.zeros(n + 1, dtype=complex)
-        for j in range(n, -1, -1):
-            acc = rhs[j]
-            if j < n:
-                acc -= np.dot(ca[1 : n + 1 - j], out[j + 1 :])
-            out[j] = acc / ca[0]
-        return Poly(out)
+        cphi = np.conj(self._phi_coeffs(n))
+        return Poly([np.dot(cphi[: n + 1 - j], fa[j:]) for j in range(n + 1)])
 
     def plus_residual(self, v: HbVector) -> float:
-        """Max residual of the defining relation over represented rows."""
+        """Max residual of T_conj(a) f+ = T_conj(b) f over represented rows.
+
+        Reads the Taylor coefficients of a and b themselves, never phi, so
+        it checks the companion along an independent path.
+        """
         n = int(max(v.f.degree, v.f_plus.degree, 0))
-        fa = v.f.coeff_array(n + 1)
-        ga = v.f_plus.coeff_array(n + 1)
-        ca = np.conj(self.taylor_a(n))
-        cb = np.conj(self.taylor_b(n))
-        res = 0.0
-        for j in range(n + 1):
-            lhs = np.dot(ca[: n + 1 - j], ga[j:])
-            rhs = np.dot(cb[: n + 1 - j], fa[j:])
-            res = max(res, abs(lhs - rhs))
-        return res
+        lhs = _correlate(np.conj(self.a.taylor(n)), v.f_plus.coeff_array(n + 1))
+        rhs = _correlate(np.conj(self.b.taylor(n)), v.f.coeff_array(n + 1))
+        return float(np.max(np.abs(lhs - rhs)))
 
     # -- vectors -----------------------------------------------------------
 
@@ -243,20 +230,15 @@ class HbSpace:
         return float(self.inner_product(f, f).real)
 
     def gram_matrix(self, n: int) -> np.ndarray:
-        """n x n matrix with entry (j, k) = <z^k, z^j>_b; Hermitian PSD."""
-        plus = self._monomial_plus_list(n - 1)
-        m = np.zeros((n, n), dtype=complex)
-        for k in range(n):
-            pk = plus[k]
-            m[: len(pk), k] = pk
-        return np.eye(n, dtype=complex) + m.conj().T @ m
+        """n x n matrix with entry (j, k) = <z^k, z^j>_b; Hermitian, >= I.
 
-    def _monomial_plus_list(self, max_deg: int) -> list[np.ndarray]:
-        while len(self._monomial_plus) <= max_deg:
-            k = len(self._monomial_plus)
-            pk = self.plus_function(Poly([0] * k + [1]))
-            self._monomial_plus.append(pk.coeff_array(k + 1))
-        return self._monomial_plus[: max_deg + 1]
+        Column k of C holds the companion of z^k, so G = I + C^H C.  The
+        product is averaged with its adjoint, since BLAS does not round
+        the (j, k) and (k, j) entries alike.
+        """
+        c = _upper_toeplitz(np.conj(self._phi_coeffs(n - 1)))
+        h = c.conj().T @ c
+        return np.eye(n, dtype=complex) + 0.5 * (h + h.conj().T)
 
     # -- shifts ------------------------------------------------------------
 
@@ -317,6 +299,10 @@ class HbSpace:
 
     def _kernel_derivative_parts(self, w: complex, i: int, plus_part: bool):
         """Numerator over q(z) (1 - conj(w) z)^(i+1) for u_w^i or its companion."""
+        if i < 0:
+            raise InputFormatError(f"derivative order must be nonnegative, got {i}")
+        if abs(w) > 1.0 + 10.0 * self.tol.boundary:
+            raise InputFormatError(f"kernel point {w} lies outside the closed unit disk")
         mult = self._boundary_multiplicity(w)
         if mult is not None and i >= mult:
             raise OrderTooHighError(
@@ -406,6 +392,18 @@ def _h2_dot(f: Poly, g: Poly) -> complex:
     if n == 0:
         return 0j
     return complex(np.dot(f.coeff_array(n), np.conj(g.coeff_array(n))))
+
+
+def _correlate(c: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Row j = sum_i c[i] f[i + j] for equal-length c, f: T f for T below."""
+    return np.convolve(c, f[::-1])[len(f) - 1 :: -1]
+
+
+def _upper_toeplitz(c: np.ndarray) -> np.ndarray:
+    """The upper-triangular Toeplitz matrix T[j, k] = c[k - j]."""
+    n = len(c)
+    offset = np.arange(n)[None, :] - np.arange(n)[:, None]
+    return np.where(offset >= 0, c[np.maximum(offset, 0)], 0)
 
 
 def _backward_rational(g: RationalFn) -> RationalFn:

@@ -177,3 +177,37 @@ def test_suite_defaults(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["seed"] == 0
     assert len(payload["criteria"]) == 10
+
+
+def test_bad_seed_env_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("HB_SEED", "abc")
+    code, out, err = run_cli(["mate", "-b", HALF], capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err) == {
+        "error": "HB_SEED must be an integer, got 'abc'",
+        "type": "InputFormatError",
+    }
+
+
+def test_zero_denominator_rejected(capsys):
+    code, out, err = run_cli(["mate", "-b", '{"num": [1], "den": [0]}'], capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err)["type"] == "InputFormatError"
+
+
+def test_kernel_negative_order_rejected(capsys):
+    code, out, err = run_cli(["kernel", "-b", HALF, "--at", "0", "--order", "-1"], capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err)["type"] == "InputFormatError"
+
+
+def test_kernel_point_outside_disk_rejected(capsys):
+    code, out, err = run_cli(
+        ["kernel", "-b", HALF, "--at", "1.5", "--point", "0.5"], capsys
+    )
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err)["type"] == "InputFormatError"

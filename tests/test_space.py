@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from hbspace.errors import OrderTooHighError
+from hbspace.errors import InputFormatError, OrderTooHighError
+from hbspace.extension import build_model
+from hbspace.lattice import subspace_distance
 from hbspace.polynomials import Poly, RationalFn
 from hbspace.space import HbSpace, degree_for_tail
 
@@ -14,6 +16,11 @@ B_HALF = RationalFn(Poly([0.5, 0.5]), Poly([1]))  # (z + 1)/2
 B_AFFINE = RationalFn(Poly([0, 0.5]), Poly([1]))  # z/2
 B_STEP1 = RationalFn(Poly([0, 1]), Poly([2, -1]))  # z/(2 - z)
 B_STEP2 = RationalFn(Poly([0, 0, 1]), Poly([3, -3, 1]))
+# degree 4 over two complex poles, sup |b| ~ 0.86 on the circle
+B_COMPLEX = RationalFn(
+    Poly([0.2 + 0.1j, -0.15 + 0.25j, 0.1 - 0.05j, 0.05j, -0.08 + 0.02j]),
+    Poly([1, -0.3 + 0.2j]) * Poly([1, 0.25 - 0.35j]),
+)
 
 
 @pytest.fixture(scope="module")
@@ -250,3 +257,63 @@ def test_zero_symbol_space():
     assert space.plus_function(f).is_zero
     assert abs(space.inner_product(f, f) - 14.0) < 1e-12
     assert abs(space.kernel(0.5, 0.5) - 1.0 / (1 - 0.25)) < 1e-12
+
+
+# -- the phi = b/a route for companions and Gram matrices ---------------------
+
+# subspace_distance((z-1)^2, z-1) and (z-1, 1), the criterion-09 pairs,
+# as computed by Toeplitz back-substitution against the Taylor data of a, b
+SEED_DISTANCES = {
+    "half": (0.0877058019307024, 1.0),
+    "model2": (0.408248290463863, 0.5773502691896254),
+    "complex": (0.001654173408516326, 0.0926164676348001),
+}
+
+
+@pytest.fixture(scope="module", params=["half", "model2", "complex"])
+def phi_case(request):
+    b = {"half": B_HALF, "model2": build_model(2).b, "complex": B_COMPLEX}[request.param]
+    return request.param, HbSpace(b)
+
+
+def test_gram_displacement_is_rank_one(phi_case):
+    _, space = phi_case
+    n = 48
+    g = space.gram_matrix(n + 1)
+    lb = space.vector_Lb()
+    c = np.array([space.pair(space.vector(Poly([0] * k + [1])), lb) for k in range(n)])
+    # entry (j, k): (1 + |b|_b^2) <z^k, Lb>_b <Lb, z^j>_b
+    want = (1.0 + space.norm_b_sq) * np.outer(np.conj(c), c)
+    got = g[1:, 1:] - g[:-1, :-1]
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(g))
+
+
+def test_plus_residual_of_monomials(phi_case):
+    _, space = phi_case
+    for k in range(65):
+        v = space.vector(Poly([0] * k + [1]))
+        assert space.plus_residual(v) < 1e-12 * max(1.0, v.f_plus.scale())
+
+
+def test_gram_exactly_hermitian(phi_case):
+    _, space = phi_case
+    for n in (1, 17, 130):
+        g = space.gram_matrix(n)
+        assert np.array_equal(g, g.conj().T)
+
+
+def test_criterion_09_distances_unchanged(phi_case):
+    name, space = phi_case
+    zm1 = Poly([-1, 1])
+    d_equal = subspace_distance(space, zm1 * zm1, zm1)
+    d_apart = subspace_distance(space, zm1, Poly([1]))
+    want_equal, want_apart = SEED_DISTANCES[name]
+    assert abs(d_equal - want_equal) < 1e-10
+    assert abs(d_apart - want_apart) < 1e-10
+
+
+def test_kernel_rejects_bad_order_and_point(half):
+    with pytest.raises(InputFormatError):
+        half.kernel_derivative(0.0, -1)
+    with pytest.raises(InputFormatError):
+        half.kernel_fn(1.5)

@@ -14,6 +14,7 @@ pairs), ``{"coeffs": [[re, im], ...]}``, or a full rational
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .errors import InputFormatError, NumericalError, ValidationError
 from .extension import build_model, extend, kernel_factorization_check, mobius_normalize
 from .isometry import isometry_order
 from .lattice import classify
-from .polynomials import Poly, RationalFn, complex_to_json
+from .polynomials import Poly, RationalFn, complex_from_json, complex_to_json
 from .space import HbSpace
 
 EXIT_OK = 0
@@ -35,19 +36,11 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _entry(x) -> complex:
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return complex(float(x[0]), float(x[1]))
-    raise InputFormatError(f"bad coefficient {x!r}; use a number or [re, im]")
-
-
 def _poly_from(obj) -> Poly:
     if isinstance(obj, dict):
         return Poly.from_json(obj)
     if isinstance(obj, list):
-        return Poly([_entry(x) for x in obj])
+        return Poly([complex_from_json(x) for x in obj])
     raise InputFormatError(f"bad polynomial {obj!r}")
 
 
@@ -79,11 +72,14 @@ def parse_symbol(text: str) -> RationalFn:
 
 def parse_point(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError:
         raise InputFormatError(
             f"bad complex literal {text!r}; use forms like 0.8 or 0.3-0.2j"
         )
+    if not cmath.isfinite(z):
+        raise InputFormatError(f"non-finite complex literal {text!r}")
+    return z
 
 
 def _emit(payload: dict) -> None:

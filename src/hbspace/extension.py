@@ -23,6 +23,7 @@ symbols whose shift is a strict 2n-isometry.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -138,6 +139,8 @@ def extend(
     its mate.
     """
     b0 = as_rational(b0)
+    if not (cmath.isfinite(omega) and math.isfinite(t)):
+        raise InputFormatError(f"extension needs finite omega and t, got {omega!r}, {t!r}")
     if abs(omega) < 1e-14:
         raise DegenerateOmegaError("extension weight omega must be nonzero")
     if abs(b0(0)) > 1e-12:
@@ -177,7 +180,7 @@ def extend(
     }
     worst = max(certs["value_at_origin"], certs["value_at_one"],
                 certs["derivative_at_one"] * s)
-    if worst > 1e-9:
+    if not (worst <= 1e-9):
         raise VerificationError(f"extension certificates off by {worst:.3e}")
     return ExtensionResult(b=bt, s=float(s), t=float(t), omega=complex(omega),
                            certificates=certs)
@@ -223,7 +226,14 @@ def kernel_factorization_check(
         K_new(w, z) = e(z) conj(e(w)) + f(z) conj(f(w)) K_old(w, z)
 
     with e = sqrt(s)(1 - b_new)/(1 - z) and
-    f = sqrt(1 - s)(1 - b_new)/(1 - u b0)."""
+    f = sqrt(1 - s)(1 - b_new)/(1 - u b0), over all pairs (w, z) of
+    ``points``.  Each symbol is evaluated once on the point array and the
+    w x z residual matrix is formed by broadcasting (rows w, columns z).
+
+    ``points`` must be finite and lie strictly inside the unit disk
+    (InputFormatError otherwise); a non-finite residual raises
+    VerificationError.
+    """
     b0 = as_rational(b0)
     bt = ext.b
     s = ext.s
@@ -232,21 +242,21 @@ def kernel_factorization_check(
         radii = np.array([0.25, 0.55, 0.8])
         angles = np.exp(2j * np.pi * np.arange(1, 8) / 7.3)
         points = (radii[:, None] * angles[None, :]).ravel()
-    zs = np.asarray(points, dtype=complex)
+    zs = np.asarray(points, dtype=complex).ravel()
+    if zs.size == 0 or not np.all(np.isfinite(zs)) or np.any(np.abs(zs) >= 1.0):
+        raise InputFormatError(
+            "kernel update points must be finite and lie strictly inside the unit disk"
+        )
 
-    def kernel(b, w, z):
-        return (1.0 - np.conj(b(w)) * b(z)) / (1.0 - np.conj(w) * z)
-
-    def efun(z):
-        return math.sqrt(s) * (1.0 - bt(z)) / (1.0 - z)
-
-    def ffun(z):
-        return math.sqrt(1.0 - s) * (1.0 - bt(z)) / (1.0 - u * b0(z))
-
-    worst = 0.0
-    for w in zs:
-        for z in zs:
-            lhs = kernel(bt, w, z)
-            rhs = efun(z) * np.conj(efun(w)) + ffun(z) * np.conj(ffun(w)) * kernel(b0, w, z)
-            worst = max(worst, abs(lhs - rhs))
-    return {"max_residual": float(worst), "points": int(len(zs))}
+    bt_z = bt(zs)
+    b0_z = b0(zs)
+    e = math.sqrt(s) * (1.0 - bt_z) / (1.0 - zs)
+    f = math.sqrt(1.0 - s) * (1.0 - bt_z) / (1.0 - u * b0_z)
+    cross = 1.0 - np.conj(zs)[:, None] * zs[None, :]
+    k_new = (1.0 - np.conj(bt_z)[:, None] * bt_z[None, :]) / cross
+    k_old = (1.0 - np.conj(b0_z)[:, None] * b0_z[None, :]) / cross
+    rhs = np.conj(e)[:, None] * e[None, :] + np.conj(f)[:, None] * f[None, :] * k_old
+    worst = float(np.max(np.abs(k_new - rhs)))
+    if not math.isfinite(worst):
+        raise VerificationError(f"kernel update residual is {worst}")
+    return {"max_residual": worst, "points": int(zs.size)}

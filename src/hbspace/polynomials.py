@@ -49,7 +49,7 @@ class Poly:
     >>> p(2.0)
     (-3+0j)
     >>> (p * Poly([0, 1])).coeffs
-    ((1+0j), 0j, (-1+0j), 0j)
+    (0j, (1+0j), 0j, (-1+0j))
     """
 
     __slots__ = ("coeffs",)
@@ -220,7 +220,7 @@ class Poly:
         """Reversal z^d * conj(p)(1/z); d defaults to the degree.
 
         >>> Poly([1j, 1]).reflect(1).coeffs
-        ((1+0j), -1j)
+        ((1-0j), -1j)
         """
         if self.is_zero:
             return Poly()
@@ -265,7 +265,7 @@ class Poly:
         for pair in obj["coeffs"]:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InputFormatError(f"bad complex entry {pair!r}")
-            out.append(complex(float(pair[0]), float(pair[1])))
+            out.append(complex_from_json(pair))
         return cls(out)
 
     @classmethod
@@ -563,7 +563,13 @@ class RationalFn:
             if np.any(np.abs(dv) <= guard):
                 raise PoleAtPointError("evaluation at a pole of the denominator")
             return self.num(z) / dv
-        guard = tol.pole * float(_residual_scale(self.den.coeff_array(), np.array([z]))[0])
+        # _residual_scale in plain floats: no arrays on the scalar path.
+        az = abs(z)
+        coeffs = self.den.coeffs
+        acc = abs(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            acc = acc * az + abs(c)
+        guard = tol.pole * max(acc, 1e-300)
         if abs(dv) <= guard:
             raise PoleAtPointError(f"evaluation at a pole near z = {z}")
         return self.num(z) / dv
@@ -753,8 +759,17 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def complex_from_json(pair) -> complex:
+    """A number or an [re, im] pair; non-finite values are rejected."""
+    z = None
     if isinstance(pair, (int, float)):
-        return complex(pair)
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise InputFormatError(f"bad complex value {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+        z = complex(pair)
+    elif isinstance(pair, (list, tuple)) and len(pair) == 2:
+        try:
+            z = complex(float(pair[0]), float(pair[1]))
+        except (TypeError, ValueError):
+            pass
+    if z is None:
+        raise InputFormatError(f"bad complex value {pair!r}; use a number or [re, im]")
+    if not cmath.isfinite(z):
+        raise InputFormatError(f"non-finite complex value {pair!r}")
+    return z

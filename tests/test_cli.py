@@ -211,3 +211,24 @@ def test_kernel_point_outside_disk_rejected(capsys):
     assert code == EXIT_VALIDATION
     assert not out
     assert json.loads(err)["type"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "-b", "[]", "--omega", "nan"],
+    ["extend", "-b", "[]", "--omega", "1+infj"],
+    ["extend", "-b", "[]", "--phase", "nan"],
+    ["kernel", "-b", HALF, "--at", "0", "--point", "nan"],
+    ["kernel", "-b", HALF, "--at", "0", "--point", "inf"],
+    ["kernel", "-b", HALF, "--at", "nan"],
+    ["mate", "-b", "[NaN, 0.5]"],
+    ["mate", "-b", "[0.5, [0.5, Infinity]]"],
+    ["mate", "-b", '{"coeffs": [[0.5, 0], [-Infinity, 0]]}'],
+    ["mate", "-b", '{"num": [0, 1], "den": [[2, NaN], -1]}'],
+])
+def test_non_finite_input_rejected(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    blob = json.loads(err)
+    assert set(blob) == {"error", "type"}
+    assert blob["type"] == "InputFormatError"

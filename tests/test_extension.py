@@ -1,5 +1,8 @@
 """Extension steps, model towers, Mobius preprocessing, kernel updates."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from hbspace.errors import (
     DegenerateOmegaError,
     ForbiddenPhaseError,
     InputFormatError,
+    VerificationError,
 )
 from hbspace.extension import (
     brownian_shift_symbol,
@@ -170,3 +174,80 @@ def test_extension_json_roundtrippable():
     assert len(blob["steps"]) == 2
     back = RationalFn.from_json(blob["b"])
     assert same_function(back, B_STEP2, tol=1e-11)
+
+
+def reference_kernel_update(b0, ext, points):
+    """The pairwise loop with scalar evaluation: max residual and max |K_new|."""
+    bt, s, u = ext.b, ext.s, np.exp(-1j * ext.t)
+
+    def kernel(b, w, z):
+        return (1.0 - np.conj(b(w)) * b(z)) / (1.0 - np.conj(w) * z)
+
+    def efun(z):
+        return math.sqrt(s) * (1.0 - bt(z)) / (1.0 - z)
+
+    def ffun(z):
+        return math.sqrt(1.0 - s) * (1.0 - bt(z)) / (1.0 - u * b0(z))
+
+    worst = scale = 0.0
+    for w in points:
+        for z in points:
+            lhs = kernel(bt, w, z)
+            rhs = efun(z) * np.conj(efun(w)) + ffun(z) * np.conj(ffun(w)) * kernel(b0, w, z)
+            worst = max(worst, abs(lhs - rhs))
+            scale = max(scale, abs(lhs))
+    return worst, scale
+
+
+def tower_and_generic_steps():
+    b = B_ZERO
+    for _ in range(4):
+        step = extend(b, omega=1.0, t=np.pi)
+        yield b, step
+        b = step.b
+    yield B_STEP1, extend(B_STEP1, omega=0.6 + 0.3j, t=2.0)
+
+
+def test_kernel_factorization_matches_pairwise_reference():
+    radii = np.array([0.25, 0.55, 0.8])
+    angles = np.exp(2j * np.pi * np.arange(1, 8) / 7.3)
+    points = [complex(z) for z in (radii[:, None] * angles[None, :]).ravel()]
+    eps = np.finfo(float).eps
+    for b0, step in tower_and_generic_steps():
+        out = kernel_factorization_check(b0, step)
+        assert out["points"] == len(points)
+        worst, scale = reference_kernel_update(b0, step, points)
+        assert abs(out["max_residual"] - worst) <= 64 * eps * scale
+
+
+def test_kernel_factorization_detects_wrong_weight():
+    step = extend(B_STEP1, omega=1.0, t=np.pi)
+    off = dataclasses.replace(step, s=step.s * (1 + 1e-6))
+    assert kernel_factorization_check(B_STEP1, off)["max_residual"] > 1e-9
+
+
+@pytest.mark.parametrize("points", [[1.0, 0.5], [0.2, 1.5j], [math.nan, 0.2], [0.2, math.inf], []])
+def test_kernel_factorization_rejects_points(points):
+    step = extend(B_ZERO, omega=1.0, t=np.pi)
+    with pytest.raises(InputFormatError):
+        kernel_factorization_check(B_ZERO, step, points=points)
+
+
+def test_kernel_factorization_non_finite_residual():
+    step = extend(B_ZERO, omega=1.0, t=np.pi)
+    broken = dataclasses.replace(step, s=math.nan)
+    with pytest.raises(VerificationError):
+        kernel_factorization_check(B_ZERO, broken)
+
+
+@pytest.mark.parametrize("omega,t", [(math.nan, np.pi), (complex(1, math.inf), np.pi),
+                                     (1.0, math.nan), (1.0, -math.inf)])
+def test_extend_rejects_non_finite_parameters(omega, t):
+    with pytest.raises(InputFormatError):
+        extend(B_ZERO, omega=omega, t=t)
+
+
+def test_extend_fails_non_finite_certificates():
+    b0 = RationalFn(Poly([0, math.nan]), Poly([1]))
+    with pytest.raises(VerificationError):
+        extend(b0, space=HbSpace(B_ZERO))

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hbspace import Poly, RationalFn
-from hbspace.errors import PoleAtPointError, ZeroFunctionError
-from hbspace.polynomials import gcd_by_roots, poly_roots
+from hbspace.errors import InputFormatError, PoleAtPointError, ZeroFunctionError
+from hbspace.polynomials import complex_from_json, gcd_by_roots, poly_roots
 
 EVAL_REL = 1e-10
 ROOT_TOL = 1e-12
@@ -172,6 +172,57 @@ def test_rational_pole_guard():
     f = RationalFn(Poly([1]), Poly([1, -1]))  # 1 / (1 - z)
     with pytest.raises(PoleAtPointError):
         f(1.0)
+
+
+def _horner_scale(p, z):
+    return sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs))
+
+
+def test_scalar_and_array_evaluation_agree():
+    # numpy's complex loops round differently from Python complex
+    # arithmetic, so the values agree to the Horner rounding model only.
+    f = RationalFn(Poly([0.3, 1, -0.5j]), Poly.from_roots([2.0, 1.2 + 0.9j, -1.1j]))
+    d = int(f.degree)
+    eps = np.finfo(float).eps
+    zs = 0.95 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    for z, v in zip(zs, f(zs)):
+        scalar = f(complex(z))
+        model = (_horner_scale(f.num, z) + abs(v) * _horner_scale(f.den, z)) / abs(f.den(z))
+        assert abs(scalar - v) <= 16 * (d + 1) * eps * model
+
+
+def test_scalar_and_array_pole_guard_agree():
+    root = 2.0
+    f = RationalFn(Poly([1, 0.5]), Poly.from_roots([root, 1.2 + 0.9j]))
+
+    def raises(z):
+        try:
+            f(z)
+        except PoleAtPointError:
+            return True
+        return False
+
+    decisions = []
+    for offset in [0.0] + [10.0**-k for k in range(8, 17)]:
+        for z in (root + offset, root + 1j * offset):
+            scalar = raises(z)
+            assert scalar == raises(np.array([z]))
+            decisions.append(scalar)
+    assert raises(root) and raises(root + 1e-15)
+    assert not raises(root + 1e-9)
+    assert any(decisions) and not all(decisions)
+
+
+@pytest.mark.parametrize("entry", [[math.nan, 0], [1, math.inf], [-math.inf, 0], ["x", 0]])
+def test_poly_json_rejects_bad_entries(entry):
+    with pytest.raises(InputFormatError):
+        Poly.from_json({"coeffs": [[1, 0], entry]})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, [0, math.nan], [math.inf, 1], "1", [1]])
+def test_complex_from_json_rejects_bad_values(value):
+    with pytest.raises(InputFormatError):
+        complex_from_json(value)
 
 
 def test_rational_reduce_cancels():

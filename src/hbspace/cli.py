@@ -28,20 +28,12 @@ from .errors import InputFormatError, NumericalError, ValidationError
 from .extension import build_model, extend, kernel_factorization_check, mobius_normalize
 from .isometry import isometry_order
 from .lattice import classify
-from .polynomials import Poly, RationalFn, complex_from_json, complex_to_json
+from .polynomials import Poly, RationalFn, complex_to_json
 from .space import HbSpace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-
-def _poly_from(obj) -> Poly:
-    if isinstance(obj, dict):
-        return Poly.from_json(obj)
-    if isinstance(obj, list):
-        return Poly([complex_from_json(x) for x in obj])
-    raise InputFormatError(f"bad polynomial {obj!r}")
 
 
 def parse_symbol(text: str) -> RationalFn:
@@ -54,20 +46,7 @@ def parse_symbol(text: str) -> RationalFn:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"symbol is not valid JSON: {exc}")
-    if isinstance(data, list):
-        return RationalFn(_poly_from(data), Poly([1]))
-    if isinstance(data, dict):
-        if "num" in data and "den" in data:
-            den = _poly_from(data["den"])
-            if den.is_zero:
-                raise InputFormatError("symbol denominator is the zero polynomial")
-            return RationalFn(_poly_from(data["num"]), den)
-        if "coeffs" in data:
-            return RationalFn(Poly.from_json(data), Poly([1]))
-    raise InputFormatError(
-        "symbol JSON must be a coefficient list, {'coeffs': ...}, "
-        "or {'num': ..., 'den': ...}"
-    )
+    return RationalFn.from_json(data)
 
 
 def parse_point(text: str) -> complex:

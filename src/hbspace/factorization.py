@@ -15,6 +15,7 @@ actually drives the circle residual below tolerance.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .config import CIRCLE_GRID, DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     ExtremeFunctionError,
     FactorizationError,
+    InputFormatError,
     NegativeDensityError,
     NotInUnitBallError,
     PoleAtPointError,
@@ -96,10 +98,13 @@ def _laurent_density(b: RationalFn) -> tuple[np.ndarray, int, float]:
 def is_nonextreme(b, tol: Tolerances = DEFAULT_TOLERANCES, grid_n: int = CIRCLE_GRID) -> bool:
     """True iff 1 - |b|^2 is not identically zero on the circle.
 
-    Raises PoleInDiskError for poles in the closed disk and
-    NotInUnitBallError when sup |b| on the grid exceeds 1 + 10 * tol.mate.
+    Raises InputFormatError for non-finite coefficients, PoleInDiskError
+    for poles in the closed disk and NotInUnitBallError when sup |b| on
+    the grid exceeds 1 + 10 * tol.mate.
     """
     b = as_rational(b)
+    if not all(cmath.isfinite(c) for c in b.num.coeffs + b.den.coeffs):
+        raise InputFormatError("symbol coefficients must be finite")
     _validate_analytic(b)
     zs = circle_grid(grid_n)
     vals = np.abs(b(zs))

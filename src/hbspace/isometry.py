@@ -5,18 +5,23 @@ nonextreme.  Its m-th defect operator is
 
     beta_m = sum_{k=0}^m (-1)^(m-k) C(m, k) S*^k S^k,
 
-and S is an m-isometry when beta_m = 0.  Everything here works with the
-weak form <beta_m f, g>_b, which only needs inner products:
+and S is an m-isometry when beta_m = 0.  defect_form evaluates the weak
+form <beta_m f, g>_b from inner products:
 
     defect_form(f, g, m) = sum_k (-1)^(m-k) C(m, k) <z^k f, z^k g>_b.
 
-Monomials suffice as probes.  The Gram entries G[j, k] = <z^k, z^j>_b of
-a rational symbol satisfy a fixed linear recurrence along diagonals
-(G = I + C^H C with C the Toeplitz matrix of the Taylor coefficients of
-the rational phi = b/a), so once the m-th diagonal difference of G
-vanishes on a window wider than the recurrence length plus the
-transient, it vanishes for all indices.  The default probe window adds a comfortable margin on top of
-that length.
+The searches below read the rank-one defect straight from the Taylor
+coefficients of phi = b/a (see ``hbspace.space``):
+<beta_1 z^k, z^j>_b = phi_(j+1) conj(phi_(k+1)), and
+beta_(m+1) = S* beta_m S - beta_m, so on monomials beta_m is the (m-1)-th
+diagonal difference X[j+1, k+1] - X[j, k] of that outer product.  The
+entries satisfy a fixed linear recurrence along diagonals (phi is
+rational), so once the m-th defect vanishes on a window wider than the
+recurrence length plus the transient, it vanishes for all indices.  The
+default probe window adds a comfortable margin on top of that length.
+
+rank_one_identity_check stays on the closed-form vector Lb, an
+independent path to the same defect.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import D_TRUNC, DEFAULT_TOLERANCES, Tolerances
+from .config import D_TRUNC, Tolerances
 from .polynomials import Poly
 from .space import HbSpace
 
@@ -82,12 +87,12 @@ def isometry_order(
     tol = tol or space.tol
     if probe_degree is None:
         probe_degree = 2 * space.n + m_max + 8
-    size = probe_degree + m_max + 2
-    g = space.gram_matrix(size)
     window = probe_degree + 1
-    defects = []
-    diff = g
-    for _ in range(1, m_max + 1):
+    phi = space.phi_coeffs(probe_degree + m_max)
+    # beta_1 on z^0 .. z^(probe_degree + m_max - 1), so m_max - 1 differences cover the window
+    diff = np.outer(phi[1:], np.conj(phi[1:]))
+    defects = [float(np.max(np.abs(diff[:window, :window])))]
+    for _ in range(2, m_max + 1):
         diff = diff[1:, 1:] - diff[:-1, :-1]
         defects.append(float(np.max(np.abs(diff[:window, :window]))))
     order = None
@@ -95,7 +100,12 @@ def isometry_order(
     for m in range(1, m_max + 1):
         if defects[m - 1] <= tol.iso:
             order = m
-            strict = defects[m - 2] if m >= 2 else float(np.max(np.abs(g[:window, :window])))
+            if m >= 2:
+                strict = defects[m - 2]
+            else:
+                # max |G| on the window: G is Hermitian >= 0 with the
+                # increasing diagonal G[j, j] = 1 + sum_(i <= j) |phi_i|^2
+                strict = 1.0 + float(np.sum(np.abs(phi[:window]) ** 2))
             break
     return DefectReport(
         order=order,
@@ -143,15 +153,11 @@ def annihilation_check(
     k >= n, and against none below; the drop in the returned sequence
     reads off that multiplicity.
     """
-    need = probe_degree + k_max + 2
-    w = space.vector_w(degree=max(D_TRUNC, need))
+    # <w, p z^j>_b = sum_i conj(p_i) phi_(i+j+1); np.correlate conjugates p
+    head = space.phi_coeffs(probe_degree + k_max + 1)[1:]
     base = Poly([-np.conj(lam), 1.0])
     out = []
     for k in range(k_max + 1):
-        fk = base**k
-        worst = 0.0
-        for j in range(probe_degree + 1):
-            val = space.pair(w, space.vector(fk.shifted(j)))
-            worst = max(worst, abs(val))
-        out.append(worst)
+        vals = np.correlate(head[: probe_degree + k + 1], (base**k).coeff_array(), "valid")
+        out.append(float(np.max(np.abs(vals))))
     return tuple(out)

@@ -3,7 +3,8 @@
 Coefficients are stored lowest degree first.  The JSON wire form for a
 polynomial is ``{"coeffs": [[re, im], ...]}`` and a rational function is
 ``{"num": <poly>, "den": <poly>}``; complex scalars travel as ``[re, im]``
-pairs.
+pairs.  ``RationalFn.from_json`` also reads a bare coefficient list of
+numbers or pairs, for a symbol or for either part of a quotient.
 
 Root finding uses a simultaneous Aberth-Ehrlich iteration started on a
 randomly rotated circle, with the companion-matrix eigenvalue solver as a
@@ -483,20 +484,32 @@ def gcd_by_roots(
         return q if q.is_zero else Poly(np.array(q.coeffs) / q.coeffs[-1])
     if q.is_zero:
         return Poly(np.array(p.coeffs) / p.coeffs[-1])
-    rp = list(poly_roots(p, tol=tol, rng=rng))
-    rq = list(poly_roots(q, tol=tol, rng=rng))
-    common: list[complex] = []
-    for r in rp:
-        best_j, best_d = -1, np.inf
-        for j, s in enumerate(rq):
-            dist = abs(r - s) / max(1.0, abs(r))
-            if dist < best_d:
-                best_j, best_d = j, dist
-        if best_j >= 0 and best_d <= tol.gcd:
-            common.append((r + rq.pop(best_j)) / 2.0)
+    common, _, _ = _match_roots(poly_roots(p, tol=tol, rng=rng),
+                                poly_roots(q, tol=tol, rng=rng), tol)
     if not common:
         return ONE
     return Poly.from_roots(common)
+
+
+def _match_roots(rp, rq, tol: Tolerances) -> tuple[list[complex], list[complex], list[complex]]:
+    """Greedy pairing of each root of rp with its nearest unused root of rq.
+
+    A pair counts when the two sit within ``tol.gcd`` relative to
+    max(1, |r|) for the rp root r.  Returns the pair midpoints and the
+    unmatched roots of rp and of rq, each in input order.
+    """
+    rest_q = list(rq)
+    common: list[complex] = []
+    rest_p: list[complex] = []
+    for r in rp:
+        if rest_q:
+            dists = [abs(r - s) for s in rest_q]
+            j = int(np.argmin(dists))
+            if dists[j] <= tol.gcd * max(1.0, abs(r)):
+                common.append((r + rest_q.pop(j)) / 2.0)
+                continue
+        rest_p.append(r)
+    return common, rest_p, rest_q
 
 
 # -- rational functions ------------------------------------------------------
@@ -701,13 +714,22 @@ class RationalFn:
 
     @classmethod
     def from_json(cls, obj) -> "RationalFn":
-        if not isinstance(obj, dict):
-            raise InputFormatError("rational JSON must be an object")
-        if "num" in obj and "den" in obj:
-            return cls(Poly.from_json(obj["num"]), Poly.from_json(obj["den"]))
-        if "coeffs" in obj:
-            return cls(Poly.from_json(obj))
-        raise InputFormatError("expected {'num':..,'den':..} or {'coeffs':..}")
+        """A bare coefficient list, {"coeffs": ...}, or {"num": ..., "den": ...}.
+
+        List entries are numbers or [re, im] pairs; num and den take
+        either polynomial spelling.  A zero denominator is rejected.
+        """
+        if isinstance(obj, dict) and "num" in obj and "den" in obj:
+            den = _poly_from_json(obj["den"])
+            if den.is_zero:
+                raise InputFormatError("rational denominator is the zero polynomial")
+            return cls(_poly_from_json(obj["num"]), den)
+        if isinstance(obj, list) or (isinstance(obj, dict) and "coeffs" in obj):
+            return cls(_poly_from_json(obj))
+        raise InputFormatError(
+            "rational JSON must be a coefficient list, {'coeffs': ...}, "
+            "or {'num': ..., 'den': ...}"
+        )
 
     def __repr__(self):
         if self.is_polynomial:
@@ -715,25 +737,18 @@ class RationalFn:
         return f"RationalFn({self.num!r} / {self.den!r})"
 
 
+def _poly_from_json(obj) -> Poly:
+    if isinstance(obj, list):
+        return Poly([complex_from_json(x) for x in obj])
+    return Poly.from_json(obj)
+
+
 def _cancel_common_roots(num: Poly, den: Poly, tol: Tolerances) -> tuple[Poly, Poly]:
     """Divide out numerator/denominator root pairs that match within tol.gcd."""
     if den.degree == 0 or num.is_zero:
         return num, den
-    rn = list(poly_roots(num, tol=tol))
-    rd = list(poly_roots(den, tol=tol))
-    keep_n = list(rn)
-    matched: list[complex] = []
-    new_rd = []
-    for s in rd:
-        hit = None
-        for i, r in enumerate(keep_n):
-            if abs(r - s) <= tol.gcd * max(1.0, abs(s)):
-                hit = i
-                break
-        if hit is None:
-            new_rd.append(s)
-        else:
-            matched.append((keep_n.pop(hit) + s) / 2.0)
+    matched, new_rd, keep_n = _match_roots(poly_roots(den, tol=tol),
+                                           poly_roots(num, tol=tol), tol)
     if not matched:
         return num, den
     lead_n = num.coeffs[-1]

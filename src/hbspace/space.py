@@ -14,8 +14,17 @@ correlation of f with the Taylor coefficients of phi:
 
 On monomials the companion map is the upper-triangular Toeplitz matrix
 C[j, k] = conj(phi_(k-j)), so the Gram matrix of the monomials is
-G = I + C^H C, and the shift defect G[j+1, k+1] - G[j, k] has rank one.
-Inner products of polynomials are exact up to rounding.
+G = I + C^H C.  Inner products of polynomials are exact up to rounding.
+
+The same coefficients carry the shift's rank-one defect.  The defect
+direction w = Lb / a(0) pairs with the monomials as
+
+    <w, z^j>_b = phi_(j+1),
+
+so beta_1 = S*S - I, in monomial coordinates
+<beta_1 z^k, z^j>_b = G[j+1, k+1] - G[j, k], is the outer product
+phi' phi'^H of phi' = (phi_1, phi_2, ...).  ``HbSpace.phi_coeffs`` is the
+one source of these coefficients.
 
 A handful of rational members have closed-form companions, derived from
 the Toeplitz calculus (P denotes the analytic projection):
@@ -131,12 +140,17 @@ class HbSpace:
 
     # -- the plus companion -------------------------------------------------
 
-    def _phi_coeffs(self, n: int) -> np.ndarray:
-        """Taylor coefficients of phi = b/a through degree n, cached."""
+    def phi_coeffs(self, n: int) -> np.ndarray:
+        """Taylor coefficients phi_0..phi_n of phi = b/a, read-only.
+
+        The cache grows by doubling; see the module docstring for the
+        companion, Gram and shift-defect identities these coefficients give.
+        """
         if len(self._phi) < n + 1:
             # a and b share the denominator b.den, so phi = b.num / a.num
             phi = RationalFn(self.b.num, self.a.num)
             self._phi = phi.taylor(max(n, 2 * len(self._phi) + 8))
+            self._phi.flags.writeable = False
         return self._phi[: n + 1]
 
     def plus_function(self, f: Poly) -> Poly:
@@ -148,9 +162,7 @@ class HbSpace:
         if f.is_zero:
             return Poly()
         n = int(f.degree)
-        fa = f.coeff_array(n + 1)
-        cphi = np.conj(self._phi_coeffs(n))
-        return Poly([np.dot(cphi[: n + 1 - j], fa[j:]) for j in range(n + 1)])
+        return Poly(_correlate(np.conj(self.phi_coeffs(n)), f.coeff_array(n + 1)))
 
     def plus_residual(self, v: HbVector) -> float:
         """Max residual of T_conj(a) f+ = T_conj(b) f over represented rows.
@@ -236,7 +248,7 @@ class HbSpace:
         product is averaged with its adjoint, since BLAS does not round
         the (j, k) and (k, j) entries alike.
         """
-        c = _upper_toeplitz(np.conj(self._phi_coeffs(n - 1)))
+        c = _upper_toeplitz(np.conj(self.phi_coeffs(n - 1)))
         h = c.conj().T @ c
         return np.eye(n, dtype=complex) + 0.5 * (h + h.conj().T)
 
@@ -310,15 +322,13 @@ class HbSpace:
             )
         wbar = w.conjugate()
         pole = Poly([1, -wbar])  # 1 - conj(w) z
-        g = self.b
-        cj = []
-        for _ in range(i + 1):
-            cj.append(g(w).conjugate())
-            g = g.derivative()
+        # Term j carries C(i, j) (i - j)! conj(b^(j)(w)) = i! conj(t_j) with
+        # t_j = b^(j)(w) / j! the Taylor coefficients of b(w + h); repeated
+        # quotient-rule derivatives would square the denominator each time.
+        local = RationalFn(_taylor_shift(self.b.num, w), _taylor_shift(self.b.den, w))
         acc = Poly()
-        for j in range(i + 1):
-            coef = math.comb(i, j) * math.factorial(i - j) * cj[j]
-            acc = acc + coef * (pole**j).shifted(i - j)
+        for j, t in enumerate(local.taylor(i)):
+            acc = acc + (math.factorial(i) * t.conjugate()) * (pole**j).shifted(i - j)
         if plus_part:
             num = self.a.num * acc
         else:
@@ -404,6 +414,15 @@ def _upper_toeplitz(c: np.ndarray) -> np.ndarray:
     n = len(c)
     offset = np.arange(n)[None, :] - np.arange(n)[:, None]
     return np.where(offset >= 0, c[np.maximum(offset, 0)], 0)
+
+
+def _taylor_shift(p: Poly, w: complex) -> Poly:
+    """Coefficients of p(w + h) in h, by repeated synthetic division."""
+    c = list(p.coeffs)
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] += w * c[k + 1]
+    return Poly(c)
 
 
 def _backward_rational(g: RationalFn) -> RationalFn:

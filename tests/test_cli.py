@@ -118,6 +118,12 @@ def test_model_verified_order(capsys):
     assert json.loads(out)["isometry_order"] == 4
 
 
+def test_model_4_verified_order(capsys):
+    code, out, _ = run_cli(["model", "--steps", "4", "--verify"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["isometry_order"] == 8
+
+
 def test_classify_boundary_order(capsys):
     code, out, _ = run_cli(
         ["classify", "-b", STEP2, "-g", "[1, -2, 1]"], capsys

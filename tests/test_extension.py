@@ -83,6 +83,11 @@ def test_model_verify_isometry_order():
     assert model.isometry_order == 4
 
 
+def test_model_4_verifies_order_8():
+    # the m = 8 defect read 2.5e-8 through Gram differences, above tol.iso
+    assert build_model(4, verify=True).isometry_order == 8
+
+
 def test_forbidden_phase_after_first_step():
     assert forbidden_phase(B_ZERO) is None
     assert abs(forbidden_phase(B_STEP1) - 0.0) < 1e-12
@@ -251,3 +256,11 @@ def test_extend_fails_non_finite_certificates():
     b0 = RationalFn(Poly([0, math.nan]), Poly([1]))
     with pytest.raises(VerificationError):
         extend(b0, space=HbSpace(B_ZERO))
+
+
+def test_non_finite_symbol_rejected():
+    b0 = RationalFn(Poly([0, math.nan]), Poly([1]))
+    with pytest.raises(InputFormatError):
+        HbSpace(b0)
+    with pytest.raises(InputFormatError):
+        extend(b0)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from hbspace.config import D_TRUNC
+from hbspace.extension import build_model
 from hbspace.isometry import (
     annihilation_check,
     defect_form,
@@ -19,6 +21,8 @@ B_AFFINE = RationalFn(Poly([0, 0.5]), Poly([1]))
 B_STEP1 = RationalFn(Poly([0, 1]), Poly([2, -1]))
 B_STEP2 = RationalFn(Poly([0, 0, 1]), Poly([3, -3, 1]))
 B_STEP3 = RationalFn(Poly([0, 3, -6, 5]), Poly([12, -21, 14, -3]))
+B_COMPLEX = RationalFn(Poly([0.2 + 0.1j, 0.3j, -0.1]), Poly([1, 0.3 - 0.2j, 0.1j]))
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +33,7 @@ def spaces():
         ("step1", B_STEP1),
         ("step2", B_STEP2),
         ("step3", B_STEP3),
+        ("complex", B_COMPLEX),
     ]}
 
 
@@ -116,3 +121,54 @@ def test_annihilation_drop_at_multiplicity(spaces):
 def test_annihilation_first_residual_anchor(spaces):
     res = annihilation_check(spaces["step1"], 1.0, 2)
     assert abs(res[0] - np.sqrt(0.5)) < 1e-10
+
+
+# -- the phi route against the Gram-difference and w-pairing references -------
+
+
+def _gram_difference_defects(space, m_max, probe_degree):
+    """Defects as m diagonal differences of the Gram matrix itself."""
+    g = space.gram_matrix(probe_degree + m_max + 2)
+    window = probe_degree + 1
+    diff, defects = g, []
+    for _ in range(m_max):
+        diff = diff[1:, 1:] - diff[:-1, :-1]
+        defects.append(float(np.max(np.abs(diff[:window, :window]))))
+    return defects, float(np.max(np.abs(g[:window, :window])))
+
+
+def _paired_annihilation(space, lam, k_max, probe_degree=12):
+    """max_j |<w, (z - conj(lam))^k z^j>_b| from a truncated w and pairings."""
+    w = space.vector_w(degree=max(D_TRUNC, probe_degree + k_max + 2))
+    base = Poly([-np.conj(lam), 1.0])
+    return [
+        max(abs(space.pair(w, space.vector((base**k).shifted(j))))
+            for j in range(probe_degree + 1))
+        for k in range(k_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("name", ["zero", "half", "affine", "model1", "model2", "model3",
+                                  "complex"])
+def test_defects_match_gram_differences(name):
+    if name.startswith("model"):
+        b = build_model(int(name[-1])).b
+    else:
+        b = {"zero": RationalFn(Poly([]), Poly([1])), "half": B_HALF,
+             "affine": B_AFFINE, "complex": B_COMPLEX}[name]
+    space = HbSpace(b)
+    rep = isometry_order(space)
+    ref, g_max = _gram_difference_defects(space, rep.m_max, rep.probe_degree)
+    for m, (got, want) in enumerate(zip(rep.defects, ref), start=1):
+        assert abs(got - want) <= 2**m * 64 * EPS * g_max
+    if rep.order == 1:
+        assert abs(rep.strict_margin - g_max) <= 64 * EPS * g_max
+
+
+@pytest.mark.parametrize("name,lam", [("step1", 1.0), ("step2", 1.0), ("step3", 1.0),
+                                      ("half", np.exp(0.7j)), ("complex", 0.3 - 0.4j)])
+def test_annihilation_matches_paired_w(spaces, name, lam):
+    got = annihilation_check(spaces[name], lam, 5)
+    want = _paired_annihilation(spaces[name], lam, 5)
+    assert np.max(np.abs(np.array(got) - want)) < 1e-12 * max(1.0, max(want))
+

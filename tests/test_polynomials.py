@@ -8,7 +8,7 @@ import pytest
 
 from hbspace import Poly, RationalFn
 from hbspace.errors import InputFormatError, PoleAtPointError, ZeroFunctionError
-from hbspace.polynomials import complex_from_json, gcd_by_roots, poly_roots
+from hbspace.polynomials import as_rational, complex_from_json, gcd_by_roots, poly_roots
 
 EVAL_REL = 1e-10
 ROOT_TOL = 1e-12
@@ -260,3 +260,15 @@ def test_rational_json_roundtrip():
     g = RationalFn.from_json(json.loads(blob))
     z = 0.3 - 0.2j
     assert g(z) == pytest.approx(f(z), rel=1e-14)
+
+
+def test_rational_json_zero_denominator_rejected():
+    with pytest.raises(InputFormatError):
+        as_rational({"num": {"coeffs": [[1, 0]]}, "den": {"coeffs": []}})
+
+
+def test_rational_json_bare_list_parts():
+    f = as_rational({"num": [1], "den": [1]})
+    assert f == RationalFn(Poly([1]))
+    g = RationalFn.from_json({"num": [0, [0, 1]], "den": {"coeffs": [[2, 0], [-1, 0]]}})
+    assert g(0.5) == pytest.approx(0.5j / 1.5)

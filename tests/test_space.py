@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hbspace.errors import InputFormatError, OrderTooHighError
-from hbspace.extension import build_model
+from hbspace.extension import build_model, extend
 from hbspace.lattice import subspace_distance
 from hbspace.polynomials import Poly, RationalFn
 from hbspace.space import HbSpace, degree_for_tail
@@ -288,6 +288,16 @@ def test_gram_displacement_is_rank_one(phi_case):
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(g))
 
 
+def test_w_pairs_to_phi(phi_case):
+    _, space = phi_case
+    n = 48
+    w = space.vector_w()
+    got = np.array([space.pair(w, space.vector(Poly([0] * j + [1]))) for j in range(n)])
+    phi = space.phi_coeffs(n)
+    assert not phi.flags.writeable
+    assert np.max(np.abs(got - phi[1:])) < 1e-12 * max(1.0, np.max(np.abs(phi)))
+
+
 def test_plus_residual_of_monomials(phi_case):
     _, space = phi_case
     for k in range(65):
@@ -317,3 +327,18 @@ def test_kernel_rejects_bad_order_and_point(half):
         half.kernel_derivative(0.0, -1)
     with pytest.raises(InputFormatError):
         half.kernel_fn(1.5)
+
+
+def test_boundary_derivative_pairing_tower_3():
+    # b^(j)(1) through repeated quotient-rule derivatives left a cancellation
+    # remainder of 1.2e-6 at i = 2 for this tower
+    b = RationalFn(Poly([]), Poly([1]))
+    for _ in range(3):
+        b = extend(b, omega=0.5, t=2.0).b
+    space = HbSpace(b)
+    f = np.array([0.3, -0.2 + 0.1j, 0.5, 0.1j, -0.4])
+    vf = space.vector(Poly(f))
+    for i in range(3):
+        want = np.polyval(np.polyder(f[::-1], i), 1.0)
+        got = space.pair(vf, space.derivative_kernel_vector(1.0, i, degree=96))
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))

@@ -17,6 +17,12 @@ subspace_distance gives the numeric side: the gap between the spans of
 the first K shift iterates of two generators, measured in the H(b)
 inner product.  Equal subspaces show a small gap that decays as K
 grows; distinct ones stay separated.
+
+The monomial Gram matrix is G = I + C^H C = M^H M with M = [I; C], C the
+companion map (see space.py).  So x -> M x = (f, f+) already carries the
+H(b) metric onto euclidean space, and the shift orbits are built in
+those coordinates straight from the Taylor coefficients of phi = b/a:
+no Gram matrix is formed or factored.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import D_TRUNC, DISTANCE_ORBIT
 from .errors import (
@@ -195,27 +202,48 @@ def ladder_spaces(space: HbSpace) -> list[SubspaceDescriptor]:
     return [classify(space, Poly([-lam, 1]) ** j) for j in range(mult + 1)]
 
 
-def _orbit_columns(space: HbSpace, f, orbit: int, degree: int, window: int) -> np.ndarray:
+def _orbit_matrix(space: HbSpace, f, orbit: int, degree: int, window: int) -> np.ndarray:
+    """The 2*window x (orbit+1) matrix [F; C F] of the iterates z^k f.
+
+    Column k stacks the coefficients of z^k f over those of its
+    companion (z^k f)+, so euclidean geometry on the columns is the H(b)
+    geometry.  Both blocks are Toeplitz: F[j, k] = f_(j-k), and
+    (C F)[j, k] = h_(j-k) with h_m = sum_t f_t conj(phi_(t-m)), which
+    vanishes for m > deg f.  One convolution gives every h_m the window
+    reads.
+    """
     f = as_rational(f)
     base = (f.as_poly() if f.is_polynomial else f.taylor_poly(degree)).coeff_array()
     if len(base) + orbit > window:
         raise InputFormatError("orbit window too small for the generator degree")
-    cols = np.zeros((window, orbit + 1), dtype=complex)
-    for k in range(orbit + 1):
-        cols[k : k + len(base), k] = base
-    return cols
+    # row 0 holds f_m and row 1 holds h_m, both at index m + window - 1
+    h = np.convolve(base, np.conj(space.phi_coeffs(window - 1))[::-1])
+    rows = np.zeros((2, 2 * window - 1), dtype=complex)
+    rows[0, window - 1 : window - 1 + len(base)] = base
+    rows[1, : len(h)] = h
+    # entry (j, k) reads index j - k + window - 1: reversed windows of orbit + 1
+    start = window - 1 - orbit
+    lagged = sliding_window_view(rows, orbit + 1, axis=1)[:, start : start + window, ::-1]
+    return lagged.reshape(2 * window, orbit + 1)
 
 
-def _orthonormal_range(m: np.ndarray) -> np.ndarray:
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+def _directed_distance(orbit: np.ndarray, v: np.ndarray) -> float:
+    """Distance from v to the column span of orbit, relative to |v|.
+
+    In the R factor of [orbit, v], |R[-1, -1]| is the norm of the part of
+    v orthogonal to the span, and R[:-1, :-1] carries the singular values
+    of orbit for the rank check.
+    """
+    r = np.linalg.qr(np.column_stack([orbit, v]), mode="r")
+    s = np.linalg.svd(r[:-1, :-1], compute_uv=False)
+    if s[0] == 0.0:
         raise RankDeficiencyError("orbit span collapsed to zero")
     rank = int(np.sum(s > _RANK_TOL * s[0]))
-    if rank < m.shape[1]:
+    if rank < orbit.shape[1]:
         raise RankDeficiencyError(
-            f"orbit of {m.shape[1]} iterates has numerical rank {rank}"
+            f"orbit of {orbit.shape[1]} iterates has numerical rank {rank}"
         )
-    return u[:, :rank]
+    return float(abs(r[-1, -1]) / np.linalg.norm(v))
 
 
 def subspace_distance(
@@ -236,7 +264,13 @@ def subspace_distance(
     statistic, equal subspaces decay to zero as the window grows (slowly,
     like 1/sqrt(orbit), when the generators differ by a factor vanishing
     on the circle), while distinct subspaces stay separated.
+
+    Since G = M^H M with M = [I; C], each orbit is the matrix M F of its
+    iterates in (f, f+) coordinates, where the H(b) metric is euclidean;
+    one QR per direction gives the distance.
     """
+    if orbit < 0:
+        raise InputFormatError(f"orbit must be nonnegative, got {orbit}")
     f = as_rational(f)
     g = as_rational(g)
     if f.num.is_zero and g.num.is_zero:
@@ -246,17 +280,6 @@ def subspace_distance(
     fd = int(f.num.degree if f.is_polynomial else degree)
     gd = int(g.num.degree if g.is_polynomial else degree)
     window = orbit + max(fd, gd) + 1
-    cf = _orbit_columns(space, f, orbit, degree, window)
-    cg = _orbit_columns(space, g, orbit, degree, window)
-    gram = space.gram_matrix(window)
-    # G = R^H R turns H(b) geometry into plain euclidean columns
-    r = np.linalg.cholesky(gram).conj().T
-    rf, rg = r @ cf, r @ cg
-    qf = _orthonormal_range(rf)
-    qg = _orthonormal_range(rg)
-
-    def directed(v: np.ndarray, q: np.ndarray) -> float:
-        res = v - q @ (q.conj().T @ v)
-        return float(np.linalg.norm(res) / np.linalg.norm(v))
-
-    return max(directed(rf[:, 0], qg), directed(rg[:, 0], qf))
+    mf = _orbit_matrix(space, f, orbit, degree, window)
+    mg = _orbit_matrix(space, g, orbit, degree, window)
+    return max(_directed_distance(mf, mg[:, 0]), _directed_distance(mg, mf[:, 0]))

@@ -519,7 +519,8 @@ class RationalFn:
     """Quotient of two polynomials, normalized so den(0) = 1 when possible.
 
     The denominator of anything this package produces is zero-free on the
-    closed unit disk, but the class itself only requires den != 0.
+    closed unit disk, but the class itself only requires den to be nonzero
+    and free of infinite coefficients.
 
     Members
     -------
@@ -532,6 +533,10 @@ class RationalFn:
                  tol: Tolerances = DEFAULT_TOLERANCES):
         num = num if isinstance(num, Poly) else Poly([num])
         den = den if isinstance(den, Poly) else Poly([den])
+        # normalising by an infinite coefficient would zero num and den; a NaN
+        # survives normalising and is rejected where the symbol is validated
+        if any(cmath.isinf(c) for c in den.coeffs):
+            raise InputFormatError("rational denominator has an infinite coefficient")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if reduce and not num.is_zero:

@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import CIRCLE_GRID, D_TRUNC, DEFAULT_TOLERANCES, Tolerances
 from .errors import (
@@ -410,10 +411,13 @@ def _correlate(c: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _upper_toeplitz(c: np.ndarray) -> np.ndarray:
-    """The upper-triangular Toeplitz matrix T[j, k] = c[k - j]."""
+    """The upper-triangular Toeplitz matrix T[j, k] = c[k - j].
+
+    Row j is the length-n window of (0, ..., 0, c) starting at n - j.
+    """
     n = len(c)
-    offset = np.arange(n)[None, :] - np.arange(n)[:, None]
-    return np.where(offset >= 0, c[np.maximum(offset, 0)], 0)
+    padded = np.concatenate([np.zeros(n, dtype=c.dtype), c])
+    return sliding_window_view(padded, n)[n:0:-1].copy()
 
 
 def _taylor_shift(p: Poly, w: complex) -> Poly:

@@ -230,6 +230,8 @@ def test_kernel_point_outside_disk_rejected(capsys):
     ["mate", "-b", "[0.5, [0.5, Infinity]]"],
     ["mate", "-b", '{"coeffs": [[0.5, 0], [-Infinity, 0]]}'],
     ["mate", "-b", '{"num": [0, 1], "den": [[2, NaN], -1]}'],
+    ["mate", "-b", '{"num": [0, 0.5], "den": [1, Infinity]}'],
+    ["extend", "-b", '{"num": [0, 0.5], "den": [1, [0, -Infinity]]}'],
 ])
 def test_non_finite_input_rejected(argv, capsys):
     code, out, err = run_cli(argv, capsys)

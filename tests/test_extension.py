@@ -264,3 +264,12 @@ def test_non_finite_symbol_rejected():
         HbSpace(b0)
     with pytest.raises(InputFormatError):
         extend(b0)
+
+
+def test_infinite_denominator_rejected():
+    # normalising by the infinite coefficient used to zero num and den
+    for den in ([1, math.inf], [1, complex(0, -math.inf)]):
+        with pytest.raises(InputFormatError):
+            HbSpace(RationalFn(Poly([0, 0.5]), Poly(den)))
+        with pytest.raises(InputFormatError):
+            extend(RationalFn(Poly([0, 0.5]), Poly(den)))

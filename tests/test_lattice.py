@@ -1,28 +1,45 @@
 """Invariant subspace classification, cyclicity, membership, distances."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hbspace.config import D_TRUNC, DISTANCE_ORBIT
 from hbspace.errors import (
     InputFormatError,
     MultipleBoundaryZeroError,
     PoleInDiskError,
+    RankDeficiencyError,
 )
+from hbspace.extension import build_model
 from hbspace.lattice import (
+    _RANK_TOL,
+    _directed_distance,
     classify,
     is_cyclic,
     ladder_spaces,
     membership,
     subspace_distance,
 )
-from hbspace.polynomials import Poly, RationalFn
+from hbspace.polynomials import Poly, RationalFn, as_rational
 from hbspace.space import HbSpace
 
 B_HALF = RationalFn(Poly([0.5, 0.5]), Poly([1]))
 B_STEP2 = RationalFn(Poly([0, 0, 1]), Poly([3, -3, 1]))
 B_STEP3 = RationalFn(Poly([0, 3, -6, 5]), Poly([12, -21, 14, -3]))
 
+B_COMPLEX = RationalFn(
+    Poly([0.2 + 0.1j, -0.15 + 0.25j, 0.1 - 0.05j, 0.05j, -0.08 + 0.02j]),
+    Poly([1, -0.3 + 0.2j]) * Poly([1, 0.25 - 0.35j]),
+)
+
+Z = Poly([0, 1])
 ZM1 = Poly([-1, 1])  # z - 1
+ONE = Poly([1])
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +185,130 @@ def test_descriptor_json(step2):
     assert blob["boundary_orders"][0]["order"] == 1
     assert len(blob["inner_roots"]) == 1
     assert isinstance(blob["description"], str)
+
+
+# -- the (f, f+) route against the Cholesky reference -------------------------
+
+
+def _degree8_symbol() -> RationalFn:
+    """A fixed generic degree-8 rational with four poles at modulus 2, sup|b| = 0.8."""
+    rng = np.random.default_rng(8)
+    num = Poly(rng.standard_normal(9) + 1j * rng.standard_normal(9))
+    den = Poly.from_roots(2.0 * np.exp(2j * np.pi * rng.random(4)), 1.0)
+    zs = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    peak = float(np.max(np.abs(num(zs) / den(zs))))
+    return RationalFn(num * (0.8 / peak), den)
+
+
+SYMBOLS = {
+    "half": lambda: B_HALF,
+    "affine": lambda: RationalFn(Poly([0, 0.5])),
+    "model1": lambda: build_model(1).b,
+    "model2": lambda: build_model(2).b,
+    "model3": lambda: build_model(3).b,
+    "deg8": _degree8_symbol,
+    "complex": lambda: B_COMPLEX,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def symbol_space(name: str) -> HbSpace:
+    return HbSpace(SYMBOLS[name]())
+
+
+def _orthonormal_range(m: np.ndarray) -> np.ndarray:
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        raise RankDeficiencyError("orbit span collapsed to zero")
+    rank = int(np.sum(s > _RANK_TOL * s[0]))
+    if rank < m.shape[1]:
+        raise RankDeficiencyError(f"orbit of {m.shape[1]} iterates has numerical rank {rank}")
+    return u[:, :rank]
+
+
+def cholesky_distance(space, f, g, orbit=DISTANCE_ORBIT, degree=D_TRUNC) -> float:
+    """The Gram route: orbit columns in monomial coordinates, G = R^H R by
+    Cholesky, orthonormal ranges by full SVD."""
+    f, g = as_rational(f), as_rational(g)
+    fd = int(f.num.degree if f.is_polynomial else degree)
+    gd = int(g.num.degree if g.is_polynomial else degree)
+    window = orbit + max(fd, gd) + 1
+
+    def columns(h):
+        base = (h.as_poly() if h.is_polynomial else h.taylor_poly(degree)).coeff_array()
+        cols = np.zeros((window, orbit + 1), dtype=complex)
+        for k in range(orbit + 1):
+            cols[k : k + len(base), k] = base
+        return cols
+
+    r = np.linalg.cholesky(space.gram_matrix(window)).conj().T
+    rf, rg = r @ columns(f), r @ columns(g)
+    qf, qg = _orthonormal_range(rf), _orthonormal_range(rg)
+
+    def directed(v, q):
+        return float(np.linalg.norm(v - q @ (q.conj().T @ v)) / np.linalg.norm(v))
+
+    return max(directed(rf[:, 0], qg), directed(rg[:, 0], qf))
+
+
+REFERENCE_PAIRS = [
+    *[(ZM1 ** (j + 1), ZM1**j) for j in (1, 2, 3)],
+    (ZM1, ONE),
+    (Z * ZM1, Z),
+    (Z, ONE),
+    (RationalFn(ZM1, Poly([1, -0.5])), ZM1),  # (z - 1)/(1 - z/2), Taylor-truncated
+]
+
+
+@pytest.mark.parametrize("name", ["half", "affine", "model1", "model2", "model3", "deg8"])
+def test_distance_matches_cholesky_reference(name):
+    space = symbol_space(name)
+    for f, g in REFERENCE_PAIRS:
+        got = subspace_distance(space, f, g)
+        assert abs(got - cholesky_distance(space, f, g)) < 1e-10
+
+
+def test_distance_builds_no_gram_matrix(half, monkeypatch):
+    def refuse(n):
+        raise AssertionError("gram_matrix called")
+
+    monkeypatch.setattr(half, "gram_matrix", refuse)
+    assert subspace_distance(half, ZM1 * ZM1, ZM1) <= 0.1
+
+
+def test_distance_rejects_negative_orbit(half):
+    with pytest.raises(InputFormatError):
+        subspace_distance(half, ZM1, ONE, orbit=-1)
+
+
+def test_directed_distance_rank_check():
+    rng = np.random.default_rng(3)
+    x, y, v = (rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(3))
+    with pytest.raises(RankDeficiencyError, match="orbit of 3 iterates has numerical rank 2"):
+        _directed_distance(np.column_stack([x, y, x]), v)
+    with pytest.raises(RankDeficiencyError, match="orbit span collapsed to zero"):
+        _directed_distance(np.zeros((12, 3), dtype=complex), v)
+    # a vector in the span sits at distance zero, one orthogonal to it at one
+    orbit = np.column_stack([x, y])
+    assert _directed_distance(orbit, 2 * x - 1j * y) < 1e-14
+    q, _ = np.linalg.qr(np.column_stack([x, y, v]))
+    assert abs(_directed_distance(orbit, q[:, 2]) - 1.0) < 1e-14
+
+
+# generator roots off an annulus around the circle, so every orbit keeps full rank
+_ROOT = st.builds(
+    lambda r, t: r * complex(math.cos(t), math.sin(t)),
+    st.floats(0.0, 0.8) | st.floats(1.25, 3.0),
+    st.floats(0.0, 2 * math.pi),
+)
+_GENERATOR = st.lists(_ROOT, max_size=4).map(Poly.from_roots)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(["half", "model2", "complex"]), _GENERATOR, _GENERATOR)
+def test_distance_property(name, f, g):
+    space = symbol_space(name)
+    d = subspace_distance(space, f, g)
+    assert abs(d - cholesky_distance(space, f, g)) < 1e-9
+    assert 0.0 <= d <= 1.0 + 1e-12
+    assert subspace_distance(space, f, f) < 1e-12

@@ -312,6 +312,18 @@ def test_gram_exactly_hermitian(phi_case):
         assert np.array_equal(g, g.conj().T)
 
 
+def test_gram_matches_fancy_index_build(phi_case):
+    # the Toeplitz factor as first built, by fancy indexing on the lag k - j
+    _, space = phi_case
+    for n in (1, 17, 256):
+        c = np.conj(space.phi_coeffs(n - 1))
+        offset = np.arange(n)[None, :] - np.arange(n)[:, None]
+        c = np.where(offset >= 0, c[np.maximum(offset, 0)], 0)
+        h = c.conj().T @ c
+        want = np.eye(n, dtype=complex) + 0.5 * (h + h.conj().T)
+        assert np.array_equal(space.gram_matrix(n), want)
+
+
 def test_criterion_09_distances_unchanged(phi_case):
     name, space = phi_case
     zm1 = Poly([-1, 1])

@@ -339,10 +339,6 @@ _CRITERIA = (
 )
 
 
-def run_criterion(index: int, seed: int | None = None) -> CriterionResult:
-    return _CRITERIA[index - 1](resolve_seed(seed))
-
-
 def run_all(seed: int | None = None) -> list[CriterionResult]:
     seed = resolve_seed(seed)
     return [fn(seed) for fn in _CRITERIA]

@@ -59,9 +59,6 @@ class Tolerances:
     def replace(self, **kwargs) -> "Tolerances":
         return dataclasses.replace(self, **kwargs)
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 DEFAULT_TOLERANCES = Tolerances()
 

@@ -55,11 +55,14 @@ class MateResult:
     a               the mate, a = r/q with the same denominator as b
     boundary_zeros  [(unit-modulus point, multiplicity), ...] sorted by angle
     residual        max over the circle grid of | |a|^2 + |b|^2 - 1 |
+    pole_radius     modulus of the nearest root of q (inf for polynomial b),
+                    found once while validating b; not part of the JSON form
     """
 
     a: RationalFn
     boundary_zeros: tuple[tuple[complex, int], ...]
     residual: float
+    pole_radius: float
 
     def to_json(self) -> dict:
         return {
@@ -72,27 +75,36 @@ class MateResult:
         }
 
 
-def _validate_analytic(b: RationalFn) -> None:
-    if not b.is_polynomial:
-        pole_mod = np.abs(b.poles())
-        if np.min(pole_mod) <= 1.0 + 1e-12:
-            raise PoleInDiskError(
-                f"denominator root at modulus {np.min(pole_mod):.6f} inside the closed disk"
-            )
+def _disk_pole_check(f: RationalFn, tol: Tolerances = DEFAULT_TOLERANCES, rng=None) -> float:
+    """Modulus of f's nearest pole (inf for polynomials); PoleInDiskError if it is <= 1."""
+    radius = float(np.min(np.abs(f.poles(tol=tol, rng=rng)), initial=np.inf))
+    if radius <= 1.0 + 1e-12:
+        raise PoleInDiskError(f"denominator root at modulus {radius:.6f} inside the closed disk")
+    return radius
 
 
-def _laurent_density(b: RationalFn) -> tuple[np.ndarray, int, float]:
-    """Coefficients of z^d (|q|^2 - |p|^2), full length 2d + 1, plus a scale."""
+def _validate(b: RationalFn, tol: Tolerances, grid_n: int):
+    """One pass over b = p/q: finite, no pole in the closed disk, sup |b| <= 1 on the grid.
+
+    Returns the modulus of q's nearest root, the grid zs, q and p on it,
+    the coefficients of z^d (|q|^2 - |p|^2) (full length 2d + 1) with
+    their scale, and whether b is nonextreme.
+    """
+    if not all(cmath.isfinite(c) for c in b.num.coeffs + b.den.coeffs):
+        raise InputFormatError("symbol coefficients must be finite")
+    radius = _disk_pole_check(b)
+    zs = circle_grid(grid_n)
+    qv, pv = b.den(zs), b.num(zs)
+    sup = np.max(np.abs(pv / qv))
+    if sup > 1.0 + 10.0 * tol.mate:
+        raise NotInUnitBallError(f"sup |b| on the circle is {sup:.12f}")
     p, q = b.num, b.den
     d = int(max(p.degree if not p.is_zero else 0, q.degree))
-    qq = (q * q.reflect(d)).coeff_array(2 * d + 1)
-    scale = float(np.max(np.abs(qq)))
+    arr = (q * q.reflect(d)).coeff_array(2 * d + 1)
+    scale = float(np.max(np.abs(arr)))
     if not p.is_zero:
-        pp = (p * p.reflect(d)).coeff_array(2 * d + 1)
-        arr = qq - pp
-    else:
-        arr = qq
-    return arr, d, scale
+        arr = arr - (p * p.reflect(d)).coeff_array(2 * d + 1)
+    return radius, zs, qv, pv, arr, scale, bool(np.max(np.abs(arr)) > 1e-10 * scale)
 
 
 def is_nonextreme(b, tol: Tolerances = DEFAULT_TOLERANCES, grid_n: int = CIRCLE_GRID) -> bool:
@@ -102,16 +114,7 @@ def is_nonextreme(b, tol: Tolerances = DEFAULT_TOLERANCES, grid_n: int = CIRCLE_
     for poles in the closed disk and NotInUnitBallError when sup |b| on
     the grid exceeds 1 + 10 * tol.mate.
     """
-    b = as_rational(b)
-    if not all(cmath.isfinite(c) for c in b.num.coeffs + b.den.coeffs):
-        raise InputFormatError("symbol coefficients must be finite")
-    _validate_analytic(b)
-    zs = circle_grid(grid_n)
-    vals = np.abs(b(zs))
-    if np.max(vals) > 1.0 + 10.0 * tol.mate:
-        raise NotInUnitBallError(f"sup |b| on the circle is {np.max(vals):.12f}")
-    arr, _, scale = _laurent_density(b)
-    return bool(np.max(np.abs(arr)) > 1e-10 * scale)
+    return _validate(as_rational(b), tol, grid_n)[-1]
 
 
 def _strip_symmetric_zeros(arr: np.ndarray, scale: float) -> np.ndarray:
@@ -184,11 +187,9 @@ def pythagorean_mate(
     the ladder meets the residual tolerance.
     """
     b = as_rational(b)
-    if not is_nonextreme(b, tol=tol, grid_n=grid_n):
+    radius, zs, qv, pv, arr, scale, nonextreme = _validate(b, tol, grid_n)
+    if not nonextreme:
         raise ExtremeFunctionError("b is an extreme point; no mate exists")
-    zs = circle_grid(grid_n)
-    qv = b.den(zs)
-    pv = b.num(zs)
     density = np.abs(qv) ** 2 - np.abs(pv) ** 2
     qscale = np.max(np.abs(qv)) ** 2
     if np.min(density) < -10.0 * tol.mate * qscale:
@@ -196,7 +197,6 @@ def pythagorean_mate(
             f"|q|^2 - |p|^2 reaches {np.min(density):.3e} on the circle"
         )
 
-    arr, d, scale = _laurent_density(b)
     sym_gap = np.max(np.abs(arr - np.conj(arr[::-1])))
     if sym_gap > 1e-10 * scale:
         raise FactorizationError(
@@ -235,7 +235,7 @@ def pythagorean_mate(
         got = "no consistent clustering" if best is None else f"residual {best[0]:.3e}"
         raise FactorizationError(f"mate factorization failed: {got}")
     _, r, pairs = best
-    return _finalize(b, r, pairs, zs, qv, pv)
+    return _finalize(b, r, pairs, zs, qv, pv, radius)
 
 
 def _circle_residual(factor: Poly, gamma2: float, zs, qv, density) -> float:
@@ -243,7 +243,7 @@ def _circle_residual(factor: Poly, gamma2: float, zs, qv, density) -> float:
     return float(np.max(np.abs(rv2 - density) / np.abs(qv) ** 2))
 
 
-def _finalize(b, r: Poly, pairs, zs, qv, pv) -> MateResult:
+def _finalize(b, r: Poly, pairs, zs, qv, pv, pole_radius: float) -> MateResult:
     a = RationalFn(r, b.den)
     a0 = a(0)
     if abs(a0) == 0:
@@ -253,7 +253,7 @@ def _finalize(b, r: Poly, pairs, zs, qv, pv) -> MateResult:
     bv = pv / qv
     residual = float(np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0)))
     zeros = tuple(sorted(((lam, m) for lam, m in pairs), key=lambda t: np.angle(t[0])))
-    return MateResult(a=a, boundary_zeros=zeros, residual=residual)
+    return MateResult(a=a, boundary_zeros=zeros, residual=residual, pole_radius=pole_radius)
 
 
 def boundary_order(f: RationalFn, lam: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
@@ -294,10 +294,7 @@ def inner_outer(
     f = as_rational(f)
     if f.num.is_zero:
         raise ZeroFunctionError("cannot factor the zero function")
-    if not f.is_polynomial:
-        pole_mod = np.abs(f.poles(tol=tol, rng=rng))
-        if np.min(pole_mod) <= 1.0 + 1e-12:
-            raise PoleInDiskError("poles must lie outside the closed disk")
+    _disk_pole_check(f, tol=tol, rng=rng)
     roots = poly_roots(f.num, tol=tol, rng=rng) if f.num.degree >= 1 else np.zeros(0, complex)
     inside = [complex(r) for r in roots if abs(r) < 1.0 - tol.boundary]
     inner_num = Poly([1])

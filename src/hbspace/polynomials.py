@@ -14,7 +14,6 @@ fallback when the iteration stalls.
 from __future__ import annotations
 
 import cmath
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -291,9 +290,7 @@ class Poly:
         return "Poly[" + " + ".join(terms) + "]"
 
 
-ZERO = Poly()
 ONE = Poly([1])
-Z = Poly([0, 1])
 
 
 # -- root finding ------------------------------------------------------------
@@ -706,11 +703,6 @@ class RationalFn:
 
     def taylor_poly(self, n: int) -> Poly:
         return Poly(self.taylor(n))
-
-    def pole_radius(self) -> float:
-        """Modulus of the nearest pole (inf for polynomials)."""
-        ps = self.poles()
-        return float(np.min(np.abs(ps))) if len(ps) else math.inf
 
     # -- serialization --------------------------------------------------------
 

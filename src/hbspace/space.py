@@ -35,6 +35,12 @@ the Toeplitz calculus (P denotes the analytic projection):
 
 Vectors built from those forms pair exactly against polynomials because
 the H^2 pairing only reads coefficients up to the polynomial's degree.
+
+Their Taylor tails are bounded from the decay radius, which needs no root
+finding: b, b+, Lb, La and the boundary kernels have denominator q, and
+u_w^i has q (1 - conj(w) z)^(i+1), so the radius is rho_b, the modulus of
+the nearest root of q, or min(rho_b, 1/|w|) for an interior w.  The mate
+computation finds rho_b once, while validating b.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from .errors import (
 from .factorization import MateResult, pythagorean_mate
 from .polynomials import Poly, RationalFn, as_rational
 
-_ZP = Poly([0, 1])
+_DECAY_GRID = 256
 
 
 @dataclass(frozen=True)
@@ -73,20 +79,28 @@ class HbVector:
     tail_plus: float = 0.0
 
 
-def _decay_profile(g: RationalFn, grid: int = 256) -> tuple[float, float]:
-    """(M, rho) with |g_k| <= M * rho^(-k); rho = inf for polynomials."""
-    pr = g.pole_radius()
-    if math.isinf(pr):
+def _nearest_pole(g: RationalFn) -> float:
+    """Modulus of the nearest root of g.den (inf for polynomials)."""
+    return float(np.min(np.abs(g.poles()), initial=np.inf))
+
+
+def _decay_profile(g: RationalFn, radius: float) -> tuple[float, float]:
+    """(M, rho) with |g_k| <= M * rho^(-k) for g analytic on |z| < radius (inf: polynomial)."""
+    if math.isinf(radius):
         return float(max(g.num.scale(), 1.0)), math.inf
-    rho = pr**0.75
-    zs = rho * np.exp(2j * np.pi * np.arange(grid) / grid)
+    rho = radius**0.75
+    zs = rho * np.exp(2j * np.pi * np.arange(_DECAY_GRID) / _DECAY_GRID)
     m = 2.0 * float(np.max(np.abs(g.num(zs) / g.den(zs))))
     return m, rho
 
 
 def degree_for_tail(g: RationalFn, target: float, cap: int = 4096) -> int:
     """Smallest degree D with the coefficient bound below target past D."""
-    m, rho = _decay_profile(g)
+    return _degree_for_tail(g, _nearest_pole(g), target, cap)
+
+
+def _degree_for_tail(g: RationalFn, radius: float, target: float, cap: int = 4096) -> int:
+    m, rho = _decay_profile(g, radius)
     if math.isinf(rho):
         return int(max(g.num.degree, 0))
     if m <= target:
@@ -95,8 +109,8 @@ def degree_for_tail(g: RationalFn, target: float, cap: int = 4096) -> int:
     return min(cap, max(0, math.ceil(need)))
 
 
-def _tail_bound(g: RationalFn, degree: int) -> float:
-    m, rho = _decay_profile(g)
+def _tail_bound(g: RationalFn, degree: int, radius: float) -> float:
+    m, rho = _decay_profile(g, radius)
     if math.isinf(rho):
         return 0.0
     # sum_{k > D} |g_k| <= M rho^(-(D+1)) / (1 - 1/rho)
@@ -111,6 +125,7 @@ class HbSpace:
     b, a : RationalFn      the symbol and its Pythagorean mate
     n : int                degree of b
     boundary_zeros : tuple of (unit-modulus point, multiplicity)
+    pole_radius : float    modulus of b's nearest pole, inf for polynomial b
     norm_b_sq : float      |b|_b^2 = a(0)^(-2) - 1
     norm_Lb_sq : float     |Lb|_b^2 = 1 - |b(0)|^2 - a(0)^2
     """
@@ -130,6 +145,7 @@ class HbSpace:
         self.a = self.mate.a
         self.n = int(max(b.degree, 0))
         self.boundary_zeros = self.mate.boundary_zeros
+        self.pole_radius = self.mate.pole_radius
         a0 = self.a(0)
         if abs(a0) < 1e-15:
             raise SingularSystemError("mate vanishes at the origin")
@@ -199,19 +215,19 @@ class HbSpace:
         return HbVector(
             f=ft,
             f_plus=self.plus_function(ft),
-            tail_f=_tail_bound(f, degree),
+            tail_f=_tail_bound(f, degree, _nearest_pole(f)),
             tail_plus=0.0,
         )
 
     def vector_b(self, degree: int = D_TRUNC) -> HbVector:
         """b itself: b+ = 1/a(0) - a."""
         bp = RationalFn(self.a.den * (1.0 / self._a0) - self.a.num, self.a.den)
-        return self._rational_pair(self.b, bp, degree)
+        return self._rational_pair(self.b, bp, degree, self.pole_radius)
 
     def vector_Lb(self, degree: int = D_TRUNC) -> HbVector:
         """Lb = (b - b(0))/z: companion -La."""
         return self._rational_pair(
-            _backward_rational(self.b), -_backward_rational(self.a), degree
+            _backward_rational(self.b), -_backward_rational(self.a), degree, self.pole_radius
         )
 
     def vector_w(self, degree: int = D_TRUNC) -> HbVector:
@@ -220,12 +236,13 @@ class HbSpace:
         c = 1.0 / self._a0
         return HbVector(u.f * c, u.f_plus * c, u.tail_f * c, u.tail_plus * c)
 
-    def _rational_pair(self, g: RationalFn, gplus: RationalFn, degree: int) -> HbVector:
+    def _rational_pair(self, g: RationalFn, gplus: RationalFn, degree: int, radius: float):
+        """g and its companion gplus, both analytic on |z| < radius."""
         return HbVector(
             f=g.taylor_poly(degree),
             f_plus=gplus.taylor_poly(degree),
-            tail_f=_tail_bound(g, degree),
-            tail_plus=_tail_bound(gplus, degree),
+            tail_f=_tail_bound(g, degree, radius),
+            tail_plus=_tail_bound(gplus, degree, radius),
         )
 
     # -- inner products ------------------------------------------------------
@@ -288,7 +305,7 @@ class HbSpace:
         boundary zero of multiplicity m and i <= m - 1, in which case the
         circle pole cancels and the result is analytic on the closed disk.
         """
-        num, den_extra = self._kernel_derivative_parts(w, i, plus_part=False)
+        num, _, den_extra = self._kernel_derivative_parts(w, i)
         return self._assemble_kernel_fn(num, den_extra, w, i)
 
     def kernel_vector(self, lam: complex, degree: int = D_TRUNC) -> HbVector:
@@ -296,22 +313,28 @@ class HbSpace:
         return self.derivative_kernel_vector(lam, 0, degree=degree)
 
     def derivative_kernel_vector(self, w: complex, i: int, degree: int = D_TRUNC) -> HbVector:
-        u = self.kernel_derivative(w, i)
-        unum, den_extra = self._kernel_derivative_parts(w, i, plus_part=True)
-        uplus = self._assemble_kernel_fn(unum, den_extra, w, i)
-        return self._rational_pair(u, uplus, degree)
+        num, plus_num, den_extra = self._kernel_derivative_parts(w, i)
+        radius = self.pole_radius
+        if not self._on_circle(w) and w != 0:
+            radius = min(radius, 1.0 / abs(w))  # the root of den_extra
+        u = self._assemble_kernel_fn(num, den_extra, w, i)
+        uplus = self._assemble_kernel_fn(plus_num, den_extra, w, i)
+        return self._rational_pair(u, uplus, degree, radius)
+
+    def _on_circle(self, w: complex) -> bool:
+        return abs(abs(w) - 1.0) <= 10.0 * self.tol.boundary
 
     def _boundary_multiplicity(self, w: complex) -> int | None:
         """Multiplicity if w sits at a mate boundary zero, else None."""
-        if abs(abs(w) - 1.0) > 10.0 * self.tol.boundary:
+        if not self._on_circle(w):
             return None
         for lam, m in self.boundary_zeros:
             if abs(w - lam) <= 1e-6:
                 return m
         return 0
 
-    def _kernel_derivative_parts(self, w: complex, i: int, plus_part: bool):
-        """Numerator over q(z) (1 - conj(w) z)^(i+1) for u_w^i or its companion."""
+    def _kernel_derivative_parts(self, w: complex, i: int) -> tuple[Poly, Poly, Poly]:
+        """Numerators of u_w^i and its companion over q(z) d(z), and d = (1 - conj(w) z)^(i+1)."""
         if i < 0:
             raise InputFormatError(f"derivative order must be nonnegative, got {i}")
         if abs(w) > 1.0 + 10.0 * self.tol.boundary:
@@ -330,14 +353,11 @@ class HbSpace:
         acc = Poly()
         for j, t in enumerate(local.taylor(i)):
             acc = acc + (math.factorial(i) * t.conjugate()) * (pole**j).shifted(i - j)
-        if plus_part:
-            num = self.a.num * acc
-        else:
-            num = math.factorial(i) * self.b.den.shifted(i) - self.b.num * acc
-        return num, pole ** (i + 1)
+        num = math.factorial(i) * self.b.den.shifted(i) - self.b.num * acc
+        return num, self.a.num * acc, pole ** (i + 1)
 
     def _assemble_kernel_fn(self, num: Poly, den_extra: Poly, w: complex, i: int) -> RationalFn:
-        if abs(abs(w) - 1.0) > 10.0 * self.tol.boundary:
+        if not self._on_circle(w):
             return RationalFn(num, self.b.den * den_extra)
         # on the circle 1 - conj(w) z = -conj(w) (z - w): cancel (z - w)^(i+1)
         factor = Poly([-w, 1])
@@ -362,11 +382,8 @@ class HbSpace:
             trunc = {"mode": "exact"}
         else:
             if degree is None:
-                degree = max(
-                    D_TRUNC,
-                    degree_for_tail(self.b, 1e-16),
-                    degree_for_tail(self.a, 1e-16),
-                )
+                tails = (_degree_for_tail(g, self.pole_radius, 1e-16) for g in (self.b, self.a))
+                degree = max(D_TRUNC, *tails)
             vb = self.vector_b(degree)
             vl = self.vector_Lb(degree)
             bb = float(self.pair(vb, vb).real)

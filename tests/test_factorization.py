@@ -179,3 +179,17 @@ def test_inner_outer_pure_outer():
     inner, outer = inner_outer(f)
     assert inner.num.degree == 0
     assert outer(0.2) == pytest.approx(f(0.2))
+
+
+def test_inner_outer_rejects_pole_in_closed_disk():
+    with pytest.raises(PoleInDiskError):
+        inner_outer(RationalFn(Poly([1]), Poly([1, -2])))  # pole at 1/2
+    with pytest.raises(PoleInDiskError):
+        inner_outer(RationalFn(Poly([1]), Poly([1, -1])))  # pole at 1
+
+
+def test_mate_carries_pole_radius():
+    mate = pythagorean_mate(RationalFn(Poly([0, 1]), Poly([2, -1])))  # z/(2 - z)
+    assert mate.pole_radius == 2.0
+    assert "pole_radius" not in mate.to_json()
+    assert pythagorean_mate(RationalFn(Poly([0.5, 0.5]))).pole_radius == float("inf")

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from hbspace import factorization, polynomials
+from hbspace import space as space_module
 from hbspace.errors import InputFormatError, OrderTooHighError
 from hbspace.extension import build_model, extend
+from hbspace.isometry import rank_one_identity_check
 from hbspace.lattice import subspace_distance
 from hbspace.polynomials import Poly, RationalFn
-from hbspace.space import HbSpace, degree_for_tail
+from hbspace.space import HbSpace, _decay_profile, degree_for_tail
 
 RNG = np.random.default_rng(20260817)
 
@@ -354,3 +357,93 @@ def test_boundary_derivative_pairing_tower_3():
         want = np.polyval(np.polyder(f[::-1], i), 1.0)
         got = space.pair(vf, space.derivative_kernel_vector(1.0, i, degree=96))
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+# -- the decay radius of b, found once ------------------------------------------
+
+INTERIOR_POINTS = (0.3, 0.9j, -0.95)
+
+
+@pytest.fixture(scope="module", params=["step2", "model3", "complex"])
+def radius_case(request):
+    return {"step2": B_STEP2, "model3": build_model(3).b, "complex": B_COMPLEX}[request.param]
+
+
+def _patch_roots(monkeypatch, fn):
+    monkeypatch.setattr(polynomials, "poly_roots", fn)
+    monkeypatch.setattr(factorization, "poly_roots", fn)
+
+
+def test_members_need_no_root_finding(radius_case, monkeypatch):
+    real = polynomials.poly_roots
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("poly_roots called after construction")
+
+    _patch_roots(monkeypatch, counting)
+    space = HbSpace(radius_case)
+    assert len(calls) <= 2  # b.den once, the Laurent density once
+    _patch_roots(monkeypatch, refuse)
+    assert space.norm_identities_check()["ok"]
+    space.vector_b()
+    space.vector_Lb()
+    space.vector_w()
+    for lam in (0.0,) + INTERIOR_POINTS:
+        space.kernel_vector(lam)
+    for lam, m in space.boundary_zeros:
+        assert abs(lam - 1.0) < 1e-12
+        for i in range(min(m, 3)):
+            space.derivative_kernel_vector(1.0, i)
+    assert rank_one_identity_check(space, Poly([1, 2, 3]), Poly([0, 1j, 1]))["relative"] < 1e-9
+
+
+def _old_route_tail(g: RationalFn, degree: int) -> float:
+    """The tail bound from a fresh root finding on g.den."""
+    m, rho = _decay_profile(g, float(np.min(np.abs(g.poles()))))
+    return m * rho ** (-(degree + 1)) / (1.0 - 1.0 / rho)
+
+
+def _recorded_tails(monkeypatch, build) -> list[tuple[RationalFn, int, float]]:
+    """Every (member, degree, tail bound) that build() asks _tail_bound for."""
+    real = space_module._tail_bound
+    seen = []
+
+    def record(g, degree, radius):
+        out = real(g, degree, radius)
+        seen.append((g, degree, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(space_module, "_tail_bound", record)
+        build()
+    return seen
+
+
+def test_carried_radius_tail_bounds(radius_case, monkeypatch):
+    space = HbSpace(radius_case)
+    exact = _recorded_tails(monkeypatch, lambda: (space.vector_b(), space.vector_Lb()))
+    for lam, m in space.boundary_zeros:
+        for i in range(min(m, 3)):
+            exact += _recorded_tails(
+                monkeypatch, lambda: space.derivative_kernel_vector(lam, i)
+            )
+    interior = []
+    for w in INTERIOR_POINTS:
+        for i in range(3):
+            interior += _recorded_tails(
+                monkeypatch, lambda: space.derivative_kernel_vector(w, i)
+            )
+    assert len(exact) >= 4 and len(interior) == 18
+    for g, degree, bound in exact:  # b, b+, Lb, La and boundary kernels: same q
+        assert bound == _old_route_tail(g, degree)
+    for g, degree, bound in interior:
+        # the old route roots (1 - conj(w) z)^(i+1) as a splattered cluster
+        ref = _old_route_tail(g, degree)
+        assert abs(bound - ref) <= 0.01 * ref
+    for g, degree, bound in exact + interior:
+        assert bound >= np.sum(np.abs(g.taylor(2000)[degree + 1 :]))

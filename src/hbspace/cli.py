@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .config import resolve_seed
+from .config import DEFAULT_TOLERANCES as TOL, resolve_seed
 from .errors import InputFormatError, NumericalError, ValidationError
 from .extension import build_model, extend, kernel_factorization_check, mobius_normalize
 from .isometry import isometry_order
@@ -125,7 +125,7 @@ def cmd_verify(args) -> int:
         for k in range(7)
     )
     report = isometry_order(space)
-    ok = identities["ok"] and space.mate.residual <= space.tol.mate
+    ok = identities["ok"] and space.mate.residual <= TOL.mate
     _emit({
         "isometry": report.to_json(),
         "mate_residual": space.mate.residual,

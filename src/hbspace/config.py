@@ -1,13 +1,13 @@
-"""Tolerance and truncation knobs shared across the package.
+"""Tolerances and truncation sizes shared across the package.
 
-Every tolerance has a single home here so reports can carry the exact
-values that were in force.  Instances are immutable; use ``replace`` to
-derive a variant.
+The tolerances are pinned: ``DEFAULT_TOLERANCES`` is the one set in use,
+and every check reads its threshold from it at the point of use rather
+than taking a parameter.  Reports carry the values they were judged by
+(``tol_iso``, ``tol_strict``, ``"tolerance"``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 
@@ -55,9 +55,6 @@ class Tolerances:
     strict: float = 1e-3
     gram: float = 1e-8
     cluster: float = 1e-7
-
-    def replace(self, **kwargs) -> "Tolerances":
-        return dataclasses.replace(self, **kwargs)
 
 
 DEFAULT_TOLERANCES = Tolerances()

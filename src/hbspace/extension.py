@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES as TOL
 from .errors import (
     DegenerateOmegaError,
     ForbiddenPhaseError,
@@ -99,11 +99,11 @@ def rotate(b, phi: float) -> RationalFn:
     return RationalFn(num, den)
 
 
-def forbidden_phase(b0, tol: Tolerances = DEFAULT_TOLERANCES) -> float | None:
+def forbidden_phase(b0) -> float | None:
     """arg b0(1) in [0, 2 pi) when |b0(1)| = 1, else None."""
     b0 = as_rational(b0)
     v = b0(1.0)
-    if abs(abs(v) - 1.0) > tol.phase:
+    if abs(abs(v) - 1.0) > TOL.phase:
         return None
     return float(np.angle(v) % (2 * np.pi))
 
@@ -130,7 +130,6 @@ def extend(
     b0,
     omega: complex = 1.0,
     t: float = math.pi,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     space: HbSpace | None = None,
 ) -> ExtensionResult:
     """One extension step; b0 must be rational, nonextreme, b0(0) = 0.
@@ -148,9 +147,9 @@ def extend(
             "extension requires b(0) = 0; apply mobius_normalize first"
         )
     if space is None:
-        space = HbSpace(b0, tol=tol)
-    t0 = forbidden_phase(b0, tol)
-    if t0 is not None and _phase_distance(t, t0) <= tol.phase:
+        space = HbSpace(b0)
+    t0 = forbidden_phase(b0)
+    if t0 is not None and _phase_distance(t, t0) <= TOL.phase:
         raise ForbiddenPhaseError(
             f"phase t = {t} collides with the degenerate direction arg b0(1) = {t0}"
         )
@@ -190,7 +189,6 @@ def build_model(
     n: int,
     omega: complex = 1.0,
     t: float = math.pi,
-    tol: Tolerances = DEFAULT_TOLERANCES,
     verify: bool = False,
 ) -> ModelResult:
     """n extension steps from b0 = 0; the shift becomes a strict
@@ -200,14 +198,14 @@ def build_model(
     b = RationalFn(Poly([]), Poly([1]))
     steps = []
     for _ in range(n):
-        step = extend(b, omega=omega, t=t, tol=tol)
+        step = extend(b, omega=omega, t=t)
         steps.append(step)
         b = step.b
     order = None
     if verify:
         from .isometry import isometry_order as _iso
 
-        rep = _iso(HbSpace(b, tol=tol), m_max=2 * n + 2, tol=tol)
+        rep = _iso(HbSpace(b), m_max=2 * n + 2)
         order = rep.order
         if order != 2 * n:
             raise VerificationError(

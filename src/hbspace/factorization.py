@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CIRCLE_GRID, DEFAULT_TOLERANCES, Tolerances
+from .config import CIRCLE_GRID, DEFAULT_TOLERANCES as TOL
 from .errors import (
     ExtremeFunctionError,
     FactorizationError,
@@ -75,15 +75,15 @@ class MateResult:
         }
 
 
-def _disk_pole_check(f: RationalFn, tol: Tolerances = DEFAULT_TOLERANCES, rng=None) -> float:
+def _disk_pole_check(f: RationalFn, rng=None) -> float:
     """Modulus of f's nearest pole (inf for polynomials); PoleInDiskError if it is <= 1."""
-    radius = float(np.min(np.abs(f.poles(tol=tol, rng=rng)), initial=np.inf))
+    radius = float(np.min(np.abs(f.poles(rng=rng)), initial=np.inf))
     if radius <= 1.0 + 1e-12:
         raise PoleInDiskError(f"denominator root at modulus {radius:.6f} inside the closed disk")
     return radius
 
 
-def _validate(b: RationalFn, tol: Tolerances, grid_n: int):
+def _validate(b: RationalFn):
     """One pass over b = p/q: finite, no pole in the closed disk, sup |b| <= 1 on the grid.
 
     Returns the modulus of q's nearest root, the grid zs, q and p on it,
@@ -93,10 +93,10 @@ def _validate(b: RationalFn, tol: Tolerances, grid_n: int):
     if not all(cmath.isfinite(c) for c in b.num.coeffs + b.den.coeffs):
         raise InputFormatError("symbol coefficients must be finite")
     radius = _disk_pole_check(b)
-    zs = circle_grid(grid_n)
+    zs = circle_grid(CIRCLE_GRID)
     qv, pv = b.den(zs), b.num(zs)
     sup = np.max(np.abs(pv / qv))
-    if sup > 1.0 + 10.0 * tol.mate:
+    if sup > 1.0 + 10.0 * TOL.mate:
         raise NotInUnitBallError(f"sup |b| on the circle is {sup:.12f}")
     p, q = b.num, b.den
     d = int(max(p.degree if not p.is_zero else 0, q.degree))
@@ -107,14 +107,14 @@ def _validate(b: RationalFn, tol: Tolerances, grid_n: int):
     return radius, zs, qv, pv, arr, scale, bool(np.max(np.abs(arr)) > 1e-10 * scale)
 
 
-def is_nonextreme(b, tol: Tolerances = DEFAULT_TOLERANCES, grid_n: int = CIRCLE_GRID) -> bool:
+def is_nonextreme(b) -> bool:
     """True iff 1 - |b|^2 is not identically zero on the circle.
 
     Raises InputFormatError for non-finite coefficients, PoleInDiskError
     for poles in the closed disk and NotInUnitBallError when sup |b| on
-    the grid exceeds 1 + 10 * tol.mate.
+    the grid exceeds 1 + 10 * TOL.mate.
     """
-    return _validate(as_rational(b), tol, grid_n)[-1]
+    return _validate(as_rational(b))[-1]
 
 
 def _strip_symmetric_zeros(arr: np.ndarray, scale: float) -> np.ndarray:
@@ -174,12 +174,7 @@ def _candidate_factor(
     return factor, pairs
 
 
-def pythagorean_mate(
-    b,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    grid_n: int = CIRCLE_GRID,
-    rng: np.random.Generator | None = None,
-) -> MateResult:
+def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
     """Outer a = r/q with |a|^2 + |b|^2 = 1 on the circle and a(0) > 0.
 
     Raises ExtremeFunctionError when |b| = 1 a.e., NegativeDensityError when
@@ -187,12 +182,12 @@ def pythagorean_mate(
     the ladder meets the residual tolerance.
     """
     b = as_rational(b)
-    radius, zs, qv, pv, arr, scale, nonextreme = _validate(b, tol, grid_n)
+    radius, zs, qv, pv, arr, scale, nonextreme = _validate(b)
     if not nonextreme:
         raise ExtremeFunctionError("b is an extreme point; no mate exists")
     density = np.abs(qv) ** 2 - np.abs(pv) ** 2
     qscale = np.max(np.abs(qv)) ** 2
-    if np.min(density) < -10.0 * tol.mate * qscale:
+    if np.min(density) < -10.0 * TOL.mate * qscale:
         raise NegativeDensityError(
             f"|q|^2 - |p|^2 reaches {np.min(density):.3e} on the circle"
         )
@@ -208,11 +203,11 @@ def pythagorean_mate(
     if p1.degree <= 0:
         roots = np.zeros(0, dtype=complex)
     else:
-        roots = poly_roots(p1, tol=tol, rng=rng)
+        roots = poly_roots(p1, rng=rng)
 
     best: tuple[float, Poly, list[tuple[complex, int]]] | None = None
     for tau in _CLUSTER_LADDER:
-        if tau < tol.cluster:
+        if tau < TOL.cluster:
             continue
         cand = _candidate_factor(p1, roots, tau, pair_tol=max(1e-6, tau))
         if cand is None:
@@ -229,9 +224,9 @@ def pythagorean_mate(
         residual = _circle_residual(factor, gamma2, zs, qv, density)
         if best is None or residual < best[0]:
             best = (residual, factor * np.sqrt(gamma2), pairs)
-        if residual <= tol.mate:
+        if residual <= TOL.mate:
             break
-    if best is None or best[0] > tol.mate:
+    if best is None or best[0] > TOL.mate:
         got = "no consistent clustering" if best is None else f"residual {best[0]:.3e}"
         raise FactorizationError(f"mate factorization failed: {got}")
     _, r, pairs = best
@@ -256,47 +251,43 @@ def _finalize(b, r: Poly, pairs, zs, qv, pv, pole_radius: float) -> MateResult:
     return MateResult(a=a, boundary_zeros=zeros, residual=residual, pole_radius=pole_radius)
 
 
-def boundary_order(f: RationalFn, lam: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+def boundary_order(f: RationalFn, lam: complex) -> int:
     """Largest k with f, f', ..., f^(k-1) all vanishing at lam.
 
     Vanishing is judged on successive synthetic divisions of the numerator,
-    with each remainder compared against tol.boundary times the working
+    with each remainder compared against TOL.boundary times the working
     coefficient scale.
     """
     f = as_rational(f)
     if f.num.is_zero:
         raise ZeroFunctionError("the zero function vanishes to every order")
-    if abs(f.den(lam)) <= tol.pole * max(1.0, f.den.scale()):
+    if abs(f.den(lam)) <= TOL.pole * max(1.0, f.den.scale()):
         raise PoleAtPointError(f"denominator vanishes at {lam}")
     work = f.num
     order = 0
     while not work.is_zero:
         value = work(lam)
         level = sum(abs(c) * abs(lam) ** k for k, c in enumerate(work.coeffs))
-        if abs(value) > tol.boundary * max(level, 1e-300):
+        if abs(value) > TOL.boundary * max(level, 1e-300):
             break
         work, _ = divmod(work, Poly([-lam, 1]))
         order += 1
     return order
 
 
-def inner_outer(
-    f,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    rng: np.random.Generator | None = None,
-) -> tuple[RationalFn, RationalFn]:
+def inner_outer(f, rng: np.random.Generator | None = None) -> tuple[RationalFn, RationalFn]:
     """Blaschke inner factor over the open-disk zeros, and the outer rest.
 
     The inner part is prod (z - zeta_i) / (1 - conj(zeta_i) z) over
-    numerator roots with |zeta_i| < 1 - tol.boundary; the outer part keeps
+    numerator roots with |zeta_i| < 1 - TOL.boundary; the outer part keeps
     boundary zeros and everything else.
     """
     f = as_rational(f)
     if f.num.is_zero:
         raise ZeroFunctionError("cannot factor the zero function")
-    _disk_pole_check(f, tol=tol, rng=rng)
-    roots = poly_roots(f.num, tol=tol, rng=rng) if f.num.degree >= 1 else np.zeros(0, complex)
-    inside = [complex(r) for r in roots if abs(r) < 1.0 - tol.boundary]
+    _disk_pole_check(f, rng=rng)
+    roots = poly_roots(f.num, rng=rng) if f.num.degree >= 1 else np.zeros(0, complex)
+    inside = [complex(r) for r in roots if abs(r) < 1.0 - TOL.boundary]
     inner_num = Poly([1])
     inner_den = Poly([1])
     deflated = f.num

@@ -18,7 +18,8 @@ diagonal difference X[j+1, k+1] - X[j, k] of that outer product.  The
 entries satisfy a fixed linear recurrence along diagonals (phi is
 rational), so once the m-th defect vanishes on a window wider than the
 recurrence length plus the transient, it vanishes for all indices.  The
-default probe window adds a comfortable margin on top of that length.
+probe window, 2n + m_max + 8 for a degree-n symbol, adds a comfortable
+margin on top of that length.
 
 rank_one_identity_check stays on the closed-form vector Lb, an
 independent path to the same defect.
@@ -31,9 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import D_TRUNC, Tolerances
+from .config import D_TRUNC, DEFAULT_TOLERANCES as TOL
 from .polynomials import Poly
 from .space import HbSpace
+
+# Monomials z^0 .. z^12 probed by annihilation_check.
+_ANNIHILATION_PROBE = 12
 
 
 @dataclass(frozen=True)
@@ -77,16 +81,9 @@ def defect_form(space: HbSpace, f, g, m: int) -> complex:
     return total
 
 
-def isometry_order(
-    space: HbSpace,
-    m_max: int = 8,
-    probe_degree: int | None = None,
-    tol: Tolerances | None = None,
-) -> DefectReport:
+def isometry_order(space: HbSpace, m_max: int = 8) -> DefectReport:
     """Search for the smallest m making the shift an m-isometry."""
-    tol = tol or space.tol
-    if probe_degree is None:
-        probe_degree = 2 * space.n + m_max + 8
+    probe_degree = 2 * space.n + m_max + 8
     window = probe_degree + 1
     phi = space.phi_coeffs(probe_degree + m_max)
     # beta_1 on z^0 .. z^(probe_degree + m_max - 1), so m_max - 1 differences cover the window
@@ -98,7 +95,7 @@ def isometry_order(
     order = None
     strict = None
     for m in range(1, m_max + 1):
-        if defects[m - 1] <= tol.iso:
+        if defects[m - 1] <= TOL.iso:
             order = m
             if m >= 2:
                 strict = defects[m - 2]
@@ -113,8 +110,8 @@ def isometry_order(
         strict_margin=strict,
         probe_degree=probe_degree,
         m_max=m_max,
-        tol_iso=tol.iso,
-        tol_strict=tol.strict,
+        tol_iso=TOL.iso,
+        tol_strict=TOL.strict,
     )
 
 
@@ -140,12 +137,7 @@ def rank_one_identity_check(space: HbSpace, f, g, degree: int | None = None) -> 
     }
 
 
-def annihilation_check(
-    space: HbSpace,
-    lam: complex,
-    k_max: int,
-    probe_degree: int = 12,
-) -> tuple[float, ...]:
+def annihilation_check(space: HbSpace, lam: complex, k_max: int) -> tuple[float, ...]:
     """residual_k = max_j |<w, (z - conj(lam))^k z^j>_b| for k = 0..k_max.
 
     When b has a lone boundary zero at lam of multiplicity n, the defect
@@ -154,10 +146,10 @@ def annihilation_check(
     reads off that multiplicity.
     """
     # <w, p z^j>_b = sum_i conj(p_i) phi_(i+j+1); np.correlate conjugates p
-    head = space.phi_coeffs(probe_degree + k_max + 1)[1:]
+    head = space.phi_coeffs(_ANNIHILATION_PROBE + k_max + 1)[1:]
     base = Poly([-np.conj(lam), 1.0])
     out = []
     for k in range(k_max + 1):
-        vals = np.correlate(head[: probe_degree + k + 1], (base**k).coeff_array(), "valid")
+        vals = np.correlate(head[: _ANNIHILATION_PROBE + k + 1], (base**k).coeff_array(), "valid")
         out.append(float(np.max(np.abs(vals))))
     return tuple(out)

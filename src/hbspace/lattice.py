@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import D_TRUNC, DISTANCE_ORBIT
+from .config import D_TRUNC, DEFAULT_TOLERANCES as TOL, DISTANCE_ORBIT
 from .errors import (
     InputFormatError,
     MultipleBoundaryZeroError,
@@ -65,7 +65,8 @@ class SubspaceDescriptor:
     def inner_degree(self) -> int:
         return len(self.inner_roots)
 
-    def same_as(self, other: "SubspaceDescriptor", tol: float = 1e-8) -> bool:
+    def same_as(self, other: "SubspaceDescriptor") -> bool:
+        """Same form, boundary orders and inner roots (within 1e-8)."""
         if self.form != other.form:
             return False
         if [j for _, j in self.boundary_orders] != [j for _, j in other.boundary_orders]:
@@ -74,7 +75,7 @@ class SubspaceDescriptor:
             return False
         mine = sorted(self.inner_roots, key=lambda w: (w.real, w.imag))
         theirs = sorted(other.inner_roots, key=lambda w: (w.real, w.imag))
-        return all(abs(x - y) <= tol for x, y in zip(mine, theirs))
+        return all(abs(x - y) <= 1e-8 for x, y in zip(mine, theirs))
 
     def to_json(self) -> dict:
         return {
@@ -96,14 +97,14 @@ def membership(space: HbSpace, f) -> bool:
     closed disk means member, a pole on the circle means not, and a pole
     inside the disk is rejected outright (f is not even in H^2).
     """
-    f = as_rational(f).reduce(space.tol)
+    f = as_rational(f).reduce()
     if f.is_polynomial:
         return True
     radii = np.abs(f.poles())
     if radii.size == 0:
         return True
     closest = float(np.min(radii))
-    band = 10.0 * space.tol.boundary
+    band = 10.0 * TOL.boundary
     if closest < 1.0 - band:
         raise PoleInDiskError(f"pole at radius {closest:.6f} inside the disk")
     return closest > 1.0 + band
@@ -121,7 +122,7 @@ def _inner_roots(space: HbSpace, f: RationalFn) -> tuple[complex, ...]:
     """
     if f.num.degree < 1:
         return ()
-    roots = f.num.roots(space.tol)
+    roots = f.num.roots()
     inner = [complex(r) for r in roots if abs(r) < 1.0 - _NEAR_BAND]
     near = np.array([r for r in roots if abs(abs(r) - 1.0) <= _NEAR_BAND])
     if near.size:
@@ -132,7 +133,7 @@ def _inner_roots(space: HbSpace, f: RationalFn) -> tuple[complex, ...]:
                 if abs(center - lam) <= 10 * _NEAR_BAND:
                     center = complex(lam)
                     break
-            m = boundary_order(f, center, space.tol)
+            m = boundary_order(f, center)
             members = sorted((complex(r) for r in cluster),
                              key=lambda r: abs(r - center))
             inner.extend(r for r in members[m:] if abs(r) < 1.0)
@@ -152,7 +153,7 @@ def classify(space: HbSpace, f) -> SubspaceDescriptor:
         )
     if not membership(space, f):
         raise InputFormatError("not a member of the space: pole on the unit circle")
-    f = f.reduce(space.tol)
+    f = f.reduce()
     inner_roots = _inner_roots(space, f)
     inner_num, inner_den = Poly([1]), Poly([1])
     for zeta in inner_roots:
@@ -161,7 +162,7 @@ def classify(space: HbSpace, f) -> SubspaceDescriptor:
     orders = []
     canonical_poly = Poly([1])
     for lam, mult in space.boundary_zeros:
-        j = min(boundary_order(f, lam, space.tol), mult)
+        j = min(boundary_order(f, lam), mult)
         orders.append((lam, j))
         canonical_poly = canonical_poly * Poly([-lam, 1]) ** j
     canonical = RationalFn(canonical_poly * inner_num, inner_den)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES as TOL
 from .errors import (
     InputFormatError,
     NonConvergenceError,
@@ -27,6 +27,10 @@ from .errors import (
 )
 
 NEG_INF = float("-inf")
+
+# Trailing coefficients below this fraction of the scale are dropped
+# before root finding.
+_TRIM_REL = 1e-14
 
 
 def _as_complex_tuple(coeffs: Iterable[complex]) -> tuple[complex, ...]:
@@ -85,13 +89,13 @@ class Poly:
         """Largest coefficient magnitude (0.0 for the zero polynomial)."""
         return max((abs(c) for c in self.coeffs), default=0.0)
 
-    def trim(self, rel_tol: float = 1e-13) -> "Poly":
-        """Drop trailing coefficients below ``rel_tol`` times the scale."""
+    def trim(self) -> "Poly":
+        """Drop trailing coefficients at most ``_TRIM_REL`` times the scale."""
         s = self.scale()
         if s == 0.0:
             return self
         cs = list(self.coeffs)
-        while cs and abs(cs[-1]) <= rel_tol * s:
+        while cs and abs(cs[-1]) <= _TRIM_REL * s:
             cs.pop()
         return Poly(cs)
 
@@ -190,12 +194,6 @@ class Poly:
                     rem[k + j] -= c * q.coeffs[j]
         return Poly(quot), Poly(rem[:dq])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
@@ -211,10 +209,6 @@ class Poly:
         for _ in range(order):
             out = Poly([k * c for k, c in enumerate(out.coeffs)][1:])
         return out
-
-    def conjugate_coeffs(self) -> "Poly":
-        """Coefficientwise conjugate, so q*(z) = conj(q(conj(z)))."""
-        return Poly([c.conjugate() for c in self.coeffs])
 
     def reflect(self, d: int | None = None) -> "Poly":
         """Reversal z^d * conj(p)(1/z); d defaults to the degree.
@@ -239,18 +233,14 @@ class Poly:
 
     # -- roots -------------------------------------------------------------
 
-    def roots(
-        self,
-        tol: Tolerances = DEFAULT_TOLERANCES,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
+    def roots(self, rng: np.random.Generator | None = None) -> np.ndarray:
         """All roots, multiplicity included, as a complex array.
 
         Multiple roots are returned as the tight clusters the iteration
         resolves them into; each returned point r satisfies
         |p(r)| <= root_residual * sum |c_k| |r|^k.
         """
-        return poly_roots(self, tol=tol, rng=rng)
+        return poly_roots(self, rng=rng)
 
     # -- serialization -------------------------------------------------------
 
@@ -311,7 +301,7 @@ def _residual_scale(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.maximum(acc, 1e-300)
 
 
-def _aberth(c: np.ndarray, rng: np.random.Generator, tol: Tolerances) -> np.ndarray | None:
+def _aberth(c: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
     """Simultaneous root iteration; returns roots or None on a stall."""
     d = len(c) - 1
     dc = np.arange(1, d + 1) * c[1:]
@@ -331,7 +321,7 @@ def _aberth(c: np.ndarray, rng: np.random.Generator, tol: Tolerances) -> np.ndar
     for _ in range(120):
         pz = _horner_many(c, z)
         scale = _residual_scale(c, z)
-        if np.all(np.abs(pz) <= tol.root_residual * scale):
+        if np.all(np.abs(pz) <= TOL.root_residual * scale):
             return z
         dpz = _horner_many(dc, z) if d > 0 else np.zeros_like(z)
         bad = np.abs(dpz) < 1e-300
@@ -348,16 +338,12 @@ def _aberth(c: np.ndarray, rng: np.random.Generator, tol: Tolerances) -> np.ndar
         z = z - w / denom
     pz = _horner_many(c, z)
     scale = _residual_scale(c, z)
-    if np.all(np.abs(pz) <= tol.root_residual * scale):
+    if np.all(np.abs(pz) <= TOL.root_residual * scale):
         return z
     return None
 
 
-def poly_roots(
-    p: Poly,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def poly_roots(p: Poly, rng: np.random.Generator | None = None) -> np.ndarray:
     """Roots of p with multiplicity, lowest-degree-first coefficients.
 
     Raises ZeroFunctionError on the zero polynomial and
@@ -366,7 +352,7 @@ def poly_roots(
     """
     if p.is_zero:
         raise ZeroFunctionError("the zero polynomial has no root set")
-    work = p.trim(1e-14)
+    work = p.trim()
     c = work.coeff_array()
     if len(c) == 1:
         return np.zeros(0, dtype=complex)
@@ -392,11 +378,11 @@ def poly_roots(
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        found = _aberth(c, rng, tol)
+        found = _aberth(c, rng)
         if found is None:
             found = np.roots(c[::-1])
             resid = np.abs(_horner_many(c, found)) / _residual_scale(c, found)
-            if np.max(resid) > 1e3 * tol.root_residual:
+            if np.max(resid) > 1e3 * TOL.root_residual:
                 raise NonConvergenceError(
                     f"root residual {np.max(resid):.3e} after fallback"
                 )
@@ -405,15 +391,15 @@ def poly_roots(
     return roots
 
 
-def _newton_polish(c: np.ndarray, z: np.ndarray, steps: int = 3) -> np.ndarray:
-    """A few Newton steps per root; simple roots reach machine precision.
+def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Three Newton steps per root; simple roots reach machine precision.
 
     Roots in a multiple-root cluster just shuffle within the cluster,
     which downstream consumers re-polish anyway.
     """
     dc = np.arange(1, len(c)) * c[1:]
     z = z.copy()
-    for _ in range(steps):
+    for _ in range(3):
         dpz = _horner_many(dc, z)
         ok = np.abs(dpz) > 1e-300
         step = np.zeros_like(z)
@@ -448,14 +434,14 @@ def cluster_points(points: np.ndarray, link: float) -> list[np.ndarray]:
     return [points[idx] for idx in groups.values()]
 
 
-def polish_multiple_root(p: Poly, center: complex, mult: int, steps: int = 30) -> complex:
-    """Newton refinement of a multiplicity-``mult`` root via p^(mult-1)."""
+def polish_multiple_root(p: Poly, center: complex, mult: int) -> complex:
+    """Newton refinement (at most 30 steps) of a multiplicity-``mult`` root via p^(mult-1)."""
     q = p
     for _ in range(mult - 1):
         q = q.derivative()
     dq = q.derivative()
     z = center
-    for _ in range(steps):
+    for _ in range(30):
         dv = dq(z)
         if abs(dv) == 0:
             break
@@ -466,32 +452,26 @@ def polish_multiple_root(p: Poly, center: complex, mult: int, steps: int = 30) -
     return z
 
 
-def gcd_by_roots(
-    p: Poly,
-    q: Poly,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    rng: np.random.Generator | None = None,
-) -> Poly:
+def gcd_by_roots(p: Poly, q: Poly, rng: np.random.Generator | None = None) -> Poly:
     """Monic gcd from greedily matched root pairs within the gcd tolerance.
 
     Purely numerical: two roots are "common" when they sit within
-    ``tol.gcd`` of each other, measured relative to max(1, |root|).
+    ``TOL.gcd`` of each other, measured relative to max(1, |root|).
     """
     if p.is_zero:
         return q if q.is_zero else Poly(np.array(q.coeffs) / q.coeffs[-1])
     if q.is_zero:
         return Poly(np.array(p.coeffs) / p.coeffs[-1])
-    common, _, _ = _match_roots(poly_roots(p, tol=tol, rng=rng),
-                                poly_roots(q, tol=tol, rng=rng), tol)
+    common, _, _ = _match_roots(poly_roots(p, rng=rng), poly_roots(q, rng=rng))
     if not common:
         return ONE
     return Poly.from_roots(common)
 
 
-def _match_roots(rp, rq, tol: Tolerances) -> tuple[list[complex], list[complex], list[complex]]:
+def _match_roots(rp, rq) -> tuple[list[complex], list[complex], list[complex]]:
     """Greedy pairing of each root of rp with its nearest unused root of rq.
 
-    A pair counts when the two sit within ``tol.gcd`` relative to
+    A pair counts when the two sit within the gcd tolerance relative to
     max(1, |r|) for the rp root r.  Returns the pair midpoints and the
     unmatched roots of rp and of rq, each in input order.
     """
@@ -502,7 +482,7 @@ def _match_roots(rp, rq, tol: Tolerances) -> tuple[list[complex], list[complex],
         if rest_q:
             dists = [abs(r - s) for s in rest_q]
             j = int(np.argmin(dists))
-            if dists[j] <= tol.gcd * max(1.0, abs(r)):
+            if dists[j] <= TOL.gcd * max(1.0, abs(r)):
                 common.append((r + rest_q.pop(j)) / 2.0)
                 continue
         rest_p.append(r)
@@ -526,8 +506,7 @@ class RationalFn:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly | complex, den: Poly | complex = 1, reduce: bool = False,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, num: Poly | complex, den: Poly | complex = 1, reduce: bool = False):
         num = num if isinstance(num, Poly) else Poly([num])
         den = den if isinstance(den, Poly) else Poly([den])
         # normalising by an infinite coefficient would zero num and den; a NaN
@@ -537,7 +516,7 @@ class RationalFn:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if reduce and not num.is_zero:
-            num, den = _cancel_common_roots(num, den, tol)
+            num, den = _cancel_common_roots(num, den)
         d0 = den.coeff(0)
         if abs(d0) > 1e-12 * den.scale():
             num = num * (1.0 / d0)
@@ -557,10 +536,6 @@ class RationalFn:
         return max(self.num.degree, self.den.degree)
 
     @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
@@ -571,10 +546,10 @@ class RationalFn:
 
     # -- evaluation ------------------------------------------------------
 
-    def __call__(self, z, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __call__(self, z):
         dv = self.den(z)
         if isinstance(z, np.ndarray):
-            guard = tol.pole * _residual_scale(self.den.coeff_array(), z)
+            guard = TOL.pole * _residual_scale(self.den.coeff_array(), z)
             if np.any(np.abs(dv) <= guard):
                 raise PoleAtPointError("evaluation at a pole of the denominator")
             return self.num(z) / dv
@@ -584,7 +559,7 @@ class RationalFn:
         acc = abs(coeffs[-1])
         for c in reversed(coeffs[:-1]):
             acc = acc * az + abs(c)
-        guard = tol.pole * max(acc, 1e-300)
+        guard = TOL.pole * max(acc, 1e-300)
         if abs(dv) <= guard:
             raise PoleAtPointError(f"evaluation at a pole near z = {z}")
         return self.num(z) / dv
@@ -667,20 +642,16 @@ class RationalFn:
             g = g.derivative()
         return g(z)
 
-    def conjugate_coeffs(self) -> "RationalFn":
-        return RationalFn(self.num.conjugate_coeffs(), self.den.conjugate_coeffs())
-
     # -- structure ----------------------------------------------------------
 
-    def reduce(self, tol: Tolerances = DEFAULT_TOLERANCES) -> "RationalFn":
-        """Cancel numerator/denominator roots that agree within tol.gcd."""
-        return RationalFn(self.num, self.den, reduce=True, tol=tol)
+    def reduce(self) -> "RationalFn":
+        """Cancel numerator/denominator roots that agree within the gcd tolerance."""
+        return RationalFn(self.num, self.den, reduce=True)
 
-    def poles(self, tol: Tolerances = DEFAULT_TOLERANCES,
-              rng: np.random.Generator | None = None) -> np.ndarray:
+    def poles(self, rng: np.random.Generator | None = None) -> np.ndarray:
         if self.is_polynomial:
             return np.zeros(0, dtype=complex)
-        return poly_roots(self.den, tol=tol, rng=rng)
+        return poly_roots(self.den, rng=rng)
 
     def taylor(self, n: int) -> np.ndarray:
         """Taylor coefficients at the origin through degree n inclusive.
@@ -740,12 +711,11 @@ def _poly_from_json(obj) -> Poly:
     return Poly.from_json(obj)
 
 
-def _cancel_common_roots(num: Poly, den: Poly, tol: Tolerances) -> tuple[Poly, Poly]:
-    """Divide out numerator/denominator root pairs that match within tol.gcd."""
+def _cancel_common_roots(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Divide out numerator/denominator root pairs that match within the gcd tolerance."""
     if den.degree == 0 or num.is_zero:
         return num, den
-    matched, new_rd, keep_n = _match_roots(poly_roots(den, tol=tol),
-                                           poly_roots(num, tol=tol), tol)
+    matched, new_rd, keep_n = _match_roots(poly_roots(den), poly_roots(num))
     if not matched:
         return num, den
     lead_n = num.coeffs[-1]

@@ -51,17 +51,20 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import CIRCLE_GRID, D_TRUNC, DEFAULT_TOLERANCES, Tolerances
+from .config import D_TRUNC, DEFAULT_TOLERANCES as TOL
 from .errors import (
     InputFormatError,
     OrderTooHighError,
     SingularSystemError,
     VerificationError,
 )
-from .factorization import MateResult, pythagorean_mate
+from .factorization import MateResult, _disk_pole_check, pythagorean_mate
 from .polynomials import Poly, RationalFn, as_rational
 
 _DECAY_GRID = 256
+
+# Largest degree degree_for_tail asks for.
+_TAIL_DEGREE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -79,11 +82,6 @@ class HbVector:
     tail_plus: float = 0.0
 
 
-def _nearest_pole(g: RationalFn) -> float:
-    """Modulus of the nearest root of g.den (inf for polynomials)."""
-    return float(np.min(np.abs(g.poles()), initial=np.inf))
-
-
 def _decay_profile(g: RationalFn, radius: float) -> tuple[float, float]:
     """(M, rho) with |g_k| <= M * rho^(-k) for g analytic on |z| < radius (inf: polynomial)."""
     if math.isinf(radius):
@@ -94,19 +92,22 @@ def _decay_profile(g: RationalFn, radius: float) -> tuple[float, float]:
     return m, rho
 
 
-def degree_for_tail(g: RationalFn, target: float, cap: int = 4096) -> int:
-    """Smallest degree D with the coefficient bound below target past D."""
-    return _degree_for_tail(g, _nearest_pole(g), target, cap)
+def degree_for_tail(g: RationalFn, target: float) -> int:
+    """Smallest degree D with the coefficient bound below target past D.
+
+    Raises PoleInDiskError when g has a pole in the closed disk.
+    """
+    return _degree_for_tail(g, _disk_pole_check(g), target)
 
 
-def _degree_for_tail(g: RationalFn, radius: float, target: float, cap: int = 4096) -> int:
+def _degree_for_tail(g: RationalFn, radius: float, target: float) -> int:
     m, rho = _decay_profile(g, radius)
     if math.isinf(rho):
         return int(max(g.num.degree, 0))
     if m <= target:
         return 0
     need = math.log(m / target) / math.log(rho)
-    return min(cap, max(0, math.ceil(need)))
+    return min(_TAIL_DEGREE_CAP, max(0, math.ceil(need)))
 
 
 def _tail_bound(g: RationalFn, degree: int, radius: float) -> float:
@@ -130,18 +131,11 @@ class HbSpace:
     norm_Lb_sq : float     |Lb|_b^2 = 1 - |b(0)|^2 - a(0)^2
     """
 
-    def __init__(
-        self,
-        b,
-        tol: Tolerances = DEFAULT_TOLERANCES,
-        grid_n: int = CIRCLE_GRID,
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, b, rng: np.random.Generator | None = None):
         b = as_rational(b)
-        self.tol = tol
         self.b = b
         # raises the typed validation errors for poles, ball, extremality
-        self.mate: MateResult = pythagorean_mate(b, tol=tol, grid_n=grid_n, rng=rng)
+        self.mate: MateResult = pythagorean_mate(b, rng=rng)
         self.a = self.mate.a
         self.n = int(max(b.degree, 0))
         self.boundary_zeros = self.mate.boundary_zeros
@@ -209,13 +203,15 @@ class HbSpace:
 
         The companion inherits an O(tail) error at every index from the
         dropped coefficients, so this is for coarse geometry (subspace
-        angles), not for certified identities.
+        angles), not for certified identities.  Raises PoleInDiskError
+        when f has a pole in the closed disk.
         """
+        radius = _disk_pole_check(f)
         ft = f.taylor_poly(degree)
         return HbVector(
             f=ft,
             f_plus=self.plus_function(ft),
-            tail_f=_tail_bound(f, degree, _nearest_pole(f)),
+            tail_f=_tail_bound(f, degree, radius),
             tail_plus=0.0,
         )
 
@@ -322,7 +318,7 @@ class HbSpace:
         return self._rational_pair(u, uplus, degree, radius)
 
     def _on_circle(self, w: complex) -> bool:
-        return abs(abs(w) - 1.0) <= 10.0 * self.tol.boundary
+        return abs(abs(w) - 1.0) <= 10.0 * TOL.boundary
 
     def _boundary_multiplicity(self, w: complex) -> int | None:
         """Multiplicity if w sits at a mate boundary zero, else None."""
@@ -337,7 +333,7 @@ class HbSpace:
         """Numerators of u_w^i and its companion over q(z) d(z), and d = (1 - conj(w) z)^(i+1)."""
         if i < 0:
             raise InputFormatError(f"derivative order must be nonnegative, got {i}")
-        if abs(w) > 1.0 + 10.0 * self.tol.boundary:
+        if abs(w) > 1.0 + 10.0 * TOL.boundary:
             raise InputFormatError(f"kernel point {w} lies outside the closed unit disk")
         mult = self._boundary_multiplicity(w)
         if mult is not None and i >= mult:
@@ -404,10 +400,10 @@ class HbSpace:
             "diff": abs(self.norm_Lb_sq - lb),
         }
         report["truncation"] = trunc
-        report["tolerance"] = self.tol.gram
+        report["tolerance"] = TOL.gram
         report["ok"] = bool(
-            report["norm_b_sq"]["diff"] <= self.tol.gram
-            and report["norm_Lb_sq"]["diff"] <= self.tol.gram
+            report["norm_b_sq"]["diff"] <= TOL.gram
+            and report["norm_Lb_sq"]["diff"] <= TOL.gram
         )
         return report
 

@@ -1,0 +1,42 @@
+"""The numerics are pinned: tolerances, grids and probe sizes take no parameter."""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import hbspace
+from hbspace import DEFAULT_TOLERANCES, HbSpace, Tolerances, isometry_order
+from hbspace.polynomials import Poly, RationalFn
+
+PINNED = {"tol", "grid_n", "probe_degree", "cap", "steps", "rel_tol"}
+
+
+def test_no_function_takes_a_tolerance_grid_or_probe_parameter():
+    found = []
+    for path in sorted(Path(hbspace.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                found += [(path.name, node.lineno, p.arg) for p in params
+                          if p is not None and p.arg in PINNED]
+    assert found == []
+    assert not hasattr(Tolerances, "replace")
+    assert not hasattr(HbSpace(Poly([0.5, 0.5])), "tol")
+
+
+def test_default_tolerances_keep_their_values():
+    assert dataclasses.asdict(DEFAULT_TOLERANCES) == {
+        "root_residual": 1e-11, "gcd": 1e-9, "pole": 1e-13, "mate": 1e-9,
+        "boundary": 1e-7, "phase": 1e-8, "iso": 1e-8, "strict": 1e-3,
+        "gram": 1e-8, "cluster": 1e-7,
+    }
+
+
+def test_reports_carry_the_pinned_tolerances():
+    for b in (Poly([0.5, 0.5]), RationalFn(Poly([0, 1]), Poly([2, -1]))):
+        space = HbSpace(b)
+        report = isometry_order(space)
+        assert report.tol_iso == DEFAULT_TOLERANCES.iso
+        assert report.tol_strict == DEFAULT_TOLERANCES.strict
+        assert space.norm_identities_check()["tolerance"] == DEFAULT_TOLERANCES.gram

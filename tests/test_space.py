@@ -5,7 +5,7 @@ import pytest
 
 from hbspace import factorization, polynomials
 from hbspace import space as space_module
-from hbspace.errors import InputFormatError, OrderTooHighError
+from hbspace.errors import InputFormatError, OrderTooHighError, PoleInDiskError
 from hbspace.extension import build_model, extend
 from hbspace.isometry import rank_one_identity_check
 from hbspace.lattice import subspace_distance
@@ -250,6 +250,16 @@ def test_degree_for_tail():
     tail = 0.5 ** (d + 1) / 0.5
     assert tail < 1e-9  # bound is conservative, not tight
     assert degree_for_tail(RationalFn(Poly([1, 1]), Poly([1])), 1e-12) == 1
+
+
+@pytest.mark.parametrize("pole", [0.5, 1.0])
+def test_tail_rejects_pole_in_closed_disk(half, pole):
+    # a pole at 1/2 made the geometric bound negative; one at 1 divided by zero
+    g = RationalFn(Poly([1]), Poly([1, -1.0 / pole]))
+    with pytest.raises(PoleInDiskError):
+        degree_for_tail(g, 1e-12)
+    with pytest.raises(PoleInDiskError):
+        half.truncated_vector(g, 16)
 
 
 def test_zero_symbol_space():

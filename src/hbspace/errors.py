@@ -42,7 +42,7 @@ class ForbiddenPhaseError(ValidationError):
 
 
 class DegenerateOmegaError(ValidationError):
-    """The extension weight omega must be nonzero."""
+    """The extension weight omega must be nonzero and give 0 < s < 1 in double precision."""
 
 
 class MultipleBoundaryZeroError(ValidationError):

@@ -155,7 +155,12 @@ def extend(
         )
     a0 = space.a(0).real
     w_sq = 1.0 / a0**2 - 1.0
-    s = abs(omega) ** 2 / (1.0 + w_sq + abs(omega) ** 2)
+    omega_sq = abs(omega) * abs(omega)  # inf past the float range, no OverflowError
+    s = omega_sq / (1.0 + w_sq + omega_sq)
+    if not 0.0 < s < 1.0:
+        raise DegenerateOmegaError(
+            f"extension weight omega = {omega} gives s = {s}, outside (0, 1) in double precision"
+        )
     u = np.exp(-1j * t)
     p, q = b0.num, b0.den
     core = q - u * p

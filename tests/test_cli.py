@@ -210,6 +210,27 @@ def test_kernel_negative_order_rejected(capsys):
     assert json.loads(err)["type"] == "InputFormatError"
 
 
+def test_kernel_order_past_factorial_range_rejected(capsys):
+    code, out, err = run_cli(
+        ["kernel", "-b", HALF, "--at", "0.5", "--order", "171", "--point", "0.1"], capsys
+    )
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err)["type"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "-b", AFFINE, "--omega", "1e10"],
+    ["extend", "-b", AFFINE, "--omega", "1e300"],
+    ["model", "--steps", "2", "--omega", "1e9"],
+])
+def test_omega_out_of_range_rejected(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err)["type"] == "DegenerateOmegaError"
+
+
 def test_kernel_point_outside_disk_rejected(capsys):
     code, out, err = run_cli(
         ["kernel", "-b", HALF, "--at", "1.5", "--point", "0.5"], capsys

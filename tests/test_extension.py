@@ -102,6 +102,13 @@ def test_degenerate_omega():
         extend(B_ZERO, omega=0.0)
 
 
+@pytest.mark.parametrize("omega", [1e10, 1e300, 1e200j])
+def test_omega_beyond_double_precision(omega):
+    # s = |omega|^2 / (1 + |w|^2 + |omega|^2) rounds to 1, or |omega|^2 overflows
+    with pytest.raises(DegenerateOmegaError):
+        extend(RationalFn(Poly([0, 0.5])), omega=omega)
+
+
 def test_extension_needs_vanishing_origin():
     with pytest.raises(InputFormatError):
         extend(B_HALF)

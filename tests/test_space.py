@@ -5,6 +5,7 @@ import pytest
 
 from hbspace import factorization, polynomials
 from hbspace import space as space_module
+from hbspace.config import D_TRUNC
 from hbspace.errors import InputFormatError, OrderTooHighError, PoleInDiskError
 from hbspace.extension import build_model, extend
 from hbspace.isometry import rank_one_identity_check
@@ -457,3 +458,113 @@ def test_carried_radius_tail_bounds(radius_case, monkeypatch):
         assert abs(bound - ref) <= 0.01 * ref
     for g, degree, bound in exact + interior:
         assert bound >= np.sum(np.abs(g.taylor(2000)[degree + 1 :]))
+
+
+# -- members from the cached series of 1/q ---------------------------------------
+
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def _abs_conv(*arrays, n):
+    out = np.ones(1)
+    for a in arrays:
+        out = np.convolve(out, np.abs(a))[:n]
+    return out
+
+
+def _series_route_bound(space, g: RationalFn, extra: Poly, degree: int) -> np.ndarray:
+    """First-order rounding bound on |series route - Taylor loop| per coefficient.
+
+    g = num / (q d) with d = extra.  The loop's computed coefficients are
+    exact for num - r with |r| <= gamma (|num| + |g.den| * |out|), so its
+    error is at most gamma |1/(q d)| * that.  The series route has
+    rounding gamma |num| * |1/q| * |1/d| in each of its two products,
+    plus the loop error of 1/q, gamma |1/q| * (delta + |q| * |1/q|),
+    carried through num and 1/d; hence 3 delta.  gamma = L u with L
+    bounding every inner product length, and a factor 4 for complex
+    arithmetic.
+    """
+    n = degree + 1
+    num, q = g.num.coeff_array(max(len(g.num.coeffs), 1)), space.b.den.coeff_array()
+    ref = g.taylor(degree)
+    s = RationalFn(1.0, g.den).taylor(degree)
+    sq = RationalFn(1.0, space.b.den).taylor(degree)
+    e = RationalFn(1.0, extra).taylor(degree)
+    delta = np.zeros(n)
+    delta[0] = 3.0
+    loop = _abs_conv(s, num, n=n) + _abs_conv(s, g.den.coeff_array(), ref, n=n)
+    series = _abs_conv(num, e, sq, delta + _abs_conv(q, sq, n=n), n=n)
+    gamma = 4.0 * (n + len(num) + len(g.den.coeffs)) * U
+    return gamma * (loop + series)
+
+
+SERIES_POINTS = (0.0, 0.5, 0.95j)
+
+
+@pytest.fixture(scope="module", params=["half", "model2", "complex", "tower3"])
+def series_case(request):
+    b = {
+        "half": B_HALF,
+        "model2": build_model(2).b,
+        "complex": B_COMPLEX,
+        "tower3": build_model(3, omega=0.5, t=2.0).b,
+    }[request.param]
+    return HbSpace(b)
+
+
+def _members(space):
+    """(name, build, d) for the members the series route builds over q d."""
+    one = Poly([1])
+    out = [("b", space.vector_b, one), ("Lb", space.vector_Lb, one), ("w", space.vector_w, one)]
+    for w in SERIES_POINTS:
+        out.append((f"K_{w}", lambda w=w: space.kernel_vector(w), Poly([1, -np.conj(w)])))
+    for w in SERIES_POINTS[1:]:
+        for i in (1, 2):
+            out.append((
+                f"u_{w}^{i}",
+                lambda w=w, i=i: space.derivative_kernel_vector(w, i),
+                Poly([1, -np.conj(w)]) ** (i + 1),
+            ))
+    for lam, m in space.boundary_zeros:
+        for i in range(m):
+            out.append((f"u_{lam}^{i}", lambda lam=lam, i=i: space.derivative_kernel_vector(lam, i), one))
+    return out
+
+
+def test_series_route_matches_taylor_loop(series_case, monkeypatch):
+    space = series_case
+    for name, build, extra in _members(space):
+        built = []
+        (g, degree, _), (gplus, _, _) = _recorded_tails(monkeypatch, lambda: built.append(build()))
+        # w = Lb / a(0): the loop reference scaled the same way
+        c = 1.0 / space.a(0).real if name == "w" else 1.0
+        for member, got in ((g, built[0].f), (gplus, built[0].f_plus)):
+            want = c * member.taylor(degree)
+            bound = c * _series_route_bound(space, member, extra, degree) + U * np.abs(want)
+            err = np.abs(got.coeff_array(degree + 1) - want)
+            assert np.all(err <= bound), (name, float(np.max(err / bound)))
+
+
+def test_members_share_one_taylor_loop(radius_case, monkeypatch):
+    space = HbSpace(radius_case)
+    space.phi_coeffs(D_TRUNC)
+    real = RationalFn.taylor
+    calls = []
+
+    def counting(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(RationalFn, "taylor", counting)
+    space.vector_b()
+    space.vector_Lb()
+    space.kernel_vector(0.3)
+    space.kernel_vector(0.9j)
+    assert len(calls) <= 1  # the series of 1/q, once
+
+
+def test_phi_keeps_the_taylor_loop_bits(series_case):
+    space = series_case
+    phi = RationalFn(space.b.num, space.a.num)
+    for n in (3, 64, 300, 40):
+        assert np.array_equal(space.phi_coeffs(n), phi.taylor(n))

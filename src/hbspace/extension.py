@@ -34,6 +34,7 @@ from .errors import (
     DegenerateOmegaError,
     ForbiddenPhaseError,
     InputFormatError,
+    PoleAtPointError,
     VerificationError,
 )
 from .polynomials import Poly, RationalFn, as_rational
@@ -176,12 +177,18 @@ def extend(
         raise VerificationError(
             f"extension degree {bt.degree}, expected {deg0 + 1}"
         )
-    certs = {
-        "value_at_origin": abs(bt(0.0)),
-        "value_at_one": abs(bt(1.0) - 1.0),
-        "derivative_at_one": abs(bt.derivative_at(1.0, 1) - 1.0 / s),
-        "degree": int(bt.degree),
-    }
+    try:
+        certs = {
+            "value_at_origin": abs(bt(0.0)),
+            "value_at_one": abs(bt(1.0) - 1.0),
+            "derivative_at_one": abs(bt.derivative_at(1.0, 1) - 1.0 / s),
+            "degree": int(bt.degree),
+        }
+    except PoleAtPointError as exc:
+        # den(1) ~ s and the quotient rule's den(1)^2 ~ s^2 sink under the pole guard
+        raise VerificationError(
+            f"certificate value_at_one or derivative_at_one unevaluable at s = {s:.3e}: {exc}"
+        ) from None
     worst = max(certs["value_at_origin"], certs["value_at_one"],
                 certs["derivative_at_one"] * s)
     if not (worst <= 1e-9):

@@ -11,6 +11,11 @@ Circle-root clusters shrink like eps^(1/(2m)) for multiplicity m, far
 wider than any fixed tolerance once m > 1, so the clustering distance is
 chosen adaptively from a ladder and the winner is whichever candidate
 actually drives the circle residual below tolerance.
+
+Zeros at a point are read by synthetic division: the k-th remainder at
+lam is f^(k)(lam)/k! (``boundary_order``).  ``_inner_roots`` is the one
+rule for which computed roots are inner zeros; ``inner_outer`` and
+``lattice.classify`` build their Blaschke factor from it.
 """
 
 from __future__ import annotations
@@ -34,14 +39,20 @@ from .errors import (
 from .polynomials import (
     Poly,
     RationalFn,
+    _match_roots,
     as_rational,
     cluster_points,
     complex_to_json,
     poly_roots,
     polish_multiple_root,
+    synthetic_division,
 )
 
 _CLUSTER_LADDER = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2)
+
+# Roots this close to the circle may be shadows of a multiple circle zero:
+# a multiplicity-m zero splatters by roughly eps^(1/m), 1e-3 around m = 5.
+_NEAR_BAND = 1e-3
 
 
 def circle_grid(n: int = CIRCLE_GRID) -> np.ndarray:
@@ -75,9 +86,9 @@ class MateResult:
         }
 
 
-def _disk_pole_check(f: RationalFn, rng=None) -> float:
+def _disk_pole_check(f: RationalFn) -> float:
     """Modulus of f's nearest pole (inf for polynomials); PoleInDiskError if it is <= 1."""
-    radius = float(np.min(np.abs(f.poles(rng=rng)), initial=np.inf))
+    radius = float(np.min(np.abs(f.poles()), initial=np.inf))
     if radius <= 1.0 + 1e-12:
         raise PoleInDiskError(f"denominator root at modulus {radius:.6f} inside the closed disk")
     return radius
@@ -144,16 +155,9 @@ def _candidate_factor(
     if len(inside) != len(outside):
         return None
     # Every inside root must find its reflected partner outside.
-    unused = list(outside)
-    for r in inside:
-        target = 1.0 / r.conjugate()
-        dists = [abs(w - target) for w in unused]
-        if not dists:
-            return None
-        j = int(np.argmin(dists))
-        if dists[j] > pair_tol * max(1.0, abs(target)):
-            return None
-        unused.pop(j)
+    _, unmatched, _ = _match_roots([1.0 / r.conjugate() for r in inside], outside, pair_tol)
+    if unmatched:
+        return None
 
     pairs: list[tuple[complex, int]] = []
     if len(circle_roots):
@@ -265,36 +269,62 @@ def boundary_order(f: RationalFn, lam: complex) -> int:
         raise PoleAtPointError(f"denominator vanishes at {lam}")
     work = f.num
     order = 0
-    while not work.is_zero:
-        value = work(lam)
+    while True:
+        quot, rems = synthetic_division(work, lam, 1)
+        if not rems:  # a nonzero constant does not vanish
+            return order
         level = sum(abs(c) * abs(lam) ** k for k, c in enumerate(work.coeffs))
-        if abs(value) > TOL.boundary * max(level, 1e-300):
-            break
-        work, _ = divmod(work, Poly([-lam, 1]))
-        order += 1
-    return order
+        if abs(rems[0]) > TOL.boundary * max(level, 1e-300):
+            return order
+        work, order = quot, order + 1
 
 
-def inner_outer(f, rng: np.random.Generator | None = None) -> tuple[RationalFn, RationalFn]:
+def _inner_roots(num: Poly) -> tuple[complex, ...]:
+    """Zeros of num strictly inside the disk, with circle shadows removed.
+
+    A multiplicity-m zero on the circle splatters into a cluster of m
+    computed roots of radius ~eps^(1/m), some inside the disk.  Each
+    near-circle cluster is audited against boundary_order at its center
+    snapped onto the circle, and that many members nearest the center
+    are discarded as shadows.
+    """
+    if num.degree < 1:
+        return ()
+    roots = num.roots()
+    inner = [complex(r) for r in roots if abs(r) < 1.0 - _NEAR_BAND]
+    near = roots[np.abs(np.abs(roots) - 1.0) <= _NEAR_BAND]
+    for cluster in cluster_points(near, link=3 * _NEAR_BAND):
+        center = complex(np.mean(cluster))
+        center /= abs(center)
+        m = boundary_order(num, center)
+        members = sorted((complex(r) for r in cluster), key=lambda r: abs(r - center))
+        inner.extend(r for r in members[m:] if abs(r) < 1.0)
+    return tuple(sorted(inner, key=lambda w: (w.real, w.imag)))
+
+
+def _blaschke(zeros) -> RationalFn:
+    """prod (z - zeta) / (1 - conj(zeta) z) over the given open-disk zeros."""
+    num, den = Poly([1]), Poly([1])
+    for zeta in zeros:
+        num = num * Poly([-zeta, 1])
+        den = den * Poly([1, -zeta.conjugate()])
+    return RationalFn(num, den)
+
+
+def inner_outer(f) -> tuple[RationalFn, RationalFn]:
     """Blaschke inner factor over the open-disk zeros, and the outer rest.
 
-    The inner part is prod (z - zeta_i) / (1 - conj(zeta_i) z) over
-    numerator roots with |zeta_i| < 1 - TOL.boundary; the outer part keeps
+    The inner part is prod (z - zeta_i) / (1 - conj(zeta_i) z) over the
+    numerator zeros that ``_inner_roots`` keeps; the outer part keeps
     boundary zeros and everything else.
     """
     f = as_rational(f)
     if f.num.is_zero:
         raise ZeroFunctionError("cannot factor the zero function")
-    _disk_pole_check(f, rng=rng)
-    roots = poly_roots(f.num, rng=rng) if f.num.degree >= 1 else np.zeros(0, complex)
-    inside = [complex(r) for r in roots if abs(r) < 1.0 - TOL.boundary]
-    inner_num = Poly([1])
-    inner_den = Poly([1])
+    _disk_pole_check(f)
+    zeros = _inner_roots(f.num)
     deflated = f.num
-    for zeta in inside:
-        inner_num = inner_num * Poly([-zeta, 1])
-        inner_den = inner_den * Poly([1, -zeta.conjugate()])
-        deflated, _ = divmod(deflated, Poly([-zeta, 1]))
-    inner = RationalFn(inner_num, inner_den)
-    outer = RationalFn(deflated * inner_den, f.den)
-    return inner, outer
+    for zeta in zeros:
+        deflated, _ = synthetic_division(deflated, zeta, 1)
+    inner = _blaschke(zeros)
+    return inner, RationalFn(deflated * inner.den, f.den)

@@ -115,7 +115,7 @@ def isometry_order(space: HbSpace, m_max: int = 8) -> DefectReport:
     )
 
 
-def rank_one_identity_check(space: HbSpace, f, g, degree: int | None = None) -> dict:
+def rank_one_identity_check(space: HbSpace, f, g) -> dict:
     """Residual of <zf, zg>_b - <f, g>_b = (1 + |b|_b^2) <f, w>_b <w, g>_b.
 
     w = sqrt(1 + |b|_b^2) Lb is the defect direction of the shift; the
@@ -123,9 +123,7 @@ def rank_one_identity_check(space: HbSpace, f, g, degree: int | None = None) -> 
     """
     u = space.vector(f)
     v = space.vector(g)
-    if degree is None:
-        degree = max(D_TRUNC, int(max(u.f.degree, v.f.degree, 0)) + 2)
-    lb = space.vector_Lb(degree)
+    lb = space.vector_Lb(max(D_TRUNC, int(max(u.f.degree, v.f.degree, 0)) + 2))
     lhs = space.pair(space.shift(u), space.shift(v)) - space.pair(u, v)
     rhs = (1.0 + space.norm_b_sq) * space.pair(u, lb) * space.pair(lb, v)
     scale = max(1.0, abs(lhs), abs(rhs))

@@ -13,6 +13,10 @@ exactly when those data agree, and
 is the simplest generator.  [f] is all of H(b) (f is cyclic) when theta
 is trivial and every j_i = 0.
 
+classify divides the full order ord_{lambda_i} f out of the numerator by
+synthetic division before rooting the rest, so a multiple zero at a mate
+zero cannot splatter into theta (see factorization._inner_roots).
+
 subspace_distance gives the numeric side: the gap between the spans of
 the first K shift iterates of two generators, measured in the H(b)
 inner product.  Equal subspaces show a small gap that decays as K
@@ -39,16 +43,11 @@ from .errors import (
     PoleInDiskError,
     RankDeficiencyError,
 )
-from .factorization import boundary_order
-from .polynomials import Poly, RationalFn, as_rational, cluster_points, complex_to_json
+from .factorization import _blaschke, _disk_pole_check, _inner_roots, boundary_order
+from .polynomials import Poly, RationalFn, as_rational, complex_to_json, synthetic_division
 from .space import HbSpace
 
 _RANK_TOL = 1e-10
-
-# Roots this close to the circle are suspected shadows of a multiple
-# circle zero (an exact multiplicity-m zero splatters numerically by
-# roughly eps^(1/m), which reaches 1e-3 around m = 5).
-_NEAR_BAND = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,36 +109,6 @@ def membership(space: HbSpace, f) -> bool:
     return closest > 1.0 + band
 
 
-def _inner_roots(space: HbSpace, f: RationalFn) -> tuple[complex, ...]:
-    """Zeros of f strictly inside the disk, with circle shadows removed.
-
-    A multiplicity-m zero sitting exactly on the circle splatters into a
-    cluster of m computed roots of radius ~eps^(1/m), some of which land
-    inside the disk and would fake an inner factor.  Synthetic-division
-    vanishing orders are immune to the splatter, so each near-circle
-    cluster is audited against boundary_order at its snapped center and
-    that many members are discarded as shadows.
-    """
-    if f.num.degree < 1:
-        return ()
-    roots = f.num.roots()
-    inner = [complex(r) for r in roots if abs(r) < 1.0 - _NEAR_BAND]
-    near = np.array([r for r in roots if abs(abs(r) - 1.0) <= _NEAR_BAND])
-    if near.size:
-        for cluster in cluster_points(near, link=3 * _NEAR_BAND):
-            center = complex(np.mean(cluster))
-            center /= abs(center)
-            for lam, _ in space.boundary_zeros:
-                if abs(center - lam) <= 10 * _NEAR_BAND:
-                    center = complex(lam)
-                    break
-            m = boundary_order(f, center)
-            members = sorted((complex(r) for r in cluster),
-                             key=lambda r: abs(r - center))
-            inner.extend(r for r in members[m:] if abs(r) < 1.0)
-    return tuple(sorted(inner, key=lambda w: (w.real, w.imag)))
-
-
 def classify(space: HbSpace, f) -> SubspaceDescriptor:
     """The descriptor of [f]; f must be a member of H(b)."""
     f = as_rational(f)
@@ -154,18 +123,18 @@ def classify(space: HbSpace, f) -> SubspaceDescriptor:
     if not membership(space, f):
         raise InputFormatError("not a member of the space: pole on the unit circle")
     f = f.reduce()
-    inner_roots = _inner_roots(space, f)
-    inner_num, inner_den = Poly([1]), Poly([1])
-    for zeta in inner_roots:
-        inner_num = inner_num * Poly([-zeta, 1])
-        inner_den = inner_den * Poly([1, -np.conj(zeta)])
     orders = []
     canonical_poly = Poly([1])
+    rest = f.num  # f.num with its full order at each mate zero divided out
     for lam, mult in space.boundary_zeros:
-        j = min(boundary_order(f, lam), mult)
+        k = boundary_order(f, lam)
+        rest, _ = synthetic_division(rest, lam, k)
+        j = min(k, mult)
         orders.append((lam, j))
         canonical_poly = canonical_poly * Poly([-lam, 1]) ** j
-    canonical = RationalFn(canonical_poly * inner_num, inner_den)
+    inner_roots = _inner_roots(rest)
+    theta = _blaschke(inner_roots)
+    canonical = RationalFn(canonical_poly * theta.num, theta.den)
     full = not inner_roots and all(j == 0 for _, j in orders)
     if full:
         desc = "the whole space (cyclic generator)"
@@ -203,7 +172,7 @@ def ladder_spaces(space: HbSpace) -> list[SubspaceDescriptor]:
     return [classify(space, Poly([-lam, 1]) ** j) for j in range(mult + 1)]
 
 
-def _orbit_matrix(space: HbSpace, f, orbit: int, degree: int, window: int) -> np.ndarray:
+def _orbit_matrix(space: HbSpace, f, orbit: int, window: int) -> np.ndarray:
     """The 2*window x (orbit+1) matrix [F; C F] of the iterates z^k f.
 
     Column k stacks the coefficients of z^k f over those of its
@@ -214,7 +183,7 @@ def _orbit_matrix(space: HbSpace, f, orbit: int, degree: int, window: int) -> np
     reads.
     """
     f = as_rational(f)
-    base = (f.as_poly() if f.is_polynomial else f.taylor_poly(degree)).coeff_array()
+    base = (f.as_poly() if f.is_polynomial else f.taylor_poly(D_TRUNC)).coeff_array()
     if len(base) + orbit > window:
         raise InputFormatError("orbit window too small for the generator degree")
     # row 0 holds f_m and row 1 holds h_m, both at index m + window - 1
@@ -247,13 +216,7 @@ def _directed_distance(orbit: np.ndarray, v: np.ndarray) -> float:
     return float(abs(r[-1, -1]) / np.linalg.norm(v))
 
 
-def subspace_distance(
-    space: HbSpace,
-    f,
-    g,
-    orbit: int = DISTANCE_ORBIT,
-    degree: int = D_TRUNC,
-) -> float:
+def subspace_distance(space: HbSpace, f, g, orbit: int = DISTANCE_ORBIT) -> float:
     """How far apart the invariant subspaces [f] and [g] sit, probed on
     the window {z^k h, k = 0..orbit} in the H(b) metric.
 
@@ -268,19 +231,23 @@ def subspace_distance(
 
     Since G = M^H M with M = [I; C], each orbit is the matrix M F of its
     iterates in (f, f+) coordinates, where the H(b) metric is euclidean;
-    one QR per direction gives the distance.
+    one QR per direction gives the distance.  A rational generator is
+    truncated at degree D_TRUNC; PoleInDiskError when it has a pole in
+    the closed disk.
     """
     if orbit < 0:
         raise InputFormatError(f"orbit must be nonnegative, got {orbit}")
     f = as_rational(f)
     g = as_rational(g)
+    for h in (f, g):
+        _disk_pole_check(h)
     if f.num.is_zero and g.num.is_zero:
         return 0.0
     if f.num.is_zero or g.num.is_zero:
         return 1.0
-    fd = int(f.num.degree if f.is_polynomial else degree)
-    gd = int(g.num.degree if g.is_polynomial else degree)
+    fd = int(f.num.degree if f.is_polynomial else D_TRUNC)
+    gd = int(g.num.degree if g.is_polynomial else D_TRUNC)
     window = orbit + max(fd, gd) + 1
-    mf = _orbit_matrix(space, f, orbit, degree, window)
-    mg = _orbit_matrix(space, g, orbit, degree, window)
+    mf = _orbit_matrix(space, f, orbit, window)
+    mg = _orbit_matrix(space, g, orbit, window)
     return max(_directed_distance(mf, mg[:, 0]), _directed_distance(mg, mf[:, 0]))

@@ -109,10 +109,7 @@ class Poly:
         if not self.coeffs:
             return np.zeros_like(z, dtype=complex) if isinstance(z, np.ndarray) else 0j
         if isinstance(z, np.ndarray):
-            acc = np.full_like(z, self.coeffs[-1], dtype=complex)
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * z + c
-            return acc
+            return _horner_many(self.coeff_array(), z)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * z + c
@@ -233,14 +230,14 @@ class Poly:
 
     # -- roots -------------------------------------------------------------
 
-    def roots(self, rng: np.random.Generator | None = None) -> np.ndarray:
+    def roots(self) -> np.ndarray:
         """All roots, multiplicity included, as a complex array.
 
         Multiple roots are returned as the tight clusters the iteration
         resolves them into; each returned point r satisfies
         |p(r)| <= root_residual * sum |c_k| |r|^k.
         """
-        return poly_roots(self, rng=rng)
+        return poly_roots(self)
 
     # -- serialization -------------------------------------------------------
 
@@ -291,6 +288,24 @@ def _horner_many(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     for ck in c[-2::-1]:
         acc = acc * z + ck
     return acc
+
+
+def synthetic_division(p: Poly, w: complex, k: int) -> tuple[Poly, list[complex]]:
+    """Divide p by (z - w) k times, at most deg p times: (quotient, remainders).
+
+    Remainder r_j = p^(j)(w)/j!.  Each pass is Horner's rule, the arithmetic
+    of ``p(w)`` and of ``divmod`` by (z - w), so r_0 == p(w) bit for bit.
+
+    >>> synthetic_division(Poly([1, -2, 1]), 1.0, 2)   # (z - 1)^2
+    (Poly[1], [0j, 0j])
+    """
+    c = list(p.coeffs)
+    rems = []
+    for _ in range(min(k, len(c) - 1)):
+        for j in range(len(c) - 2, -1, -1):
+            c[j] += w * c[j + 1]
+        rems.append(c.pop(0))
+    return Poly(c), rems
 
 
 def _residual_scale(c: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -452,7 +467,7 @@ def polish_multiple_root(p: Poly, center: complex, mult: int) -> complex:
     return z
 
 
-def gcd_by_roots(p: Poly, q: Poly, rng: np.random.Generator | None = None) -> Poly:
+def gcd_by_roots(p: Poly, q: Poly) -> Poly:
     """Monic gcd from greedily matched root pairs within the gcd tolerance.
 
     Purely numerical: two roots are "common" when they sit within
@@ -462,16 +477,16 @@ def gcd_by_roots(p: Poly, q: Poly, rng: np.random.Generator | None = None) -> Po
         return q if q.is_zero else Poly(np.array(q.coeffs) / q.coeffs[-1])
     if q.is_zero:
         return Poly(np.array(p.coeffs) / p.coeffs[-1])
-    common, _, _ = _match_roots(poly_roots(p, rng=rng), poly_roots(q, rng=rng))
+    common, _, _ = _match_roots(poly_roots(p), poly_roots(q), TOL.gcd)
     if not common:
         return ONE
     return Poly.from_roots(common)
 
 
-def _match_roots(rp, rq) -> tuple[list[complex], list[complex], list[complex]]:
+def _match_roots(rp, rq, pair_tol: float) -> tuple[list[complex], list[complex], list[complex]]:
     """Greedy pairing of each root of rp with its nearest unused root of rq.
 
-    A pair counts when the two sit within the gcd tolerance relative to
+    A pair counts when the two sit within pair_tol relative to
     max(1, |r|) for the rp root r.  Returns the pair midpoints and the
     unmatched roots of rp and of rq, each in input order.
     """
@@ -482,7 +497,7 @@ def _match_roots(rp, rq) -> tuple[list[complex], list[complex], list[complex]]:
         if rest_q:
             dists = [abs(r - s) for s in rest_q]
             j = int(np.argmin(dists))
-            if dists[j] <= TOL.gcd * max(1.0, abs(r)):
+            if dists[j] <= pair_tol * max(1.0, abs(r)):
                 common.append((r + rest_q.pop(j)) / 2.0)
                 continue
         rest_p.append(r)
@@ -648,10 +663,10 @@ class RationalFn:
         """Cancel numerator/denominator roots that agree within the gcd tolerance."""
         return RationalFn(self.num, self.den, reduce=True)
 
-    def poles(self, rng: np.random.Generator | None = None) -> np.ndarray:
+    def poles(self) -> np.ndarray:
         if self.is_polynomial:
             return np.zeros(0, dtype=complex)
-        return poly_roots(self.den, rng=rng)
+        return poly_roots(self.den)
 
     def taylor(self, n: int) -> np.ndarray:
         """Taylor coefficients at the origin through degree n inclusive.
@@ -715,7 +730,7 @@ def _cancel_common_roots(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     """Divide out numerator/denominator root pairs that match within the gcd tolerance."""
     if den.degree == 0 or num.is_zero:
         return num, den
-    matched, new_rd, keep_n = _match_roots(poly_roots(den), poly_roots(num))
+    matched, new_rd, keep_n = _match_roots(poly_roots(den), poly_roots(num), TOL.gcd)
     if not matched:
         return num, den
     lead_n = num.coeffs[-1]

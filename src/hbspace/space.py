@@ -68,7 +68,7 @@ from .errors import (
     VerificationError,
 )
 from .factorization import MateResult, _disk_pole_check, pythagorean_mate
-from .polynomials import Poly, RationalFn, as_rational
+from .polynomials import Poly, RationalFn, as_rational, synthetic_division
 
 _DECAY_GRID = 256
 
@@ -302,14 +302,8 @@ class HbSpace:
     # -- reproducing kernels ---------------------------------------------------
 
     def kernel(self, lam: complex, z: complex) -> complex:
-        """K_lam(z) = (1 - conj(b(lam)) b(z)) / (1 - conj(lam) z)."""
-        c = self.b(lam).conjugate()
-        num = 1.0 - c * self.b(z)
-        den = 1.0 - lam.conjugate() * z
-        if abs(den) < 1e-15:
-            kf = self.kernel_fn(lam)
-            return kf(z)
-        return num / den
+        """K_lam(z) = (1 - conj(b(lam)) b(z)) / (1 - conj(lam) z), through ``kernel_fn``."""
+        return self.kernel_fn(lam)(z)
 
     def kernel_fn(self, lam: complex) -> RationalFn:
         """K_lam as a rational function of z (reduced at boundary points)."""
@@ -374,8 +368,9 @@ class HbSpace:
         if i == 0:
             ts = [self.b(w)]
         else:
-            local = RationalFn(_taylor_shift(self.b.num, w), _taylor_shift(self.b.den, w))
-            ts = local.taylor(i)
+            # p(w + h): the deg p remainders of p at w, then p's leading coefficient
+            shifts = [synthetic_division(p, w, len(p.coeffs)) for p in (self.b.num, self.b.den)]
+            ts = RationalFn(*(Poly(r + list(q.coeffs)) for q, r in shifts)).taylor(i)
         acc = Poly()
         for j, t in enumerate(ts):
             acc = acc + (math.factorial(i) * t.conjugate()) * (pole**j).shifted(i - j)
@@ -386,20 +381,15 @@ class HbSpace:
         if not self._on_circle(w):
             return RationalFn(num, self.b.den * den_extra)
         # on the circle 1 - conj(w) z = -conj(w) (z - w): cancel (z - w)^(i+1)
-        factor = Poly([-w, 1])
-        scale = (-w.conjugate()) ** (i + 1)
-        work = num
-        for _ in range(i + 1):
-            work, rem = divmod(work, factor)
-            if rem.scale() > 1e-7 * max(num.scale(), 1.0):
-                raise VerificationError(
-                    f"boundary kernel cancellation left remainder {rem.scale():.3e}"
-                )
-        return RationalFn(work * (1.0 / scale), self.b.den)
+        work, rems = synthetic_division(num, w, i + 1)
+        left = max(map(abs, rems)) if len(rems) == i + 1 else math.inf
+        if left > 1e-7 * max(num.scale(), 1.0):
+            raise VerificationError(f"boundary kernel cancellation left remainder {left:.3e}")
+        return RationalFn(work * (1.0 / (-w.conjugate()) ** (i + 1)), self.b.den)
 
     # -- identities ----------------------------------------------------------
 
-    def norm_identities_check(self, degree: int | None = None) -> dict:
+    def norm_identities_check(self) -> dict:
         """Closed forms for |b|_b^2 and |Lb|_b^2 against Gram arithmetic."""
         report: dict = {}
         if self.b.is_polynomial:
@@ -407,9 +397,8 @@ class HbSpace:
             lb = self.norm_sq(Poly(self.b.as_poly().coeffs[1:]))
             trunc = {"mode": "exact"}
         else:
-            if degree is None:
-                tails = (_degree_for_tail(g, self.pole_radius, 1e-16) for g in (self.b, self.a))
-                degree = max(D_TRUNC, *tails)
+            tails = (_degree_for_tail(g, self.pole_radius, 1e-16) for g in (self.b, self.a))
+            degree = max(D_TRUNC, *tails)
             vb = self.vector_b(degree)
             vl = self.vector_Lb(degree)
             bb = float(self.pair(vb, vb).real)
@@ -481,15 +470,6 @@ def _upper_toeplitz(c: np.ndarray) -> np.ndarray:
     n = len(c)
     padded = np.concatenate([np.zeros(n, dtype=c.dtype), c])
     return sliding_window_view(padded, n)[n:0:-1].copy()
-
-
-def _taylor_shift(p: Poly, w: complex) -> Poly:
-    """Coefficients of p(w + h) in h, by repeated synthetic division."""
-    c = list(p.coeffs)
-    for i in range(len(c) - 1):
-        for k in range(len(c) - 2, i - 1, -1):
-            c[k] += w * c[k + 1]
-    return Poly(c)
 
 
 def _backward_rational(g: RationalFn) -> RationalFn:

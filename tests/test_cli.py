@@ -231,6 +231,21 @@ def test_omega_out_of_range_rejected(argv, capsys):
     assert json.loads(err)["type"] == "DegenerateOmegaError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["extend", "-b", AFFINE, "--omega", "1e-4"],
+    ["extend", "-b", AFFINE, "--omega", "1e-13"],
+    ["model", "--steps", "3", "--omega", "1e-5"],
+])
+def test_tiny_omega_fails_certificate_verification(argv, capsys):
+    # 0 < s < 1 is a valid input; the certificates at z = 1 cannot be evaluated
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_NUMERICAL
+    assert not out
+    blob = json.loads(err)
+    assert blob["type"] == "VerificationError"
+    assert "derivative_at_one" in blob["error"]
+
+
 def test_kernel_point_outside_disk_rejected(capsys):
     code, out, err = run_cli(
         ["kernel", "-b", HALF, "--at", "1.5", "--point", "0.5"], capsys

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import hbspace
@@ -40,3 +41,20 @@ def test_reports_carry_the_pinned_tolerances():
         assert report.tol_iso == DEFAULT_TOLERANCES.iso
         assert report.tol_strict == DEFAULT_TOLERANCES.strict
         assert space.norm_identities_check()["tolerance"] == DEFAULT_TOLERANCES.gram
+
+
+def test_parameters_no_caller_sets_are_gone():
+    # defaulted parameters that no call in src, tests or bench ever set
+    from hbspace.factorization import _disk_pole_check, inner_outer
+    from hbspace.isometry import rank_one_identity_check
+    from hbspace.lattice import _orbit_matrix, subspace_distance
+    from hbspace.polynomials import gcd_by_roots
+
+    removed = [
+        (rank_one_identity_check, "degree"), (subspace_distance, "degree"),
+        (_orbit_matrix, "degree"), (HbSpace.norm_identities_check, "degree"),
+        (inner_outer, "rng"), (gcd_by_roots, "rng"), (_disk_pole_check, "rng"),
+        (RationalFn.poles, "rng"), (Poly.roots, "rng"),
+    ]
+    assert [(fn.__qualname__, name) for fn, name in removed
+            if name in inspect.signature(fn).parameters] == []

@@ -16,6 +16,7 @@ from hbspace.errors import (
     RankDeficiencyError,
 )
 from hbspace.extension import build_model
+from hbspace.factorization import _inner_roots, inner_outer
 from hbspace.lattice import (
     _RANK_TOL,
     _directed_distance,
@@ -312,3 +313,44 @@ def test_distance_property(name, f, g):
     assert abs(d - cholesky_distance(space, f, g)) < 1e-9
     assert 0.0 <= d <= 1.0 + 1e-12
     assert subspace_distance(space, f, f) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def model4():
+    return HbSpace(build_model(4).b)
+
+
+def test_classify_divides_out_the_full_order_at_a_mate_zero(model4):
+    lam, mult = model4.boundary_zeros[0]
+    assert mult == 4
+    zl = Poly([-lam, 1])
+    d = classify(model4, zl**4 * Poly([-0.5, 1]))
+    assert d.inner_degree == 1
+    assert abs(d.inner_roots[0] - 0.5) < 1e-10
+    assert d.boundary_orders[0][1] == 4
+    d5 = classify(model4, zl**5 * Poly([2, 1]))
+    assert d5.inner_degree == 0
+    assert d5.same_as(classify(model4, zl**4))
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_classify_multiple_mate_zero_times_inner_factor(half, m):
+    d = classify(half, ZM1**m * Poly([-0.5, 1]))
+    assert d.inner_degree == 1
+    assert abs(d.inner_roots[0] - 0.5) < 1e-10
+    assert d.boundary_orders[0][1] == 1
+
+
+def test_classify_and_inner_outer_share_the_inner_zeros(half):
+    f = Poly.from_roots([0.3, -0.5j, 0.2 + 0.6j, 2.0, -1.0])
+    inner, _ = inner_outer(f)
+    assert classify(half, f).inner_roots == _inner_roots(f)
+    assert np.allclose(sorted(inner.num.roots(), key=abs), sorted(_inner_roots(f), key=abs))
+
+
+@pytest.mark.parametrize("den", [Poly([1, -2]), Poly([1, -1])])  # poles at 1/2 and at 1
+def test_distance_rejects_pole_in_closed_disk(half, den):
+    with pytest.raises(PoleInDiskError):
+        subspace_distance(half, RationalFn(ONE, den), ONE)
+    with pytest.raises(PoleInDiskError):
+        subspace_distance(half, ZM1, RationalFn(ONE, den))

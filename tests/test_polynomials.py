@@ -8,7 +8,13 @@ import pytest
 
 from hbspace import Poly, RationalFn
 from hbspace.errors import InputFormatError, PoleAtPointError, ZeroFunctionError
-from hbspace.polynomials import as_rational, complex_from_json, gcd_by_roots, poly_roots
+from hbspace.polynomials import (
+    as_rational,
+    complex_from_json,
+    gcd_by_roots,
+    poly_roots,
+    synthetic_division,
+)
 
 EVAL_REL = 1e-10
 ROOT_TOL = 1e-12
@@ -74,6 +80,35 @@ def test_divmod_reconstructs():
         work = max(1.0, p.scale(), (q * quot).scale())
         assert diff.scale() <= 1e-11 * work
         assert rem.is_zero or rem.degree < q.degree
+
+
+def test_synthetic_division_is_repeated_divmod():
+    # bit for bit: remainder j is the value at w of the j-th quotient, and
+    # each quotient is divmod by (z - w), for w on and inside the circle
+    for _ in range(30):
+        p = rand_poly(int(rng.integers(0, 10)))
+        unit = complex(np.exp(2j * np.pi * rng.random()))
+        for w in (unit, 0.95 * rng.random() * unit):
+            k = int(rng.integers(0, 12))
+            quot, rems = synthetic_division(p, w, k)
+            assert len(rems) == min(k, p.degree)
+            work = p
+            for r in rems:
+                assert r == work(w)
+                work, rem = divmod(work, Poly([-w, 1]))
+                assert rem == Poly([r])
+            assert quot == work
+
+
+def test_synthetic_division_remainders_are_taylor_coefficients():
+    p = rand_poly(7)
+    w = 0.6 - 0.3j
+    quot, rems = synthetic_division(p, w, 20)
+    assert quot == Poly([p.coeffs[-1]])
+    for j, r in enumerate(rems):
+        assert abs(r - p.derivative(j)(w) / math.factorial(j)) <= 1e-12 * max(1.0, abs(r))
+    assert synthetic_division(Poly(), w, 3) == (Poly(), [])
+    assert synthetic_division(Poly([2.0]), w, 3) == (Poly([2.0]), [])
 
 
 def test_derivative_of_cube():

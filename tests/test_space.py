@@ -110,6 +110,15 @@ def test_kernel_at_origin_half(half):
     assert abs(half.kernel(0.0, 0.3j) - (3 - 0.3j) / 4) < 1e-12
 
 
+def test_kernel_checks_its_point_like_kernel_fn(half):
+    with pytest.raises(InputFormatError):
+        half.kernel(1.5, 0.5)  # outside the closed disk
+    with pytest.raises(OrderTooHighError):
+        half.kernel(-1.0, 0.5)  # on the circle, but not a mate zero
+    assert half.kernel(0.3j, 0.5) == half.kernel_fn(0.3j)(0.5)
+    assert abs(half.kernel(0.0, 0.5) - 0.625) < 1e-15
+
+
 def test_kernel_hermitian_symmetry(step2):
     pts = [0.3 + 0.1j, -0.5j, 0.7, 0.2 - 0.6j]
     for lam in pts:

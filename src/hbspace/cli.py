@@ -254,14 +254,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
+    except (ValidationError, NumericalError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__},
                          sort_keys=True), file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__},
-                         sort_keys=True), file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

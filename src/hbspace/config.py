@@ -22,6 +22,10 @@ D_TRUNC = 64
 # Circle grid used for sup-norm style residuals.
 CIRCLE_GRID = 1024
 
+# Points and poles this close to the unit circle count as on it (ten times
+# the boundary vanishing threshold); the one band for inside / on / outside.
+CIRCLE_BAND = 1e-6
+
 # Shift-orbit length for subspace distances.  Generators of the same
 # subspace that differ by a factor vanishing on the circle approximate
 # each other only at a 1/sqrt(orbit) rate, so the window must be long

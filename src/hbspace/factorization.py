@@ -16,16 +16,21 @@ Zeros at a point are read by synthetic division: the k-th remainder at
 lam is f^(k)(lam)/k! (``boundary_order``).  ``_inner_roots`` is the one
 rule for which computed roots are inner zeros; ``inner_outer`` and
 ``lattice.classify`` build their Blaschke factor from it.
+
+For rational nonextreme b, a rational f lies in H(b) exactly when it is
+analytic on the closed disk (Sarason 1994), so one gate, ``_lowest_terms``,
+admits every function from outside the space by its nearest pole.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CIRCLE_GRID, DEFAULT_TOLERANCES as TOL
+from .config import CIRCLE_BAND, CIRCLE_GRID, DEFAULT_TOLERANCES as TOL
 from .errors import (
     ExtremeFunctionError,
     FactorizationError,
@@ -39,6 +44,7 @@ from .errors import (
 from .polynomials import (
     Poly,
     RationalFn,
+    _cancel_common_roots,
     _match_roots,
     as_rational,
     cluster_points,
@@ -86,12 +92,44 @@ class MateResult:
         }
 
 
-def _disk_pole_check(f: RationalFn) -> float:
-    """Modulus of f's nearest pole (inf for polynomials); PoleInDiskError if it is <= 1."""
-    radius = float(np.min(np.abs(f.poles()), initial=np.inf))
-    if radius <= 1.0 + 1e-12:
+def _check_finite(f: RationalFn) -> None:
+    if not all(cmath.isfinite(c) for c in f.num.coeffs + f.den.coeffs):
+        raise InputFormatError("coefficients must be finite")
+
+
+def _clear_of_disk(radius: float) -> float:
+    """radius, unless the pole sits in the closed disk or on the circle band."""
+    if radius <= 1.0 + CIRCLE_BAND:
         raise PoleInDiskError(f"denominator root at modulus {radius:.6f} inside the closed disk")
     return radius
+
+
+def _disk_pole_check(b: RationalFn) -> float:
+    """The symbol rule: finite, nearest pole (inf if none) clear of the disk; b is not reduced."""
+    _check_finite(b)
+    return _clear_of_disk(float(np.min(np.abs(b.poles()), initial=np.inf)))
+
+
+def _lowest_terms(f) -> tuple[RationalFn, float]:
+    """The gate for f from outside the space: f finite and in lowest terms,
+    with the modulus of its nearest pole (inf if none) read from the roots
+    the cancellation found.  PoleInDiskError for a pole inside the circle
+    band; a pole on the band is for the caller to judge."""
+    f = as_rational(f)
+    _check_finite(f)
+    if f.num.is_zero:
+        return RationalFn(Poly()), math.inf
+    num, den, poles = _cancel_common_roots(f.num, f.den)
+    radius = float(np.min(np.abs(poles), initial=np.inf))
+    if radius < 1.0 - CIRCLE_BAND:
+        raise PoleInDiskError(f"denominator root at modulus {radius:.6f} inside the disk")
+    return (f if num is f.num else RationalFn(num, den)), radius
+
+
+def _analytic_lowest_terms(f) -> tuple[RationalFn, float]:
+    """``_lowest_terms``, with a pole on the circle band rejected as well."""
+    f, radius = _lowest_terms(f)
+    return f, _clear_of_disk(radius)
 
 
 def _validate(b: RationalFn):
@@ -101,8 +139,6 @@ def _validate(b: RationalFn):
     the coefficients of z^d (|q|^2 - |p|^2) (full length 2d + 1) with
     their scale, and whether b is nonextreme.
     """
-    if not all(cmath.isfinite(c) for c in b.num.coeffs + b.den.coeffs):
-        raise InputFormatError("symbol coefficients must be finite")
     radius = _disk_pole_check(b)
     zs = circle_grid(CIRCLE_GRID)
     qv, pv = b.den(zs), b.num(zs)
@@ -139,6 +175,13 @@ def _strip_symmetric_zeros(arr: np.ndarray, scale: float) -> np.ndarray:
     return arr[k : len(arr) - k]
 
 
+def _circle_center(p: Poly, cluster: np.ndarray) -> complex:
+    """The mean of a near-circle root cluster, refined as a len(cluster)-fold
+    root of p and snapped onto the circle; 0 if the refinement lands on 0."""
+    center = polish_multiple_root(p, complex(np.mean(cluster)), len(cluster))
+    return center / abs(center) if center else 0j
+
+
 def _candidate_factor(
     p1: Poly,
     roots: np.ndarray,
@@ -164,11 +207,9 @@ def _candidate_factor(
         for cluster in cluster_points(circle_roots, 3.0 * tau):
             if len(cluster) % 2 != 0:
                 return None
-            center = complex(np.mean(cluster))
-            center = polish_multiple_root(p1, center, len(cluster))
-            if abs(center) == 0:
+            center = _circle_center(p1, cluster)
+            if center == 0:
                 return None
-            center /= abs(center)  # snap onto the circle
             pairs.append((center, len(cluster) // 2))
     factor = Poly([1])
     for w in outside:
@@ -217,15 +258,14 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
         if cand is None:
             continue
         factor, pairs = cand
-        rv = factor(zs)
-        mag2 = np.abs(rv) ** 2
+        mag2 = np.abs(factor(zs)) ** 2
         mask = mag2 > 1e-10 * np.max(mag2)
         if not np.any(mask):
             continue
         gamma2 = float(np.median(density[mask] / mag2[mask]))
         if gamma2 <= 0:
             continue
-        residual = _circle_residual(factor, gamma2, zs, qv, density)
+        residual = float(np.max(np.abs(gamma2 * mag2 - density) / np.abs(qv) ** 2))
         if best is None or residual < best[0]:
             best = (residual, factor * np.sqrt(gamma2), pairs)
         if residual <= TOL.mate:
@@ -235,11 +275,6 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
         raise FactorizationError(f"mate factorization failed: {got}")
     _, r, pairs = best
     return _finalize(b, r, pairs, zs, qv, pv, radius)
-
-
-def _circle_residual(factor: Poly, gamma2: float, zs, qv, density) -> float:
-    rv2 = gamma2 * np.abs(factor(zs)) ** 2
-    return float(np.max(np.abs(rv2 - density) / np.abs(qv) ** 2))
 
 
 def _finalize(b, r: Poly, pairs, zs, qv, pv, pole_radius: float) -> MateResult:
@@ -285,8 +320,8 @@ def _inner_roots(num: Poly) -> tuple[complex, ...]:
     A multiplicity-m zero on the circle splatters into a cluster of m
     computed roots of radius ~eps^(1/m), some inside the disk.  Each
     near-circle cluster is audited against boundary_order at its center
-    snapped onto the circle, and that many members nearest the center
-    are discarded as shadows.
+    (``_circle_center``), and that many members nearest the center are
+    discarded as shadows.
     """
     if num.degree < 1:
         return ()
@@ -294,8 +329,7 @@ def _inner_roots(num: Poly) -> tuple[complex, ...]:
     inner = [complex(r) for r in roots if abs(r) < 1.0 - _NEAR_BAND]
     near = roots[np.abs(np.abs(roots) - 1.0) <= _NEAR_BAND]
     for cluster in cluster_points(near, link=3 * _NEAR_BAND):
-        center = complex(np.mean(cluster))
-        center /= abs(center)
+        center = _circle_center(num, cluster)
         m = boundary_order(num, center)
         members = sorted((complex(r) for r in cluster), key=lambda r: abs(r - center))
         inner.extend(r for r in members[m:] if abs(r) < 1.0)
@@ -318,10 +352,9 @@ def inner_outer(f) -> tuple[RationalFn, RationalFn]:
     numerator zeros that ``_inner_roots`` keeps; the outer part keeps
     boundary zeros and everything else.
     """
-    f = as_rational(f)
+    f, _ = _analytic_lowest_terms(f)
     if f.num.is_zero:
         raise ZeroFunctionError("cannot factor the zero function")
-    _disk_pole_check(f)
     zeros = _inner_roots(f.num)
     deflated = f.num
     for zeta in zeros:

@@ -13,6 +13,10 @@ exactly when those data agree, and
 is the simplest generator.  [f] is all of H(b) (f is cyclic) when theta
 is trivial and every j_i = 0.
 
+Every generator first passes the gate factorization._lowest_terms, so
+it is finite and in lowest terms; a pole inside the disk raises
+PoleInDiskError, and one on the circle band is not a member.
+
 classify divides the full order ord_{lambda_i} f out of the numerator by
 synthetic division before rooting the rest, so a multiple zero at a mate
 zero cannot splatter into theta (see factorization._inner_roots).
@@ -36,15 +40,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import D_TRUNC, DEFAULT_TOLERANCES as TOL, DISTANCE_ORBIT
+from .config import CIRCLE_BAND, D_TRUNC, DISTANCE_ORBIT
 from .errors import (
     InputFormatError,
     MultipleBoundaryZeroError,
-    PoleInDiskError,
     RankDeficiencyError,
 )
-from .factorization import _blaschke, _disk_pole_check, _inner_roots, boundary_order
-from .polynomials import Poly, RationalFn, as_rational, complex_to_json, synthetic_division
+from .factorization import (
+    _analytic_lowest_terms, _blaschke, _inner_roots, _lowest_terms, boundary_order,
+)
+from .polynomials import Poly, RationalFn, complex_to_json, synthetic_division
 from .space import HbSpace
 
 _RANK_TOL = 1e-10
@@ -96,22 +101,13 @@ def membership(space: HbSpace, f) -> bool:
     closed disk means member, a pole on the circle means not, and a pole
     inside the disk is rejected outright (f is not even in H^2).
     """
-    f = as_rational(f).reduce()
-    if f.is_polynomial:
-        return True
-    radii = np.abs(f.poles())
-    if radii.size == 0:
-        return True
-    closest = float(np.min(radii))
-    band = 10.0 * TOL.boundary
-    if closest < 1.0 - band:
-        raise PoleInDiskError(f"pole at radius {closest:.6f} inside the disk")
-    return closest > 1.0 + band
+    _, radius = _lowest_terms(f)
+    return radius > 1.0 + CIRCLE_BAND
 
 
 def classify(space: HbSpace, f) -> SubspaceDescriptor:
-    """The descriptor of [f]; f must be a member of H(b)."""
-    f = as_rational(f)
+    """The descriptor of [f]; InputFormatError unless f is a member of H(b)."""
+    f, radius = _lowest_terms(f)
     if f.num.is_zero:
         return SubspaceDescriptor(
             form="zero",
@@ -120,9 +116,8 @@ def classify(space: HbSpace, f) -> SubspaceDescriptor:
             canonical=RationalFn(Poly([]), Poly([1])),
             description="the zero subspace",
         )
-    if not membership(space, f):
+    if radius <= 1.0 + CIRCLE_BAND:
         raise InputFormatError("not a member of the space: pole on the unit circle")
-    f = f.reduce()
     orders = []
     canonical_poly = Poly([1])
     rest = f.num  # f.num with its full order at each mate zero divided out
@@ -172,7 +167,7 @@ def ladder_spaces(space: HbSpace) -> list[SubspaceDescriptor]:
     return [classify(space, Poly([-lam, 1]) ** j) for j in range(mult + 1)]
 
 
-def _orbit_matrix(space: HbSpace, f, orbit: int, window: int) -> np.ndarray:
+def _orbit_matrix(space: HbSpace, f: RationalFn, orbit: int, window: int) -> np.ndarray:
     """The 2*window x (orbit+1) matrix [F; C F] of the iterates z^k f.
 
     Column k stacks the coefficients of z^k f over those of its
@@ -182,7 +177,6 @@ def _orbit_matrix(space: HbSpace, f, orbit: int, window: int) -> np.ndarray:
     vanishes for m > deg f.  One convolution gives every h_m the window
     reads.
     """
-    f = as_rational(f)
     base = (f.as_poly() if f.is_polynomial else f.taylor_poly(D_TRUNC)).coeff_array()
     if len(base) + orbit > window:
         raise InputFormatError("orbit window too small for the generator degree")
@@ -231,16 +225,14 @@ def subspace_distance(space: HbSpace, f, g, orbit: int = DISTANCE_ORBIT) -> floa
 
     Since G = M^H M with M = [I; C], each orbit is the matrix M F of its
     iterates in (f, f+) coordinates, where the H(b) metric is euclidean;
-    one QR per direction gives the distance.  A rational generator is
-    truncated at degree D_TRUNC; PoleInDiskError when it has a pole in
-    the closed disk.
+    one QR per direction gives the distance.  Each generator is put in
+    lowest terms, a rational one is truncated at degree D_TRUNC, and a
+    pole in the closed disk (or on the circle band) raises PoleInDiskError.
     """
     if orbit < 0:
         raise InputFormatError(f"orbit must be nonnegative, got {orbit}")
-    f = as_rational(f)
-    g = as_rational(g)
-    for h in (f, g):
-        _disk_pole_check(h)
+    f, _ = _analytic_lowest_terms(f)
+    g, _ = _analytic_lowest_terms(g)
     if f.num.is_zero and g.num.is_zero:
         return 0.0
     if f.num.is_zero or g.num.is_zero:

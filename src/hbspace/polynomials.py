@@ -277,9 +277,6 @@ class Poly:
         return "Poly[" + " + ".join(terms) + "]"
 
 
-ONE = Poly([1])
-
-
 # -- root finding ------------------------------------------------------------
 
 
@@ -451,9 +448,7 @@ def cluster_points(points: np.ndarray, link: float) -> list[np.ndarray]:
 
 def polish_multiple_root(p: Poly, center: complex, mult: int) -> complex:
     """Newton refinement (at most 30 steps) of a multiplicity-``mult`` root via p^(mult-1)."""
-    q = p
-    for _ in range(mult - 1):
-        q = q.derivative()
+    q = p.derivative(mult - 1)
     dq = q.derivative()
     z = center
     for _ in range(30):
@@ -465,22 +460,6 @@ def polish_multiple_root(p: Poly, center: complex, mult: int) -> complex:
         if abs(step) <= 1e-16 * max(1.0, abs(z)):
             break
     return z
-
-
-def gcd_by_roots(p: Poly, q: Poly) -> Poly:
-    """Monic gcd from greedily matched root pairs within the gcd tolerance.
-
-    Purely numerical: two roots are "common" when they sit within
-    ``TOL.gcd`` of each other, measured relative to max(1, |root|).
-    """
-    if p.is_zero:
-        return q if q.is_zero else Poly(np.array(q.coeffs) / q.coeffs[-1])
-    if q.is_zero:
-        return Poly(np.array(p.coeffs) / p.coeffs[-1])
-    common, _, _ = _match_roots(poly_roots(p), poly_roots(q), TOL.gcd)
-    if not common:
-        return ONE
-    return Poly.from_roots(common)
 
 
 def _match_roots(rp, rq, pair_tol: float) -> tuple[list[complex], list[complex], list[complex]]:
@@ -531,7 +510,7 @@ class RationalFn:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if reduce and not num.is_zero:
-            num, den = _cancel_common_roots(num, den)
+            num, den, _ = _cancel_common_roots(num, den)
         d0 = den.coeff(0)
         if abs(d0) > 1e-12 * den.scale():
             num = num * (1.0 / d0)
@@ -726,16 +705,20 @@ def _poly_from_json(obj) -> Poly:
     return Poly.from_json(obj)
 
 
-def _cancel_common_roots(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    """Divide out numerator/denominator root pairs that match within the gcd tolerance."""
-    if den.degree == 0 or num.is_zero:
-        return num, den
+def _cancel_common_roots(num: Poly, den: Poly) -> tuple[Poly, Poly, list[complex]]:
+    """Divide out numerator/denominator root pairs that match within the gcd tolerance.
+
+    Returns (num, den, roots of den) after the cancellation, the same num
+    and den objects if nothing matched; num must be nonzero.
+    """
+    if den.degree == 0:
+        return num, den, []
     matched, new_rd, keep_n = _match_roots(poly_roots(den), poly_roots(num), TOL.gcd)
     if not matched:
-        return num, den
+        return num, den, new_rd
     lead_n = num.coeffs[-1]
     lead_d = den.coeffs[-1]
-    return Poly.from_roots(keep_n, lead_n), Poly.from_roots(new_rd, lead_d)
+    return Poly.from_roots(keep_n, lead_n), Poly.from_roots(new_rd, lead_d), new_rd
 
 
 def as_rational(obj) -> RationalFn:

@@ -60,14 +60,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import D_TRUNC, DEFAULT_TOLERANCES as TOL
+from .config import CIRCLE_BAND, D_TRUNC, DEFAULT_TOLERANCES as TOL
 from .errors import (
     InputFormatError,
     OrderTooHighError,
     SingularSystemError,
     VerificationError,
 )
-from .factorization import MateResult, _disk_pole_check, pythagorean_mate
+from .factorization import MateResult, _analytic_lowest_terms, pythagorean_mate
 from .polynomials import Poly, RationalFn, as_rational, synthetic_division
 
 _DECAY_GRID = 256
@@ -109,7 +109,8 @@ def degree_for_tail(g: RationalFn, target: float) -> int:
 
     Raises PoleInDiskError when g has a pole in the closed disk.
     """
-    return _degree_for_tail(g, _disk_pole_check(g), target)
+    g, radius = _analytic_lowest_terms(g)
+    return _degree_for_tail(g, radius, target)
 
 
 def _degree_for_tail(g: RationalFn, radius: float, target: float) -> int:
@@ -221,7 +222,7 @@ class HbSpace:
         angles), not for certified identities.  Raises PoleInDiskError
         when f has a pole in the closed disk.
         """
-        radius = _disk_pole_check(f)
+        f, radius = _analytic_lowest_terms(f)
         ft = f.taylor_poly(degree)
         return HbVector(
             f=ft,
@@ -334,7 +335,7 @@ class HbSpace:
         return self._rational_pair(u, uplus, degree, radius, wbar, i)
 
     def _on_circle(self, w: complex) -> bool:
-        return abs(abs(w) - 1.0) <= 10.0 * TOL.boundary
+        return abs(abs(w) - 1.0) <= CIRCLE_BAND
 
     def _boundary_multiplicity(self, w: complex) -> int | None:
         """Multiplicity if w sits at a mate boundary zero, else None."""
@@ -353,7 +354,7 @@ class HbSpace:
             raise InputFormatError(
                 f"derivative order {i} exceeds {_MAX_DERIVATIVE_ORDER}, past which i! overflows"
             )
-        if abs(w) > 1.0 + 10.0 * TOL.boundary:
+        if abs(w) > 1.0 + CIRCLE_BAND:
             raise InputFormatError(f"kernel point {w} lies outside the closed unit disk")
         mult = self._boundary_multiplicity(w)
         if mult is not None and i >= mult:
@@ -391,7 +392,6 @@ class HbSpace:
 
     def norm_identities_check(self) -> dict:
         """Closed forms for |b|_b^2 and |Lb|_b^2 against Gram arithmetic."""
-        report: dict = {}
         if self.b.is_polynomial:
             bb = self.norm_sq(self.b.as_poly())
             lb = self.norm_sq(Poly(self.b.as_poly().coeffs[1:]))
@@ -408,22 +408,13 @@ class HbSpace:
                 "degree": degree,
                 "tail_bound": max(vb.tail_f, vb.tail_plus, vl.tail_f, vl.tail_plus),
             }
-        report["norm_b_sq"] = {
-            "closed": self.norm_b_sq,
-            "gram": bb,
-            "diff": abs(self.norm_b_sq - bb),
+        report: dict = {
+            name: {"closed": closed, "gram": gram, "diff": abs(closed - gram)}
+            for name, closed, gram in (("norm_b_sq", self.norm_b_sq, bb),
+                                       ("norm_Lb_sq", self.norm_Lb_sq, lb))
         }
-        report["norm_Lb_sq"] = {
-            "closed": self.norm_Lb_sq,
-            "gram": lb,
-            "diff": abs(self.norm_Lb_sq - lb),
-        }
-        report["truncation"] = trunc
-        report["tolerance"] = TOL.gram
-        report["ok"] = bool(
-            report["norm_b_sq"]["diff"] <= TOL.gram
-            and report["norm_Lb_sq"]["diff"] <= TOL.gram
-        )
+        ok = all(entry["diff"] <= TOL.gram for entry in report.values())
+        report.update(truncation=trunc, tolerance=TOL.gram, ok=bool(ok))
         return report
 
     def __repr__(self):

@@ -48,12 +48,11 @@ def test_parameters_no_caller_sets_are_gone():
     from hbspace.factorization import _disk_pole_check, inner_outer
     from hbspace.isometry import rank_one_identity_check
     from hbspace.lattice import _orbit_matrix, subspace_distance
-    from hbspace.polynomials import gcd_by_roots
 
     removed = [
         (rank_one_identity_check, "degree"), (subspace_distance, "degree"),
         (_orbit_matrix, "degree"), (HbSpace.norm_identities_check, "degree"),
-        (inner_outer, "rng"), (gcd_by_roots, "rng"), (_disk_pole_check, "rng"),
+        (inner_outer, "rng"), (_disk_pole_check, "rng"),
         (RationalFn.poles, "rng"), (Poly.roots, "rng"),
     ]
     assert [(fn.__qualname__, name) for fn, name in removed

@@ -2,18 +2,21 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hbspace import polynomials
 from hbspace.config import D_TRUNC, DISTANCE_ORBIT
 from hbspace.errors import (
     InputFormatError,
     MultipleBoundaryZeroError,
     PoleInDiskError,
     RankDeficiencyError,
+    ValidationError,
 )
 from hbspace.extension import build_model
 from hbspace.factorization import _inner_roots, inner_outer
@@ -27,7 +30,7 @@ from hbspace.lattice import (
     subspace_distance,
 )
 from hbspace.polynomials import Poly, RationalFn, as_rational
-from hbspace.space import HbSpace
+from hbspace.space import HbSpace, degree_for_tail
 
 B_HALF = RationalFn(Poly([0.5, 0.5]), Poly([1]))
 B_STEP2 = RationalFn(Poly([0, 0, 1]), Poly([3, -3, 1]))
@@ -354,3 +357,125 @@ def test_distance_rejects_pole_in_closed_disk(half, den):
         subspace_distance(half, RationalFn(ONE, den), ONE)
     with pytest.raises(PoleInDiskError):
         subspace_distance(half, ZM1, RationalFn(ONE, den))
+
+
+# -- one gate for generators from outside the space ------------------------
+
+NAN = float("nan")
+CANCELLING = RationalFn(Poly([-0.5, 1]) * Poly([1, 1]), Poly([-0.5, 1]))  # (z - 1/2)(z + 1)/(z - 1/2)
+NEAR_CIRCLE_POLE = RationalFn(ONE, Poly([1, -1 / (1 + 1e-9)]))  # pole at 1 + 1e-9
+NOT_FINITE = RationalFn(Poly([NAN, 1]))  # NaN + z
+
+
+def _gate_apis(space):
+    """The six APIs that take a generator, each reduced to whether it admits f."""
+    return {
+        "membership": lambda f: membership(space, f),
+        "classify": lambda f: classify(space, f) is not None,
+        "subspace_distance": lambda f: subspace_distance(space, f, ONE) >= 0.0,
+        "inner_outer": lambda f: inner_outer(f) is not None,
+        "truncated_vector": lambda f: space.truncated_vector(f, 16) is not None,
+        "degree_for_tail": lambda f: degree_for_tail(f, 1e-12) >= 0,
+    }
+
+
+def _admits(space, f) -> dict:
+    """API name -> True (admitted), False, or the type of the ValidationError raised."""
+    out = {}
+    for name, call in _gate_apis(space).items():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out[name] = call(f)
+        except ValidationError as exc:
+            out[name] = type(exc)
+    return out
+
+
+def test_gate_answers_on_the_three_inputs(half):
+    assert _admits(half, CANCELLING) == dict.fromkeys(_gate_apis(half), True)
+    assert subspace_distance(half, CANCELLING, ONE) == pytest.approx(0.0621, abs=1e-4)
+    assert _admits(half, NEAR_CIRCLE_POLE) == {
+        "membership": False,
+        "classify": InputFormatError,
+        **dict.fromkeys(
+            ["subspace_distance", "inner_outer", "truncated_vector", "degree_for_tail"],
+            PoleInDiskError,
+        ),
+    }
+    assert _admits(half, NOT_FINITE) == dict.fromkeys(_gate_apis(half), InputFormatError)
+
+
+def _polar(radius, angle):
+    return radius * complex(math.cos(angle), math.sin(angle))
+
+
+_POLE_RADIUS = {
+    "inside": st.floats(0.2, 0.9),
+    "band": st.floats(-5e-7, 5e-7).map(lambda d: 1.0 + d),
+    "just_outside": st.floats(1e-5, 1e-3).map(lambda d: 1.0 + d),
+    "far": st.floats(1.5, 4.0),
+}
+
+
+@st.composite
+def _gate_case(draw):
+    """(f, admitted): one pole of the given kind, optional common factor and bad coefficient.
+
+    Numerator roots sit in the upper half plane, the pole in the lower one
+    and the common factor on the negative axis, so no two roots collide.
+    """
+    num = Poly.from_roots(draw(st.lists(st.builds(
+        _polar, st.floats(0.0, 0.8) | st.floats(1.25, 3.0), st.floats(0.1, math.pi - 0.1),
+    ), max_size=2)))
+    kind = draw(st.sampled_from(["none", *_POLE_RADIUS]))
+    den = ONE
+    if kind != "none":
+        angle = draw(st.floats(math.pi + 0.1, 2 * math.pi - 0.1))
+        den = Poly([-_polar(draw(_POLE_RADIUS[kind]), angle), 1])
+    if draw(st.booleans()):
+        common = Poly([draw(st.floats(0.2, 3.0)), 1])  # root on the negative axis
+        num, den = num * common, den * common
+    bad = draw(st.sampled_from([None, "num", "den"]))
+    if bad is not None:
+        part = num if bad == "num" else den
+        coeffs = list(part.coeffs)
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(st.sampled_from([NAN, math.inf]))
+        if bad == "num":
+            num = Poly(coeffs)
+        elif not any(math.isinf(abs(c)) for c in coeffs):  # an infinite den is refused earlier
+            den = Poly(coeffs)
+        else:
+            bad = None
+    admitted = bad is None and kind in ("none", "just_outside", "far")
+    return RationalFn(num, den), admitted
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@example(case=(CANCELLING, True))
+@example(case=(NEAR_CIRCLE_POLE, False))
+@example(case=(NOT_FINITE, False))
+@given(case=_gate_case())
+def test_gate_property(case):
+    f, admitted = case
+    space = symbol_space("half")
+    answers = _admits(space, f)
+    assert set(answers.values()) <= {admitted, InputFormatError, PoleInDiskError}
+    assert {a is True for a in answers.values()} == {admitted}
+
+
+def test_classify_roots_each_polynomial_once(half, monkeypatch):
+    # num and den of f in lowest terms, then the numerator left after the
+    # boundary zero at 1 is divided out
+    f = RationalFn(Poly.from_roots([1, 0.3, -2]), Poly([1, -0.4]) * Poly([1, 0.25j]))
+    calls = []
+    original = polynomials.poly_roots
+
+    def counting(p, rng=None):
+        calls.append(p.degree)
+        return original(p, rng=rng)
+
+    monkeypatch.setattr(polynomials, "poly_roots", counting)
+    d = classify(half, f)
+    assert d.inner_degree == 1 and d.boundary_orders[0][1] == 1
+    assert len(calls) <= 3

@@ -11,7 +11,6 @@ from hbspace.errors import InputFormatError, PoleAtPointError, ZeroFunctionError
 from hbspace.polynomials import (
     as_rational,
     complex_from_json,
-    gcd_by_roots,
     poly_roots,
     synthetic_division,
 )
@@ -166,14 +165,6 @@ def test_roots_double_cluster():
 def test_zero_poly_roots_raise():
     with pytest.raises(ZeroFunctionError):
         poly_roots(Poly())
-
-
-def test_gcd_by_roots():
-    p = Poly.from_roots([1.0, -2.0], leading=3.0)
-    q = Poly.from_roots([1.0, 3.0], leading=-1.0)
-    g = gcd_by_roots(p, q)
-    assert g.degree == 1
-    assert np.min(np.abs(poly_roots(g) - 1.0)) < 1e-9
 
 
 def test_poly_json_roundtrip():

@@ -3,7 +3,8 @@
 Every subcommand reads symbols as JSON (inline or ``@file``) and writes
 a single JSON document to stdout with sorted keys, so runs are
 reproducible and diffable.  Exit codes: 0 on success, 2 when the input
-is rejected, 3 when a numerical verification fails.
+is rejected (a malformed command line included), 3 when a numerical
+verification fails.  Errors go to stderr as JSON ``{"error", "type"}``.
 
 Symbols accept three JSON spellings: a bare coefficient list
 ``[0.5, 0.5]`` (lowest degree first, entries numbers or [re, im]
@@ -139,7 +140,7 @@ def cmd_verify(args) -> int:
 def cmd_extend(args) -> int:
     b0 = parse_symbol(args.symbol)
     if args.normalize:
-        b0 = mobius_normalize(b0, b0(0))
+        b0 = mobius_normalize(b0)
     st = extend(b0, omega=parse_point(args.omega), t=args.phase)
     check = kernel_factorization_check(b0, st)
     payload = st.to_json()
@@ -190,8 +191,15 @@ def cmd_suite(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is rejected input like any other."""
+
+    def error(self, message):
+        raise InputFormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hb",
         description="Rational de Branges-Rovnyak space toolkit",
     )
@@ -203,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, symbol=True, parents=(common,)):
-        p = sub.add_parser(name, help=help_text, parents=list(parents))
+    def add(name, fn, help_text, symbol=True, seed=True):
+        p = sub.add_parser(name, help=help_text, parents=[common] if seed else [])
         if symbol:
             p.add_argument("--symbol", "-b", required=True,
                            help="symbol as JSON or @file")
@@ -223,14 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("verify", cmd_verify, "norm identities, mate residual, isometry report")
 
-    p = add("extend", cmd_extend, "one rank-one extension step")
+    p = add("extend", cmd_extend, "one rank-one extension step", seed=False)
     p.add_argument("--omega", default="1", help="extension weight (complex)")
     p.add_argument("--phase", type=float, default=float(np.pi),
                    help="extension phase t")
     p.add_argument("--normalize", action="store_true",
                    help="pre-compose a disk automorphism so b(0) = 0")
 
-    p = add("model", cmd_model, "n-step extension tower from b = 0", symbol=False)
+    p = add("model", cmd_model, "n-step extension tower from b = 0", symbol=False, seed=False)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--omega", default="1", help="extension weight (complex)")
     p.add_argument("--phase", type=float, default=float(np.pi))
@@ -250,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValidationError, NumericalError) as exc:
         print(json.dumps({"error": str(exc), "type": type(exc).__name__},

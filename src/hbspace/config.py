@@ -46,7 +46,6 @@ class Tolerances:
     iso                 defect-form residual that counts as "annihilated"
     strict              lower bound certifying a defect form is not zero
     gram                agreement between closed forms and Gram arithmetic
-    cluster             base distance for greedy root clustering
     """
 
     root_residual: float = 1e-11
@@ -58,20 +57,24 @@ class Tolerances:
     iso: float = 1e-8
     strict: float = 1e-3
     gram: float = 1e-8
-    cluster: float = 1e-7
 
 
 DEFAULT_TOLERANCES = Tolerances()
 
 
 def resolve_seed(cli_seed: int | None = None) -> int:
-    """Seed precedence: HB_SEED environment variable, CLI flag, default."""
+    """Seed precedence: HB_SEED environment variable, CLI flag, default.
+
+    The seed must be a non-negative integer (InputFormatError otherwise).
+    """
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise InputFormatError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    if cli_seed is not None:
-        return cli_seed
-    return DEFAULT_SEED
+    else:
+        seed = DEFAULT_SEED if cli_seed is None else cli_seed
+    if seed < 0:
+        raise InputFormatError(f"seed must be a non-negative integer, got {seed}")
+    return seed

@@ -76,16 +76,17 @@ class ModelResult:
         }
 
 
-def mobius_normalize(b, alpha: complex) -> RationalFn:
-    """(b - alpha)/(1 - conj(alpha) b); alpha = b(0) recenters to 0.
+def mobius_normalize(b) -> RationalFn:
+    """(b - alpha)/(1 - conj(alpha) b) with alpha = b(0), which recenters b to 0.
 
     Disk automorphisms of the value side leave H(b) unchanged as a set
     (with an equivalent norm), so this is the standard preprocessing for
-    symbols that do not vanish at the origin.
+    symbols that do not vanish at the origin.  |b(0)| must be below 1.
     """
     b = as_rational(b)
+    alpha = b(0)
     if abs(alpha) >= 1:
-        raise InputFormatError("mobius parameter must lie in the open disk")
+        raise InputFormatError("mobius parameter b(0) must lie in the open disk")
     num = b.num - alpha * b.den
     den = b.den - np.conj(alpha) * b.num
     return RationalFn(num, den)
@@ -127,17 +128,8 @@ def brownian_shift_symbol(sigma: float) -> RationalFn:
     return RationalFn(Poly([0, gamma]), Poly([1, -beta]))
 
 
-def extend(
-    b0,
-    omega: complex = 1.0,
-    t: float = math.pi,
-    space: HbSpace | None = None,
-) -> ExtensionResult:
-    """One extension step; b0 must be rational, nonextreme, b0(0) = 0.
-
-    Pass the already-built HbSpace of b0 via `space` to skip refactoring
-    its mate.
-    """
+def extend(b0, omega: complex = 1.0, t: float = math.pi) -> ExtensionResult:
+    """One extension step; b0 must be rational, nonextreme, b0(0) = 0."""
     b0 = as_rational(b0)
     if not (cmath.isfinite(omega) and math.isfinite(t)):
         raise InputFormatError(f"extension needs finite omega and t, got {omega!r}, {t!r}")
@@ -147,15 +139,12 @@ def extend(
         raise InputFormatError(
             "extension requires b(0) = 0; apply mobius_normalize first"
         )
-    if space is None:
-        space = HbSpace(b0)
+    w_sq = HbSpace(b0).norm_b_sq
     t0 = forbidden_phase(b0)
     if t0 is not None and _phase_distance(t, t0) <= TOL.phase:
         raise ForbiddenPhaseError(
             f"phase t = {t} collides with the degenerate direction arg b0(1) = {t0}"
         )
-    a0 = space.a(0).real
-    w_sq = 1.0 / a0**2 - 1.0
     omega_sq = abs(omega) * abs(omega)  # inf past the float range, no OverflowError
     s = omega_sq / (1.0 + w_sq + omega_sq)
     if not 0.0 < s < 1.0:
@@ -181,7 +170,7 @@ def extend(
         certs = {
             "value_at_origin": abs(bt(0.0)),
             "value_at_one": abs(bt(1.0) - 1.0),
-            "derivative_at_one": abs(bt.derivative_at(1.0, 1) - 1.0 / s),
+            "derivative_at_one": abs(bt.derivative_at(1.0) - 1.0 / s),
             "degree": int(bt.degree),
         }
     except PoleAtPointError as exc:
@@ -189,8 +178,9 @@ def extend(
         raise VerificationError(
             f"certificate value_at_one or derivative_at_one unevaluable at s = {s:.3e}: {exc}"
         ) from None
-    worst = max(certs["value_at_origin"], certs["value_at_one"],
-                certs["derivative_at_one"] * s)
+    # np.max, not max: a NaN in any position must reach the test below
+    worst = float(np.max([certs["value_at_origin"], certs["value_at_one"],
+                          certs["derivative_at_one"] * s]))
     if not (worst <= 1e-9):
         raise VerificationError(f"extension certificates off by {worst:.3e}")
     return ExtensionResult(b=bt, s=float(s), t=float(t), omega=complex(omega),
@@ -226,37 +216,25 @@ def build_model(
     return ModelResult(b=b, n=n, steps=tuple(steps), isometry_order=order)
 
 
-def kernel_factorization_check(
-    b0,
-    ext: ExtensionResult,
-    points: np.ndarray | None = None,
-) -> dict:
+def kernel_factorization_check(b0, ext: ExtensionResult) -> dict:
     """Max residual of the kernel update under one extension step:
 
         K_new(w, z) = e(z) conj(e(w)) + f(z) conj(f(w)) K_old(w, z)
 
     with e = sqrt(s)(1 - b_new)/(1 - z) and
-    f = sqrt(1 - s)(1 - b_new)/(1 - u b0), over all pairs (w, z) of
-    ``points``.  Each symbol is evaluated once on the point array and the
-    w x z residual matrix is formed by broadcasting (rows w, columns z).
-
-    ``points`` must be finite and lie strictly inside the unit disk
-    (InputFormatError otherwise); a non-finite residual raises
-    VerificationError.
+    f = sqrt(1 - s)(1 - b_new)/(1 - u b0), over all pairs (w, z) of 21
+    points on three circles of radius 0.25, 0.55 and 0.8.  Each symbol is
+    evaluated once on the point array and the w x z residual matrix is
+    formed by broadcasting (rows w, columns z).  A non-finite residual
+    raises VerificationError.
     """
     b0 = as_rational(b0)
     bt = ext.b
     s = ext.s
     u = np.exp(-1j * ext.t)
-    if points is None:
-        radii = np.array([0.25, 0.55, 0.8])
-        angles = np.exp(2j * np.pi * np.arange(1, 8) / 7.3)
-        points = (radii[:, None] * angles[None, :]).ravel()
-    zs = np.asarray(points, dtype=complex).ravel()
-    if zs.size == 0 or not np.all(np.isfinite(zs)) or np.any(np.abs(zs) >= 1.0):
-        raise InputFormatError(
-            "kernel update points must be finite and lie strictly inside the unit disk"
-        )
+    radii = np.array([0.25, 0.55, 0.8])
+    angles = np.exp(2j * np.pi * np.arange(1, 8) / 7.3)
+    zs = (radii[:, None] * angles[None, :]).ravel()
 
     bt_z = bt(zs)
     b0_z = b0(zs)

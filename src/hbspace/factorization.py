@@ -44,7 +44,6 @@ from .errors import (
 from .polynomials import (
     Poly,
     RationalFn,
-    _cancel_common_roots,
     _match_roots,
     as_rational,
     cluster_points,
@@ -61,8 +60,8 @@ _CLUSTER_LADDER = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2)
 _NEAR_BAND = 1e-3
 
 
-def circle_grid(n: int = CIRCLE_GRID) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(n) / n)
+def circle_grid() -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(CIRCLE_GRID) / CIRCLE_GRID)
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,10 @@ def _check_finite(f: RationalFn) -> None:
 def _clear_of_disk(radius: float) -> float:
     """radius, unless the pole sits in the closed disk or on the circle band."""
     if radius <= 1.0 + CIRCLE_BAND:
-        raise PoleInDiskError(f"denominator root at modulus {radius:.6f} inside the closed disk")
+        raise PoleInDiskError(
+            f"denominator root at modulus {radius:.6f}, in the closed disk or within "
+            f"{CIRCLE_BAND:g} of the circle"
+        )
     return radius
 
 
@@ -108,6 +110,22 @@ def _disk_pole_check(b: RationalFn) -> float:
     """The symbol rule: finite, nearest pole (inf if none) clear of the disk; b is not reduced."""
     _check_finite(b)
     return _clear_of_disk(float(np.min(np.abs(b.poles()), initial=np.inf)))
+
+
+def _cancel_common_roots(num: Poly, den: Poly) -> tuple[Poly, Poly, list[complex]]:
+    """Divide out numerator/denominator root pairs that match within the gcd tolerance.
+
+    Returns (num, den, roots of den) after the cancellation, the same num
+    and den objects if nothing matched; num must be nonzero.
+    """
+    if den.degree == 0:
+        return num, den, []
+    matched, new_rd, keep_n = _match_roots(poly_roots(den), poly_roots(num), TOL.gcd)
+    if not matched:
+        return num, den, new_rd
+    lead_n = num.coeffs[-1]
+    lead_d = den.coeffs[-1]
+    return Poly.from_roots(keep_n, lead_n), Poly.from_roots(new_rd, lead_d), new_rd
 
 
 def _lowest_terms(f) -> tuple[RationalFn, float]:
@@ -140,7 +158,7 @@ def _validate(b: RationalFn):
     their scale, and whether b is nonextreme.
     """
     radius = _disk_pole_check(b)
-    zs = circle_grid(CIRCLE_GRID)
+    zs = circle_grid()
     qv, pv = b.den(zs), b.num(zs)
     sup = np.max(np.abs(pv / qv))
     if sup > 1.0 + 10.0 * TOL.mate:
@@ -252,8 +270,6 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
 
     best: tuple[float, Poly, list[tuple[complex, int]]] | None = None
     for tau in _CLUSTER_LADDER:
-        if tau < TOL.cluster:
-            continue
         cand = _candidate_factor(p1, roots, tau, pair_tol=max(1e-6, tau))
         if cand is None:
             continue

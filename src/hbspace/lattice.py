@@ -167,19 +167,19 @@ def ladder_spaces(space: HbSpace) -> list[SubspaceDescriptor]:
     return [classify(space, Poly([-lam, 1]) ** j) for j in range(mult + 1)]
 
 
-def _orbit_matrix(space: HbSpace, f: RationalFn, orbit: int, window: int) -> np.ndarray:
-    """The 2*window x (orbit+1) matrix [F; C F] of the iterates z^k f.
+def _orbit_matrix(space: HbSpace, f: RationalFn, window: int) -> np.ndarray:
+    """The 2*window x (DISTANCE_ORBIT+1) matrix [F; C F] of the iterates z^k f.
 
     Column k stacks the coefficients of z^k f over those of its
     companion (z^k f)+, so euclidean geometry on the columns is the H(b)
     geometry.  Both blocks are Toeplitz: F[j, k] = f_(j-k), and
     (C F)[j, k] = h_(j-k) with h_m = sum_t f_t conj(phi_(t-m)), which
     vanishes for m > deg f.  One convolution gives every h_m the window
-    reads.
+    reads.  The window must be at least DISTANCE_ORBIT + deg f + 1, so
+    that every iterate fits; ``subspace_distance`` sizes it so.
     """
     base = (f.as_poly() if f.is_polynomial else f.taylor_poly(D_TRUNC)).coeff_array()
-    if len(base) + orbit > window:
-        raise InputFormatError("orbit window too small for the generator degree")
+    orbit = DISTANCE_ORBIT
     # row 0 holds f_m and row 1 holds h_m, both at index m + window - 1
     h = np.convolve(base, np.conj(space.phi_coeffs(window - 1))[::-1])
     rows = np.zeros((2, 2 * window - 1), dtype=complex)
@@ -210,9 +210,9 @@ def _directed_distance(orbit: np.ndarray, v: np.ndarray) -> float:
     return float(abs(r[-1, -1]) / np.linalg.norm(v))
 
 
-def subspace_distance(space: HbSpace, f, g, orbit: int = DISTANCE_ORBIT) -> float:
+def subspace_distance(space: HbSpace, f, g) -> float:
     """How far apart the invariant subspaces [f] and [g] sit, probed on
-    the window {z^k h, k = 0..orbit} in the H(b) metric.
+    the window {z^k h, k = 0..DISTANCE_ORBIT} in the H(b) metric.
 
     The statistic is mutual generator approximation: the distance from f
     to the orbit span of g (relative to |f|_b), maximized over both
@@ -229,8 +229,6 @@ def subspace_distance(space: HbSpace, f, g, orbit: int = DISTANCE_ORBIT) -> floa
     lowest terms, a rational one is truncated at degree D_TRUNC, and a
     pole in the closed disk (or on the circle band) raises PoleInDiskError.
     """
-    if orbit < 0:
-        raise InputFormatError(f"orbit must be nonnegative, got {orbit}")
     f, _ = _analytic_lowest_terms(f)
     g, _ = _analytic_lowest_terms(g)
     if f.num.is_zero and g.num.is_zero:
@@ -239,7 +237,7 @@ def subspace_distance(space: HbSpace, f, g, orbit: int = DISTANCE_ORBIT) -> floa
         return 1.0
     fd = int(f.num.degree if f.is_polynomial else D_TRUNC)
     gd = int(g.num.degree if g.is_polynomial else D_TRUNC)
-    window = orbit + max(fd, gd) + 1
-    mf = _orbit_matrix(space, f, orbit, window)
-    mg = _orbit_matrix(space, g, orbit, window)
+    window = DISTANCE_ORBIT + max(fd, gd) + 1
+    mf = _orbit_matrix(space, f, window)
+    mg = _orbit_matrix(space, g, window)
     return max(_directed_distance(mf, mg[:, 0]), _directed_distance(mg, mf[:, 0]))

@@ -500,7 +500,7 @@ class RationalFn:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly | complex, den: Poly | complex = 1, reduce: bool = False):
+    def __init__(self, num: Poly | complex, den: Poly | complex = 1):
         num = num if isinstance(num, Poly) else Poly([num])
         den = den if isinstance(den, Poly) else Poly([den])
         # normalising by an infinite coefficient would zero num and den; a NaN
@@ -509,8 +509,6 @@ class RationalFn:
             raise InputFormatError("rational denominator has an infinite coefficient")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if reduce and not num.is_zero:
-            num, den, _ = _cancel_common_roots(num, den)
         d0 = den.coeff(0)
         if abs(d0) > 1e-12 * den.scale():
             num = num * (1.0 / d0)
@@ -558,69 +556,10 @@ class RationalFn:
             raise PoleAtPointError(f"evaluation at a pole near z = {z}")
         return self.num(z) / dv
 
-    # -- field operations --------------------------------------------------
-
-    def _coerce(self, other) -> "RationalFn | None":
-        if isinstance(other, RationalFn):
-            return other
-        if isinstance(other, Poly):
-            return RationalFn(other)
-        if isinstance(other, (int, float, complex)):
-            return RationalFn(Poly([other]))
-        return None
-
-    def __add__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return RationalFn(self.num * g.den + g.num * self.den, self.den * g.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return self + (-g)
-
-    def __rsub__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g + (-self)
-
-    def __mul__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return RationalFn(self.num * g.num, self.den * g.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        if g.num.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFn(self.num * g.den, self.den * g.num)
-
-    def __rtruediv__(self, other):
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g / self
-
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     # -- calculus ---------------------------------------------------------
 
@@ -630,17 +569,10 @@ class RationalFn:
             self.den * self.den,
         )
 
-    def derivative_at(self, z: complex, order: int = 1) -> complex:
-        g = self
-        for _ in range(order):
-            g = g.derivative()
-        return g(z)
+    def derivative_at(self, z: complex) -> complex:
+        return self.derivative()(z)
 
     # -- structure ----------------------------------------------------------
-
-    def reduce(self) -> "RationalFn":
-        """Cancel numerator/denominator roots that agree within the gcd tolerance."""
-        return RationalFn(self.num, self.den, reduce=True)
 
     def poles(self) -> np.ndarray:
         if self.is_polynomial:
@@ -703,22 +635,6 @@ def _poly_from_json(obj) -> Poly:
     if isinstance(obj, list):
         return Poly([complex_from_json(x) for x in obj])
     return Poly.from_json(obj)
-
-
-def _cancel_common_roots(num: Poly, den: Poly) -> tuple[Poly, Poly, list[complex]]:
-    """Divide out numerator/denominator root pairs that match within the gcd tolerance.
-
-    Returns (num, den, roots of den) after the cancellation, the same num
-    and den objects if nothing matched; num must be nonzero.
-    """
-    if den.degree == 0:
-        return num, den, []
-    matched, new_rd, keep_n = _match_roots(poly_roots(den), poly_roots(num), TOL.gcd)
-    if not matched:
-        return num, den, new_rd
-    lead_n = num.coeffs[-1]
-    lead_d = den.coeffs[-1]
-    return Poly.from_roots(keep_n, lead_n), Poly.from_roots(new_rd, lead_d), new_rd
 
 
 def as_rational(obj) -> RationalFn:

@@ -215,12 +215,13 @@ class HbSpace:
         return HbVector(f=f, f_plus=self.plus_function(f))
 
     def truncated_vector(self, f: RationalFn, degree: int = D_TRUNC) -> HbVector:
-        """Taylor truncation of a rational member, companion by solve.
+        """Taylor truncation of a rational member; the companion is the phi
+        correlation of the truncated polynomial, exact for that polynomial.
 
-        The companion inherits an O(tail) error at every index from the
-        dropped coefficients, so this is for coarse geometry (subspace
-        angles), not for certified identities.  Raises PoleInDiskError
-        when f has a pole in the closed disk.
+        Against the member itself the companion inherits an O(tail) error
+        at every index from the dropped coefficients, so this is for coarse
+        geometry (subspace angles), not for certified identities.  Raises
+        PoleInDiskError when f has a pole in the closed disk.
         """
         f, radius = _analytic_lowest_terms(f)
         ft = f.taylor_poly(degree)
@@ -238,8 +239,9 @@ class HbSpace:
 
     def vector_Lb(self, degree: int = D_TRUNC) -> HbVector:
         """Lb = (b - b(0))/z: companion -La."""
+        la = _backward_rational(self.a)
         return self._rational_pair(
-            _backward_rational(self.b), -_backward_rational(self.a), degree, self.pole_radius
+            _backward_rational(self.b), RationalFn(-la.num, la.den), degree, self.pole_radius
         )
 
     def vector_w(self, degree: int = D_TRUNC) -> HbVector:

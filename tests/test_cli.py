@@ -196,6 +196,48 @@ def test_bad_seed_env_rejected(monkeypatch, capsys):
     }
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["mate", "-b", HALF, "--seed", "-1"], None),
+    (["mate", "-b", HALF], "-3"),
+    (["suite", "--seed", "-1"], None),
+])
+def test_negative_seed_rejected(argv, env, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("HB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HB_SEED", env)
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err)["type"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gram", "-b", HALF, "--size", "1e3"],
+    ["mate"],
+    ["frob"],
+    [],
+    # extend and model always root with the default seed, so they take none
+    ["extend", "-b", "[]", "--seed", "1"],
+    ["model", "--steps", "2", "--seed", "1"],
+])
+def test_malformed_command_line_is_json(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    blob = json.loads(err)
+    assert set(blob) == {"error", "type"}
+    assert blob["type"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_zero(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([flag])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith(("usage: hb", "hb "))
+
+
 def test_zero_denominator_rejected(capsys):
     code, out, err = run_cli(["mate", "-b", '{"num": [1], "den": [0]}'], capsys)
     assert code == EXIT_VALIDATION

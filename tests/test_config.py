@@ -30,7 +30,7 @@ def test_default_tolerances_keep_their_values():
     assert dataclasses.asdict(DEFAULT_TOLERANCES) == {
         "root_residual": 1e-11, "gcd": 1e-9, "pole": 1e-13, "mate": 1e-9,
         "boundary": 1e-7, "phase": 1e-8, "iso": 1e-8, "strict": 1e-3,
-        "gram": 1e-8, "cluster": 1e-7,
+        "gram": 1e-8,
     }
 
 
@@ -44,16 +44,29 @@ def test_reports_carry_the_pinned_tolerances():
 
 
 def test_parameters_no_caller_sets_are_gone():
-    # defaulted parameters that no call in src, tests or bench ever set
-    from hbspace.factorization import _disk_pole_check, inner_outer
+    # parameters that no call in src, bench, the README or the CLI sets
+    from hbspace.extension import extend, kernel_factorization_check, mobius_normalize
+    from hbspace.factorization import _disk_pole_check, circle_grid, inner_outer
     from hbspace.isometry import rank_one_identity_check
     from hbspace.lattice import _orbit_matrix, subspace_distance
 
     removed = [
         (rank_one_identity_check, "degree"), (subspace_distance, "degree"),
-        (_orbit_matrix, "degree"), (HbSpace.norm_identities_check, "degree"),
+        (_orbit_matrix, "degree"), (_orbit_matrix, "orbit"),
+        (HbSpace.norm_identities_check, "degree"),
         (inner_outer, "rng"), (_disk_pole_check, "rng"),
         (RationalFn.poles, "rng"), (Poly.roots, "rng"),
+        (extend, "space"), (RationalFn.__init__, "reduce"),
+        (RationalFn.derivative_at, "order"), (subspace_distance, "orbit"),
+        (kernel_factorization_check, "points"), (circle_grid, "n"),
+        (mobius_normalize, "alpha"),
     ]
     assert [(fn.__qualname__, name) for fn, name in removed
             if name in inspect.signature(fn).parameters] == []
+    assert "cluster" not in {f.name for f in dataclasses.fields(Tolerances)}
+    # RationalFn keeps evaluation, calculus and ==; its field algebra, the
+    # second lowest-terms path and the hash that disagreed with == are gone
+    gone = ["_coerce", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+            "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "reduce"]
+    assert [name for name in gone if name in vars(RationalFn)] == []
+    assert RationalFn.__hash__ is None

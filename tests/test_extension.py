@@ -115,14 +115,14 @@ def test_extension_needs_vanishing_origin():
 
 
 def test_mobius_anchor():
-    out = mobius_normalize(B_HALF, 0.5)
+    out = mobius_normalize(B_HALF)  # alpha = b(0) = 1/2
     want = RationalFn(Poly([0, 2]), Poly([3, -1]))
     assert same_function(out, want)
     assert abs(out(0)) < 1e-14
 
 
 def test_mobius_then_extend():
-    recentered = mobius_normalize(B_HALF, B_HALF(0))
+    recentered = mobius_normalize(B_HALF)
     step = extend(recentered, omega=1.0, t=np.pi / 2)
     assert int(step.b.degree) == 2
     assert step.certificates["value_at_one"] < 1e-12
@@ -130,7 +130,7 @@ def test_mobius_then_extend():
 
 def test_mobius_rejects_big_alpha():
     with pytest.raises(InputFormatError):
-        mobius_normalize(B_HALF, 1.0)
+        mobius_normalize(RationalFn(Poly([1.0]), Poly([1, -0.5])))  # b(0) = 1
 
 
 def test_rotate_moves_boundary_zero():
@@ -238,13 +238,6 @@ def test_kernel_factorization_detects_wrong_weight():
     assert kernel_factorization_check(B_STEP1, off)["max_residual"] > 1e-9
 
 
-@pytest.mark.parametrize("points", [[1.0, 0.5], [0.2, 1.5j], [math.nan, 0.2], [0.2, math.inf], []])
-def test_kernel_factorization_rejects_points(points):
-    step = extend(B_ZERO, omega=1.0, t=np.pi)
-    with pytest.raises(InputFormatError):
-        kernel_factorization_check(B_ZERO, step, points=points)
-
-
 def test_kernel_factorization_non_finite_residual():
     step = extend(B_ZERO, omega=1.0, t=np.pi)
     broken = dataclasses.replace(step, s=math.nan)
@@ -259,10 +252,10 @@ def test_extend_rejects_non_finite_parameters(omega, t):
         extend(B_ZERO, omega=omega, t=t)
 
 
-def test_extend_fails_non_finite_certificates():
-    b0 = RationalFn(Poly([0, math.nan]), Poly([1]))
+def test_extend_fails_non_finite_certificates(monkeypatch):
+    monkeypatch.setattr(RationalFn, "derivative_at", lambda self, z: complex(math.nan, 0.0))
     with pytest.raises(VerificationError):
-        extend(b0, space=HbSpace(B_ZERO))
+        extend(B_ZERO)
 
 
 def test_non_finite_symbol_rejected():

@@ -11,15 +11,15 @@ from hbspace.errors import (
 )
 from hbspace.extension import build_model
 from hbspace.factorization import (
+    _lowest_terms,
     boundary_order,
-    circle_grid,
     inner_outer,
     is_nonextreme,
     pythagorean_mate,
 )
 
 MATE_TOL = 1e-9
-GRID = circle_grid(512)
+GRID = np.exp(2j * np.pi * np.arange(512) / 512)
 
 rng = np.random.default_rng(42)
 
@@ -173,6 +173,15 @@ def test_inner_outer_blaschke_factor():
     assert np.max(np.abs(inner(zs) * outer(zs) - f(zs))) < 1e-10
     # outer part has no zeros inside the open disk
     assert np.min(np.abs(outer.num.roots())) >= 1.0 - 1e-7
+
+
+def test_lowest_terms_cancels_common_roots():
+    common = Poly.from_roots([2.0 + 0.5j])
+    f, radius = _lowest_terms(RationalFn(common * Poly([0, 1]), common * Poly([1, -0.25])))
+    assert f.num.degree == 1
+    assert f.den.degree == 1
+    assert radius == pytest.approx(4.0)
+    assert f(0.4) == pytest.approx(0.4 / (1 - 0.1), rel=1e-9)
 
 
 def test_inner_outer_pure_outer():

@@ -129,7 +129,7 @@ def test_membership_reduces_first(half):
     # fake circle pole: (z - 1)/(z - 1) * (1/(1 - z/2))
     num = Poly([-1, 1])
     den = Poly([-1, 1]) * Poly([1, -0.5])
-    assert membership(half, RationalFn(num, den, reduce=False))
+    assert membership(half, RationalFn(num, den))
 
 
 def test_distance_equal_subspaces(half):
@@ -278,11 +278,6 @@ def test_distance_builds_no_gram_matrix(half, monkeypatch):
 
     monkeypatch.setattr(half, "gram_matrix", refuse)
     assert subspace_distance(half, ZM1 * ZM1, ZM1) <= 0.1
-
-
-def test_distance_rejects_negative_orbit(half):
-    with pytest.raises(InputFormatError):
-        subspace_distance(half, ZM1, ONE, orbit=-1)
 
 
 def test_directed_distance_rank_check():

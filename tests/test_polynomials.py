@@ -181,19 +181,6 @@ def test_rational_normalization_den_at_zero_is_one():
     assert f(0.5) == pytest.approx(0.5 / 1.5)
 
 
-def test_rational_arithmetic():
-    f = RationalFn(Poly([0, 1]), Poly([1, -0.5]))
-    g = RationalFn(Poly([1, 1]), Poly([1, 0.25]))
-    zs = 0.8 * (rng.standard_normal(25) + 1j * rng.standard_normal(25))
-    zs = zs[np.abs(zs) < 0.95]
-    for z in zs:
-        z = complex(z)
-        assert (f + g)(z) == pytest.approx(f(z) + g(z), rel=1e-11)
-        assert (f * g)(z) == pytest.approx(f(z) * g(z), rel=1e-11)
-        assert (f - g)(z) == pytest.approx(f(z) - g(z), rel=1e-11)
-    assert (f / g)(0.3) == pytest.approx(f(0.3) / g(0.3), rel=1e-11)
-
-
 def test_rational_pole_guard():
     f = RationalFn(Poly([1]), Poly([1, -1]))  # 1 / (1 - z)
     with pytest.raises(PoleAtPointError):
@@ -251,12 +238,14 @@ def test_complex_from_json_rejects_bad_values(value):
         complex_from_json(value)
 
 
-def test_rational_reduce_cancels():
-    common = Poly.from_roots([2.0 + 0.5j])
-    f = RationalFn(common * Poly([0, 1]), common * Poly([1, -0.25]), reduce=True)
-    assert f.num.degree == 1
-    assert f.den.degree == 1
-    assert f(0.4) == pytest.approx(0.4 / (1 - 0.1), rel=1e-9)
+def test_rational_is_unhashable():
+    # == compares cross products, so a quotient equals its own reduced form;
+    # a hash of the stored coefficients would tell them apart, so there is none
+    f = RationalFn(Poly([0, 1, -0.5]), Poly([1, -0.5]))  # z (1 - z/2)/(1 - z/2)
+    g = RationalFn(Poly([0, 1]))
+    assert f == g
+    with pytest.raises(TypeError):
+        hash(f)
 
 
 def test_rational_derivative():

@@ -7,9 +7,11 @@ is rejected (a malformed command line included), 3 when a numerical
 verification fails.  Errors go to stderr as JSON ``{"error", "type"}``.
 
 Symbols accept three JSON spellings: a bare coefficient list
-``[0.5, 0.5]`` (lowest degree first, entries numbers or [re, im]
-pairs), ``{"coeffs": [[re, im], ...]}``, or a full rational
-``{"num": ..., "den": ...}``.
+``[0.5, 0.5]`` (lowest degree first), ``{"coeffs": [...]}``, or a full
+rational ``{"num": ..., "den": ...}``.  In each, every entry is a number
+or an [re, im] pair of numbers, read by ``complex_from_json``; booleans
+are rejected.  ``hb mate`` prints ``MateResult.to_json`` with
+``a_at_origin`` and ``norm_b_sq`` added.
 """
 
 from __future__ import annotations
@@ -71,22 +73,11 @@ def _space(args) -> HbSpace:
     return HbSpace(parse_symbol(args.symbol), rng=rng)
 
 
-def _zeros_json(space: HbSpace) -> list:
-    return [
-        {"point": complex_to_json(lam), "multiplicity": int(m)}
-        for lam, m in space.boundary_zeros
-    ]
-
-
 def cmd_mate(args) -> int:
     space = _space(args)
-    _emit({
-        "a": space.a.to_json(),
-        "a_at_origin": complex_to_json(space.a(0)),
-        "boundary_zeros": _zeros_json(space),
-        "norm_b_sq": space.norm_b_sq,
-        "residual": space.mate.residual,
-    })
+    payload = space.mate.to_json()
+    payload.update(a_at_origin=complex_to_json(space.a(0)), norm_b_sq=space.norm_b_sq)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -107,8 +98,6 @@ def cmd_kernel(args) -> int:
 
 def cmd_gram(args) -> int:
     space = _space(args)
-    if args.size < 1:
-        raise InputFormatError("gram size must be at least 1")
     g = space.gram_matrix(args.size)
     _emit({
         "matrix": [[complex_to_json(v) for v in row] for row in g],

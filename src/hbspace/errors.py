@@ -22,7 +22,7 @@ class PoleAtPointError(ValidationError):
 
 
 class NotInUnitBallError(ValidationError):
-    """The symbol exceeds modulus 1 on the unit circle."""
+    """The symbol exceeds modulus 1 on the unit circle, by sup |b| or by |q|^2 - |p|^2."""
 
 
 class ExtremeFunctionError(ValidationError):
@@ -42,7 +42,7 @@ class ForbiddenPhaseError(ValidationError):
 
 
 class DegenerateOmegaError(ValidationError):
-    """The extension weight omega must be nonzero and give 0 < s < 1 in double precision."""
+    """The extension weight omega must give 0 < s < 1 in double precision (omega = 0 gives s = 0)."""
 
 
 class MultipleBoundaryZeroError(ValidationError):
@@ -51,10 +51,6 @@ class MultipleBoundaryZeroError(ValidationError):
 
 class ZeroFunctionError(ValidationError):
     """The zero function is not a valid argument here."""
-
-
-class NegativeDensityError(ValidationError):
-    """1 - |b|^2 is negative on the circle beyond tolerance."""
 
 
 class InputFormatError(ValidationError):
@@ -67,10 +63,6 @@ class NonConvergenceError(NumericalError):
 
 class FactorizationError(NumericalError):
     """Spectral factorization could not be completed or validated."""
-
-
-class SingularSystemError(NumericalError):
-    """A linear solve hit a (near-)zero pivot."""
 
 
 class RankDeficiencyError(NumericalError):

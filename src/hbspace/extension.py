@@ -1,7 +1,7 @@
 """One-step extensions of H(b) and the model symbols they generate.
 
 Starting from a rational nonextreme b0 with b0(0) = 0, each extension
-step picks a weight omega != 0 and a phase t, sets u = exp(-i t) and
+step picks a weight omega and a phase t, sets u = exp(-i t) and
 
     s = |omega|^2 / (1 + |w|_b^2 + |omega|^2),
 
@@ -92,15 +92,6 @@ def mobius_normalize(b) -> RationalFn:
     return RationalFn(num, den)
 
 
-def rotate(b, phi: float) -> RationalFn:
-    """b(exp(i phi) z): carries boundary structure at 1 to exp(-i phi)."""
-    b = as_rational(b)
-    w = np.exp(1j * phi)
-    num = Poly([c * w**k for k, c in enumerate(b.num.coeffs)])
-    den = Poly([c * w**k for k, c in enumerate(b.den.coeffs)])
-    return RationalFn(num, den)
-
-
 def forbidden_phase(b0) -> float | None:
     """arg b0(1) in [0, 2 pi) when |b0(1)| = 1, else None."""
     b0 = as_rational(b0)
@@ -129,12 +120,17 @@ def brownian_shift_symbol(sigma: float) -> RationalFn:
 
 
 def extend(b0, omega: complex = 1.0, t: float = math.pi) -> ExtensionResult:
-    """One extension step; b0 must be rational, nonextreme, b0(0) = 0."""
+    """One extension step; b0 must be rational, nonextreme, b0(0) = 0.
+
+    The one rule for omega is 0 < s < 1 in double precision
+    (DegenerateOmegaError): omega = 0, or an |omega|^2 that underflows,
+    gives s = 0, and a huge omega rounds s to 1.  A small omega inside the
+    rule can still leave the certificates at z = 1 unevaluable, which is
+    a VerificationError.
+    """
     b0 = as_rational(b0)
     if not (cmath.isfinite(omega) and math.isfinite(t)):
         raise InputFormatError(f"extension needs finite omega and t, got {omega!r}, {t!r}")
-    if abs(omega) < 1e-14:
-        raise DegenerateOmegaError("extension weight omega must be nonzero")
     if abs(b0(0)) > 1e-12:
         raise InputFormatError(
             "extension requires b(0) = 0; apply mobius_normalize first"

@@ -35,7 +35,6 @@ from .errors import (
     ExtremeFunctionError,
     FactorizationError,
     InputFormatError,
-    NegativeDensityError,
     NotInUnitBallError,
     PoleAtPointError,
     PoleInDiskError,
@@ -84,7 +83,7 @@ class MateResult:
         return {
             "a": self.a.to_json(),
             "boundary_zeros": [
-                {"lambda": complex_to_json(lam), "mult": m}
+                {"point": complex_to_json(lam), "multiplicity": int(m)}
                 for lam, m in self.boundary_zeros
             ],
             "residual": self.residual,
@@ -151,17 +150,22 @@ def _analytic_lowest_terms(f) -> tuple[RationalFn, float]:
 
 
 def _validate(b: RationalFn):
-    """One pass over b = p/q: finite, no pole in the closed disk, sup |b| <= 1 on the grid.
+    """One pass over b = p/q: finite, no pole in the closed disk, in the closed ball.
 
-    Returns the modulus of q's nearest root, the grid zs, q and p on it,
-    the coefficients of z^d (|q|^2 - |p|^2) (full length 2d + 1) with
-    their scale, and whether b is nonextreme.
+    The ball rule rejects b (NotInUnitBallError) when, on the grid,
+    sup |b| > 1 + 10 TOL.mate or the density |q|^2 - |p|^2 dips below
+    -10 TOL.mate max |q|^2.  Returns the modulus of q's nearest root, the
+    grid zs, q and p on it, the density, the coefficients of
+    z^d (|q|^2 - |p|^2) (full length 2d + 1) with their scale, and whether
+    b is nonextreme.
     """
     radius = _disk_pole_check(b)
     zs = circle_grid()
     qv, pv = b.den(zs), b.num(zs)
     sup = np.max(np.abs(pv / qv))
-    if sup > 1.0 + 10.0 * TOL.mate:
+    density = np.abs(qv) ** 2 - np.abs(pv) ** 2
+    if (sup > 1.0 + 10.0 * TOL.mate
+            or np.min(density) < -10.0 * TOL.mate * np.max(np.abs(qv)) ** 2):
         raise NotInUnitBallError(f"sup |b| on the circle is {sup:.12f}")
     p, q = b.num, b.den
     d = int(max(p.degree if not p.is_zero else 0, q.degree))
@@ -169,15 +173,16 @@ def _validate(b: RationalFn):
     scale = float(np.max(np.abs(arr)))
     if not p.is_zero:
         arr = arr - (p * p.reflect(d)).coeff_array(2 * d + 1)
-    return radius, zs, qv, pv, arr, scale, bool(np.max(np.abs(arr)) > 1e-10 * scale)
+    return radius, zs, qv, pv, density, arr, scale, bool(np.max(np.abs(arr)) > 1e-10 * scale)
 
 
 def is_nonextreme(b) -> bool:
     """True iff 1 - |b|^2 is not identically zero on the circle.
 
     Raises InputFormatError for non-finite coefficients, PoleInDiskError
-    for poles in the closed disk and NotInUnitBallError when sup |b| on
-    the grid exceeds 1 + 10 * TOL.mate.
+    for poles in the closed disk and NotInUnitBallError for b outside the
+    closed ball, by the one rule of ``_validate`` that ``HbSpace`` and
+    ``pythagorean_mate`` apply too.
     """
     return _validate(as_rational(b))[-1]
 
@@ -240,20 +245,16 @@ def _candidate_factor(
 def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
     """Outer a = r/q with |a|^2 + |b|^2 = 1 on the circle and a(0) > 0.
 
-    Raises ExtremeFunctionError when |b| = 1 a.e., NegativeDensityError when
-    |b| exceeds 1 on the grid, and FactorizationError when no clustering on
-    the ladder meets the residual tolerance.
+    Raises the symbol errors of ``is_nonextreme``, ExtremeFunctionError
+    when |b| = 1 a.e., and FactorizationError when no clustering on the
+    ladder meets the residual tolerance or the mate vanishes at the origin.
+    The density |q|^2 - |p|^2 on the grid, from ``_validate``, fixes the
+    scale gamma^2 of each candidate factor.
     """
     b = as_rational(b)
-    radius, zs, qv, pv, arr, scale, nonextreme = _validate(b)
+    radius, zs, qv, pv, density, arr, scale, nonextreme = _validate(b)
     if not nonextreme:
         raise ExtremeFunctionError("b is an extreme point; no mate exists")
-    density = np.abs(qv) ** 2 - np.abs(pv) ** 2
-    qscale = np.max(np.abs(qv)) ** 2
-    if np.min(density) < -10.0 * TOL.mate * qscale:
-        raise NegativeDensityError(
-            f"|q|^2 - |p|^2 reaches {np.min(density):.3e} on the circle"
-        )
 
     sym_gap = np.max(np.abs(arr - np.conj(arr[::-1])))
     if sym_gap > 1e-10 * scale:
@@ -296,7 +297,7 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
 def _finalize(b, r: Poly, pairs, zs, qv, pv, pole_radius: float) -> MateResult:
     a = RationalFn(r, b.den)
     a0 = a(0)
-    if abs(a0) == 0:
+    if abs(a0) < 1e-15:
         raise FactorizationError("mate vanishes at the origin")
     a = RationalFn(a.num * (a0.conjugate() / abs(a0)), a.den)
     av = a(zs)

@@ -3,8 +3,10 @@
 Coefficients are stored lowest degree first.  The JSON wire form for a
 polynomial is ``{"coeffs": [[re, im], ...]}`` and a rational function is
 ``{"num": <poly>, "den": <poly>}``; complex scalars travel as ``[re, im]``
-pairs.  ``RationalFn.from_json`` also reads a bare coefficient list of
-numbers or pairs, for a symbol or for either part of a quotient.
+pairs.  One grammar reads them back (``complex_from_json``): a polynomial
+is a coefficient list, bare or under "coeffs", for a symbol or for either
+part of a quotient, and every entry is a number or an [re, im] pair of
+numbers.  Booleans are not numbers, and non-finite values are rejected.
 
 Root finding uses a simultaneous Aberth-Ehrlich iteration started on a
 randomly rotated circle, with the companion-matrix eigenvalue solver as a
@@ -14,6 +16,7 @@ fallback when the iteration stalls.
 from __future__ import annotations
 
 import cmath
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -246,14 +249,12 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj) -> "Poly":
-        if not isinstance(obj, dict) or "coeffs" not in obj:
-            raise InputFormatError("polynomial JSON must be {'coeffs': [[re, im], ...]}")
-        out = []
-        for pair in obj["coeffs"]:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise InputFormatError(f"bad complex entry {pair!r}")
-            out.append(complex_from_json(pair))
-        return cls(out)
+        """A coefficient list, bare or as {"coeffs": [...]}; entries through ``complex_from_json``."""
+        if isinstance(obj, dict) and "coeffs" in obj:
+            obj = obj["coeffs"]
+        if not isinstance(obj, list):
+            raise InputFormatError("polynomial JSON must be a coefficient list or {'coeffs': [...]}")
+        return cls([complex_from_json(c) for c in obj])
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex], leading: complex = 1.0) -> "Poly":
@@ -614,12 +615,12 @@ class RationalFn:
         either polynomial spelling.  A zero denominator is rejected.
         """
         if isinstance(obj, dict) and "num" in obj and "den" in obj:
-            den = _poly_from_json(obj["den"])
+            den = Poly.from_json(obj["den"])
             if den.is_zero:
                 raise InputFormatError("rational denominator is the zero polynomial")
-            return cls(_poly_from_json(obj["num"]), den)
+            return cls(Poly.from_json(obj["num"]), den)
         if isinstance(obj, list) or (isinstance(obj, dict) and "coeffs" in obj):
-            return cls(_poly_from_json(obj))
+            return cls(Poly.from_json(obj))
         raise InputFormatError(
             "rational JSON must be a coefficient list, {'coeffs': ...}, "
             "or {'num': ..., 'den': ...}"
@@ -629,12 +630,6 @@ class RationalFn:
         if self.is_polynomial:
             return f"RationalFn({self.as_poly()!r})"
         return f"RationalFn({self.num!r} / {self.den!r})"
-
-
-def _poly_from_json(obj) -> Poly:
-    if isinstance(obj, list):
-        return Poly([complex_from_json(x) for x in obj])
-    return Poly.from_json(obj)
 
 
 def as_rational(obj) -> RationalFn:
@@ -654,18 +649,15 @@ def complex_to_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def complex_from_json(pair) -> complex:
-    """A number or an [re, im] pair; non-finite values are rejected."""
-    z = None
-    if isinstance(pair, (int, float)):
-        z = complex(pair)
-    elif isinstance(pair, (list, tuple)) and len(pair) == 2:
-        try:
-            z = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
-            pass
-    if z is None:
-        raise InputFormatError(f"bad complex value {pair!r}; use a number or [re, im]")
+def complex_from_json(value) -> complex:
+    """A number or an [re, im] pair of numbers; booleans and non-finite values are rejected."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        raise InputFormatError(f"bad complex value {value!r}; use a number or [re, im]")
+    try:
+        z = complex(float(parts[0]), float(parts[1]))
+    except OverflowError:  # an integer past the float range
+        z = complex(math.inf)
     if not cmath.isfinite(z):
-        raise InputFormatError(f"non-finite complex value {pair!r}")
+        raise InputFormatError(f"non-finite complex value {value!r}")
     return z

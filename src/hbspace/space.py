@@ -61,12 +61,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import CIRCLE_BAND, D_TRUNC, DEFAULT_TOLERANCES as TOL
-from .errors import (
-    InputFormatError,
-    OrderTooHighError,
-    SingularSystemError,
-    VerificationError,
-)
+from .errors import InputFormatError, OrderTooHighError, VerificationError
 from .factorization import MateResult, _analytic_lowest_terms, pythagorean_mate
 from .polynomials import Poly, RationalFn, as_rational, synthetic_division
 
@@ -153,10 +148,8 @@ class HbSpace:
         self.n = int(max(b.degree, 0))
         self.boundary_zeros = self.mate.boundary_zeros
         self.pole_radius = self.mate.pole_radius
-        a0 = self.a(0)
-        if abs(a0) < 1e-15:
-            raise SingularSystemError("mate vanishes at the origin")
-        self._a0 = float(a0.real)
+        # pythagorean_mate rejects a(0) = 0 and makes a(0) real and positive
+        self._a0 = float(self.a(0).real)
         self.norm_b_sq = 1.0 / self._a0**2 - 1.0
         b0 = b(0)
         self.norm_Lb_sq = 1.0 - abs(b0) ** 2 - self._a0**2
@@ -209,6 +202,11 @@ class HbSpace:
         if isinstance(f, HbVector):
             return f
         if isinstance(f, RationalFn):
+            if not f.is_polynomial:
+                raise InputFormatError(
+                    "vector takes a polynomial; carry a rational member with "
+                    "truncated_vector, vector_b, vector_Lb or the kernel vectors"
+                )
             f = f.as_poly()
         elif not isinstance(f, Poly):
             f = Poly([f]) if np.isscalar(f) else Poly(f)
@@ -276,16 +274,15 @@ class HbSpace:
         v = g if isinstance(g, HbVector) else self.vector(g)
         return self.pair(u, v)
 
-    def norm_sq(self, f) -> float:
-        return float(self.inner_product(f, f).real)
-
     def gram_matrix(self, n: int) -> np.ndarray:
         """n x n matrix with entry (j, k) = <z^k, z^j>_b; Hermitian, >= I up to rounding.
 
         Column k of C holds the companion of z^k, so G = I + C^H C.  The
         product is averaged with its adjoint, since BLAS does not round
-        the (j, k) and (k, j) entries alike.
+        the (j, k) and (k, j) entries alike.  InputFormatError for n < 1.
         """
+        if n < 1:
+            raise InputFormatError("gram size must be at least 1")
         c = _upper_toeplitz(np.conj(self.phi_coeffs(n - 1)))
         h = c.conj().T @ c
         return np.eye(n, dtype=complex) + 0.5 * (h + h.conj().T)
@@ -297,20 +294,11 @@ class HbSpace:
         u = f if isinstance(f, HbVector) else self.vector(f)
         return self.vector(u.f.shifted(1))
 
-    def backward_shift(self, f) -> HbVector:
-        """L f = (f - f(0))/z."""
-        u = f if isinstance(f, HbVector) else self.vector(f)
-        return self.vector(Poly(u.f.coeffs[1:]))
-
     # -- reproducing kernels ---------------------------------------------------
 
     def kernel(self, lam: complex, z: complex) -> complex:
-        """K_lam(z) = (1 - conj(b(lam)) b(z)) / (1 - conj(lam) z), through ``kernel_fn``."""
-        return self.kernel_fn(lam)(z)
-
-    def kernel_fn(self, lam: complex) -> RationalFn:
-        """K_lam as a rational function of z (reduced at boundary points)."""
-        return self.kernel_derivative(lam, 0)
+        """K_lam(z) = (1 - conj(b(lam)) b(z)) / (1 - conj(lam) z), through ``kernel_derivative``."""
+        return self.kernel_derivative(lam, 0)(z)
 
     def kernel_derivative(self, w: complex, i: int) -> RationalFn:
         """d^i/d(conj(w))^i K_w as a rational function of z.
@@ -393,23 +381,24 @@ class HbSpace:
     # -- identities ----------------------------------------------------------
 
     def norm_identities_check(self) -> dict:
-        """Closed forms for |b|_b^2 and |Lb|_b^2 against Gram arithmetic."""
-        if self.b.is_polynomial:
-            bb = self.norm_sq(self.b.as_poly())
-            lb = self.norm_sq(Poly(self.b.as_poly().coeffs[1:]))
-            trunc = {"mode": "exact"}
-        else:
-            tails = (_degree_for_tail(g, self.pole_radius, 1e-16) for g in (self.b, self.a))
-            degree = max(D_TRUNC, *tails)
-            vb = self.vector_b(degree)
-            vl = self.vector_Lb(degree)
-            bb = float(self.pair(vb, vb).real)
-            lb = float(self.pair(vl, vl).real)
-            trunc = {
-                "mode": "taylor",
-                "degree": degree,
-                "tail_bound": max(vb.tail_f, vb.tail_plus, vl.tail_f, vl.tail_plus),
-            }
+        """Closed forms for |b|_b^2 and |Lb|_b^2 against Gram arithmetic.
+
+        The Gram side pairs the closed-form vectors of b and Lb, truncated
+        where the tail bound falls below 1e-16.  For polynomial b
+        (rho_b = inf) the degree max(D_TRUNC, deg b, deg a) keeps every
+        coefficient and the tail bound is 0, so one route serves both.
+        """
+        tails = (_degree_for_tail(g, self.pole_radius, 1e-16) for g in (self.b, self.a))
+        degree = max(D_TRUNC, *tails)
+        vb = self.vector_b(degree)
+        vl = self.vector_Lb(degree)
+        bb = float(self.pair(vb, vb).real)
+        lb = float(self.pair(vl, vl).real)
+        trunc = {
+            "mode": "taylor",
+            "degree": degree,
+            "tail_bound": max(vb.tail_f, vb.tail_plus, vl.tail_f, vl.tail_plus),
+        }
         report: dict = {
             name: {"closed": closed, "gram": gram, "diff": abs(closed - gram)}
             for name, closed, gram in (("norm_b_sq", self.norm_b_sq, bb),

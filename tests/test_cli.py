@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from hbspace.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from hbspace import HbSpace
+from hbspace.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_symbol
 
 HALF = "[0.5, 0.5]"
 AFFINE = "[0, 0.5]"
@@ -29,6 +30,15 @@ def test_mate_half(capsys):
     ]
     coeffs = payload["a"]["num"]["coeffs"]
     assert coeffs == [[0.5, 0.0], [-0.5, 0.0]]
+
+
+def test_mate_payload_extends_the_mate_json(capsys):
+    code, out, _ = run_cli(["mate", "-b", STEP2], capsys)
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    mate = json.loads(json.dumps(HbSpace(parse_symbol(STEP2)).mate.to_json()))
+    assert payload == {**mate, "a_at_origin": payload["a_at_origin"],
+                       "norm_b_sq": payload["norm_b_sq"]}
 
 
 def test_mate_is_deterministic(capsys):
@@ -265,6 +275,9 @@ def test_kernel_order_past_factorial_range_rejected(capsys):
     ["extend", "-b", AFFINE, "--omega", "1e10"],
     ["extend", "-b", AFFINE, "--omega", "1e300"],
     ["model", "--steps", "2", "--omega", "1e9"],
+    # s = 0: omega vanishes, or its square underflows
+    ["extend", "-b", AFFINE, "--omega", "0"],
+    ["extend", "-b", AFFINE, "--omega", "1e-200"],
 ])
 def test_omega_out_of_range_rejected(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -276,6 +289,7 @@ def test_omega_out_of_range_rejected(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["extend", "-b", AFFINE, "--omega", "1e-4"],
     ["extend", "-b", AFFINE, "--omega", "1e-13"],
+    ["extend", "-b", AFFINE, "--omega", "1e-15"],
     ["model", "--steps", "3", "--omega", "1e-5"],
 ])
 def test_tiny_omega_fails_certificate_verification(argv, capsys):
@@ -286,6 +300,24 @@ def test_tiny_omega_fails_certificate_verification(argv, capsys):
     blob = json.loads(err)
     assert blob["type"] == "VerificationError"
     assert "derivative_at_one" in blob["error"]
+
+
+@pytest.mark.parametrize("symbol", ["[true]", '{"coeffs": [[true, 0]]}'])
+def test_boolean_coefficient_rejected(symbol, capsys):
+    # JSON true is not the number 1
+    code, out, err = run_cli(["mate", "-b", symbol], capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err)["type"] == "InputFormatError"
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_gram_size_below_one_rejected(size, capsys):
+    code, out, err = run_cli(["gram", "-b", HALF, "--size", size], capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err) == {"error": "gram size must be at least 1",
+                               "type": "InputFormatError"}
 
 
 def test_kernel_point_outside_disk_rejected(capsys):

@@ -70,3 +70,13 @@ def test_parameters_no_caller_sets_are_gone():
             "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "reduce"]
     assert [name for name in gone if name in vars(RationalFn)] == []
     assert RationalFn.__hash__ is None
+
+
+def test_second_copies_of_a_decision_are_gone():
+    # the ball rule, the a(0) check, the mate JSON and the kernel each have one home
+    from hbspace import cli, errors, extension
+
+    assert [n for n in ("NegativeDensityError", "SingularSystemError") if hasattr(errors, n)] == []
+    assert [n for n in ("norm_sq", "kernel_fn", "backward_shift") if n in vars(HbSpace)] == []
+    assert not hasattr(extension, "rotate")
+    assert not hasattr(cli, "_zeros_json")

@@ -19,7 +19,6 @@ from hbspace.extension import (
     forbidden_phase,
     kernel_factorization_check,
     mobius_normalize,
-    rotate,
 )
 from hbspace.polynomials import Poly, RationalFn
 from hbspace.space import HbSpace
@@ -98,8 +97,16 @@ def test_forbidden_phase_after_first_step():
 
 
 def test_degenerate_omega():
-    with pytest.raises(DegenerateOmegaError):
-        extend(B_ZERO, omega=0.0)
+    # s = 0: omega vanishes, or |omega|^2 underflows
+    for omega in (0.0, 1e-200):
+        with pytest.raises(DegenerateOmegaError):
+            extend(B_ZERO, omega=omega)
+
+
+def test_small_omega_inside_the_rule_fails_verification():
+    # 0 < s ~ 1e-30 < 1 is admitted; the certificates at z = 1 cannot be evaluated
+    with pytest.raises(VerificationError):
+        extend(RationalFn(Poly([0, 0.5])), omega=1e-15)
 
 
 @pytest.mark.parametrize("omega", [1e10, 1e300, 1e200j])
@@ -134,9 +141,12 @@ def test_mobius_rejects_big_alpha():
 
 
 def test_rotate_moves_boundary_zero():
+    # b(exp(i phi) z) carries the boundary zero of the mate from 1 to exp(-i phi)
     phi = np.pi / 2
-    rb = rotate(B_STEP1, phi)
-    assert np.max(np.abs(rb(SAMPLE) - B_STEP1(np.exp(1j * phi) * SAMPLE))) < 1e-13
+    w = np.exp(1j * phi)
+    rb = RationalFn(*(Poly([c * w**k for k, c in enumerate(p.coeffs)])
+                      for p in (B_STEP1.num, B_STEP1.den)))
+    assert np.max(np.abs(rb(SAMPLE) - B_STEP1(w * SAMPLE))) < 1e-13
     zeros = HbSpace(rb).boundary_zeros
     assert len(zeros) == 1
     lam, mult = zeros[0]

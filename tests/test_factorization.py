@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hbspace import Poly, RationalFn
+from hbspace import HbSpace, Poly, RationalFn
 from hbspace.errors import (
     ExtremeFunctionError,
     NotInUnitBallError,
@@ -128,6 +128,15 @@ def test_extreme_blaschke_rejected():
 def test_unit_ball_violation_rejected():
     with pytest.raises(NotInUnitBallError):
         is_nonextreme(RationalFn(Poly([0, 1.1])))
+
+
+def test_one_ball_rule_for_every_entry_point():
+    # sup |b| = 1 + 8e-9 passes the sup test, but |q|^2 - |p|^2 = -1.6e-8
+    # fails the density test; both are the one ball rule
+    b = RationalFn(Poly([0, 1 + 8e-9]))
+    for entry in (is_nonextreme, pythagorean_mate, HbSpace):
+        with pytest.raises(NotInUnitBallError):
+            entry(b)
 
 
 def test_pole_in_disk_rejected():

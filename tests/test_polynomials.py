@@ -232,10 +232,26 @@ def test_poly_json_rejects_bad_entries(entry):
         Poly.from_json({"coeffs": [[1, 0], entry]})
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, [0, math.nan], [math.inf, 1], "1", [1]])
+@pytest.mark.parametrize("value", [math.nan, math.inf, [0, math.nan], [math.inf, 1], "1", [1],
+                                   True, [True, 0], ["0.5", 0],
+                                   pytest.param(10**400, id="int-past-float-range")])
 def test_complex_from_json_rejects_bad_values(value):
     with pytest.raises(InputFormatError):
         complex_from_json(value)
+
+
+def test_poly_json_reads_every_entry_spelling():
+    # one grammar: numbers or [re, im] pairs, bare or under "coeffs"
+    want = Poly([0.5, 0.5j])
+    for blob in ([0.5, [0, 0.5]], {"coeffs": [0.5, [0, 0.5]]}, {"coeffs": [[0.5, 0], [0, 0.5]]}):
+        assert Poly.from_json(blob) == want
+    assert Poly.from_json({"coeffs": [0.5, 0.5]}) == Poly([0.5, 0.5])
+
+
+@pytest.mark.parametrize("blob", [{"coeffs": 5}, {"coeffs": "ab"}, 0.5, {"num": [1]}])
+def test_poly_json_needs_a_coefficient_list(blob):
+    with pytest.raises(InputFormatError):
+        Poly.from_json(blob)
 
 
 def test_rational_is_unhashable():

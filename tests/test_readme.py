@@ -1,7 +1,12 @@
-"""The README's Library quick start runs and prints what its comments state."""
+"""The README's Library quick start runs and prints what its comments state,
+and every line of its Command line block exits 0."""
 
+import json
 import re
+import shlex
 from pathlib import Path
+
+from hbspace.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,3 +31,15 @@ def test_library_quick_start():
         assert abs(eval(expr, namespace) - want) <= 1e-9 * max(1.0, abs(want)), line
         stated.append(want)
     assert stated == [0.5, 6, 0.625, 2, 3.0]
+
+
+def test_command_line_block_exits_zero(monkeypatch, capsys):
+    # the same lines CI runs through the installed script, here in process
+    monkeypatch.delenv("HB_SEED", raising=False)
+    text = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("hb ")]
+    assert lines
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert json.loads(capsys.readouterr().out), line

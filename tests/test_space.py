@@ -103,19 +103,19 @@ def test_plus_relation_residual(half, step2):
 
 
 def test_kernel_at_origin_half(half):
-    k0 = half.kernel_fn(0.0)
+    k0 = half.kernel_derivative(0.0, 0)
     # (3 - z)/4
     assert abs(k0(0) - 0.75) < 1e-12
     assert abs(k0(0.5) - (3 - 0.5) / 4) < 1e-12
     assert abs(half.kernel(0.0, 0.3j) - (3 - 0.3j) / 4) < 1e-12
 
 
-def test_kernel_checks_its_point_like_kernel_fn(half):
+def test_kernel_checks_its_point_like_kernel_derivative(half):
     with pytest.raises(InputFormatError):
         half.kernel(1.5, 0.5)  # outside the closed disk
     with pytest.raises(OrderTooHighError):
         half.kernel(-1.0, 0.5)  # on the circle, but not a mate zero
-    assert half.kernel(0.3j, 0.5) == half.kernel_fn(0.3j)(0.5)
+    assert half.kernel(0.3j, 0.5) == half.kernel_derivative(0.3j, 0)(0.5)
     assert abs(half.kernel(0.0, 0.5) - 0.625) < 1e-15
 
 
@@ -162,7 +162,7 @@ def test_derivative_kernel_interior(half):
 
 
 def test_boundary_kernel_half_is_constant(half):
-    k1 = half.kernel_fn(1.0)
+    k1 = half.kernel_derivative(1.0, 0)
     assert k1.is_polynomial
     assert abs(k1(0.3) - 0.5) < 1e-12
     assert abs(k1(-0.9) - 0.5) < 1e-12
@@ -171,7 +171,7 @@ def test_boundary_kernel_half_is_constant(half):
 def test_boundary_kernel_norm_step2(step2):
     u = step2.derivative_kernel_vector(1.0, 0, degree=96)
     val = step2.pair(u, u)
-    want = step2.kernel_fn(1.0)(1.0)
+    want = step2.kernel_derivative(1.0, 0)(1.0)
     assert abs(want - 3.0) < 1e-10
     assert abs(val - want) < 1e-9
 
@@ -208,6 +208,8 @@ def test_norm_identities_polynomial(half):
     assert abs(rep["norm_b_sq"]["closed"] - 3.0) < 1e-12
     assert abs(rep["norm_Lb_sq"]["closed"] - 0.5) < 1e-12
     assert rep["norm_b_sq"]["diff"] < 1e-12
+    # the closed-form route keeps every coefficient of a polynomial b
+    assert rep["truncation"] == {"mode": "taylor", "degree": D_TRUNC, "tail_bound": 0.0}
 
 
 def test_norm_identities_rational():
@@ -237,21 +239,29 @@ def test_vector_w_norm(half):
 def test_truncated_vector_matches_closed_form(step2):
     lam = 0.45 - 0.2j
     kv = step2.kernel_vector(lam, degree=96)
-    tv = step2.truncated_vector(step2.kernel_fn(lam), degree=96)
+    tv = step2.truncated_vector(step2.kernel_derivative(lam, 0), degree=96)
     f = Poly(RNG.standard_normal(5))
     vf = step2.vector(f)
     assert abs(step2.pair(vf, kv) - step2.pair(vf, tv)) < 1e-9
     assert tv.tail_f < 1e-12
 
 
-def test_shift_and_backward_shift(half):
+def test_vector_rejects_a_non_polynomial_rational(half):
+    with pytest.raises(InputFormatError, match="truncated_vector"):
+        half.inner_product(RationalFn(Poly([1]), Poly([1, -0.5])), Poly([1]))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_gram_matrix_rejects_sizes_below_one(half, n):
+    with pytest.raises(InputFormatError, match="gram size must be at least 1"):
+        half.gram_matrix(n)
+
+
+def test_shift_keeps_the_plus_relation(half):
     v = half.vector(Poly([1, 2, 3]))
     sv = half.shift(v)
     assert sv.f == Poly([0, 1, 2, 3])
     assert half.plus_residual(sv) < 1e-12
-    bv = half.backward_shift(sv)
-    assert bv.f == Poly([1, 2, 3])
-    assert half.backward_shift(half.vector(Poly([7]))).f.is_zero
 
 
 def test_degree_for_tail():
@@ -361,7 +371,7 @@ def test_kernel_rejects_bad_order_and_point(half):
     with pytest.raises(InputFormatError):
         half.kernel_derivative(0.0, -1)
     with pytest.raises(InputFormatError):
-        half.kernel_fn(1.5)
+        half.kernel_derivative(1.5, 0)
 
 
 def test_boundary_derivative_pairing_tower_3():

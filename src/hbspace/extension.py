@@ -37,7 +37,8 @@ from .errors import (
     PoleAtPointError,
     VerificationError,
 )
-from .polynomials import Poly, RationalFn, as_rational
+from .isometry import isometry_order
+from .polynomials import Poly, RationalFn, as_rational, complex_to_json
 from .space import HbSpace
 
 
@@ -54,7 +55,7 @@ class ExtensionResult:
             "b": self.b.to_json(),
             "s": self.s,
             "t": self.t,
-            "omega": [self.omega.real, self.omega.imag],
+            "omega": complex_to_json(self.omega),
             "certificates": dict(self.certificates),
         }
 
@@ -201,10 +202,7 @@ def build_model(
         b = step.b
     order = None
     if verify:
-        from .isometry import isometry_order as _iso
-
-        rep = _iso(HbSpace(b), m_max=2 * n + 2)
-        order = rep.order
+        order = isometry_order(HbSpace(b), m_max=2 * n + 2).order
         if order != 2 * n:
             raise VerificationError(
                 f"model of order {n} produced isometry order {order}, expected {2 * n}"

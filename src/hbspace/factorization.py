@@ -12,10 +12,12 @@ wider than any fixed tolerance once m > 1, so the clustering distance is
 chosen adaptively from a ladder and the winner is whichever candidate
 actually drives the circle residual below tolerance.
 
-Zeros at a point are read by synthetic division: the k-th remainder at
-lam is f^(k)(lam)/k! (``boundary_order``).  ``_inner_roots`` is the one
-rule for which computed roots are inner zeros; ``inner_outer`` and
-``lattice.classify`` build their Blaschke factor from it.
+``boundary_order`` applies the two point rules of ``polynomials``: a pole
+at lam when |den(lam)| <= TOL.pole * B_den(lam), else order k when k
+synthetic divisions each leave a remainder within TOL.boundary * B(lam)
+of the quotient divided.  ``_inner_roots`` is the one rule for which
+computed roots are inner zeros; ``inner_outer`` and ``lattice.classify``
+build their Blaschke factor from it.
 
 For rational nonextreme b, a rational f lies in H(b) exactly when it is
 analytic on the closed disk (Sarason 1994), so one gate, ``_lowest_terms``,
@@ -36,7 +38,6 @@ from .errors import (
     FactorizationError,
     InputFormatError,
     NotInUnitBallError,
-    PoleAtPointError,
     PoleInDiskError,
     ZeroFunctionError,
 )
@@ -44,6 +45,7 @@ from .polynomials import (
     Poly,
     RationalFn,
     _match_roots,
+    _zero_order,
     as_rational,
     cluster_points,
     complex_to_json,
@@ -310,25 +312,15 @@ def _finalize(b, r: Poly, pairs, zs, qv, pv, pole_radius: float) -> MateResult:
 def boundary_order(f: RationalFn, lam: complex) -> int:
     """Largest k with f, f', ..., f^(k-1) all vanishing at lam.
 
-    Vanishing is judged on successive synthetic divisions of the numerator,
-    with each remainder compared against TOL.boundary times the working
-    coefficient scale.
+    The order of the numerator's zero by ``_zero_order``; PoleAtPointError
+    where the denominator vanishes at lam by the pole rule of
+    ``RationalFn.__call__``.
     """
     f = as_rational(f)
     if f.num.is_zero:
         raise ZeroFunctionError("the zero function vanishes to every order")
-    if abs(f.den(lam)) <= TOL.pole * max(1.0, f.den.scale()):
-        raise PoleAtPointError(f"denominator vanishes at {lam}")
-    work = f.num
-    order = 0
-    while True:
-        quot, rems = synthetic_division(work, lam, 1)
-        if not rems:  # a nonzero constant does not vanish
-            return order
-        level = sum(abs(c) * abs(lam) ** k for k, c in enumerate(work.coeffs))
-        if abs(rems[0]) > TOL.boundary * max(level, 1e-300):
-            return order
-        work, order = quot, order + 1
+    f(lam)  # raises PoleAtPointError at a pole
+    return _zero_order(f.num, lam)[0]
 
 
 def _inner_roots(num: Poly) -> tuple[complex, ...]:
@@ -336,18 +328,18 @@ def _inner_roots(num: Poly) -> tuple[complex, ...]:
 
     A multiplicity-m zero on the circle splatters into a cluster of m
     computed roots of radius ~eps^(1/m), some inside the disk.  Each
-    near-circle cluster is audited against boundary_order at its center
+    near-circle cluster is audited by ``_zero_order`` at its center
     (``_circle_center``), and that many members nearest the center are
     discarded as shadows.
     """
     if num.degree < 1:
         return ()
-    roots = num.roots()
+    roots = poly_roots(num)
     inner = [complex(r) for r in roots if abs(r) < 1.0 - _NEAR_BAND]
     near = roots[np.abs(np.abs(roots) - 1.0) <= _NEAR_BAND]
     for cluster in cluster_points(near, link=3 * _NEAR_BAND):
         center = _circle_center(num, cluster)
-        m = boundary_order(num, center)
+        m, _ = _zero_order(num, center)
         members = sorted((complex(r) for r in cluster), key=lambda r: abs(r - center))
         inner.extend(r for r in members[m:] if abs(r) < 1.0)
     return tuple(sorted(inner, key=lambda w: (w.real, w.imag)))

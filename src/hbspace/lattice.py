@@ -17,9 +17,10 @@ Every generator first passes the gate factorization._lowest_terms, so
 it is finite and in lowest terms; a pole inside the disk raises
 PoleInDiskError, and one on the circle band is not a member.
 
-classify divides the full order ord_{lambda_i} f out of the numerator by
-synthetic division before rooting the rest, so a multiple zero at a mate
-zero cannot splatter into theta (see factorization._inner_roots).
+classify reads ord_{lambda_i} f and divides it out of the numerator in
+one pass (polynomials._zero_order) before rooting the rest, so a
+multiple zero at a mate zero cannot splatter into theta (see
+factorization._inner_roots).
 
 subspace_distance gives the numeric side: the gap between the spans of
 the first K shift iterates of two generators, measured in the H(b)
@@ -46,10 +47,8 @@ from .errors import (
     MultipleBoundaryZeroError,
     RankDeficiencyError,
 )
-from .factorization import (
-    _analytic_lowest_terms, _blaschke, _inner_roots, _lowest_terms, boundary_order,
-)
-from .polynomials import Poly, RationalFn, complex_to_json, synthetic_division
+from .factorization import _analytic_lowest_terms, _blaschke, _inner_roots, _lowest_terms
+from .polynomials import Poly, RationalFn, _zero_order, complex_to_json
 from .space import HbSpace
 
 _RANK_TOL = 1e-10
@@ -122,8 +121,7 @@ def classify(space: HbSpace, f) -> SubspaceDescriptor:
     canonical_poly = Poly([1])
     rest = f.num  # f.num with its full order at each mate zero divided out
     for lam, mult in space.boundary_zeros:
-        k = boundary_order(f, lam)
-        rest, _ = synthetic_division(rest, lam, k)
+        k, rest = _zero_order(rest, lam)
         j = min(k, mult)
         orders.append((lam, j))
         canonical_poly = canonical_poly * Poly([-lam, 1]) ** j

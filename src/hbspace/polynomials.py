@@ -11,6 +11,12 @@ numbers.  Booleans are not numbers, and non-finite values are rejected.
 Root finding uses a simultaneous Aberth-Ehrlich iteration started on a
 randomly rotated circle, with the companion-matrix eigenvalue solver as a
 fallback when the iteration stalls.
+
+Two point rules read their threshold off the Horner bound B_p(z) =
+sum |c_k| |z|^k (``_horner_bound``): den has a pole at z when |den(z)| <=
+TOL.pole * B_den(z), and p a zero of order k at w when k synthetic
+divisions by (z - w) each leave a remainder within TOL.boundary * B(w) of
+the quotient divided (``_zero_order``).
 """
 
 from __future__ import annotations
@@ -231,17 +237,6 @@ class Poly:
             return Poly()
         return Poly((0j,) * k + self.coeffs)
 
-    # -- roots -------------------------------------------------------------
-
-    def roots(self) -> np.ndarray:
-        """All roots, multiplicity included, as a complex array.
-
-        Multiple roots are returned as the tight clusters the iteration
-        resolves them into; each returned point r satisfies
-        |p(r)| <= root_residual * sum |c_k| |r|^k.
-        """
-        return poly_roots(self)
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -306,12 +301,30 @@ def synthetic_division(p: Poly, w: complex, k: int) -> tuple[Poly, list[complex]
     return Poly(c), rems
 
 
-def _residual_scale(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    az = np.abs(z)
-    acc = np.full(z.shape, abs(c[-1]))
-    for ck in c[-2::-1]:
-        acc = acc * az + abs(ck)
-    return np.maximum(acc, 1e-300)
+def _horner_bound(coeffs, z):
+    """sum |c_k| |z|^k of a coefficient tuple or array, floored at 1e-300; floats for scalar z."""
+    az = abs(z)
+    acc = abs(coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * az + abs(c)
+    if isinstance(z, np.ndarray):
+        return np.maximum(acc, np.full(z.shape, 1e-300))  # z's shape at degree 0 too
+    return max(acc, 1e-300)
+
+
+def _zero_order(p: Poly, w: complex, at_most: int | None = None) -> tuple[int, Poly]:
+    """The zero rule: order k <= at_most of p at w, and the quotient p / (z - w)^k.
+
+    >>> _zero_order(Poly([-1, 3, -3, 1]), 1.0)   # (z - 1)^3
+    (3, Poly[1])
+    """
+    order = 0
+    while at_most is None or order < at_most:
+        quot, rems = synthetic_division(p, w, 1)
+        if not rems or abs(rems[0]) > TOL.boundary * _horner_bound(p.coeffs, w):
+            break
+        p, order = quot, order + 1
+    return order, p
 
 
 def _aberth(c: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
@@ -333,8 +346,7 @@ def _aberth(c: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
 
     for _ in range(120):
         pz = _horner_many(c, z)
-        scale = _residual_scale(c, z)
-        if np.all(np.abs(pz) <= TOL.root_residual * scale):
+        if np.all(np.abs(pz) <= TOL.root_residual * _horner_bound(c, z)):
             return z
         dpz = _horner_many(dc, z) if d > 0 else np.zeros_like(z)
         bad = np.abs(dpz) < 1e-300
@@ -350,8 +362,7 @@ def _aberth(c: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
         denom[small] = 1.0
         z = z - w / denom
     pz = _horner_many(c, z)
-    scale = _residual_scale(c, z)
-    if np.all(np.abs(pz) <= TOL.root_residual * scale):
+    if np.all(np.abs(pz) <= TOL.root_residual * _horner_bound(c, z)):
         return z
     return None
 
@@ -394,7 +405,7 @@ def poly_roots(p: Poly, rng: np.random.Generator | None = None) -> np.ndarray:
         found = _aberth(c, rng)
         if found is None:
             found = np.roots(c[::-1])
-            resid = np.abs(_horner_many(c, found)) / _residual_scale(c, found)
+            resid = np.abs(_horner_many(c, found)) / _horner_bound(c, found)
             if np.max(resid) > 1e3 * TOL.root_residual:
                 raise NonConvergenceError(
                     f"root residual {np.max(resid):.3e} after fallback"
@@ -534,27 +545,17 @@ class RationalFn:
 
     def as_poly(self) -> Poly:
         if not self.is_polynomial:
-            raise ValueError("not a polynomial")
+            raise InputFormatError(f"as_poly needs a constant denominator, not {self.den!r}")
         return self.num * (1.0 / self.den.coeff(0))
 
     # -- evaluation ------------------------------------------------------
 
     def __call__(self, z):
+        """num(z) / den(z); PoleAtPointError where |den(z)| <= TOL.pole * _horner_bound."""
         dv = self.den(z)
-        if isinstance(z, np.ndarray):
-            guard = TOL.pole * _residual_scale(self.den.coeff_array(), z)
-            if np.any(np.abs(dv) <= guard):
-                raise PoleAtPointError("evaluation at a pole of the denominator")
-            return self.num(z) / dv
-        # _residual_scale in plain floats: no arrays on the scalar path.
-        az = abs(z)
-        coeffs = self.den.coeffs
-        acc = abs(coeffs[-1])
-        for c in reversed(coeffs[:-1]):
-            acc = acc * az + abs(c)
-        guard = TOL.pole * max(acc, 1e-300)
-        if abs(dv) <= guard:
-            raise PoleAtPointError(f"evaluation at a pole near z = {z}")
+        at_pole = abs(dv) <= TOL.pole * _horner_bound(self.den.coeffs, z)
+        if np.any(at_pole) if isinstance(z, np.ndarray) else at_pole:
+            raise PoleAtPointError(f"evaluation at a pole of the denominator near z = {z}")
         return self.num(z) / dv
 
     def __eq__(self, other):

@@ -50,6 +50,11 @@ Their Taylor tails are bounded from the decay radius, which needs no root
 finding: the radius is rho_b, the modulus of the nearest root of q, or
 min(rho_b, 1/|w|) for an interior w.  The mate computation finds rho_b
 once, while validating b.
+
+At a mate boundary zero w, (z - w)^(i+1) must cancel from the derivative
+kernel's numerator by the zero rule of ``polynomials`` (each remainder
+within TOL.boundary times the quotient's Horner bound), else
+VerificationError; poles follow its rule |den(z)| <= TOL.pole * B_den(z).
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import CIRCLE_BAND, D_TRUNC, DEFAULT_TOLERANCES as TOL
 from .errors import InputFormatError, OrderTooHighError, VerificationError
 from .factorization import MateResult, _analytic_lowest_terms, pythagorean_mate
-from .polynomials import Poly, RationalFn, as_rational, synthetic_division
+from .polynomials import Poly, RationalFn, _zero_order, as_rational, synthetic_division
 
 _DECAY_GRID = 256
 
@@ -332,7 +337,7 @@ class HbSpace:
         if not self._on_circle(w):
             return None
         for lam, m in self.boundary_zeros:
-            if abs(w - lam) <= 1e-6:
+            if abs(w - lam) <= CIRCLE_BAND:
                 return m
         return 0
 
@@ -372,10 +377,10 @@ class HbSpace:
         if not self._on_circle(w):
             return RationalFn(num, self.b.den * den_extra)
         # on the circle 1 - conj(w) z = -conj(w) (z - w): cancel (z - w)^(i+1)
-        work, rems = synthetic_division(num, w, i + 1)
-        left = max(map(abs, rems)) if len(rems) == i + 1 else math.inf
-        if left > 1e-7 * max(num.scale(), 1.0):
-            raise VerificationError(f"boundary kernel cancellation left remainder {left:.3e}")
+        k, work = _zero_order(num, w, at_most=i + 1)
+        if k <= i:
+            raise VerificationError(f"boundary kernel cancellation of (z - w)^{i + 1} "
+                                    f"stopped at order {k}")
         return RationalFn(work * (1.0 / (-w.conjugate()) ** (i + 1)), self.b.den)
 
     # -- identities ----------------------------------------------------------

@@ -55,7 +55,7 @@ def test_parameters_no_caller_sets_are_gone():
         (_orbit_matrix, "degree"), (_orbit_matrix, "orbit"),
         (HbSpace.norm_identities_check, "degree"),
         (inner_outer, "rng"), (_disk_pole_check, "rng"),
-        (RationalFn.poles, "rng"), (Poly.roots, "rng"),
+        (RationalFn.poles, "rng"),
         (extend, "space"), (RationalFn.__init__, "reduce"),
         (RationalFn.derivative_at, "order"), (subspace_distance, "orbit"),
         (kernel_factorization_check, "points"), (circle_grid, "n"),
@@ -80,3 +80,17 @@ def test_second_copies_of_a_decision_are_gone():
     assert [n for n in ("norm_sq", "kernel_fn", "backward_shift") if n in vars(HbSpace)] == []
     assert not hasattr(extension, "rotate")
     assert not hasattr(cli, "_zeros_json")
+
+
+def test_point_rules_have_one_home():
+    # the Horner bound, the pole rule and the zero-order rule live in polynomials
+    from hbspace import polynomials
+
+    assert not hasattr(polynomials, "_residual_scale")
+    assert "roots" not in vars(Poly)
+    reads = []
+    for path in sorted(Path(hbspace.__file__).parent.glob("*.py")):
+        reads += [(path.name, node.attr) for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "TOL" and node.attr in ("pole", "boundary")]
+    assert sorted(reads) == [("polynomials.py", "boundary"), ("polynomials.py", "pole")]

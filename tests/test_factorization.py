@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from hbspace import HbSpace, Poly, RationalFn
+from hbspace.config import DEFAULT_TOLERANCES as TOL
 from hbspace.errors import (
     ExtremeFunctionError,
     NotInUnitBallError,
+    PoleAtPointError,
     PoleInDiskError,
 )
 from hbspace.extension import build_model
@@ -17,6 +19,7 @@ from hbspace.factorization import (
     is_nonextreme,
     pythagorean_mate,
 )
+from hbspace.polynomials import poly_roots
 
 MATE_TOL = 1e-9
 GRID = np.exp(2j * np.pi * np.arange(512) / 512)
@@ -106,7 +109,7 @@ def test_mate_is_outer_and_positive_at_origin():
         assert a0.imag == pytest.approx(0.0, abs=1e-12)
         assert a0.real > 0
         if res.a.num.degree >= 1:
-            assert np.min(np.abs(res.a.num.roots())) >= 1.0 - 1e-7
+            assert np.min(np.abs(poly_roots(res.a.num))) >= 1.0 - 1e-7
         assert mate_identity_residual(b, res.a) <= MATE_TOL
 
 
@@ -163,6 +166,19 @@ def test_boundary_order_rational():
     assert boundary_order(f, 1.0) == 1
 
 
+def test_boundary_order_pole_rule_is_the_evaluation_rule():
+    # |den(1)| lies above TOL.pole * max(1, scale) but within
+    # TOL.pole * sum |d_k|, the Horner bound at a circle point
+    f = RationalFn(Poly([1]), Poly([1 + 1.5e-13, -1]))
+    value = abs(f.den(1.0))
+    assert TOL.pole * max(1.0, f.den.scale()) < value
+    assert value <= TOL.pole * sum(abs(c) for c in f.den.coeffs)
+    with pytest.raises(PoleAtPointError):
+        f(1.0)
+    with pytest.raises(PoleAtPointError):
+        boundary_order(f, 1.0)
+
+
 def test_inner_outer_monomial_factor():
     f = RationalFn(Poly([0, 0.5, 0.5]))  # z (z+1)/2
     inner, outer = inner_outer(f)
@@ -181,7 +197,7 @@ def test_inner_outer_blaschke_factor():
     zs = 0.7 * GRID[:64]
     assert np.max(np.abs(inner(zs) * outer(zs) - f(zs))) < 1e-10
     # outer part has no zeros inside the open disk
-    assert np.min(np.abs(outer.num.roots())) >= 1.0 - 1e-7
+    assert np.min(np.abs(poly_roots(outer.num))) >= 1.0 - 1e-7
 
 
 def test_lowest_terms_cancels_common_roots():
@@ -204,7 +220,7 @@ def test_inner_outer_ignores_a_double_circle_zero():
     f = RationalFn(Poly([-1, 1]) ** 2 * Poly([-0.5, 1]))  # (z - 1)^2 (z - 1/2)
     inner, outer = inner_outer(f)
     assert inner.num.degree == 1
-    assert abs(inner.num.roots()[0] - 0.5) < 1e-10
+    assert abs(poly_roots(inner.num)[0] - 0.5) < 1e-10
     zs = 0.7 * GRID[:64]
     assert np.max(np.abs(inner(zs) * outer(zs) - f(zs))) < 1e-10
 

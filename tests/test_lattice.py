@@ -19,7 +19,7 @@ from hbspace.errors import (
     ValidationError,
 )
 from hbspace.extension import build_model
-from hbspace.factorization import _inner_roots, inner_outer
+from hbspace.factorization import _inner_roots, boundary_order, inner_outer
 from hbspace.lattice import (
     _RANK_TOL,
     _directed_distance,
@@ -29,7 +29,7 @@ from hbspace.lattice import (
     membership,
     subspace_distance,
 )
-from hbspace.polynomials import Poly, RationalFn, as_rational
+from hbspace.polynomials import Poly, RationalFn, _zero_order, as_rational, poly_roots
 from hbspace.space import HbSpace, degree_for_tail
 
 B_HALF = RationalFn(Poly([0.5, 0.5]), Poly([1]))
@@ -331,6 +331,30 @@ def test_classify_divides_out_the_full_order_at_a_mate_zero(model4):
     assert d5.same_as(classify(model4, zl**4))
 
 
+@functools.lru_cache(maxsize=None)
+def model_space(n: int) -> HbSpace:
+    return HbSpace(build_model(n).b)
+
+
+# p with p(1) well away from 0 relative to its Horner bound sum |p_k| at 1
+_COEFF = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+_AWAY_FROM_ONE = st.lists(_COEFF, min_size=1, max_size=5).map(Poly).filter(
+    lambda p: abs(p(1.0)) >= 0.1 * sum(abs(c) for c in p.coeffs) > 0
+)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_AWAY_FROM_ONE, st.integers(0, 4), st.integers(1, 4))
+def test_three_readings_of_the_order_at_one_agree(p, k, n):
+    f = p * ZM1**k
+    order, quot = _zero_order(f, 1.0)
+    assert order == k
+    assert (quot - p).scale() <= 1e-10 * p.scale()
+    assert boundary_order(f, 1.0) == k
+    space = model_space(n)
+    assert classify(space, f).boundary_orders[0][1] == min(k, n)
+
+
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_classify_multiple_mate_zero_times_inner_factor(half, m):
     d = classify(half, ZM1**m * Poly([-0.5, 1]))
@@ -343,7 +367,7 @@ def test_classify_and_inner_outer_share_the_inner_zeros(half):
     f = Poly.from_roots([0.3, -0.5j, 0.2 + 0.6j, 2.0, -1.0])
     inner, _ = inner_outer(f)
     assert classify(half, f).inner_roots == _inner_roots(f)
-    assert np.allclose(sorted(inner.num.roots(), key=abs), sorted(_inner_roots(f), key=abs))
+    assert np.allclose(sorted(poly_roots(inner.num), key=abs), sorted(_inner_roots(f), key=abs))
 
 
 @pytest.mark.parametrize("den", [Poly([1, -2]), Poly([1, -1])])  # poles at 1/2 and at 1

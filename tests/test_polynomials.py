@@ -9,6 +9,8 @@ import pytest
 from hbspace import Poly, RationalFn
 from hbspace.errors import InputFormatError, PoleAtPointError, ZeroFunctionError
 from hbspace.polynomials import (
+    _horner_bound,
+    _zero_order,
     as_rational,
     complex_from_json,
     poly_roots,
@@ -108,6 +110,36 @@ def test_synthetic_division_remainders_are_taylor_coefficients():
         assert abs(r - p.derivative(j)(w) / math.factorial(j)) <= 1e-12 * max(1.0, abs(r))
     assert synthetic_division(Poly(), w, 3) == (Poly(), [])
     assert synthetic_division(Poly([2.0]), w, 3) == (Poly([2.0]), [])
+
+
+def test_horner_bound_scalar_and_array_paths_agree():
+    # one helper for both paths: the scalar one stays on plain floats
+    for _ in range(20):
+        p = rand_poly(int(rng.integers(0, 9)))
+        zs = 1.5 * rng.random(5) * np.exp(2j * np.pi * rng.random(5))
+        many = _horner_bound(p.coeff_array(), zs)
+        for z, bound in zip(zs, many):
+            one = _horner_bound(p.coeffs, complex(z))
+            assert type(one) is float
+            assert abs(one - bound) <= 1e-15 * bound
+            assert abs(one - _horner_scale(p, z)) <= 1e-14 * one
+
+
+def test_zero_order_divides_the_order_out():
+    for k in range(6):
+        p = Poly([2, -1j, 0.5]) * Poly([-1j, 1]) ** k
+        order, quot = _zero_order(p, 1j)
+        assert order == k
+        assert (quot - Poly([2, -1j, 0.5])).scale() <= 1e-13
+        assert _zero_order(p, 1j, at_most=2)[0] == min(k, 2)
+    assert _zero_order(Poly(), 1.0) == (0, Poly())
+    assert _zero_order(Poly([3.0]), 1.0) == (0, Poly([3.0]))
+
+
+def test_as_poly_rejects_a_rational_with_a_typed_error():
+    with pytest.raises(InputFormatError, match="constant denominator"):
+        RationalFn(Poly([1]), Poly([1, -0.5])).as_poly()
+    assert RationalFn(Poly([1, 2]), Poly([2])).as_poly() == Poly([0.5, 1])
 
 
 def test_derivative_of_cube():

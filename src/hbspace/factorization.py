@@ -7,10 +7,16 @@ factoring the Laurent polynomial |q|^2 - |p|^2: roots off the circle pair
 as zeta <-> 1/conj(zeta) and the member outside the closed disk is kept,
 while circle roots occur with even multiplicity and are split evenly.
 
-Circle-root clusters shrink like eps^(1/(2m)) for multiplicity m, far
-wider than any fixed tolerance once m > 1, so the clustering distance is
-chosen adaptively from a ladder and the winner is whichever candidate
-actually drives the circle residual below tolerance.
+Circle zeros are decided before anything is rooted, because rooting
+splatters an m-fold circle zero into a cluster of radius ~eps^(1/m).  The
+circle rule (``_circle_zeros``, the grid-seeded case of Zeng, Math. Comp.
+2005): each local minimum of |p| on the grid below 1e-2 of its maximum is
+a zero when ``_zero_order`` reads the least order at the grid point or at
+the root polished from it; its multiplicity is the largest m whose m-fold
+polish, snapped to the circle, the zero rule reads in full, and that pass
+divides it out.  The mate applies it to the density with least order 2,
+``_inner_roots`` to a numerator with least order 1; only the quotient is
+rooted.
 
 ``boundary_order`` applies the two point rules of ``polynomials``: a pole
 at lam when |den(lam)| <= TOL.pole * B_den(lam), else order k when k
@@ -47,18 +53,11 @@ from .polynomials import (
     _match_roots,
     _zero_order,
     as_rational,
-    cluster_points,
     complex_to_json,
     poly_roots,
     polish_multiple_root,
     synthetic_division,
 )
-
-_CLUSTER_LADDER = (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 5e-2)
-
-# Roots this close to the circle may be shadows of a multiple circle zero:
-# a multiplicity-m zero splatters by roughly eps^(1/m), 1e-3 around m = 5.
-_NEAR_BAND = 1e-3
 
 
 def circle_grid() -> np.ndarray:
@@ -156,18 +155,21 @@ def _validate(b: RationalFn):
 
     The ball rule rejects b (NotInUnitBallError) when, on the grid,
     sup |b| > 1 + 10 TOL.mate or the density |q|^2 - |p|^2 dips below
-    -10 TOL.mate max |q|^2.  Returns the modulus of q's nearest root, the
-    grid zs, q and p on it, the density, the coefficients of
+    -10 TOL.mate max |q|^2.  A value that overflows on the grid fails it
+    too: q(0) = 1 and q has no root in the closed disk, so |q| <= 2^deg q
+    there and only |p| can overflow.  Returns the modulus of q's nearest
+    root, the grid zs, q and p on it, the density, the coefficients of
     z^d (|q|^2 - |p|^2) (full length 2d + 1) with their scale, and whether
     b is nonextreme.
     """
     radius = _disk_pole_check(b)
     zs = circle_grid()
-    qv, pv = b.den(zs), b.num(zs)
-    sup = np.max(np.abs(pv / qv))
-    density = np.abs(qv) ** 2 - np.abs(pv) ** 2
-    if (sup > 1.0 + 10.0 * TOL.mate
-            or np.min(density) < -10.0 * TOL.mate * np.max(np.abs(qv)) ** 2):
+    with np.errstate(over="ignore", invalid="ignore"):
+        qv, pv = b.den(zs), b.num(zs)
+        sup = np.max(np.abs(pv / qv))
+        density = np.abs(qv) ** 2 - np.abs(pv) ** 2
+    if not (sup <= 1.0 + 10.0 * TOL.mate
+            and np.min(density) >= -10.0 * TOL.mate * np.max(np.abs(qv)) ** 2):
         raise NotInUnitBallError(f"sup |b| on the circle is {sup:.12f}")
     p, q = b.num, b.den
     d = int(max(p.degree if not p.is_zero else 0, q.degree))
@@ -200,58 +202,56 @@ def _strip_symmetric_zeros(arr: np.ndarray, scale: float) -> np.ndarray:
     return arr[k : len(arr) - k]
 
 
-def _circle_center(p: Poly, cluster: np.ndarray) -> complex:
-    """The mean of a near-circle root cluster, refined as a len(cluster)-fold
-    root of p and snapped onto the circle; 0 if the refinement lands on 0."""
-    center = polish_multiple_root(p, complex(np.mean(cluster)), len(cluster))
-    return center / abs(center) if center else 0j
+def _on_circle(w: complex) -> complex | None:
+    """w pushed radially onto the circle; None for 0 or a non-finite w."""
+    return w / abs(w) if w and cmath.isfinite(w) else None
 
 
-def _candidate_factor(
-    p1: Poly,
-    roots: np.ndarray,
-    tau: float,
-    pair_tol: float,
-) -> tuple[Poly, list[tuple[complex, int]]] | None:
-    """Try to split the root set at circle window tau; None if inconsistent."""
-    mods = np.abs(roots)
-    on_circle = np.abs(mods - 1.0) <= tau
-    circle_roots = roots[on_circle]
-    rest = roots[~on_circle]
-    inside = [complex(r) for r in rest[np.abs(rest) < 1.0]]
-    outside = [complex(r) for r in rest[np.abs(rest) >= 1.0]]
-    if len(inside) != len(outside):
-        return None
-    # Every inside root must find its reflected partner outside.
-    _, unmatched, _ = _match_roots([1.0 / r.conjugate() for r in inside], outside, pair_tol)
-    if unmatched:
-        return None
+def _circle_zeros(
+    p: Poly, magnitude: np.ndarray, least: int, step: int
+) -> tuple[list[tuple[complex, int]], Poly]:
+    """The circle rule: ([(lambda, m), ...], p with those zeros divided out).
 
-    pairs: list[tuple[complex, int]] = []
-    if len(circle_roots):
-        for cluster in cluster_points(circle_roots, 3.0 * tau):
-            if len(cluster) % 2 != 0:
-                return None
-            center = _circle_center(p1, cluster)
-            if center == 0:
-                return None
-            pairs.append((center, len(cluster) // 2))
-    factor = Poly([1])
-    for w in outside:
-        factor = factor * Poly([-w, 1])
-    for mu, m in pairs:
-        factor = factor * Poly([-mu, 1]) ** m
-    return factor, pairs
+    ``magnitude`` is |p| on ``circle_grid()``.  Each local minimum below
+    1e-2 of its maximum is a zero when ``_zero_order`` reads ``least`` at
+    the grid point or else at ``polish_multiple_root(p, ., least)`` from
+    it, snapped to the circle.  Its multiplicity is the largest m, counted
+    down from deg p in ``step``s, whose m-fold polish from the point that
+    read, snapped, ``_zero_order`` reads in full; that pass divides it out.
+    """
+    low = ((magnitude <= np.roll(magnitude, 1)) & (magnitude <= np.roll(magnitude, -1))
+           & (magnitude < 1e-2 * np.max(magnitude)))
+    zeros = []
+    for z0 in circle_grid()[low]:
+        if p.degree < least:
+            break
+        z0 = complex(z0)
+        if _zero_order(p, z0, least)[0] < least:
+            z0 = _on_circle(polish_multiple_root(p, z0, least))
+            if z0 is None or _zero_order(p, z0, least)[0] < least:
+                continue
+        for m in range(p.degree, least - 1, -step):
+            lam = _on_circle(polish_multiple_root(p, z0, m))
+            if lam is None:
+                continue
+            order, quot = _zero_order(p, lam, m)
+            if order == m:
+                zeros.append((lam, m))
+                p = quot
+                break
+    return zeros, p
 
 
 def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
     """Outer a = r/q with |a|^2 + |b|^2 = 1 on the circle and a(0) > 0.
 
     Raises the symbol errors of ``is_nonextreme``, ExtremeFunctionError
-    when |b| = 1 a.e., and FactorizationError when no clustering on the
-    ladder meets the residual tolerance or the mate vanishes at the origin.
-    The density |q|^2 - |p|^2 on the grid, from ``_validate``, fixes the
-    scale gamma^2 of each candidate factor.
+    when |b| = 1 a.e., and FactorizationError when the roots off the
+    circle do not pair as zeta <-> 1/conj(zeta), the circle residual
+    misses tolerance, or the mate vanishes at the origin.  The circle
+    zeros of the density |q|^2 - |p|^2 (on the grid, from ``_validate``)
+    come first; each 2m-fold one gives the mate an m-fold zero.  The
+    density also fixes the scale gamma^2 of the factor.
     """
     b = as_rational(b)
     radius, zs, qv, pv, density, arr, scale, nonextreme = _validate(b)
@@ -264,36 +264,27 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
             f"Laurent coefficients not conjugate-symmetric (gap {sym_gap:.3e})"
         )
     arr = 0.5 * (arr + np.conj(arr[::-1]))  # enforce the symmetry exactly
-    p1 = Poly(_strip_symmetric_zeros(arr, scale))
-
-    if p1.degree <= 0:
-        roots = np.zeros(0, dtype=complex)
-    else:
-        roots = poly_roots(p1, rng=rng)
-
-    best: tuple[float, Poly, list[tuple[complex, int]]] | None = None
-    for tau in _CLUSTER_LADDER:
-        cand = _candidate_factor(p1, roots, tau, pair_tol=max(1e-6, tau))
-        if cand is None:
-            continue
-        factor, pairs = cand
-        mag2 = np.abs(factor(zs)) ** 2
-        mask = mag2 > 1e-10 * np.max(mag2)
-        if not np.any(mask):
-            continue
-        gamma2 = float(np.median(density[mask] / mag2[mask]))
-        if gamma2 <= 0:
-            continue
-        residual = float(np.max(np.abs(gamma2 * mag2 - density) / np.abs(qv) ** 2))
-        if best is None or residual < best[0]:
-            best = (residual, factor * np.sqrt(gamma2), pairs)
-        if residual <= TOL.mate:
-            break
-    if best is None or best[0] > TOL.mate:
-        got = "no consistent clustering" if best is None else f"residual {best[0]:.3e}"
-        raise FactorizationError(f"mate factorization failed: {got}")
-    _, r, pairs = best
-    return _finalize(b, r, pairs, zs, qv, pv, radius)
+    circle, rest = _circle_zeros(Poly(_strip_symmetric_zeros(arr, scale)), density, 2, 2)
+    roots = poly_roots(rest, rng=rng)
+    inside = [complex(r) for r in roots if abs(r) < 1.0]
+    outside = [complex(r) for r in roots if abs(r) >= 1.0]
+    _, unmatched, _ = _match_roots([1.0 / r.conjugate() for r in inside], outside, 1e-6)
+    if len(inside) != len(outside) or unmatched:
+        raise FactorizationError(
+            "mate factorization failed: the roots off the circle do not pair as "
+            "zeta <-> 1/conj(zeta)"
+        )
+    pairs = [(lam, m // 2) for lam, m in circle]
+    factor = Poly.from_roots(outside)
+    for lam, m in pairs:
+        factor = factor * Poly([-lam, 1]) ** m
+    mag2 = np.abs(factor(zs)) ** 2
+    mask = mag2 > 1e-10 * np.max(mag2)
+    gamma2 = float(np.median(density[mask] / mag2[mask]))
+    residual = float(np.max(np.abs(gamma2 * mag2 - density) / np.abs(qv) ** 2))
+    if not (gamma2 > 0 and residual <= TOL.mate):
+        raise FactorizationError(f"mate factorization failed: residual {residual:.3e}")
+    return _finalize(b, factor * np.sqrt(gamma2), pairs, zs, qv, pv, radius)
 
 
 def _finalize(b, r: Poly, pairs, zs, qv, pv, pole_radius: float) -> MateResult:
@@ -324,24 +315,13 @@ def boundary_order(f: RationalFn, lam: complex) -> int:
 
 
 def _inner_roots(num: Poly) -> tuple[complex, ...]:
-    """Zeros of num strictly inside the disk, with circle shadows removed.
-
-    A multiplicity-m zero on the circle splatters into a cluster of m
-    computed roots of radius ~eps^(1/m), some inside the disk.  Each
-    near-circle cluster is audited by ``_zero_order`` at its center
-    (``_circle_center``), and that many members nearest the center are
-    discarded as shadows.
-    """
+    """Zeros of num strictly inside the disk: with its circle zeros divided
+    out by the circle rule at least order 1, the roots of the quotient
+    inside 1 - CIRCLE_BAND."""
     if num.degree < 1:
         return ()
-    roots = poly_roots(num)
-    inner = [complex(r) for r in roots if abs(r) < 1.0 - _NEAR_BAND]
-    near = roots[np.abs(np.abs(roots) - 1.0) <= _NEAR_BAND]
-    for cluster in cluster_points(near, link=3 * _NEAR_BAND):
-        center = _circle_center(num, cluster)
-        m, _ = _zero_order(num, center)
-        members = sorted((complex(r) for r in cluster), key=lambda r: abs(r - center))
-        inner.extend(r for r in members[m:] if abs(r) < 1.0)
+    _, rest = _circle_zeros(num, np.abs(num(circle_grid())), 1, 1)
+    inner = [complex(r) for r in poly_roots(rest) if abs(r) < 1.0 - CIRCLE_BAND]
     return tuple(sorted(inner, key=lambda w: (w.real, w.imag)))
 
 

@@ -418,8 +418,8 @@ def poly_roots(p: Poly, rng: np.random.Generator | None = None) -> np.ndarray:
 def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Three Newton steps per root; simple roots reach machine precision.
 
-    Roots in a multiple-root cluster just shuffle within the cluster,
-    which downstream consumers re-polish anyway.
+    Roots in a multiple-root cluster just shuffle within the cluster;
+    the factorization divides circle zeros out before it roots.
     """
     dc = np.arange(1, len(c)) * c[1:]
     z = z.copy()
@@ -433,29 +433,6 @@ def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
         better = np.abs(_horner_many(c, trial)) <= np.abs(_horner_many(c, z))
         z[better] = trial[better]
     return z
-
-
-def cluster_points(points: np.ndarray, link: float) -> list[np.ndarray]:
-    """Greedy union of points into chains with link distance ``link``."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= link:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [points[idx] for idx in groups.values()]
 
 
 def polish_multiple_root(p: Poly, center: complex, mult: int) -> complex:

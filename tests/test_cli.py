@@ -134,6 +134,21 @@ def test_model_4_verified_order(capsys):
     assert json.loads(out)["isometry_order"] == 8
 
 
+def test_model_6_exits_zero(capsys):
+    # step 6 extends from the n = 5 tower, whose density has a 10-fold circle zero
+    code, out, _ = run_cli(["model", "--steps", "6"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["s_values"] == pytest.approx([1 / k for k in range(2, 8)])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the mate factors at n = 7, but the extension certificates at z = 1 miss by 1.846e-8"
+))
+def test_model_7_exits_zero(capsys):
+    code, _, _ = run_cli(["model", "--steps", "7"], capsys)
+    assert code == EXIT_OK
+
+
 def test_classify_boundary_order(capsys):
     code, out, _ = run_cli(
         ["classify", "-b", STEP2, "-g", "[1, -2, 1]"], capsys
@@ -350,3 +365,15 @@ def test_non_finite_input_rejected(argv, capsys):
     blob = json.loads(err)
     assert set(blob) == {"error", "type"}
     assert blob["type"] == "InputFormatError"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("symbol", ["[1e308, 1e308]", "[[1e308,1e308],[1e308,1e308]]"])
+def test_overflowing_symbol_rejected_without_a_warning(symbol, capsys):
+    # |p| overflows on the circle grid; stderr carries the JSON line alone
+    code, out, err = run_cli(["mate", "-b", symbol], capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    blob = json.loads(err)
+    assert set(blob) == {"error", "type"}
+    assert blob["type"] == "NotInUnitBallError"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbspace import HbSpace, Poly, RationalFn
 from hbspace.config import DEFAULT_TOLERANCES as TOL
@@ -13,6 +15,7 @@ from hbspace.errors import (
 )
 from hbspace.extension import build_model
 from hbspace.factorization import (
+    _inner_roots,
     _lowest_terms,
     boundary_order,
     inner_outer,
@@ -244,17 +247,54 @@ def test_model_mates_are_outer(n):
     assert inner.num.degree == 0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "here the computed roots of the circle zero splatter past the 1e-3 near-circle band, "
-    "so the audited cluster misses members and shadows inside the disk count as inner zeros"
-))
 @pytest.mark.parametrize("f, degree", [
     (Poly([-1, 1]) ** 5, 0),
     (Poly([-1, 1]) ** 4 * Poly([-0.5, 1]), 1),
+    (Poly([-1, 1]) ** 8 * Poly([-0.3, 1]) * Poly([2, 1]), 1),
+    (Poly([-1j, 1]) ** 6 * Poly([-0.9, 1]), 1),
+    (Poly([-np.exp(0.7j), 1]) ** 7, 0),
 ])
 def test_inner_outer_at_a_fivefold_circle_zero(f, degree):
+    # the circle zero is divided out before rooting, so its computed
+    # roots never splatter into the disk
     inner, _ = inner_outer(RationalFn(f))
     assert inner.num.degree == degree
+
+
+def _polar(radii):
+    # two roots 0.01 apart at least: a double root is found only to ~sqrt(eps)
+    return st.lists(
+        st.tuples(st.floats(*radii), st.floats(0.0, 2 * np.pi)), max_size=2
+    ).map(lambda rs: [r * np.exp(1j * t) for r, t in rs]).filter(
+        lambda rs: len(rs) < 2 or abs(rs[0] - rs[1]) >= 0.01
+    )
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    angle=st.floats(0.0, 2 * np.pi),
+    m=st.integers(1, 8),
+    inner=_polar((0.2, 0.8)),
+    outer=_polar((1.25, 3.0)),
+)
+def test_inner_roots_are_the_roots_inside_the_disk(angle, m, inner, outer):
+    # an m-fold circle zero next to at most two roots on each side of the circle
+    f = Poly([-np.exp(1j * angle), 1]) ** m * Poly.from_roots(inner + outer)
+    got = _inner_roots(f)
+    assert len(got) == len(inner)
+    for r in inner:
+        assert min(abs(g - r) for g in got) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_model_mate_at_a_deep_circle_zero(n):
+    # the n-step model at omega = 1, t = pi has the mate gamma (1 - z)^n
+    mate = pythagorean_mate(build_model(n).b)
+    assert [(complex(lam), m) for lam, m in mate.boundary_zeros] == [
+        (pytest.approx(1.0, abs=1e-12), n)
+    ]
+    assert mate.a(0) == pytest.approx(1 / np.sqrt(n + 1), abs=1e-12)
+    assert mate.residual <= TOL.mate
 
 
 def test_inner_outer_rejects_pole_in_closed_disk():

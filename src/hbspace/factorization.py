@@ -13,10 +13,15 @@ circle rule (``_circle_zeros``, the grid-seeded case of Zeng, Math. Comp.
 2005): each local minimum of |p| on the grid below 1e-2 of its maximum is
 a zero when ``_zero_order`` reads the least order at the grid point or at
 the root polished from it; its multiplicity is the largest m whose m-fold
-polish, snapped to the circle, the zero rule reads in full, and that pass
-divides it out.  The mate applies it to the density with least order 2,
-``_inner_roots`` to a numerator with least order 1; only the quotient is
-rooted.
+polish, snapped to the circle, the caller's value test accepts and the
+zero rule reads in full, and that pass divides it out.  The mate applies
+it to the density with least order 2, ``_inner_roots`` to a numerator
+with least order 1; only the quotient is rooted.  The value test keeps a
+root pair just off the circle, which the zero rule reads as a zero too,
+for the root finder: a numerator vanishes at lambda within the root
+finder's residual TOL.root_residual * B(lambda), and the density where
+|q|^2 - |p|^2 is within both that residual and TOL.mate/2 * |q|^2, so a
+divided-out zero costs the mate at most half its tolerance.
 
 ``boundary_order`` applies the two point rules of ``polynomials``: a pole
 at lam when |den(lam)| <= TOL.pole * B_den(lam), else order k when k
@@ -51,6 +56,7 @@ from .polynomials import (
     Poly,
     RationalFn,
     _match_roots,
+    _horner_bound,
     _zero_order,
     as_rational,
     complex_to_json,
@@ -208,7 +214,7 @@ def _on_circle(w: complex) -> complex | None:
 
 
 def _circle_zeros(
-    p: Poly, magnitude: np.ndarray, least: int, step: int
+    p: Poly, magnitude: np.ndarray, least: int, step: int, vanishes
 ) -> tuple[list[tuple[complex, int]], Poly]:
     """The circle rule: ([(lambda, m), ...], p with those zeros divided out).
 
@@ -217,7 +223,10 @@ def _circle_zeros(
     the grid point or else at ``polish_multiple_root(p, ., least)`` from
     it, snapped to the circle.  Its multiplicity is the largest m, counted
     down from deg p in ``step``s, whose m-fold polish from the point that
-    read, snapped, ``_zero_order`` reads in full; that pass divides it out.
+    read, snapped, ``vanishes`` accepts and ``_zero_order`` reads in full;
+    that pass divides it out.  The zero rule alone also reads a root pair
+    just off the circle, so the caller's ``vanishes(lambda)`` says where
+    its function is zero at lambda itself.
     """
     low = ((magnitude <= np.roll(magnitude, 1)) & (magnitude <= np.roll(magnitude, -1))
            & (magnitude < 1e-2 * np.max(magnitude)))
@@ -232,7 +241,7 @@ def _circle_zeros(
                 continue
         for m in range(p.degree, least - 1, -step):
             lam = _on_circle(polish_multiple_root(p, z0, m))
-            if lam is None:
+            if lam is None or not vanishes(lam):
                 continue
             order, quot = _zero_order(p, lam, m)
             if order == m:
@@ -264,7 +273,17 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
             f"Laurent coefficients not conjugate-symmetric (gap {sym_gap:.3e})"
         )
     arr = 0.5 * (arr + np.conj(arr[::-1]))  # enforce the symmetry exactly
-    circle, rest = _circle_zeros(Poly(_strip_symmetric_zeros(arr, scale)), density, 2, 2)
+    dens = Poly(_strip_symmetric_zeros(arr, scale))
+
+    def vanishes(w: complex) -> bool:
+        # 1 - |b|^2 at w, times |q|^2: below the root finder's residual, which
+        # could not part a root pair there, and below half the mate tolerance
+        q2 = abs(b.den(w)) ** 2
+        return q2 - abs(b.num(w)) ** 2 <= min(
+            TOL.root_residual * _horner_bound(dens.coeffs, w), 0.5 * TOL.mate * q2
+        )
+
+    circle, rest = _circle_zeros(dens, density, 2, 2, vanishes)
     roots = poly_roots(rest, rng=rng)
     inside = [complex(r) for r in roots if abs(r) < 1.0]
     outside = [complex(r) for r in roots if abs(r) >= 1.0]
@@ -320,7 +339,10 @@ def _inner_roots(num: Poly) -> tuple[complex, ...]:
     inside 1 - CIRCLE_BAND."""
     if num.degree < 1:
         return ()
-    _, rest = _circle_zeros(num, np.abs(num(circle_grid())), 1, 1)
+    _, rest = _circle_zeros(
+        num, np.abs(num(circle_grid())), 1, 1,
+        lambda w: abs(num(w)) <= TOL.root_residual * _horner_bound(num.coeffs, w),
+    )
     inner = [complex(r) for r in poly_roots(rest) if abs(r) < 1.0 - CIRCLE_BAND]
     return tuple(sorted(inner, key=lambda w: (w.real, w.imag)))
 

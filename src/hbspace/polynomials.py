@@ -10,7 +10,9 @@ numbers.  Booleans are not numbers, and non-finite values are rejected.
 
 Root finding uses a simultaneous Aberth-Ehrlich iteration started on a
 randomly rotated circle, with the companion-matrix eigenvalue solver as a
-fallback when the iteration stalls.
+fallback when the iteration stalls.  Newton steps polish the roots, and
+Aberth steps part a close pair that Newton leaves above the rounding
+bound.
 
 Two point rules read their threshold off the Horner bound B_p(z) =
 sum |c_k| |z|^k (``_horner_bound``): den has a pole at z when |den(z)| <=
@@ -327,6 +329,18 @@ def _zero_order(p: Poly, w: complex, at_most: int | None = None) -> tuple[int, P
     return order, p
 
 
+def _aberth_step(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Aberth correction of all roots z from their Newton steps w;
+    a root coinciding with another sees it as it sees itself, not at all."""
+    diff = z[:, None] - z[None, :]
+    diff[diff == 0] = np.inf
+    s = np.sum(1.0 / diff, axis=1)
+    denom = 1.0 - w * s
+    small = np.abs(denom) < 1e-12
+    denom[small] = 1.0
+    return w / denom
+
+
 def _aberth(c: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
     """Simultaneous root iteration; returns roots or None on a stall."""
     d = len(c) - 1
@@ -353,14 +367,7 @@ def _aberth(c: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
         if np.any(bad):
             z[bad] += 1e-8 * (1.0 + np.abs(z[bad])) * np.exp(1j * rng.uniform(0, 2 * np.pi, bad.sum()))
             continue
-        w = pz / dpz
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - w * s
-        small = np.abs(denom) < 1e-12
-        denom[small] = 1.0
-        z = z - w / denom
+        z = z - _aberth_step(z, pz / dpz)
     pz = _horner_many(c, z)
     if np.all(np.abs(pz) <= TOL.root_residual * _horner_bound(c, z)):
         return z
@@ -416,10 +423,14 @@ def poly_roots(p: Poly, rng: np.random.Generator | None = None) -> np.ndarray:
 
 
 def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Three Newton steps per root; simple roots reach machine precision.
+    """Three Newton steps per root, then Aberth steps for the roots whose
+    residual is still above Horner's rounding bound 2 deg eps sum |c_k| |z|^k.
 
-    Roots in a multiple-root cluster just shuffle within the cluster;
-    the factorization divides circle zeros out before it roots.
+    Simple roots reach machine precision by Newton.  A close pair, which
+    the iteration's residual target cannot part, stalls Newton between
+    its two roots; the Aberth correction parts it.  Roots in a
+    multiple-root cluster just shuffle within the cluster; the
+    factorization divides circle zeros out before it roots.
     """
     dc = np.arange(1, len(c)) * c[1:]
     z = z.copy()
@@ -432,6 +443,13 @@ def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
         trial = z - step
         better = np.abs(_horner_many(c, trial)) <= np.abs(_horner_many(c, z))
         z[better] = trial[better]
+    rounding = 2 * (len(c) - 1) * np.finfo(float).eps
+    for _ in range(8):
+        pz, dpz = _horner_many(c, z), _horner_many(dc, z)
+        stalled = np.abs(pz) > rounding * _horner_bound(c, z)
+        if not stalled.any() or np.any(np.abs(dpz) <= 1e-300):
+            break
+        z[stalled] -= _aberth_step(z, pz / dpz)[stalled]
     return z
 
 

@@ -297,6 +297,29 @@ def test_model_mate_at_a_deep_circle_zero(n):
     assert mate.residual <= TOL.mate
 
 
+def _near_extreme(eps, power=1, pole=None):
+    # |b| peaks at 1 - eps at z = 1 only: (1 - eps) ((1 + z)/2)^power, times
+    # (1 - 1/pole)/(1 - z/pole) for a pole just outside the circle there
+    b = RationalFn((Poly([0.5, 0.5]) * (1 - eps)) ** power)
+    if pole is not None:
+        b = RationalFn(b.num * (1 - 1 / pole), Poly([1, -1 / pole]))
+    return b
+
+
+@pytest.mark.parametrize("b", [
+    _near_extreme(1e-8),
+    _near_extreme(1e-11),
+    _near_extreme(3.5e-12, power=2),
+    _near_extreme(3e-9, pole=1.05),
+])
+def test_mate_of_a_near_extreme_symbol_has_no_circle_zero(b):
+    # the density's root pair just off the circle at 1 passes the zero rule,
+    # but 1 - |b(1)|^2 is above what rooting parts or the mate tolerance allows
+    mate = pythagorean_mate(b)
+    assert mate.boundary_zeros == ()
+    assert mate.residual <= TOL.mate
+
+
 def test_inner_outer_rejects_pole_in_closed_disk():
     with pytest.raises(PoleInDiskError):
         inner_outer(RationalFn(Poly([1]), Poly([1, -2])))  # pole at 1/2

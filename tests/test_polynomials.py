@@ -194,6 +194,17 @@ def test_roots_double_cluster():
     assert np.min(np.abs(rts + 0.5)) < 1e-10
 
 
+@pytest.mark.parametrize("lam", [1.0, np.exp(0.3j)])
+@pytest.mark.parametrize("delta", [2e-6, 5e-6])
+def test_roots_part_a_close_pair(lam, delta):
+    # the pair meets the iteration's residual target anywhere between its
+    # two roots; the polish still parts it
+    pair = [lam * (1 - delta), lam * (1 + delta)]
+    rts = poly_roots(Poly.from_roots(pair + [-5.8 * lam, -0.17 * lam]))
+    for r in pair:
+        assert np.min(np.abs(rts - r)) < 1e-8
+
+
 def test_zero_poly_roots_raise():
     with pytest.raises(ZeroFunctionError):
         poly_roots(Poly())

@@ -284,13 +284,19 @@ class HbSpace:
 
         Column k of C holds the companion of z^k, so G = I + C^H C.  The
         product is averaged with its adjoint, since BLAS does not round
-        the (j, k) and (k, j) entries alike.  InputFormatError for n < 1.
+        the (j, k) and (k, j) entries alike.  The sum is assembled in place
+        with the roundings of eye(n) + 0.5 (h + h^H) (a floating-point sum
+        commutes exactly), so its bytes are that expression's, signed zeros
+        included, without its temporaries.  InputFormatError for n < 1.
         """
         if n < 1:
             raise InputFormatError("gram size must be at least 1")
         c = _upper_toeplitz(np.conj(self.phi_coeffs(n - 1)))
         h = c.conj().T @ c
-        return np.eye(n, dtype=complex) + 0.5 * (h + h.conj().T)
+        g = h + h.conj().T
+        g *= 0.5
+        g += np.eye(n)
+        return g
 
     # -- shifts ------------------------------------------------------------
 

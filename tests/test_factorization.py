@@ -1,5 +1,7 @@
 """Pythagorean mate, extremality, boundary orders, inner-outer splits."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,13 @@ from hbspace.factorization import (
     _inner_roots,
     _lowest_terms,
     boundary_order,
+    circle_grid,
     inner_outer,
     is_nonextreme,
     pythagorean_mate,
 )
 from hbspace.polynomials import poly_roots
+from test_lattice import symbol_space
 
 MATE_TOL = 1e-9
 GRID = np.exp(2j * np.pi * np.arange(512) / 512)
@@ -338,3 +342,81 @@ def test_mate_carries_pole_radius():
     assert mate.pole_radius == 2.0
     assert "pole_radius" not in mate.to_json()
     assert pythagorean_mate(RationalFn(Poly([0.5, 0.5]))).pole_radius == float("inf")
+
+
+# -- the mate residual on a second, exact path --------------------------------
+#
+# MateResult.residual is max | |a|^2 + |b|^2 - 1 | on the circle grid, in
+# floats: a(z) = r(z)/q(z) and b(z) = p(z)/q(z), each polynomial by Horner.
+# The second path evaluates the same float coefficients at the same float
+# points in exact rational arithmetic.  The two differ by rounding only,
+# bounded to first order in u = 2^-53 as follows.
+#
+# - Horner in complex arithmetic: each step is one complex multiply
+#   (relative error <= sqrt(2) gamma_2 < 3u, Higham, Lemma 3.5) and one
+#   add (u), so |fl(p(z)) - p(z)| <= gamma_(4d+1) B_p(z), where d = deg p
+#   and B_p(z) = sum |p_k| |z|^k.  Relative to |p(z)| that is
+#   kappa_p = gamma_(4d+1) B_p(z) / |p(z)|.
+# - f = n/d: the division, the modulus and the square add at most 15u, so
+#   | |fl f|^2 - |f|^2 | <= |f|^2 (2 kappa_n + 2 kappa_d + 15u).
+# - the sum and the subtraction of 1 add u (|a|^2 + |b|^2) each.
+#
+# So |e_float(z) - e_exact(z)| <= sum over f in {a, b} of
+# |f|^2 (2 kappa_num + 2 kappa_den) + 17u (|a|^2 + |b|^2).
+
+_U = 2.0**-53
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1 - k * _U)
+
+
+def _exact_at(p: Poly, z: complex) -> tuple[Fraction, Fraction]:
+    """(Re, Im) of p(z) in exact rational arithmetic, at the float point z."""
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    re = im = Fraction(0)
+    for c in reversed(p.coeffs):
+        c = complex(c)
+        re, im = re * zr - im * zi + Fraction(c.real), re * zi + im * zr + Fraction(c.imag)
+    return re, im
+
+
+def _abs2(p: Poly, z: complex) -> Fraction:
+    re, im = _exact_at(p, z)
+    return re * re + im * im
+
+
+def _rounding_bound(f: RationalFn, z: complex) -> float:
+    """|f(z)|^2 (2 kappa_num + 2 kappa_den) at first order, from float values.
+
+    Written as 2 (g_n B_n |n| + |n|^2 g_d B_d / |d|) / |d|^2, g = gamma_(4 deg + 1),
+    so that a zero of the numerator divides nothing.
+    """
+    def horner(p):
+        g = _gamma(4 * max(p.degree, 0) + 1)
+        return g * sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs)), abs(p(z))
+
+    (en, n), (ed, d) = horner(f.num), horner(f.den)
+    return 2 * (en * n + n * n * ed / d) / (d * d)
+
+
+@pytest.mark.parametrize("name", ["half", "model1", "model2", "model3", "deg8"])
+def test_mate_residual_matches_exact_arithmetic(name):
+    space = symbol_space(name)
+    a, b, mate = space.a, space.b, space.mate
+    zs = circle_grid()
+    # the float path of MateResult.residual, reproduced bit for bit
+    e_float = np.abs(a(zs)) ** 2 + np.abs(b.num(zs) / b.den(zs)) ** 2 - 1.0
+    assert float(np.max(np.abs(e_float))) == mate.residual
+    exact_max = 0.0
+    for i in range(0, len(zs), len(zs) // 64):
+        z = complex(zs[i])
+        qa, qb = _abs2(a.den, z), _abs2(b.den, z)
+        exact = float((_abs2(a.num, z) * qb + _abs2(b.num, z) * qa - qa * qb) / (qa * qb))
+        bound = (
+            _rounding_bound(a, z) + _rounding_bound(b, z)
+            + 17 * _U * (abs(a(z)) ** 2 + abs(b(z)) ** 2)
+        )
+        assert abs(e_float[i] - exact) <= bound
+        exact_max = max(exact_max, abs(exact))
+    assert exact_max <= TOL.mate

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hbspace import polynomials
+from hbspace import lattice, polynomials
 from hbspace.config import D_TRUNC, DISTANCE_ORBIT
 from hbspace.errors import (
     InputFormatError,
@@ -23,6 +23,7 @@ from hbspace.factorization import _inner_roots, boundary_order, inner_outer
 from hbspace.lattice import (
     _RANK_TOL,
     _directed_distance,
+    _rank_certified,
     classify,
     is_cyclic,
     ladder_spaces,
@@ -30,7 +31,7 @@ from hbspace.lattice import (
     subspace_distance,
 )
 from hbspace.polynomials import Poly, RationalFn, _zero_order, as_rational, poly_roots
-from hbspace.space import HbSpace, degree_for_tail
+from hbspace.space import HbSpace, _upper_toeplitz, degree_for_tail
 
 B_HALF = RationalFn(Poly([0.5, 0.5]), Poly([1]))
 B_STEP2 = RationalFn(Poly([0, 0, 1]), Poly([3, -3, 1]))
@@ -498,3 +499,105 @@ def test_classify_roots_each_polynomial_once(half, monkeypatch):
     d = classify(half, f)
     assert d.inner_degree == 1 and d.boundary_orders[0][1] == 1
     assert len(calls) <= 3
+
+
+# -- the rank rule: a Cholesky certificate first, the SVD rule as fallback ----
+
+
+def _svd_rule_passes(r: np.ndarray) -> bool:
+    s = np.linalg.svd(r, compute_uv=False)
+    return bool(s[0] > 0.0 and np.all(s > _RANK_TOL * s[0]))
+
+
+def _random_unitary(rng, n: int) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def _graded_triangle(rng) -> tuple[np.ndarray, float]:
+    """(R, cond): the R factor of U diag(s) V^H, scaled, with a graded spectrum s.
+
+    n is 2..40, cond up to 1e14 and the scale 1e-5..1e5; s falls
+    geometrically from 1 to 1/cond, or steps from 1 down to 1/cond.
+    """
+    n = int(rng.integers(2, 41))
+    cond = 10.0 ** rng.uniform(0.0, 14.0)
+    if rng.random() < 0.5:
+        s = np.geomspace(1.0, 1.0 / cond, n)
+    else:
+        s = np.where(np.arange(n) < rng.integers(1, n), 1.0, 1.0 / cond)
+    m = (_random_unitary(rng, n) * s) @ _random_unitary(rng, n).conj().T
+    return np.linalg.qr(m * 10.0 ** rng.uniform(-5.0, 5.0), mode="r"), cond
+
+
+def test_rank_certificate_never_accepts_what_the_svd_rule_rejects():
+    rng = np.random.default_rng(17)
+    trials, accepted = 1000, 0
+    for _ in range(trials):
+        r, cond = _graded_triangle(rng)
+        if _rank_certified(r):
+            accepted += 1
+            # what the certificate proves, and the rule it stands in for
+            assert np.linalg.svd(r, compute_uv=False)[-1] > _RANK_TOL * np.linalg.norm(r)
+            assert _svd_rule_passes(r)
+        else:
+            assert cond > 1e5  # a well-conditioned R is always certified
+    assert accepted >= trials // 4
+
+
+# (name, REFERENCE_PAIRS index): (z - 1)^4 against (z - 1)^3, whose orbits have
+# |R|_F / sigma_min of 7e6 to 9e6 there.  Cholesky of R^H R at n = 129 cannot
+# prove the rank beyond 1 / sqrt(4 gamma_131), about 4.1e6: the rounding of
+# R^H R is then as large as sigma_min^2 itself.
+BEYOND_THE_CERTIFICATE = {("affine", 2), ("deg8", 2), ("complex", 2)}
+
+
+def test_distance_runs_svd_only_beyond_the_certificate(monkeypatch):
+    spaces = {name: symbol_space(name) for name in SYMBOLS}
+    svd, calls = np.linalg.svd, set()
+
+    def counting(*args, **kwargs):
+        calls.add(key)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(lattice.np.linalg, "svd", counting)
+    for name, space in spaces.items():
+        for i, (f, g) in enumerate(REFERENCE_PAIRS):
+            key = (name, i)
+            assert 0.0 <= subspace_distance(space, f, g) <= 1.0 + 1e-12
+    assert calls == BEYOND_THE_CERTIFICATE
+
+
+def test_ill_conditioned_orbit_falls_back_to_the_svd_rule(monkeypatch):
+    rng = np.random.default_rng(5)
+    x, y, w, v = (rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(4))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(lattice.np.linalg, "svd", counting)
+    orbit = np.column_stack([x, y, x + 1e-8 * w])  # sigma_min / sigma_max near 1e-8
+    r = np.linalg.qr(np.column_stack([orbit, v]), mode="r")
+    s = svd(r[:-1, :-1], compute_uv=False)
+    assert 1e-10 < s[-1] / s[0] < 1e-7
+    assert not _rank_certified(r[:-1, :-1])
+    assert _directed_distance(orbit, v) == float(abs(r[-1, -1]) / np.linalg.norm(v))
+    assert len(calls) == 1
+    # well-conditioned: certified, no SVD
+    _directed_distance(np.column_stack([x, y, w]), v)
+    assert len(calls) == 1
+    with pytest.raises(RankDeficiencyError, match="orbit of 3 iterates has numerical rank 2"):
+        _directed_distance(np.column_stack([x, y, x + 1e-13 * w]), v)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", list(SYMBOLS))
+def test_gram_matrix_bytes_match_the_out_of_place_expression(name):
+    space = symbol_space(name)
+    for n in (1, 2, 17, 256):
+        c = _upper_toeplitz(np.conj(space.phi_coeffs(n - 1)))
+        h = c.conj().T @ c
+        expected = np.eye(n, dtype=complex) + 0.5 * (h + h.conj().T)
+        assert space.gram_matrix(n).tobytes() == expected.tobytes()

@@ -12,7 +12,9 @@ Root finding uses a simultaneous Aberth-Ehrlich iteration started on a
 randomly rotated circle, with the companion-matrix eigenvalue solver as a
 fallback when the iteration stalls.  Newton steps polish the roots, and
 Aberth steps part a close pair that Newton leaves above the rounding
-bound.
+bound.  Each step evaluates p, p' and the Horner bound at all roots in
+one stacked Horner pass (``_horner_stacked``) that rounds exactly as
+three separate Horner loops would.
 
 Two point rules read their threshold off the Horner bound B_p(z) =
 sum |c_k| |z|^k (``_horner_bound``): den has a pole at z when |den(z)| <=
@@ -44,10 +46,6 @@ NEG_INF = float("-inf")
 _TRIM_REL = 1e-14
 
 
-def _as_complex_tuple(coeffs: Iterable[complex]) -> tuple[complex, ...]:
-    return tuple(complex(c) for c in coeffs)
-
-
 def _trim_exact(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
     last = len(coeffs)
     while last > 0 and coeffs[last - 1] == 0:
@@ -70,7 +68,11 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[complex] = ()):
-        object.__setattr__(self, "coeffs", _trim_exact(_as_complex_tuple(coeffs)))
+        if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
+            cs = tuple(coeffs.astype(complex, copy=False).tolist())
+        else:
+            cs = tuple(map(complex, coeffs))
+        object.__setattr__(self, "coeffs", _trim_exact(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -90,8 +92,9 @@ class Poly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0j
 
     def coeff_array(self, length: int | None = None) -> np.ndarray:
-        n = len(self.coeffs) if length is None else length
-        out = np.zeros(max(n, 0), dtype=complex)
+        if length is None:
+            return np.array(self.coeffs, dtype=complex)
+        out = np.zeros(max(length, 0), dtype=complex)
         m = min(len(self.coeffs), len(out))
         out[:m] = self.coeffs[:m]
         return out
@@ -160,13 +163,16 @@ class Poly:
         return q + (-self)
 
     def __mul__(self, other):
-        q = self._coerce(other)
-        if q is None:
+        if isinstance(other, (int, float, complex)):
+            # np.convolve as for a constant Poly: a Python loop could round otherwise
+            if self.is_zero or other == 0:
+                return Poly()
+            return Poly(np.convolve(self.coeff_array(), np.array([other], dtype=complex)))
+        if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero or q.is_zero:
+        if self.is_zero or other.is_zero:
             return Poly()
-        prod = np.convolve(self.coeff_array(), q.coeff_array())
-        return Poly(prod)
+        return Poly(np.convolve(self.coeff_array(), other.coeff_array()))
 
     __rmul__ = __mul__
 
@@ -281,8 +287,52 @@ class Poly:
 def _horner_many(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     acc = np.full(z.shape, c[-1], dtype=complex)
     for ck in c[-2::-1]:
-        acc = acc * z + ck
+        acc *= z
+        acc += ck
     return acc
+
+
+def _horner_table(c: np.ndarray) -> np.ndarray:
+    """Rows c, c' = (k c_k) and |c|: the table ``_horner_stacked`` reads.
+
+    Row c' is one entry short and padded at the top; the pass never reads
+    that entry.  |c_k| is numpy's scalar abs, as in ``_horner_bound``: the
+    array abs rounds differently in about a third of the last bits.
+    """
+    d = len(c) - 1
+    table = np.zeros((3, d + 1), dtype=complex)
+    table[0] = c
+    table[1, :d] = np.arange(1, d + 1) * c[1:]
+    table[2] = [abs(ck) for ck in c]
+    return table
+
+
+def _horner_stacked(table: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p(z), p'(z) and ``_horner_bound(c, z)`` for the ``_horner_table`` of c, degree >= 1.
+
+    One Horner pass over the three rows, with |z| as the bound row's
+    point; every value is the one ``_horner_many`` and ``_horner_bound``
+    return, bit for bit.  The bound row runs in complex arithmetic, exact
+    on (x + 0j) while it stays finite; past an overflow inf * 0 would
+    turn it into NaN, so that rare case takes the float loop.
+    """
+    points = np.empty((3, len(z)), dtype=complex)
+    points[:2] = z
+    points[2] = np.abs(z)
+    acc = np.empty_like(points)
+    acc[:] = table[:, -1:]
+    acc *= points
+    # p' starts one degree lower, at its top coefficient itself: -0 + x is x
+    # for every x, a signed zero included, where 0 * z + x need not be
+    acc[1] = complex(-0.0, -0.0)
+    acc += table[:, -2:-1]
+    for k in range(table.shape[1] - 3, -1, -1):
+        acc *= points
+        acc += table[:, k : k + 1]
+    bound = np.maximum(acc[2].real, 1e-300)
+    if not np.isfinite(bound).all():
+        bound = _horner_bound(table[0], z)
+    return acc[0], acc[1], bound
 
 
 def synthetic_division(p: Poly, w: complex, k: int) -> tuple[Poly, list[complex]]:
@@ -344,7 +394,7 @@ def _aberth_step(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _aberth(c: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
     """Simultaneous root iteration; returns roots or None on a stall."""
     d = len(c) - 1
-    dc = np.arange(1, d + 1) * c[1:]
+    table = _horner_table(c)
     # Start on a circle whose radius blends the Cauchy bound with the
     # geometric-mean estimate, randomly rotated and jittered so symmetric
     # configurations cannot lock the iteration.
@@ -359,17 +409,16 @@ def _aberth(c: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
     z = radius * np.exp(1j * angles) * (1.0 + 0.01 * rng.standard_normal(d))
 
     for _ in range(120):
-        pz = _horner_many(c, z)
-        if np.all(np.abs(pz) <= TOL.root_residual * _horner_bound(c, z)):
+        pz, dpz, bound = _horner_stacked(table, z)
+        if np.all(np.abs(pz) <= TOL.root_residual * bound):
             return z
-        dpz = _horner_many(dc, z) if d > 0 else np.zeros_like(z)
         bad = np.abs(dpz) < 1e-300
         if np.any(bad):
             z[bad] += 1e-8 * (1.0 + np.abs(z[bad])) * np.exp(1j * rng.uniform(0, 2 * np.pi, bad.sum()))
             continue
         z = z - _aberth_step(z, pz / dpz)
-    pz = _horner_many(c, z)
-    if np.all(np.abs(pz) <= TOL.root_residual * _horner_bound(c, z)):
+    pz, _, bound = _horner_stacked(table, z)
+    if np.all(np.abs(pz) <= TOL.root_residual * bound):
         return z
     return None
 
@@ -432,21 +481,21 @@ def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     multiple-root cluster just shuffle within the cluster; the
     factorization divides circle zeros out before it roots.
     """
-    dc = np.arange(1, len(c)) * c[1:]
+    table = _horner_table(c)
     z = z.copy()
     for _ in range(3):
-        dpz = _horner_many(dc, z)
+        pz, dpz, _ = _horner_stacked(table, z)
         ok = np.abs(dpz) > 1e-300
         step = np.zeros_like(z)
-        step[ok] = _horner_many(c, z[ok]) / dpz[ok]
+        step[ok] = pz[ok] / dpz[ok]
         # reject steps that increase the residual (cluster oscillation)
         trial = z - step
-        better = np.abs(_horner_many(c, trial)) <= np.abs(_horner_many(c, z))
+        better = np.abs(_horner_many(c, trial)) <= np.abs(pz)
         z[better] = trial[better]
     rounding = 2 * (len(c) - 1) * np.finfo(float).eps
     for _ in range(8):
-        pz, dpz = _horner_many(c, z), _horner_many(dc, z)
-        stalled = np.abs(pz) > rounding * _horner_bound(c, z)
+        pz, dpz, bound = _horner_stacked(table, z)
+        stalled = np.abs(pz) > rounding * bound
         if not stalled.any() or np.any(np.abs(dpz) <= 1e-300):
             break
         z[stalled] -= _aberth_step(z, pz / dpz)[stalled]
@@ -454,7 +503,11 @@ def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def polish_multiple_root(p: Poly, center: complex, mult: int) -> complex:
-    """Newton refinement (at most 30 steps) of a multiplicity-``mult`` root via p^(mult-1)."""
+    """Newton refinement (at most 30 steps) of a multiplicity-``mult`` root via p^(mult-1).
+
+    A step that leaves z the same bit for bit ends the loop early: every
+    later step would repeat it, so the result is that of all 30.
+    """
     q = p.derivative(mult - 1)
     dq = q.derivative()
     z = center
@@ -463,7 +516,10 @@ def polish_multiple_root(p: Poly, center: complex, mult: int) -> complex:
         if abs(dv) == 0:
             break
         step = q(z) / dv
-        z -= step
+        moved = z - step
+        if moved == z and repr(moved) == repr(z):  # == alone ignores the sign of a zero
+            break
+        z = moved
         if abs(step) <= 1e-16 * max(1.0, abs(z)):
             break
     return z

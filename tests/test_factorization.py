@@ -15,6 +15,7 @@ from hbspace.errors import (
     PoleAtPointError,
     PoleInDiskError,
 )
+from hbspace import factorization
 from hbspace.extension import build_model
 from hbspace.factorization import (
     _inner_roots,
@@ -25,7 +26,7 @@ from hbspace.factorization import (
     is_nonextreme,
     pythagorean_mate,
 )
-from hbspace.polynomials import poly_roots
+from hbspace.polynomials import poly_roots, polish_multiple_root
 from test_lattice import symbol_space
 
 MATE_TOL = 1e-9
@@ -263,6 +264,48 @@ def test_inner_outer_at_a_fivefold_circle_zero(f, degree):
     # roots never splatter into the disk
     inner, _ = inner_outer(RationalFn(f))
     assert inner.num.degree == degree
+
+
+def _polish_all_steps(p, center, mult):
+    """Reference multiple-root polish: every one of the 30 Newton steps,
+    and whether some step left z the same bit for bit."""
+    q = p.derivative(mult - 1)
+    dq = q.derivative()
+    z, fixed = center, False
+    for _ in range(30):
+        dv = dq(z)
+        if abs(dv) == 0:
+            break
+        step = q(z) / dv
+        fixed = fixed or repr(z - step) == repr(z)
+        z -= step
+        if abs(step) <= 1e-16 * max(1.0, abs(z)):
+            break
+    return z, fixed
+
+
+def test_multiple_root_polish_stops_early_with_the_same_bits(monkeypatch):
+    calls = []
+
+    def record(p, center, mult):
+        z = polish_multiple_root(p, center, mult)
+        calls.append((p, center, mult, z))
+        return z
+
+    monkeypatch.setattr(factorization, "polish_multiple_root", record)
+    for b in (RationalFn(Poly([0.5, 0.5])), RationalFn(Poly([0, 1]), Poly([2, -1])),
+              B_STEP2, B_STEP3, build_model(4).b,
+              RationalFn(Poly([0.5, 0.5j]) ** 3 * Poly([0.3, 1]), Poly([1, 0.3]))):
+        pythagorean_mate(b)
+    for f in (Poly([-1, 1]) ** 5, Poly([-1j, 1]) ** 6 * Poly([-0.9, 1]),
+              Poly([-np.exp(0.7j), 1]) ** 7):
+        inner_outer(RationalFn(f))
+    fixed = 0
+    for p, center, mult, z in calls:
+        want, hit = _polish_all_steps(p, center, mult)
+        assert repr(z) == repr(want)
+        fixed += hit
+    assert fixed >= 5, (fixed, len(calls))
 
 
 def _polar(radii):

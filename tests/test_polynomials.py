@@ -10,6 +10,8 @@ from hbspace import Poly, RationalFn
 from hbspace.errors import InputFormatError, PoleAtPointError, ZeroFunctionError
 from hbspace.polynomials import (
     _horner_bound,
+    _horner_stacked,
+    _horner_table,
     _zero_order,
     as_rational,
     complex_from_json,
@@ -123,6 +125,101 @@ def test_horner_bound_scalar_and_array_paths_agree():
             assert type(one) is float
             assert abs(one - bound) <= 1e-15 * bound
             assert abs(one - _horner_scale(p, z)) <= 1e-14 * one
+
+
+def _horner_loop(c, z):
+    # the separate array Horner loop the stacked pass must reproduce
+    acc = np.full(z.shape, c[-1], dtype=complex)
+    for ck in c[-2::-1]:
+        acc = acc * z + ck
+    return acc
+
+
+def _bound_loop(c, z):
+    az = np.abs(z)
+    acc = abs(c[-1])
+    for ck in c[-2::-1]:
+        acc = acc * az + abs(ck)
+    return np.maximum(acc, np.full(z.shape, 1e-300))
+
+
+def _stacked_cases():
+    gen = np.random.default_rng(7)
+    for case in range(120):
+        d = int(gen.integers(3, 41))
+        c = gen.standard_normal(d + 1) + 1j * gen.standard_normal(d + 1)
+        c *= 10.0 ** gen.uniform(-8, 8, d + 1)
+        zero = gen.random(d + 1) < 0.2
+        c[zero] = 0.0
+        c[:-1][gen.random(d) < 0.1] *= -0.0  # signed zeros in either part
+        c[-1] = c[-1] or 1.0
+        if case % 10 == 0:
+            c = c.real.astype(complex)
+        n = int(gen.integers(1, 41))
+        angle = np.exp(2j * np.pi * gen.random(n))
+        radius = gen.choice([1.0, 1.0 + 1e-9, 1.0 - 1e-6, 0.5, 1e3], n)
+        if case % 10 == 5:
+            # -0 real parts on the real axis: p' must start at its top
+            # coefficient itself, not at 0 * z + it
+            c = np.array([complex(-0.0, abs(x)) for x in c.imag])
+            angle = np.where(gen.random(n) < 0.5, 1.0, -1.0) + 0j
+        yield c, radius * angle
+
+
+def test_stacked_horner_is_the_separate_loops_bit_for_bit():
+    for c, z in _stacked_cases():
+        dc = np.arange(1, len(c)) * c[1:]
+        pz, dpz, bound = _horner_stacked(_horner_table(c), z)
+        assert pz.tobytes() == _horner_loop(c, z).tobytes()
+        assert dpz.tobytes() == _horner_loop(dc, z).tobytes()
+        assert bound.tobytes() == _bound_loop(c, z).tobytes()
+
+
+def test_stacked_horner_past_an_overflow():
+    # |z|^40 overflows: the bound reads inf, as the float loop gives it
+    c = np.arange(1, 42) * (1.0 + 0.5j)
+    z = np.array([1e10, 1e10j, 0.5, -2.0 + 1e-300j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pz, dpz, bound = _horner_stacked(_horner_table(c), z)
+        want = _horner_loop(c, z), _horner_loop(np.arange(1, len(c)) * c[1:], z), _bound_loop(c, z)
+    assert np.isinf(bound[:2]).all()
+    for got, ref in zip((pz, dpz, bound), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([complex(1.5, -0.0), complex(-0.0, 0.0), 3e-310, -2.0 + 1j, complex(0.0, -0.0), 1e300]),
+    np.array([1.5, -0.0, 3e-310, -2.0, 7.0, -0.0]),
+    np.array([3, -1, 0, 2**53 + 1, -7]),
+])
+def test_poly_from_an_array_keeps_every_bit(arr):
+    # signed zeros compared through repr; trailing zeros are trimmed either way
+    want = tuple(complex(c) for c in arr)
+    while want and want[-1] == 0:
+        want = want[:-1]
+    for coeffs in (arr, list(arr), iter(arr)):
+        got = Poly(coeffs).coeffs
+        assert repr(got) == repr(want)
+        assert all(type(c) is complex for c in got)
+
+
+def test_coeff_array_is_a_fresh_writable_copy():
+    p = Poly([1.0, -0.0, 2j])
+    arr = p.coeff_array()
+    assert arr.flags.writeable and arr.dtype == complex
+    arr[0] = 5.0
+    assert p.coeffs[0] == 1.0 and repr(p.coeff_array()[1]) == repr(np.complex128(-0.0))
+    assert Poly().coeff_array().shape == (0,)
+
+
+@pytest.mark.parametrize("s", [0, 3, -2, 0.0, -0.0, 0.1, -1e-300, 0.3 - 0.7j, 1j, True])
+def test_scalar_product_is_the_constant_poly_product(s):
+    # the product a constant Poly gives: np.convolve with a length-1 array
+    for p in (rand_poly(6), rand_poly(0, 1e8), Poly([0.0, -0.0, 1.0]), Poly()):
+        q = Poly([s])
+        want = Poly() if p.is_zero or q.is_zero else Poly(np.convolve(p.coeff_array(), q.coeff_array()))
+        assert repr((p * s).coeffs) == repr(want.coeffs)
+        assert repr((s * p).coeffs) == repr(want.coeffs)
 
 
 def test_zero_order_divides_the_order_out():

@@ -38,6 +38,7 @@ admits every function from outside the space by its nearest pole.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,8 +67,25 @@ from .polynomials import (
 )
 
 
+@functools.cache
 def circle_grid() -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(CIRCLE_GRID) / CIRCLE_GRID)
+    """The CIRCLE_GRID roots of unity, computed on the first call; one read-only array."""
+    zs = np.exp(2j * np.pi * np.arange(CIRCLE_GRID) / CIRCLE_GRID)
+    zs.flags.writeable = False
+    return zs
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median(x) bit for bit without its first-call import of numpy.ma.
+
+    The mean of the middle one or two entries of np.partition, as np.median
+    takes it; NaN when x is empty or holds a NaN (without np.median's warning).
+    """
+    k = len(x)
+    if k == 0 or np.isnan(x).any():
+        return math.nan
+    lo, hi = (k - 1) // 2, k // 2
+    return float(np.partition(x, [lo, hi])[lo : hi + 1].mean())
 
 
 @dataclass(frozen=True)
@@ -299,7 +317,7 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
         factor = factor * Poly([-lam, 1]) ** m
     mag2 = np.abs(factor(zs)) ** 2
     mask = mag2 > 1e-10 * np.max(mag2)
-    gamma2 = float(np.median(density[mask] / mag2[mask]))
+    gamma2 = _median(density[mask] / mag2[mask])
     residual = float(np.max(np.abs(gamma2 * mag2 - density) / np.abs(qv) ** 2))
     if not (gamma2 > 0 and residual <= TOL.mate):
         raise FactorizationError(f"mate factorization failed: residual {residual:.3e}")

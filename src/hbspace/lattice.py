@@ -28,10 +28,25 @@ inner product.  Equal subspaces show a small gap that decays as K
 grows; distinct ones stay separated.
 
 The monomial Gram matrix is G = I + C^H C = M^H M with M = [I; C], C the
-companion map (see space.py).  So x -> M x = (f, f+) already carries the
-H(b) metric onto euclidean space, and the shift orbits are built in
-those coordinates straight from the Taylor coefficients of phi = b/a:
-no Gram matrix is formed or factored.
+companion map (see space.py).  The space keeps R_N, the triangular QR
+factor of the 2N x N matrix M_N = [I_N; C_N], so R_N^H R_N = G_N and
+x -> R_N x carries the H(b) metric onto euclidean space for every
+polynomial of degree below N; no Gram matrix is formed or factored.  An
+orbit is R_N F, F the Toeplitz matrix of its generator's coefficients:
+N rows, against the 2N of the stacked (f, f+) coordinates M_N F.
+
+N depends on the window alone: window + 1 rounded up to a multiple of 8.
+So a distance never depends on which distances came before it, and
+nearby windows (130-133 for generators of degree 1-4) share one factor:
+the space keeps only the last size's, and the rounding is what lets two
+distances in a row on one space, as in a gram query, reuse it.
+A larger factor's leading block is not bitwise the smaller one, so a
+factor is never read off a larger one.  For a polynomial generator any
+N at least the window gives the same geometry in exact arithmetic.
+
+When phi_0..phi_(N-1) are real, R_N is float64; with a real generator the
+orbit is too, and its QR and the rank certificate below run in real
+arithmetic.
 
 Each direction of the distance needs the orbit to have full numerical
 rank.  The rule is the one of its singular values: with R the triangular
@@ -47,15 +62,17 @@ that runs to completion proves sigma_min(R) > _RANK_TOL |R|_F, which is
 at least _RANK_TOL sigma_max(R).  In 2-norm, relative to |R|_F^2 =
 trace(R^H R), the 4 gamma_(n+2) covers three roundings:
 
-- forming A = R^H R: complex inner products of length n are off by at
-  most gamma_(n+2) |R|^H |R| entrywise, whose 2-norm is <= |R|_F^2;
+- forming A = R^H R: inner products of length n, complex or real, are
+  off by at most gamma_(n+2) |R|^H |R| entrywise, whose 2-norm is
+  <= |R|_F^2;
 - the diagonal shift: u;
 - the Cholesky: one that runs to completion is exact for a matrix within
   2 gamma_(n+2) sqrt(a_ii a_jj) entrywise (Demmel's real-arithmetic
   bound gamma_(n+1) / (1 - gamma_(n+1)), doubled here for complex), a
   perturbation of 2-norm at most 2 gamma_(n+2) trace(A).  This is the
   condition of Rump, "Verification of positive definiteness", BIT 46
-  (2006).
+  (2006).  A real orbit needs only half of that term, so the one delta
+  stays a proof in real arithmetic.
 
 What is left, about gamma_(n+2) - u > 0, keeps the proof strict and
 puts sigma_min above sqrt(gamma_(n+2) / 2) |R|_F, at least 1e-8 |R|_F:
@@ -82,7 +99,7 @@ from .errors import (
 )
 from .factorization import _analytic_lowest_terms, _blaschke, _inner_roots, _lowest_terms
 from .polynomials import Poly, RationalFn, _zero_order, complex_to_json
-from .space import HbSpace
+from .space import HbSpace, _real_if_exact
 
 _RANK_TOL = 1e-10
 
@@ -205,27 +222,24 @@ def ladder_spaces(space: HbSpace) -> list[SubspaceDescriptor]:
 
 
 def _orbit_matrix(space: HbSpace, f: RationalFn, window: int) -> np.ndarray:
-    """The 2*window x (DISTANCE_ORBIT+1) matrix [F; C F] of the iterates z^k f.
+    """The n x (DISTANCE_ORBIT+1) matrix R_n F of the iterates z^k f.
 
-    Column k stacks the coefficients of z^k f over those of its
-    companion (z^k f)+, so euclidean geometry on the columns is the H(b)
-    geometry.  Both blocks are Toeplitz: F[j, k] = f_(j-k), and
-    (C F)[j, k] = h_(j-k) with h_m = sum_t f_t conj(phi_(t-m)), which
-    vanishes for m > deg f.  One convolution gives every h_m the window
-    reads.  The window must be at least DISTANCE_ORBIT + deg f + 1, so
-    that every iterate fits; ``subspace_distance`` sizes it so.
+    F is the Toeplitz matrix F[j, k] = f_(j-k) of the iterates' coefficients
+    and R_n the space's metric factor, R_n^H R_n = G_n, so euclidean
+    geometry on the columns is the H(b) geometry.  A real f keeps F real.
+    The window must be at least DISTANCE_ORBIT + deg f + 1, so that every
+    iterate fits; ``subspace_distance`` sizes it so.
     """
     base = (f.as_poly() if f.is_polynomial else f.taylor_poly(D_TRUNC)).coeff_array()
-    orbit = DISTANCE_ORBIT
-    # row 0 holds f_m and row 1 holds h_m, both at index m + window - 1
-    h = np.convolve(base, np.conj(space.phi_coeffs(window - 1))[::-1])
-    rows = np.zeros((2, 2 * window - 1), dtype=complex)
-    rows[0, window - 1 : window - 1 + len(base)] = base
-    rows[1, : len(h)] = h
-    # entry (j, k) reads index j - k + window - 1: reversed windows of orbit + 1
-    start = window - 1 - orbit
-    lagged = sliding_window_view(rows, orbit + 1, axis=1)[:, start : start + window, ::-1]
-    return lagged.reshape(2 * window, orbit + 1)
+    base = _real_if_exact(base)
+    # the size rule of the module docstring: n > window, so the QR of
+    # [orbit, v] has more rows than its DISTANCE_ORBIT + 2 columns
+    n, orbit = -(-(window + 1) // 8) * 8, DISTANCE_ORBIT
+    padded = np.zeros(n + orbit, dtype=base.dtype)
+    padded[orbit : orbit + len(base)] = base
+    # entry (j, k) reads padded[orbit + j - k]: reversed windows of orbit + 1
+    lagged = sliding_window_view(padded, orbit + 1)[:n, ::-1]
+    return space._metric_factor(n) @ lagged
 
 
 def _rank_certified(r: np.ndarray) -> bool:
@@ -284,11 +298,12 @@ def subspace_distance(space: HbSpace, f, g) -> float:
     like 1/sqrt(orbit), when the generators differ by a factor vanishing
     on the circle), while distinct subspaces stay separated.
 
-    Since G = M^H M with M = [I; C], each orbit is the matrix M F of its
-    iterates in (f, f+) coordinates, where the H(b) metric is euclidean;
-    one QR per direction gives the distance.  Each generator is put in
-    lowest terms, a rational one is truncated at degree D_TRUNC, and a
-    pole in the closed disk (or on the circle band) raises PoleInDiskError.
+    Since G = R^H R with R the space's metric factor, each orbit is the
+    matrix R F of its iterates, in coordinates where the H(b) metric is
+    euclidean; one QR per direction gives the distance.  Each generator
+    is put in lowest terms, a rational one is truncated at degree D_TRUNC,
+    and a pole in the closed disk (or on the circle band) raises
+    PoleInDiskError.
     """
     f, _ = _analytic_lowest_terms(f)
     g, _ = _analytic_lowest_terms(g)

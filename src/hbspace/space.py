@@ -16,6 +16,13 @@ On monomials the companion map is the upper-triangular Toeplitz matrix
 C[j, k] = conj(phi_(k-j)), so the Gram matrix of the monomials is
 G = I + C^H C.  Inner products of polynomials are exact up to rounding.
 
+The space also keeps the metric factor R_N of the last size N asked
+for: the triangular QR factor of [I_N; C_N], so R_N^H R_N = G_N without
+G being formed.  It is float64 when phi_0..phi_(N-1) are real, and
+``lattice`` measures subspace distances in its coordinates.  One factor
+is kept, not one per size, so a long-lived space holds a single N x N
+array; the two distances of a query share one N.
+
 The same coefficients carry the shift's rank-one defect.  The defect
 direction w = Lb / a(0) pairs with the monomials as
 
@@ -160,6 +167,7 @@ class HbSpace:
         self.norm_Lb_sq = 1.0 - abs(b0) ** 2 - self._a0**2
         self._phi = np.zeros(0, dtype=complex)
         self._inv_q = np.zeros(0, dtype=complex)
+        self._factor = np.zeros((0, 0))
 
     # -- the plus companion -------------------------------------------------
 
@@ -297,6 +305,23 @@ class HbSpace:
         g *= 0.5
         g += np.eye(n)
         return g
+
+    def _metric_factor(self, n: int) -> np.ndarray:
+        """The triangular R_n with R_n^H R_n = I + C^H C = gram_matrix(n), read-only.
+
+        R_n is the QR factor of the 2n x n matrix [I_n; C_n], so no Gram
+        matrix is formed or factored, and |R_n x| = |x|_b for every
+        polynomial x of degree below n.  It is float64 when phi_0..phi_(n-1)
+        are real.  The last size's factor is kept; a factor is never read off
+        a larger one.
+        """
+        r = self._factor
+        if len(r) != n:
+            c = _real_if_exact(np.conj(self.phi_coeffs(n - 1)))
+            r = np.linalg.qr(np.vstack([np.eye(n), _upper_toeplitz(c)]), mode="r")
+            r.flags.writeable = False
+            self._factor = r
+        return r
 
     # -- shifts ------------------------------------------------------------
 
@@ -463,6 +488,15 @@ def _upper_toeplitz(c: np.ndarray) -> np.ndarray:
     n = len(c)
     padded = np.concatenate([np.zeros(n, dtype=c.dtype), c])
     return sliding_window_view(padded, n)[n:0:-1].copy()
+
+
+def _real_if_exact(x: np.ndarray) -> np.ndarray:
+    """x as float64 when its imaginary part is exactly zero, else x itself.
+
+    The one rule for when subspace distances run in real arithmetic: the
+    metric factor and the orbit generators both pass through it.
+    """
+    return x if x.imag.any() else x.real
 
 
 def _backward_rational(g: RationalFn) -> RationalFn:

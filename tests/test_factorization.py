@@ -1,5 +1,8 @@
 """Pythagorean mate, extremality, boundary orders, inner-outer splits."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,7 @@ from hbspace import HbSpace, Poly, RationalFn
 from hbspace.config import DEFAULT_TOLERANCES as TOL
 from hbspace.errors import (
     ExtremeFunctionError,
+    FactorizationError,
     NotInUnitBallError,
     PoleAtPointError,
     PoleInDiskError,
@@ -20,6 +24,7 @@ from hbspace.extension import build_model
 from hbspace.factorization import (
     _inner_roots,
     _lowest_terms,
+    _median,
     boundary_order,
     circle_grid,
     inner_outer,
@@ -365,6 +370,77 @@ def test_mate_of_a_near_extreme_symbol_has_no_circle_zero(b):
     mate = pythagorean_mate(b)
     assert mate.boundary_zeros == ()
     assert mate.residual <= TOL.mate
+
+
+def _scan_symbol(index: int, eps: float = 3.2e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol ``index`` of the near-extreme scan: random degree-2..8 numerator
+    over 0..deg poles at modulus 1.25..4, scaled to 1 - eps on a 4096-point
+    grid (the generic recipe of the corpus workload, repeated here)."""
+    grid = np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
+    scan = np.random.default_rng(11)
+    for _ in range(index + 1):
+        deg = scan.integers(2, 9)
+        n = scan.integers(0, deg + 1)
+        poles = scan.uniform(1.25, 4.0, n) * np.exp(2j * np.pi * scan.random(n))
+        den = np.array([1.0], dtype=complex)
+        for p in poles:
+            den = np.convolve(den, [1.0, -1.0 / p])
+        num = scan.standard_normal(deg + 1) + 1j * scan.standard_normal(deg + 1)
+        num = num / np.max(np.abs(np.polyval(num[::-1], grid) / np.polyval(den[::-1], grid)))
+    return num * (1.0 - eps), den
+
+
+@pytest.mark.xfail(strict=True, raises=FactorizationError, reason=(
+    "b peaks past 1 between the grid points of the ball rule, which admits it; "
+    "the mate then fails instead (see CHANGES.md)"))
+@pytest.mark.parametrize("index", [2, 13, 28])
+def test_symbol_past_the_ball_between_grid_points_is_rejected(index):
+    num, den = _scan_symbol(index)
+    # the peak on a fine grid: past 1 by far more than the ball rule's 10 TOL.mate
+    zs = np.exp(2j * np.pi * np.arange(2**18) / 2**18)
+    peak = np.max(np.abs(np.polyval(num[::-1], zs) / np.polyval(den[::-1], zs)))
+    assert peak > 1.0 + 1e-7
+    with pytest.raises(NotInUnitBallError):
+        pythagorean_mate(RationalFn(Poly(num), Poly(den)))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a repeated root inside the disk is placed only to ~sqrt(eps), 1.05e-8 here"))
+def test_inner_roots_place_a_repeated_interior_root():
+    roots = _inner_roots(Poly.from_roots([1.0, 0.2, 0.2]))
+    assert len(roots) == 2
+    assert max(abs(r - 0.2) for r in roots) <= 1e-12
+
+
+def test_median_is_numpy_median_bit_for_bit():
+    gen = np.random.default_rng(20)
+    for _ in range(2000):
+        x = gen.standard_normal(int(gen.integers(1, 1200))) * 10.0 ** gen.uniform(-5, 5)
+        if gen.random() < 0.2:
+            x = np.round(x)  # ties and signed zeros
+        assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+    assert np.isnan(_median(np.zeros(0)))
+    assert np.isnan(_median(np.array([1.0, np.nan, 2.0])))
+
+
+def test_a_mate_imports_no_masked_arrays():
+    # numpy 1.x imports numpy.ma inside `import numpy`, numpy 2 on first use:
+    # either way, computing a mate must not be what loads it
+    code = ("import sys\n"
+            "from hbspace import HbSpace, Poly, RationalFn\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "HbSpace(RationalFn(Poly([0.5, 0.5])))\n"
+            "assert ('numpy.ma' in sys.modules) == before\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_circle_grid_is_one_read_only_array():
+    zs = circle_grid()
+    assert zs is circle_grid()
+    assert not zs.flags.writeable
+    k = np.arange(len(zs))
+    assert zs.tobytes() == np.exp(2j * np.pi * k / len(zs)).tobytes()
 
 
 def test_inner_outer_rejects_pole_in_closed_disk():

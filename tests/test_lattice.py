@@ -273,6 +273,93 @@ def test_distance_matches_cholesky_reference(name):
         assert abs(got - cholesky_distance(space, f, g)) < 1e-10
 
 
+# -- the metric factor's coordinates against the stacked (f, f+) ones ----------
+
+
+def stacked_distance(space, f, g, orbit=DISTANCE_ORBIT, degree=D_TRUNC) -> float:
+    """The (f, f+) route in numpy alone: each orbit is [F; C F] over 2 * window
+    rows, C[j, k] = conj(phi_(k-j)), and a distance is the residual of v after
+    projecting onto an orthonormal basis from a reduced QR."""
+    f, g = as_rational(f), as_rational(g)
+    fd = int(f.num.degree if f.is_polynomial else degree)
+    gd = int(g.num.degree if g.is_polynomial else degree)
+    window = orbit + max(fd, gd) + 1
+    lag = np.arange(window)[None, :] - np.arange(window)[:, None]
+    phi = np.conj(np.asarray(space.phi_coeffs(window - 1)))
+    c = np.where(lag >= 0, phi[np.maximum(lag, 0)], 0)
+
+    def stacked(h):
+        base = (h.as_poly() if h.is_polynomial else h.taylor_poly(degree)).coeff_array()
+        cols = np.zeros((window, orbit + 1), dtype=complex)
+        for k in range(orbit + 1):
+            cols[k : k + len(base), k] = base
+        return np.vstack([cols, c @ cols])
+
+    def directed(m, v):
+        q, _ = np.linalg.qr(m)
+        return float(np.linalg.norm(v - q @ (q.conj().T @ v)) / np.linalg.norm(v))
+
+    mf, mg = stacked(f), stacked(g)
+    return max(directed(mf, mg[:, 0]), directed(mg, mf[:, 0]))
+
+
+@pytest.mark.parametrize("name", list(SYMBOLS))
+def test_distance_matches_the_stacked_route(name):
+    space = symbol_space(name)
+    for f, g in REFERENCE_PAIRS:
+        assert abs(subspace_distance(space, f, g) - stacked_distance(space, f, g)) < 1e-10
+
+
+@pytest.mark.parametrize("name", list(SYMBOLS))
+def test_metric_factor_reproduces_the_gram_matrix(name):
+    # Bound, set before measuring: Householder QR returns the exact R of
+    # M + dM with |dM e_k| <= 2N^2 u |M e_k| per column (Higham, ASNA,
+    # Thm 19.4, gamma~_(mn) with m n = 2N^2 and c = 1), so R^H R is within
+    # about 2 * 2N^2 u sqrt(G_jj G_kk) of M^H M = G; forming R^H R here and
+    # C^H C in gram_matrix add gamma_N each.  6 N^2 u covers all three.
+    space = symbol_space(name)
+    for n in (1, 8, 136, 200):
+        r = space._metric_factor(n)
+        assert r.shape == (n, n) and not r.flags.writeable
+        assert np.array_equal(np.tril(r, -1), np.zeros_like(r))
+        g = space.gram_matrix(n)
+        scale = np.sqrt(np.outer(np.diag(g).real, np.diag(g).real))
+        assert np.all(np.abs(r.conj().T @ r - g) <= 6 * n * n * 2.0**-53 * scale)
+
+
+@pytest.mark.parametrize("name", ["half", "model2", "deg8", "complex"])
+def test_distance_does_not_depend_on_earlier_calls(name):
+    pair = (ZM1**2, ZM1)
+    wider = (RationalFn(ZM1, Poly([1, -0.5])), ZM1)  # Taylor-truncated: a larger factor
+    space = HbSpace(SYMBOLS[name]())
+    before = repr(subspace_distance(space, *pair))
+    subspace_distance(space, *wider)
+    assert repr(subspace_distance(space, *pair)) == before
+    assert repr(subspace_distance(HbSpace(SYMBOLS[name]()), *pair)) == before
+    wider_first = HbSpace(SYMBOLS[name]())
+    subspace_distance(wider_first, *wider)
+    assert repr(subspace_distance(wider_first, *pair)) == before
+
+
+@pytest.mark.parametrize("name, dtype", [("half", np.float64), ("complex", np.complex128)])
+def test_distance_qr_runs_in_real_arithmetic_for_real_data(name, dtype, monkeypatch):
+    seen = []
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    space = HbSpace(SYMBOLS[name]())
+    for f, g in REFERENCE_PAIRS:
+        subspace_distance(space, f, g)
+    # one QR per direction, and one factor per size: 136 for the polynomial
+    # pairs (windows 130-133), 200 for the Taylor-truncated one (window 193)
+    assert len(seen) == 2 * len(REFERENCE_PAIRS) + 2
+    assert set(seen) == {np.dtype(dtype)}
+
+
 def test_distance_builds_no_gram_matrix(half, monkeypatch):
     def refuse(n):
         raise AssertionError("gram_matrix called")

@@ -1,6 +1,12 @@
 """Print one sha256 over the bits the library's numerics produce.
 
     PYTHONPATH=src python3 scripts/bits_digest.py
+    PYTHONPATH=src python3 scripts/bits_digest.py --items
+
+With ``--items`` it prints one sha256 per item instead, one item a line:
+``roots`` for the whole roots block, then ``<symbol> mate``, ``<symbol>
+phi`` and ``<symbol> gram`` (or ``<symbol> error``) for each symbol, so
+a diff of two such outputs names what moved.
 
 The digest covers, in order:
 
@@ -10,8 +16,11 @@ The digest covers, in order:
 - for the gram workload's six symbols and for the corpus workload's
   first input block at seeds 1 and 2: the mate (``repr`` of its
   numerator coefficients, of its boundary zeros and of its residual),
-  the bytes of ``phi_coeffs(256)`` and of ``gram_matrix(256)``, or the
-  name of the error a rejected symbol raises.
+  the bytes of ``phi_coeffs(256)`` and of ``gram_matrix(256)`` read as
+  complex128, or the name of the error a rejected symbol raises.  The
+  Gram hash covers its values and signs of zero, not its dtype: a
+  float64 Gram and the complex128 Gram with the same real parts and
+  +0.0 imaginary parts hash alike.
 
 Symbols come from ``bench/inputs.py`` and ``bench/checks.py``, which
 this script only reads.  hbspace is imported from ``sys.path``, so
@@ -54,32 +63,45 @@ def _seeded_poly(rng: np.random.Generator, index: int) -> Poly:
 
 
 def _symbols():
+    """(label, symbol) pairs: the gram symbols, then the corpus blocks."""
     ctx = {"deg8": inputs.gram_deg8_symbol()}
     for name in inputs.GRAM_SYMBOLS:
-        yield checks.gram_symbol(name, ctx)
+        yield f"gram:{name}", checks.gram_symbol(name, ctx)
     for seed in CORPUS_SEEDS:
         for index in range(inputs.BLOCK["corpus"]):
             q = inputs.make("corpus", seed, index)
-            yield checks.symbol(q["num"], q["den"])
+            yield f"corpus:{seed}:{index}", checks.symbol(q["num"], q["den"])
+
+
+def items():
+    """(label, bytes) pairs, in the order the digest hashes them."""
+    rng = np.random.default_rng(0)
+    yield "roots", b"".join(poly_roots(_seeded_poly(rng, i)).tobytes() for i in range(POLYS))
+    for label, b in _symbols():
+        try:
+            space = HbSpace(b)
+        except HbError as exc:
+            yield f"{label} error", type(exc).__name__.encode()
+            continue
+        mate = space.mate
+        yield f"{label} mate", repr((mate.a.num.coeffs, mate.boundary_zeros, mate.residual)).encode()
+        yield f"{label} phi", space.phi_coeffs(SIZE).tobytes()
+        yield f"{label} gram", np.asarray(space.gram_matrix(SIZE), dtype=complex).tobytes()
 
 
 def digest() -> str:
     h = hashlib.sha256()
-    rng = np.random.default_rng(0)
-    for index in range(POLYS):
-        h.update(poly_roots(_seeded_poly(rng, index)).tobytes())
-    for b in _symbols():
-        try:
-            space = HbSpace(b)
-        except HbError as exc:
-            h.update(type(exc).__name__.encode())
-            continue
-        mate = space.mate
-        h.update(repr((mate.a.num.coeffs, mate.boundary_zeros, mate.residual)).encode())
-        h.update(space.phi_coeffs(SIZE).tobytes())
-        h.update(space.gram_matrix(SIZE).tobytes())
+    for _, data in items():
+        h.update(data)
     return h.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest())
+    if sys.argv[1:] == ["--items"]:
+        for label, data in items():
+            print(label, hashlib.sha256(data).hexdigest())
+    elif sys.argv[1:]:
+        print(__doc__.strip(), file=sys.stderr)
+        sys.exit(2)
+    else:
+        print(digest())

@@ -16,12 +16,18 @@ On monomials the companion map is the upper-triangular Toeplitz matrix
 C[j, k] = conj(phi_(k-j)), so the Gram matrix of the monomials is
 G = I + C^H C.  Inner products of polynomials are exact up to rounding.
 
+One builder gives C_N to both of its consumers, and one rule,
+``_real_if_exact``, sets its dtype: C_N is float64 when phi_0..phi_(N-1)
+have exactly zero imaginary parts, else complex128.  So for a real
+window the Gram matrix is float64 and exactly symmetric, and its
+eigenvalues come from the real symmetric solver.
+
 The space also keeps the metric factor R_N of the last size N asked
 for: the triangular QR factor of [I_N; C_N], so R_N^H R_N = G_N without
-G being formed.  It is float64 when phi_0..phi_(N-1) are real, and
-``lattice`` measures subspace distances in its coordinates.  One factor
-is kept, not one per size, so a long-lived space holds a single N x N
-array; the two distances of a query share one N.
+G being formed.  It has C_N's dtype, and ``lattice`` measures subspace
+distances in its coordinates.  One factor is kept, not one per size, so
+a long-lived space holds a single N x N array; the two distances of a
+query share one N.
 
 The same coefficients carry the shift's rank-one defect.  The defect
 direction w = Lb / a(0) pairs with the monomials as
@@ -290,7 +296,9 @@ class HbSpace:
     def gram_matrix(self, n: int) -> np.ndarray:
         """n x n matrix with entry (j, k) = <z^k, z^j>_b; Hermitian, >= I up to rounding.
 
-        Column k of C holds the companion of z^k, so G = I + C^H C.  The
+        Column k of C holds the companion of z^k, so G = I + C^H C, with
+        C's dtype: float64 (G exactly symmetric) when phi_0..phi_(n-1) are
+        exactly real, else complex128 (see ``_companion``).  The
         product is averaged with its adjoint, since BLAS does not round
         the (j, k) and (k, j) entries alike.  The sum is assembled in place
         with the roundings of eye(n) + 0.5 (h + h^H) (a floating-point sum
@@ -299,26 +307,29 @@ class HbSpace:
         """
         if n < 1:
             raise InputFormatError("gram size must be at least 1")
-        c = _upper_toeplitz(np.conj(self.phi_coeffs(n - 1)))
+        c = self._companion(n)
         h = c.conj().T @ c
         g = h + h.conj().T
         g *= 0.5
         g += np.eye(n)
         return g
 
+    def _companion(self, n: int) -> np.ndarray:
+        """C_n[j, k] = conj(phi_(k-j)), float64 when phi_0..phi_(n-1) are exactly real."""
+        return _upper_toeplitz(_real_if_exact(np.conj(self.phi_coeffs(n - 1))))
+
     def _metric_factor(self, n: int) -> np.ndarray:
         """The triangular R_n with R_n^H R_n = I + C^H C = gram_matrix(n), read-only.
 
         R_n is the QR factor of the 2n x n matrix [I_n; C_n], so no Gram
         matrix is formed or factored, and |R_n x| = |x|_b for every
-        polynomial x of degree below n.  It is float64 when phi_0..phi_(n-1)
-        are real.  The last size's factor is kept; a factor is never read off
-        a larger one.
+        polynomial x of degree below n.  It has C_n's dtype, float64 when
+        phi_0..phi_(n-1) are real.  The last size's factor is kept; a factor
+        is never read off a larger one.
         """
         r = self._factor
         if len(r) != n:
-            c = _real_if_exact(np.conj(self.phi_coeffs(n - 1)))
-            r = np.linalg.qr(np.vstack([np.eye(n), _upper_toeplitz(c)]), mode="r")
+            r = np.linalg.qr(np.vstack([np.eye(n), self._companion(n)]), mode="r")
             r.flags.writeable = False
             self._factor = r
         return r
@@ -493,8 +504,9 @@ def _upper_toeplitz(c: np.ndarray) -> np.ndarray:
 def _real_if_exact(x: np.ndarray) -> np.ndarray:
     """x as float64 when its imaginary part is exactly zero, else x itself.
 
-    The one rule for when subspace distances run in real arithmetic: the
-    metric factor and the orbit generators both pass through it.
+    The one rule for when Gram matrices and subspace distances run in real
+    arithmetic: the companion C_n and the orbit generators both pass
+    through it.
     """
     return x if x.imag.any() else x.real
 

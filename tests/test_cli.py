@@ -1,8 +1,12 @@
 """End-to-end checks of the hb command line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbspace import HbSpace
 from hbspace.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_symbol
@@ -377,3 +381,60 @@ def test_overflowing_symbol_rejected_without_a_warning(symbol, capsys):
     blob = json.loads(err)
     assert set(blob) == {"error", "type"}
     assert blob["type"] == "NotInUnitBallError"
+
+
+# The input contract: every command line ends in exit 0, 2 or 3, and a
+# nonzero exit leaves the JSON error line last on stderr.
+FUZZ_SYMBOLS = [
+    HALF, AFFINE, STEP1, STEP2, "[[0.2, 0.1], [-0.15, 0.25]]", "[0.5, 0.5, 0, 0, 0]",
+    "[0.25, 0.25, 0.25, 0.25]", "[1e-320, 0.5]", '{"num": [0, 0, 0, 1], "den": [4, -6, 4, -1]}',
+    # rejected: malformed, non-finite, out of range, empty, extreme, poles in the disk
+    "", "{", "[1, 2, 3", "nan", "[NaN]", "[Infinity]", "[1e308]", "[1e308, 1e308]", "[1e400]",
+    "[" + "9" * 400 + "]", "[]", "{}", '{"coeffs": []}', '{"num": [], "den": []}', "null",
+    '"[0.5]"', "[true]", "[[[1]]]", '{"num": [1]}', '{"num": [1], "den": [0]}',
+    '{"num": [0.1], "den": [0.1, 1]}', "[1, 1]", "[1]", "[0.7071067811865476, 0.7071067811865476]",
+]
+FUZZ_GENERATORS = [
+    "[1]", "[0, 1]", "[-1, 1]", "[1, -2, 1]", "[1e-300, 1]", '{"num": [1], "den": [2, -1]}',
+    "[0]", "[]", "{", "[NaN]", "[1e308]", "[0.5, [0, 0.5]]", '{"num": [1], "den": [1, -1]}',
+]
+FUZZ_POINTS = ["0", "0.5", "-1", "1", "1j", "0.3-0.2j", "0.9999999999", "1+1e-12j", "2",
+               "1e308", "1e-320", "-0.0", "nan", "inf", "", "abc"]
+FUZZ_PHASES = ["3.141592653589793", "0", "-1", "1e308", "nan", "inf", "x"]
+
+
+@st.composite
+def _command_lines(draw):
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    cmd = pick(["mate", "kernel", "gram", "verify", "extend", "model", "classify", "cyclic"])
+    argv = [cmd] if cmd == "model" else [cmd, "-b", pick(FUZZ_SYMBOLS)]
+    if cmd == "kernel":
+        argv += ["--at", pick(FUZZ_POINTS), "--order", str(draw(st.integers(-2, 4)))]
+        if draw(st.booleans()):
+            argv += ["--point", pick(FUZZ_POINTS)]
+    elif cmd == "gram":
+        argv += ["--size", str(draw(st.integers(0, 40)))]
+    elif cmd in ("extend", "model"):
+        if cmd == "model":
+            argv += ["--steps", str(draw(st.integers(0, 5)))]
+        argv += ["--omega", pick(FUZZ_POINTS), "--phase", pick(FUZZ_PHASES)]
+        if draw(st.booleans()):
+            argv.append("--normalize" if cmd == "extend" else "--verify")
+    elif cmd in ("classify", "cyclic"):
+        argv += ["-g", pick(FUZZ_GENERATORS)]
+    if cmd not in ("extend", "model") and draw(st.booleans()):
+        argv += ["--seed", pick(["0", "7", "-1", "x"])]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_command_lines())
+def test_every_command_line_exits_with_a_contract_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
+    if code != EXIT_OK:
+        assert set(json.loads(err.getvalue().splitlines()[-1])) == {"error", "type"}

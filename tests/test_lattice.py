@@ -31,7 +31,7 @@ from hbspace.lattice import (
     subspace_distance,
 )
 from hbspace.polynomials import Poly, RationalFn, _zero_order, as_rational, poly_roots
-from hbspace.space import HbSpace, _upper_toeplitz, degree_for_tail
+from hbspace.space import HbSpace, _real_if_exact, _upper_toeplitz, degree_for_tail
 
 B_HALF = RationalFn(Poly([0.5, 0.5]), Poly([1]))
 B_STEP2 = RationalFn(Poly([0, 0, 1]), Poly([3, -3, 1]))
@@ -682,9 +682,37 @@ def test_ill_conditioned_orbit_falls_back_to_the_svd_rule(monkeypatch):
 
 @pytest.mark.parametrize("name", list(SYMBOLS))
 def test_gram_matrix_bytes_match_the_out_of_place_expression(name):
+    # in the arithmetic _real_if_exact picks for the phi window
     space = symbol_space(name)
     for n in (1, 2, 17, 256):
-        c = _upper_toeplitz(np.conj(space.phi_coeffs(n - 1)))
+        c = _upper_toeplitz(_real_if_exact(np.conj(space.phi_coeffs(n - 1))))
         h = c.conj().T @ c
-        expected = np.eye(n, dtype=complex) + 0.5 * (h + h.conj().T)
-        assert space.gram_matrix(n).tobytes() == expected.tobytes()
+        expected = np.eye(n) + 0.5 * (h + h.conj().T)
+        g = space.gram_matrix(n)
+        assert g.dtype == expected.dtype
+        assert g.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name", list(SYMBOLS))
+def test_gram_matrix_at_the_bench_size_keeps_the_complex_expressions_bytes(name):
+    space = symbol_space(name)
+    c = _upper_toeplitz(np.conj(space.phi_coeffs(255)))
+    h = c.conj().T @ c
+    expected = np.eye(256, dtype=complex) + 0.5 * (h + h.conj().T)
+    assert np.asarray(space.gram_matrix(256), dtype=complex).tobytes() == expected.tobytes()
+
+
+# the largest n whose phi window phi_0..phi_(n-1) is exactly real (None: every n)
+REAL_WINDOW = {"half": None, "affine": None, "model1": None, "model2": 1, "model3": 1,
+               "deg8": 0, "complex": 0}
+
+
+@pytest.mark.parametrize("name", list(SYMBOLS))
+def test_gram_matrix_is_real_exactly_when_the_phi_window_is(name):
+    space = symbol_space(name)
+    last = REAL_WINDOW[name]
+    for n in (1, 2, 17, 256):
+        g = space.gram_matrix(n)
+        real = last is None or n <= last
+        assert g.dtype == (np.float64 if real else np.complex128)
+        assert np.array_equal(g, g.conj().T)  # exactly symmetric or Hermitian

@@ -6,6 +6,9 @@ H-infinity and produces its outer companion a = r/q with
 factoring the Laurent polynomial |q|^2 - |p|^2: roots off the circle pair
 as zeta <-> 1/conj(zeta) and the member outside the closed disk is kept,
 while circle roots occur with even multiplicity and are split evenly.
+One number certifies the mate: max | |a|^2 + |b|^2 - 1 | over
+``circle_grid()``, which ``pythagorean_mate`` checks against TOL.mate
+and reports.
 
 Circle zeros are decided before anything is rooted, because rooting
 splatters an m-fold circle zero into a cluster of radius ~eps^(1/m).  The
@@ -94,7 +97,8 @@ class MateResult:
 
     a               the mate, a = r/q with the same denominator as b
     boundary_zeros  [(unit-modulus point, multiplicity), ...] sorted by angle
-    residual        max over the circle grid of | |a|^2 + |b|^2 - 1 |
+    residual        max over the circle grid of | |a|^2 + |b|^2 - 1 |, the
+                    number checked against TOL.mate
     pole_radius     modulus of the nearest root of q (inf for polynomial b),
                     found once while validating b; not part of the JSON form
     """
@@ -182,7 +186,7 @@ def _validate(b: RationalFn):
     -10 TOL.mate max |q|^2.  A value that overflows on the grid fails it
     too: q(0) = 1 and q has no root in the closed disk, so |q| <= 2^deg q
     there and only |p| can overflow.  Returns the modulus of q's nearest
-    root, the grid zs, q and p on it, the density, the coefficients of
+    root, b = p/q on the grid, the density, the coefficients of
     z^d (|q|^2 - |p|^2) (full length 2d + 1) with their scale, and whether
     b is nonextreme.
     """
@@ -190,7 +194,8 @@ def _validate(b: RationalFn):
     zs = circle_grid()
     with np.errstate(over="ignore", invalid="ignore"):
         qv, pv = b.den(zs), b.num(zs)
-        sup = np.max(np.abs(pv / qv))
+        bv = pv / qv
+        sup = np.max(np.abs(bv))
         density = np.abs(qv) ** 2 - np.abs(pv) ** 2
     if not (sup <= 1.0 + 10.0 * TOL.mate
             and np.min(density) >= -10.0 * TOL.mate * np.max(np.abs(qv)) ** 2):
@@ -201,7 +206,7 @@ def _validate(b: RationalFn):
     scale = float(np.max(np.abs(arr)))
     if not p.is_zero:
         arr = arr - (p * p.reflect(d)).coeff_array(2 * d + 1)
-    return radius, zs, qv, pv, density, arr, scale, bool(np.max(np.abs(arr)) > 1e-10 * scale)
+    return radius, bv, density, arr, scale, bool(np.max(np.abs(arr)) > 1e-10 * scale)
 
 
 def is_nonextreme(b) -> bool:
@@ -274,22 +279,18 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
 
     Raises the symbol errors of ``is_nonextreme``, ExtremeFunctionError
     when |b| = 1 a.e., and FactorizationError when the roots off the
-    circle do not pair as zeta <-> 1/conj(zeta), the circle residual
-    misses tolerance, or the mate vanishes at the origin.  The circle
+    circle do not pair as zeta <-> 1/conj(zeta), the scale gamma^2 that
+    the density fixes is not positive, the mate vanishes at the origin,
+    or the residual the result reports exceeds TOL.mate.  The Laurent
+    coefficients are symmetrized exactly before rooting.  The circle
     zeros of the density |q|^2 - |p|^2 (on the grid, from ``_validate``)
-    come first; each 2m-fold one gives the mate an m-fold zero.  The
-    density also fixes the scale gamma^2 of the factor.
+    come first; each 2m-fold one gives the mate an m-fold zero.
     """
     b = as_rational(b)
-    radius, zs, qv, pv, density, arr, scale, nonextreme = _validate(b)
+    radius, bv, density, arr, scale, nonextreme = _validate(b)
     if not nonextreme:
         raise ExtremeFunctionError("b is an extreme point; no mate exists")
 
-    sym_gap = np.max(np.abs(arr - np.conj(arr[::-1])))
-    if sym_gap > 1e-10 * scale:
-        raise FactorizationError(
-            f"Laurent coefficients not conjugate-symmetric (gap {sym_gap:.3e})"
-        )
     arr = 0.5 * (arr + np.conj(arr[::-1]))  # enforce the symmetry exactly
     dens = Poly(_strip_symmetric_zeros(arr, scale))
 
@@ -315,26 +316,22 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
     factor = Poly.from_roots(outside)
     for lam, m in pairs:
         factor = factor * Poly([-lam, 1]) ** m
+    zs = circle_grid()
     mag2 = np.abs(factor(zs)) ** 2
     mask = mag2 > 1e-10 * np.max(mag2)
     gamma2 = _median(density[mask] / mag2[mask])
-    residual = float(np.max(np.abs(gamma2 * mag2 - density) / np.abs(qv) ** 2))
-    if not (gamma2 > 0 and residual <= TOL.mate):
-        raise FactorizationError(f"mate factorization failed: residual {residual:.3e}")
-    return _finalize(b, factor * np.sqrt(gamma2), pairs, zs, qv, pv, radius)
-
-
-def _finalize(b, r: Poly, pairs, zs, qv, pv, pole_radius: float) -> MateResult:
-    a = RationalFn(r, b.den)
+    if not gamma2 > 0:
+        raise FactorizationError(f"mate factorization failed: scale gamma^2 = {gamma2:.3e}")
+    a = RationalFn(factor * np.sqrt(gamma2), b.den)
     a0 = a(0)
     if abs(a0) < 1e-15:
         raise FactorizationError("mate vanishes at the origin")
     a = RationalFn(a.num * (a0.conjugate() / abs(a0)), a.den)
-    av = a(zs)
-    bv = pv / qv
-    residual = float(np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0)))
-    zeros = tuple(sorted(((lam, m) for lam, m in pairs), key=lambda t: np.angle(t[0])))
-    return MateResult(a=a, boundary_zeros=zeros, residual=residual, pole_radius=pole_radius)
+    residual = float(np.max(np.abs(np.abs(a(zs)) ** 2 + np.abs(bv) ** 2 - 1.0)))
+    if not residual <= TOL.mate:
+        raise FactorizationError(f"mate factorization failed: residual {residual:.3e}")
+    zeros = tuple(sorted(pairs, key=lambda t: np.angle(t[0])))
+    return MateResult(a=a, boundary_zeros=zeros, residual=residual, pole_radius=radius)
 
 
 def boundary_order(f: RationalFn, lam: complex) -> int:

@@ -399,10 +399,7 @@ def _aberth(c: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
     # geometric-mean estimate, randomly rotated and jittered so symmetric
     # configurations cannot lock the iteration.
     cauchy = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
-    if c[0] != 0:
-        geo = abs(c[0] / c[-1]) ** (1.0 / d)
-    else:
-        geo = 0.5
+    geo = abs(c[0] / c[-1]) ** (1.0 / d)
     radius = min(cauchy, max(geo, 1e-3))
     theta = rng.uniform(0.0, 2.0 * np.pi)
     angles = theta + 2.0 * np.pi * np.arange(d) / d

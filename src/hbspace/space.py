@@ -85,7 +85,7 @@ from .polynomials import Poly, RationalFn, _zero_order, as_rational, synthetic_d
 
 _DECAY_GRID = 256
 
-# Largest degree degree_for_tail asks for.
+# Largest degree _degree_for_tail asks for.
 _TAIL_DEGREE_CAP = 4096
 
 # Largest derivative order i whose i! is finite in double precision.
@@ -117,16 +117,9 @@ def _decay_profile(g: RationalFn, radius: float) -> tuple[float, float]:
     return m, rho
 
 
-def degree_for_tail(g: RationalFn, target: float) -> int:
-    """Smallest degree D with the coefficient bound below target past D.
-
-    Raises PoleInDiskError when g has a pole in the closed disk.
-    """
-    g, radius = _analytic_lowest_terms(g)
-    return _degree_for_tail(g, radius, target)
-
-
 def _degree_for_tail(g: RationalFn, radius: float, target: float) -> int:
+    """Smallest degree D with the coefficient bound of g (poles at modulus
+    >= radius) below target past D, at most _TAIL_DEGREE_CAP."""
     m, rho = _decay_profile(g, radius)
     if math.isinf(rho):
         return int(max(g.num.degree, 0))

@@ -73,13 +73,16 @@ def test_parameters_no_caller_sets_are_gone():
 
 
 def test_second_copies_of_a_decision_are_gone():
-    # the ball rule, the a(0) check, the mate JSON and the kernel each have one home
-    from hbspace import cli, errors, extension
+    # the ball rule, the a(0) check, the mate JSON, the mate residual and the
+    # kernel each have one home; the tail degree is read only inside space
+    from hbspace import cli, errors, extension, factorization, space
 
     assert [n for n in ("NegativeDensityError", "SingularSystemError") if hasattr(errors, n)] == []
     assert [n for n in ("norm_sq", "kernel_fn", "backward_shift") if n in vars(HbSpace)] == []
     assert not hasattr(extension, "rotate")
     assert not hasattr(cli, "_zeros_json")
+    assert not hasattr(factorization, "_finalize")
+    assert not hasattr(space, "degree_for_tail")
 
 
 def test_point_rules_have_one_home():

@@ -31,7 +31,7 @@ from hbspace.lattice import (
     subspace_distance,
 )
 from hbspace.polynomials import Poly, RationalFn, _zero_order, as_rational, poly_roots
-from hbspace.space import HbSpace, _real_if_exact, _upper_toeplitz, degree_for_tail
+from hbspace.space import HbSpace, _real_if_exact, _upper_toeplitz
 
 B_HALF = RationalFn(Poly([0.5, 0.5]), Poly([1]))
 B_STEP2 = RationalFn(Poly([0, 0, 1]), Poly([3, -3, 1]))
@@ -475,14 +475,13 @@ NOT_FINITE = RationalFn(Poly([NAN, 1]))  # NaN + z
 
 
 def _gate_apis(space):
-    """The six APIs that take a generator, each reduced to whether it admits f."""
+    """The five APIs that take a generator, each reduced to whether it admits f."""
     return {
         "membership": lambda f: membership(space, f),
         "classify": lambda f: classify(space, f) is not None,
         "subspace_distance": lambda f: subspace_distance(space, f, ONE) >= 0.0,
         "inner_outer": lambda f: inner_outer(f) is not None,
         "truncated_vector": lambda f: space.truncated_vector(f, 16) is not None,
-        "degree_for_tail": lambda f: degree_for_tail(f, 1e-12) >= 0,
     }
 
 
@@ -506,7 +505,7 @@ def test_gate_answers_on_the_three_inputs(half):
         "membership": False,
         "classify": InputFormatError,
         **dict.fromkeys(
-            ["subspace_distance", "inner_outer", "truncated_vector", "degree_for_tail"],
+            ["subspace_distance", "inner_outer", "truncated_vector"],
             PoleInDiskError,
         ),
     }

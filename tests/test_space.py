@@ -1,17 +1,22 @@
 """Inner products, plus companions, kernels, Gram matrices."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbspace import factorization, polynomials
 from hbspace import space as space_module
-from hbspace.config import D_TRUNC
-from hbspace.errors import InputFormatError, OrderTooHighError, PoleInDiskError
+from hbspace.config import D_TRUNC, DEFAULT_TOLERANCES as TOL
+from hbspace.errors import HbError, InputFormatError, OrderTooHighError, PoleInDiskError
 from hbspace.extension import build_model, extend
 from hbspace.isometry import rank_one_identity_check
 from hbspace.lattice import subspace_distance
 from hbspace.polynomials import Poly, RationalFn
-from hbspace.space import HbSpace, _decay_profile, degree_for_tail
+from hbspace.space import HbSpace, _decay_profile, _degree_for_tail
 
 RNG = np.random.default_rng(20260817)
 
@@ -266,18 +271,16 @@ def test_shift_keeps_the_plus_relation(half):
 
 def test_degree_for_tail():
     g = RationalFn(Poly([1]), Poly([1, -0.5]))  # pole at 2
-    d = degree_for_tail(g, 1e-12)
+    d = _degree_for_tail(g, 2.0, 1e-12)
     tail = 0.5 ** (d + 1) / 0.5
     assert tail < 1e-9  # bound is conservative, not tight
-    assert degree_for_tail(RationalFn(Poly([1, 1]), Poly([1])), 1e-12) == 1
+    assert _degree_for_tail(RationalFn(Poly([1, 1]), Poly([1])), math.inf, 1e-12) == 1
 
 
 @pytest.mark.parametrize("pole", [0.5, 1.0])
 def test_tail_rejects_pole_in_closed_disk(half, pole):
     # a pole at 1/2 made the geometric bound negative; one at 1 divided by zero
     g = RationalFn(Poly([1]), Poly([1, -1.0 / pole]))
-    with pytest.raises(PoleInDiskError):
-        degree_for_tail(g, 1e-12)
     with pytest.raises(PoleInDiskError):
         half.truncated_vector(g, 16)
 
@@ -587,3 +590,43 @@ def test_phi_keeps_the_taylor_loop_bits(series_case):
     phi = RationalFn(space.b.num, space.a.num)
     for n in (3, 64, 300, 40):
         assert np.array_equal(space.phi_coeffs(n), phi.taylor(n))
+
+
+# -- random symbols in the ball ------------------------------------------------
+
+_FINE = np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
+# 1999 points off circle_grid(): (3k + 1)/5997 is never j/1024
+_OFF_GRID = np.exp(2j * np.pi * (3 * np.arange(1999) + 1) / 5997)
+
+
+def _ball_symbol(seed: int) -> RationalFn:
+    """p/q with deg p in 1..6 over 0..deg p poles at modulus 1.25..4, q(0) = 1,
+    scaled to sup |b| in [0.5, 0.95] on a fine grid."""
+    rng = np.random.default_rng(seed)
+    deg = int(rng.integers(1, 7))
+    num = Poly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+    den = Poly([1])
+    for _ in range(rng.integers(0, deg + 1)):
+        pole = cmath.rect(rng.uniform(1.25, 4.0), rng.uniform(0.0, 2 * math.pi))
+        den = den * Poly([1, -1 / pole])
+    sup = float(np.max(np.abs(num(_FINE) / den(_FINE))))
+    return RationalFn(num * (rng.uniform(0.5, 0.95) / sup), den)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), angle=st.floats(0.0, 2 * math.pi))
+def test_random_symbols_in_the_ball(seed, angle):
+    b = _ball_symbol(seed)
+    try:
+        space = HbSpace(b)
+    except HbError:
+        return  # a typed refusal is an answer
+    assert space.mate.residual <= TOL.mate
+    off = np.abs(space.a(_OFF_GRID)) ** 2 + np.abs(b(_OFF_GRID)) ** 2 - 1.0
+    assert np.max(np.abs(off)) <= TOL.mate
+    f = Poly([1, -0.5j, 0.25, 0.125])
+    lam = cmath.rect(0.6, angle)
+    got = space.pair(space.vector(f), space.kernel_vector(lam))
+    assert abs(got - f(lam)) <= 1e-8 * max(1.0, abs(f(lam)))
+    ev = np.linalg.eigvalsh(space.gram_matrix(16))
+    assert ev[0] >= 1.0 - 16 * np.finfo(float).eps * ev[-1]

@@ -8,7 +8,10 @@ as zeta <-> 1/conj(zeta) and the member outside the closed disk is kept,
 while circle roots occur with even multiplicity and are split evenly.
 One number certifies the mate: max | |a|^2 + |b|^2 - 1 | over
 ``circle_grid()``, which ``pythagorean_mate`` checks against TOL.mate
-and reports.
+and reports, the factorization's only acceptance test: roots that do
+not pair leave |a|^2 off the density, and the FactorizationError names
+the residual.  Its two other FactorizationErrors guard arithmetic:
+gamma^2 <= 0 before a square root, a(0) = 0 before a division.
 
 Circle zeros are decided before anything is rooted, because rooting
 splatters an m-fold circle zero into a cluster of radius ~eps^(1/m).  The
@@ -237,7 +240,7 @@ def _on_circle(w: complex) -> complex | None:
 
 
 def _circle_zeros(
-    p: Poly, magnitude: np.ndarray, least: int, step: int, vanishes
+    p: Poly, magnitude: np.ndarray, least: int, vanishes
 ) -> tuple[list[tuple[complex, int]], Poly]:
     """The circle rule: ([(lambda, m), ...], p with those zeros divided out).
 
@@ -245,9 +248,9 @@ def _circle_zeros(
     1e-2 of its maximum is a zero when ``_zero_order`` reads ``least`` at
     the grid point or else at ``polish_multiple_root(p, ., least)`` from
     it, snapped to the circle.  Its multiplicity is the largest m, counted
-    down from deg p in ``step``s, whose m-fold polish from the point that
-    read, snapped, ``vanishes`` accepts and ``_zero_order`` reads in full;
-    that pass divides it out.  The zero rule alone also reads a root pair
+    down from deg p in steps of ``least``, whose m-fold polish from the
+    point that read, snapped, ``vanishes`` accepts and ``_zero_order`` reads
+    in full; that pass divides it out.  The zero rule alone also reads a root pair
     just off the circle, so the caller's ``vanishes(lambda)`` says where
     its function is zero at lambda itself.
     """
@@ -262,7 +265,7 @@ def _circle_zeros(
             z0 = _on_circle(polish_multiple_root(p, z0, least))
             if z0 is None or _zero_order(p, z0, least)[0] < least:
                 continue
-        for m in range(p.degree, least - 1, -step):
+        for m in range(p.degree, least - 1, -least):
             lam = _on_circle(polish_multiple_root(p, z0, m))
             if lam is None or not vanishes(lam):
                 continue
@@ -278,13 +281,15 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
     """Outer a = r/q with |a|^2 + |b|^2 = 1 on the circle and a(0) > 0.
 
     Raises the symbol errors of ``is_nonextreme``, ExtremeFunctionError
-    when |b| = 1 a.e., and FactorizationError when the roots off the
-    circle do not pair as zeta <-> 1/conj(zeta), the scale gamma^2 that
+    when |b| = 1 a.e., and FactorizationError when the scale gamma^2 that
     the density fixes is not positive, the mate vanishes at the origin,
-    or the residual the result reports exceeds TOL.mate.  The Laurent
-    coefficients are symmetrized exactly before rooting.  The circle
-    zeros of the density |q|^2 - |p|^2 (on the grid, from ``_validate``)
-    come first; each 2m-fold one gives the mate an m-fold zero.
+    or the residual the result reports exceeds TOL.mate.  r takes the
+    roots on or outside the circle, so a is outer whether or not the rest
+    pair as zeta <-> 1/conj(zeta); the residual shows when they do not.
+    The Laurent coefficients are symmetrized exactly before rooting.  The
+    circle zeros of the density |q|^2 - |p|^2 (on the grid, from
+    ``_validate``) come first; each 2m-fold one gives the mate an m-fold
+    zero.
     """
     b = as_rational(b)
     radius, bv, density, arr, scale, nonextreme = _validate(b)
@@ -302,16 +307,8 @@ def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
             TOL.root_residual * _horner_bound(dens.coeffs, w), 0.5 * TOL.mate * q2
         )
 
-    circle, rest = _circle_zeros(dens, density, 2, 2, vanishes)
-    roots = poly_roots(rest, rng=rng)
-    inside = [complex(r) for r in roots if abs(r) < 1.0]
-    outside = [complex(r) for r in roots if abs(r) >= 1.0]
-    _, unmatched, _ = _match_roots([1.0 / r.conjugate() for r in inside], outside, 1e-6)
-    if len(inside) != len(outside) or unmatched:
-        raise FactorizationError(
-            "mate factorization failed: the roots off the circle do not pair as "
-            "zeta <-> 1/conj(zeta)"
-        )
+    circle, rest = _circle_zeros(dens, density, 2, vanishes)
+    outside = [complex(r) for r in poly_roots(rest, rng=rng) if abs(r) >= 1.0]
     pairs = [(lam, m // 2) for lam, m in circle]
     factor = Poly.from_roots(outside)
     for lam, m in pairs:
@@ -355,7 +352,7 @@ def _inner_roots(num: Poly) -> tuple[complex, ...]:
     if num.degree < 1:
         return ()
     _, rest = _circle_zeros(
-        num, np.abs(num(circle_grid())), 1, 1,
+        num, np.abs(num(circle_grid())), 1,
         lambda w: abs(num(w)) <= TOL.root_residual * _horner_bound(num.coeffs, w),
     )
     inner = [complex(r) for r in poly_roots(rest) if abs(r) < 1.0 - CIRCLE_BAND]

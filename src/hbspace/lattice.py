@@ -32,7 +32,8 @@ companion map (see space.py).  The space keeps R_N, the triangular QR
 factor of the 2N x N matrix M_N = [I_N; C_N], so R_N^H R_N = G_N and
 x -> R_N x carries the H(b) metric onto euclidean space for every
 polynomial of degree below N; no Gram matrix is formed or factored.  An
-orbit is R_N F, F the Toeplitz matrix of its generator's coefficients:
+orbit is R_N F, F the Toeplitz matrix of its generator's coefficients,
+F[j, k] = f_(j-k), built by space's upper Toeplitz builder and transposed:
 N rows, against the 2N of the stacked (f, f+) coordinates M_N F.
 
 N depends on the window alone: window + 1 rounded up to a multiple of 8.
@@ -89,7 +90,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import CIRCLE_BAND, D_TRUNC, DISTANCE_ORBIT
 from .errors import (
@@ -99,7 +99,7 @@ from .errors import (
 )
 from .factorization import _analytic_lowest_terms, _blaschke, _inner_roots, _lowest_terms
 from .polynomials import Poly, RationalFn, _zero_order, complex_to_json
-from .space import HbSpace, _real_if_exact
+from .space import HbSpace, _real_if_exact, _upper_toeplitz
 
 _RANK_TOL = 1e-10
 
@@ -224,8 +224,9 @@ def ladder_spaces(space: HbSpace) -> list[SubspaceDescriptor]:
 def _orbit_matrix(space: HbSpace, f: RationalFn, window: int) -> np.ndarray:
     """The n x (DISTANCE_ORBIT+1) matrix R_n F of the iterates z^k f.
 
-    F is the Toeplitz matrix F[j, k] = f_(j-k) of the iterates' coefficients
-    and R_n the space's metric factor, R_n^H R_n = G_n, so euclidean
+    F[j, k] = f_(j-k) holds the iterates' coefficients (the leading columns
+    of the transposed upper Toeplitz matrix of f's coefficients, zero-padded
+    to n) and R_n is the space's metric factor, R_n^H R_n = G_n, so euclidean
     geometry on the columns is the H(b) geometry.  A real f keeps F real.
     The window must be at least DISTANCE_ORBIT + deg f + 1, so that every
     iterate fits; ``subspace_distance`` sizes it so.
@@ -234,11 +235,11 @@ def _orbit_matrix(space: HbSpace, f: RationalFn, window: int) -> np.ndarray:
     base = _real_if_exact(base)
     # the size rule of the module docstring: n > window, so the QR of
     # [orbit, v] has more rows than its DISTANCE_ORBIT + 2 columns
-    n, orbit = -(-(window + 1) // 8) * 8, DISTANCE_ORBIT
-    padded = np.zeros(n + orbit, dtype=base.dtype)
-    padded[orbit : orbit + len(base)] = base
-    # entry (j, k) reads padded[orbit + j - k]: reversed windows of orbit + 1
-    lagged = sliding_window_view(padded, orbit + 1)[:n, ::-1]
+    n = -(-(window + 1) // 8) * 8
+    column = np.zeros(n, dtype=base.dtype)
+    column[: len(base)] = base
+    # C order, so the BLAS call of the product does not depend on F's strides
+    lagged = _upper_toeplitz(column).T[:, : DISTANCE_ORBIT + 1].copy()
     return space._metric_factor(n) @ lagged
 
 

@@ -49,15 +49,17 @@ the Toeplitz calculus (P denotes the analytic projection):
 Vectors built from those forms pair exactly against polynomials because
 the H^2 pairing only reads coefficients up to the polynomial's degree.
 
-Every such member shares the denominator q = b.den: b, b+, Lb, La and
-the boundary kernels have denominator q, and u_w^i has q (1 - conj(w) z)^(i+1).
-So their Taylor coefficients are the numerators convolved with one cached
-series of 1/q, times the closed-form series of (1 - conj(w) z)^-(i+1) at an
-interior w; the recurrence of ``RationalFn.taylor`` runs once per space for
-them.  phi = b/a stays on that recurrence: the Gram matrix I + C^H C sits one
-rounding away from its bound >= I (a one-ulp perturbation of phi on a
-degree-8 symbol pushed the smallest eigenvalue of gram_matrix(256) below 1
-in 15 of 20 trials), so phi keeps its exact bits.
+Each such member is a pair of numerators over one denominator, which
+``HbSpace._member_den`` builds from (conj(w), i): q = b.den for b, b+, Lb,
+La and the boundary kernels, q (1 - conj(w) z)^(i+1) for u_w^i at an
+interior w.  So their Taylor coefficients are the numerators convolved
+with one cached series of 1/q, times the closed-form series of
+(1 - conj(w) z)^-(i+1) at an interior w; the recurrence of
+``RationalFn.taylor`` runs once per space for them.  phi = b/a stays on
+that recurrence: the Gram matrix I + C^H C sits one rounding away from
+its bound >= I (a one-ulp perturbation of phi on a degree-8 symbol pushed
+the smallest eigenvalue of gram_matrix(256) below 1 in 15 of 20 trials),
+so phi keeps its exact bits.
 
 Their Taylor tails are bounded from the decay radius, which needs no root
 finding: the radius is rho_b, the modulus of the nearest root of q, or
@@ -80,10 +82,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import CIRCLE_BAND, D_TRUNC, DEFAULT_TOLERANCES as TOL
 from .errors import InputFormatError, OrderTooHighError, VerificationError
-from .factorization import MateResult, _analytic_lowest_terms, pythagorean_mate
+from .factorization import MateResult, _analytic_lowest_terms, circle_grid, pythagorean_mate
 from .polynomials import Poly, RationalFn, _zero_order, as_rational, synthetic_division
-
-_DECAY_GRID = 256
 
 # Largest degree _degree_for_tail asks for.
 _TAIL_DEGREE_CAP = 4096
@@ -112,7 +112,7 @@ def _decay_profile(g: RationalFn, radius: float) -> tuple[float, float]:
     if math.isinf(radius):
         return float(max(g.num.scale(), 1.0)), math.inf
     rho = radius**0.75
-    zs = rho * np.exp(2j * np.pi * np.arange(_DECAY_GRID) / _DECAY_GRID)
+    zs = rho * circle_grid()[::4]
     m = 2.0 * float(np.max(np.abs(g.num(zs) / g.den(zs))))
     return m, rho
 
@@ -244,14 +244,14 @@ class HbSpace:
 
     def vector_b(self, degree: int = D_TRUNC) -> HbVector:
         """b itself: b+ = 1/a(0) - a."""
-        bp = RationalFn(self.a.den * (1.0 / self._a0) - self.a.num, self.a.den)
-        return self._rational_pair(self.b, bp, degree, self.pole_radius)
+        q = self.b.den
+        return self._member(self.b.num, q * (1.0 / self._a0) - self.a.num, degree)
 
     def vector_Lb(self, degree: int = D_TRUNC) -> HbVector:
         """Lb = (b - b(0))/z: companion -La."""
-        la = _backward_rational(self.a)
-        return self._rational_pair(
-            _backward_rational(self.b), RationalFn(-la.num, la.den), degree, self.pole_radius
+        q = self.b.den
+        return self._member(
+            _backward(self.b.num - self.b(0) * q), -_backward(self.a.num - self.a(0) * q), degree
         )
 
     def vector_w(self, degree: int = D_TRUNC) -> HbVector:
@@ -260,19 +260,26 @@ class HbSpace:
         c = 1.0 / self._a0
         return HbVector(u.f * c, u.f_plus * c, u.tail_f * c, u.tail_plus * c)
 
-    def _rational_pair(
-        self, g: RationalFn, gplus: RationalFn, degree: int, radius: float,
-        wbar: complex = 0j, i: int = 0,
-    ):
-        """g and its companion gplus, both over q (1 - wbar z)^(i+1) and analytic on |z| < radius."""
+    def _member_den(self, wbar: complex, i: int) -> Poly:
+        """The denominator of a closed-form member: q, or q (1 - wbar z)^(i+1) for wbar != 0."""
+        return self.b.den if wbar == 0 else self.b.den * Poly([1, -wbar]) ** (i + 1)
+
+    def _member(
+        self, num: Poly, plus_num: Poly, degree: int, wbar: complex = 0j, i: int = 0
+    ) -> HbVector:
+        """num/den and its companion plus_num/den, den = ``_member_den(wbar, i)``,
+        truncated at degree; their tails are bounded on |z| < min(rho_b, 1/|wbar|)."""
         series = self._inv_q_coeffs(degree)
+        radius = self.pole_radius
         if wbar != 0:
             series = np.convolve(series, _inverse_power_series(wbar, i, degree))[: degree + 1]
+            radius = min(radius, 1.0 / abs(wbar))
+        den = self._member_den(wbar, i)
         return HbVector(
-            f=Poly(_truncated_product(g.num, series)),
-            f_plus=Poly(_truncated_product(gplus.num, series)),
-            tail_f=_tail_bound(g, degree, radius),
-            tail_plus=_tail_bound(gplus, degree, radius),
+            f=Poly(_truncated_product(num, series)),
+            f_plus=Poly(_truncated_product(plus_num, series)),
+            tail_f=_tail_bound(RationalFn(num, den), degree, radius),
+            tail_plus=_tail_bound(RationalFn(plus_num, den), degree, radius),
         )
 
     # -- inner products ------------------------------------------------------
@@ -347,37 +354,23 @@ class HbSpace:
         boundary zero of multiplicity m and i <= m - 1, in which case the
         circle pole cancels and the result is analytic on the closed disk.
         """
-        num, _, den_extra = self._kernel_derivative_parts(w, i)
-        return self._assemble_kernel_fn(num, den_extra, w, i)
+        num, _, wbar = self._kernel_numerators(w, i)
+        return RationalFn(num, self._member_den(wbar, i))
 
     def kernel_vector(self, lam: complex, degree: int = D_TRUNC) -> HbVector:
         """Truncated kernel with its exact companion conj(b(lam)) a k_lam."""
         return self.derivative_kernel_vector(lam, 0, degree=degree)
 
     def derivative_kernel_vector(self, w: complex, i: int, degree: int = D_TRUNC) -> HbVector:
-        num, plus_num, den_extra = self._kernel_derivative_parts(w, i)
-        radius, wbar = self.pole_radius, 0j
-        if not self._on_circle(w) and w != 0:
-            radius = min(radius, 1.0 / abs(w))  # the root of den_extra
-            wbar = w.conjugate()
-        u = self._assemble_kernel_fn(num, den_extra, w, i)
-        uplus = self._assemble_kernel_fn(plus_num, den_extra, w, i)
-        return self._rational_pair(u, uplus, degree, radius, wbar, i)
+        num, plus_num, wbar = self._kernel_numerators(w, i)
+        return self._member(num, plus_num, degree, wbar, i)
 
-    def _on_circle(self, w: complex) -> bool:
-        return abs(abs(w) - 1.0) <= CIRCLE_BAND
+    def _kernel_numerators(self, w: complex, i: int) -> tuple[Poly, Poly, complex]:
+        """Numerators of u_w^i and its companion over ``_member_den(wbar, i)``, and wbar.
 
-    def _boundary_multiplicity(self, w: complex) -> int | None:
-        """Multiplicity if w sits at a mate boundary zero, else None."""
-        if not self._on_circle(w):
-            return None
-        for lam, m in self.boundary_zeros:
-            if abs(w - lam) <= CIRCLE_BAND:
-                return m
-        return 0
-
-    def _kernel_derivative_parts(self, w: complex, i: int) -> tuple[Poly, Poly, Poly]:
-        """Numerators of u_w^i and its companion over q(z) d(z), and d = (1 - conj(w) z)^(i+1)."""
+        wbar is conj(w) inside the disk.  At a mate boundary zero w it is 0:
+        (z - w)^(i+1) is cancelled from both numerators, so the two share q.
+        """
         if i < 0:
             raise InputFormatError(f"derivative order must be nonnegative, got {i}")
         if i > _MAX_DERIVATIVE_ORDER:
@@ -386,11 +379,13 @@ class HbSpace:
             )
         if abs(w) > 1.0 + CIRCLE_BAND:
             raise InputFormatError(f"kernel point {w} lies outside the closed unit disk")
-        mult = self._boundary_multiplicity(w)
-        if mult is not None and i >= mult:
-            raise OrderTooHighError(
-                f"derivative order {i} at boundary point {w} exceeds multiplicity {mult}"
-            )
+        on_circle = abs(abs(w) - 1.0) <= CIRCLE_BAND
+        if on_circle:
+            mult = next((m for lam, m in self.boundary_zeros if abs(w - lam) <= CIRCLE_BAND), 0)
+            if i >= mult:
+                raise OrderTooHighError(
+                    f"derivative order {i} at boundary point {w} exceeds multiplicity {mult}"
+                )
         wbar = w.conjugate()
         pole = Poly([1, -wbar])  # 1 - conj(w) z
         # Term j carries C(i, j) (i - j)! conj(b^(j)(w)) = i! conj(t_j) with
@@ -405,18 +400,19 @@ class HbSpace:
         acc = Poly()
         for j, t in enumerate(ts):
             acc = acc + (math.factorial(i) * t.conjugate()) * (pole**j).shifted(i - j)
-        num = math.factorial(i) * self.b.den.shifted(i) - self.b.num * acc
-        return num, self.a.num * acc, pole ** (i + 1)
-
-    def _assemble_kernel_fn(self, num: Poly, den_extra: Poly, w: complex, i: int) -> RationalFn:
-        if not self._on_circle(w):
-            return RationalFn(num, self.b.den * den_extra)
+        nums = (math.factorial(i) * self.b.den.shifted(i) - self.b.num * acc, self.a.num * acc)
+        if not on_circle:
+            return *nums, wbar
         # on the circle 1 - conj(w) z = -conj(w) (z - w): cancel (z - w)^(i+1)
-        k, work = _zero_order(num, w, at_most=i + 1)
-        if k <= i:
-            raise VerificationError(f"boundary kernel cancellation of (z - w)^{i + 1} "
-                                    f"stopped at order {k}")
-        return RationalFn(work * (1.0 / (-w.conjugate()) ** (i + 1)), self.b.den)
+        unit = 1.0 / (-wbar) ** (i + 1)
+        cancelled = []
+        for num in nums:
+            k, work = _zero_order(num, w, at_most=i + 1)
+            if k <= i:
+                raise VerificationError(f"boundary kernel cancellation of (z - w)^{i + 1} "
+                                        f"stopped at order {k}")
+            cancelled.append(work * unit)
+        return *cancelled, 0j
 
     # -- identities ----------------------------------------------------------
 
@@ -504,10 +500,6 @@ def _real_if_exact(x: np.ndarray) -> np.ndarray:
     return x if x.imag.any() else x.real
 
 
-def _backward_rational(g: RationalFn) -> RationalFn:
-    """(g - g(0))/z for rational g analytic at the origin."""
-    g0 = g(0)
-    num = g.num - g0 * g.den
-    # num vanishes at 0 by construction; divide out z exactly
-    shifted = Poly(num.coeffs[1:]) if not num.is_zero else Poly()
-    return RationalFn(shifted, g.den)
+def _backward(p: Poly) -> Poly:
+    """The backward shift L: p's constant term dropped, the rest divided by z."""
+    return Poly(p.coeffs[1:])

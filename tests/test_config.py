@@ -73,9 +73,11 @@ def test_parameters_no_caller_sets_are_gone():
 
 
 def test_second_copies_of_a_decision_are_gone():
-    # the ball rule, the a(0) check, the mate JSON, the mate residual and the
-    # kernel each have one home; the tail degree is read only inside space
-    from hbspace import cli, errors, extension, factorization, space
+    # the ball rule, the a(0) check, the mate JSON, the mate residual, the
+    # kernel, a member's denominator, the Toeplitz builder, the circle grid
+    # and the circle rule's scan step each have one home; the tail degree is
+    # read only inside space
+    from hbspace import cli, errors, extension, factorization, lattice, space
 
     assert [n for n in ("NegativeDensityError", "SingularSystemError") if hasattr(errors, n)] == []
     assert [n for n in ("norm_sq", "kernel_fn", "backward_shift") if n in vars(HbSpace)] == []
@@ -83,6 +85,10 @@ def test_second_copies_of_a_decision_are_gone():
     assert not hasattr(cli, "_zeros_json")
     assert not hasattr(factorization, "_finalize")
     assert not hasattr(space, "degree_for_tail")
+    assert [n for n in ("_backward_rational", "_DECAY_GRID") if hasattr(space, n)] == []
+    assert [n for n in ("_assemble_kernel_fn", "_rational_pair") if n in vars(HbSpace)] == []
+    assert "step" not in inspect.signature(factorization._circle_zeros).parameters
+    assert not hasattr(lattice, "sliding_window_view")
 
 
 def test_point_rules_have_one_home():

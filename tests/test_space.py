@@ -523,13 +523,15 @@ def _series_route_bound(space, g: RationalFn, extra: Poly, degree: int) -> np.nd
 SERIES_POINTS = (0.0, 0.5, 0.95j)
 
 
-@pytest.fixture(scope="module", params=["half", "model2", "complex", "tower3"])
+@pytest.fixture(scope="module", params=["half", "model2", "complex", "tower3", "den49"])
 def series_case(request):
     b = {
         "half": B_HALF,
         "model2": build_model(2).b,
         "complex": B_COMPLEX,
         "tower3": build_model(3, omega=0.5, t=2.0).b,
+        # normalized by 1/49, so q(0) = 49 * (1/49) is 1 only up to rounding
+        "den49": RationalFn(Poly([1, 2]), Poly([49, -3])),
     }[request.param]
     return HbSpace(b)
 
@@ -600,8 +602,10 @@ _OFF_GRID = np.exp(2j * np.pi * (3 * np.arange(1999) + 1) / 5997)
 
 
 def _ball_symbol(seed: int) -> RationalFn:
-    """p/q with deg p in 1..6 over 0..deg p poles at modulus 1.25..4, q(0) = 1,
-    scaled to sup |b| in [0.5, 0.95] on a fine grid."""
+    """p/q with deg p in 1..6 over 0..deg p poles at modulus 1.25..4, scaled
+    to sup |b| in [0.5, 0.95] on a fine grid; p and q are then both scaled by
+    a complex constant of modulus 0.5..50, so q(0) is 1 only up to rounding
+    once RationalFn normalizes it."""
     rng = np.random.default_rng(seed)
     deg = int(rng.integers(1, 7))
     num = Poly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
@@ -610,7 +614,9 @@ def _ball_symbol(seed: int) -> RationalFn:
         pole = cmath.rect(rng.uniform(1.25, 4.0), rng.uniform(0.0, 2 * math.pi))
         den = den * Poly([1, -1 / pole])
     sup = float(np.max(np.abs(num(_FINE) / den(_FINE))))
-    return RationalFn(num * (rng.uniform(0.5, 0.95) / sup), den)
+    num = num * (rng.uniform(0.5, 0.95) / sup)
+    c = cmath.rect(rng.uniform(0.5, 50.0), rng.uniform(0.0, 2 * math.pi))
+    return RationalFn(num * c, den * c)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -628,5 +634,16 @@ def test_random_symbols_in_the_ball(seed, angle):
     lam = cmath.rect(0.6, angle)
     got = space.pair(space.vector(f), space.kernel_vector(lam))
     assert abs(got - f(lam)) <= 1e-8 * max(1.0, abs(f(lam)))
-    ev = np.linalg.eigvalsh(space.gram_matrix(16))
+    g = space.gram_matrix(16)
+    ev = np.linalg.eigvalsh(g)
     assert ev[0] >= 1.0 - 16 * np.finfo(float).eps * ev[-1]
+    # the shift's rank-one defect, phi route against the closed-form Lb:
+    # G[j+1, k+1] - G[j, k] = (1 + |b|_b^2) <z^k, Lb>_b <Lb, z^j>_b.  Each
+    # side is a sum of at most N + 2 products of entries bounded by max |G|;
+    # 4 for complex rounding, 2 for the two terms of each side and 4 for the
+    # series route of Lb give 32 (N + 2) eps max |G|, N = 16.
+    vl = space.vector_Lb()
+    c = np.array([space.pair(space.vector(Poly([1]).shifted(k)), vl) for k in range(15)])
+    want = (1.0 + space.norm_b_sq) * np.outer(np.conj(c), c)
+    got = g[1:, 1:] - g[:-1, :-1]
+    assert np.max(np.abs(got - want)) <= 32 * 18 * np.finfo(float).eps * np.max(np.abs(g))

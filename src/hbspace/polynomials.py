@@ -10,9 +10,11 @@ numbers.  Booleans are not numbers, and non-finite values are rejected.
 
 Root finding uses a simultaneous Aberth-Ehrlich iteration started on a
 randomly rotated circle, with the companion-matrix eigenvalue solver as a
-fallback when the iteration stalls.  Newton steps polish the roots, and
-Aberth steps part a close pair that Newton leaves above the rounding
-bound.  Each step evaluates p, p' and the Horner bound at all roots in
+fallback when the iteration stalls, and the iteration restarted on the
+circles of the Newton polygon when the fallback misses its residual too
+(roots at scales far apart, such as 1e-59 next to 0.5).  Newton steps
+polish the roots, and Aberth steps part a close pair that Newton leaves
+above the rounding bound.  Each step evaluates p, p' and the Horner bound at all roots in
 one stacked Horner pass (``_horner_stacked``) that rounds exactly as
 three separate Horner loops would.
 
@@ -391,19 +393,46 @@ def _aberth_step(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w / denom
 
 
-def _aberth(c: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
-    """Simultaneous root iteration; returns roots or None on a stall."""
+def _newton_polygon_start(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Starting points for roots at scales far apart (Bini, Numer. Algorithms 13, 1996).
+
+    Each edge (i, j) of the upper convex hull of the points (k, log|c_k|)
+    puts j - i points, evenly spaced and randomly rotated, on the circle of
+    radius (|c_i| / |c_j|)^(1 / (j - i)): about that many roots sit near it.
+    """
+    k = np.flatnonzero(c)
+    y = np.log(np.abs(c[k]))
+    hull = [0]
+    for i in range(1, len(k)):
+        # drop the last vertex while it sits on or below the chord to point i
+        while len(hull) >= 2 and ((y[hull[-1]] - y[hull[-2]]) * (k[i] - k[hull[-2]])
+                                  <= (y[i] - y[hull[-2]]) * (k[hull[-1]] - k[hull[-2]])):
+            hull.pop()
+        hull.append(i)
+    circles = []
+    for i, j in zip(hull, hull[1:]):
+        m = k[j] - k[i]
+        angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(m) / m
+        circles.append(np.exp((y[i] - y[j]) / m + 1j * angles))
+    return np.concatenate(circles)
+
+
+def _aberth(
+    c: np.ndarray, rng: np.random.Generator, z: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Simultaneous root iteration from z, by default one circle; roots or None on a stall."""
     d = len(c) - 1
     table = _horner_table(c)
-    # Start on a circle whose radius blends the Cauchy bound with the
-    # geometric-mean estimate, randomly rotated and jittered so symmetric
-    # configurations cannot lock the iteration.
-    cauchy = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
-    geo = abs(c[0] / c[-1]) ** (1.0 / d)
-    radius = min(cauchy, max(geo, 1e-3))
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    angles = theta + 2.0 * np.pi * np.arange(d) / d
-    z = radius * np.exp(1j * angles) * (1.0 + 0.01 * rng.standard_normal(d))
+    if z is None:
+        # Start on a circle whose radius blends the Cauchy bound with the
+        # geometric-mean estimate, randomly rotated and jittered so symmetric
+        # configurations cannot lock the iteration.
+        cauchy = 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1])
+        geo = abs(c[0] / c[-1]) ** (1.0 / d)
+        radius = min(cauchy, max(geo, 1e-3))
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        angles = theta + 2.0 * np.pi * np.arange(d) / d
+        z = radius * np.exp(1j * angles) * (1.0 + 0.01 * rng.standard_normal(d))
 
     for _ in range(120):
         pz, dpz, bound = _horner_stacked(table, z)
@@ -424,8 +453,9 @@ def poly_roots(p: Poly, rng: np.random.Generator | None = None) -> np.ndarray:
     """Roots of p with multiplicity, lowest-degree-first coefficients.
 
     Raises ZeroFunctionError on the zero polynomial and
-    NonConvergenceError if both the simultaneous iteration and the
-    companion-matrix fallback miss the residual target.
+    NonConvergenceError if the simultaneous iteration, the companion-matrix
+    fallback and the restart from the Newton polygon all miss the residual
+    target.
     """
     if p.is_zero:
         raise ZeroFunctionError("the zero polynomial has no root set")
@@ -460,9 +490,13 @@ def poly_roots(p: Poly, rng: np.random.Generator | None = None) -> np.ndarray:
             found = np.roots(c[::-1])
             resid = np.abs(_horner_many(c, found)) / _horner_bound(c, found)
             if np.max(resid) > 1e3 * TOL.root_residual:
-                raise NonConvergenceError(
-                    f"root residual {np.max(resid):.3e} after fallback"
-                )
+                # roots at scales far apart defeat both; restart on the
+                # circles of the Newton polygon
+                found = _aberth(c, rng, _newton_polygon_start(c, rng))
+                if found is None:
+                    raise NonConvergenceError(
+                        f"root residual {np.max(resid):.3e} after fallback"
+                    )
         found = _newton_polish(c, found)
     roots = np.concatenate([np.zeros(k0, dtype=complex), found])
     return roots

@@ -302,6 +302,16 @@ def test_roots_part_a_close_pair(lam, delta):
         assert np.min(np.abs(rts - r)) < 1e-8
 
 
+def test_roots_at_scales_far_apart():
+    # a pair near 9e-60 next to 0.5: Aberth from one circle and the companion
+    # eigenvalues both miss the residual; the Newton polygon's circles meet it
+    p = Poly([-4.12091e-119, 9.07844e-60, -0.5, 1])
+    rts = np.sort_complex(poly_roots(p))
+    assert np.all(np.abs(p(rts)) <= 1e-11 * _horner_bound(p.coeffs, rts))
+    assert np.all(np.abs(rts[:2] - 9.07844e-60) < 1e-61)
+    assert abs(rts[2] - 0.5) < 1e-15
+
+
 def test_zero_poly_roots_raise():
     with pytest.raises(ZeroFunctionError):
         poly_roots(Poly())

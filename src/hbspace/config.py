@@ -26,12 +26,6 @@ CIRCLE_GRID = 1024
 # the boundary vanishing threshold); the one band for inside / on / outside.
 CIRCLE_BAND = 1e-6
 
-# Shift-orbit length for subspace distances.  Generators of the same
-# subspace that differ by a factor vanishing on the circle approximate
-# each other only at a 1/sqrt(orbit) rate, so the window must be long
-# enough to pull equal subspaces visibly below the distinctness gap.
-DISTANCE_ORBIT = 128
-
 
 @dataclass(frozen=True)
 class Tolerances:

@@ -66,7 +66,9 @@ class FactorizationError(NumericalError):
 
 
 class RankDeficiencyError(NumericalError):
-    """A Gram block is numerically singular."""
+    """A Gram matrix of kernels is numerically singular: the Cholesky of the
+    kernel Gram matrix Gamma in ``lattice.subspace_distance`` failed; the
+    message names its order, the codimension of the target subspace."""
 
 
 class VerificationError(NumericalError):

@@ -34,7 +34,14 @@ at lam when |den(lam)| <= TOL.pole * B_den(lam), else order k when k
 synthetic divisions each leave a remainder within TOL.boundary * B(lam)
 of the quotient divided.  ``_inner_roots`` is the one rule for which
 computed roots are inner zeros; ``inner_outer`` and ``lattice.classify``
-build their Blaschke factor from it.
+build their Blaschke factor from it.  Off the circle the root finder
+returns an m-fold zero as m roots about eps^(1/m) apart, so the
+multiple-root rule (``_placed_clusters``) places them: roots whose
+midpoint the zero rule reads as a double zero form a cluster, and an
+m-root cluster becomes m copies of its centroid polished as an m-fold
+root, when p and its first m - 1 derivatives vanish there within the
+root finder's residual TOL.root_residual (the zero rule's band would
+merge simple zeros up to about 4e-4 apart).
 
 For rational nonextreme b, a rational f lies in H(b) exactly when it is
 analytic on the closed disk (Sarason 1994), so one gate, ``_lowest_terms``,
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -345,17 +353,48 @@ def boundary_order(f: RationalFn, lam: complex) -> int:
     return _zero_order(f.num, lam)[0]
 
 
+def _placed_clusters(p: Poly, roots) -> list[complex]:
+    """The multiple-root rule: the computed roots of p, each cluster placed.
+
+    Two roots join one candidate cluster when the zero rule reads order 2
+    at their midpoint.  A cluster of m roots becomes m copies of
+    w = ``polish_multiple_root(p, centroid, m)`` when p^(j)(w) / j! for
+    j < m are all within the root finder's residual TOL.root_residual *
+    B(w); otherwise, and for a lone root, the roots stay as computed.  Two
+    simple zeros delta apart merge only when (delta / 2)^2 |p''(w) / 2|
+    <= TOL.root_residual * B(w), delta below about 4e-6 at unit scale.
+    """
+    roots = [complex(r) for r in roots]
+    label = list(range(len(roots)))
+    for i, j in itertools.combinations(range(len(roots)), 2):
+        if label[i] != label[j] and _zero_order(p, (roots[i] + roots[j]) / 2, 2)[0] == 2:
+            old = label[j]
+            label = [label[i] if k == old else k for k in label]
+    placed = []
+    for cluster_label in dict.fromkeys(label):
+        cluster = [r for r, k in zip(roots, label) if k == cluster_label]
+        m = len(cluster)
+        if m > 1:
+            w = complex(polish_multiple_root(p, sum(cluster) / m, m))
+            _, rems = synthetic_division(p, w, m)
+            if max(map(abs, rems)) <= TOL.root_residual * _horner_bound(p.coeffs, w):
+                cluster = [w] * m
+        placed += cluster
+    return placed
+
+
 def _inner_roots(num: Poly) -> tuple[complex, ...]:
-    """Zeros of num strictly inside the disk: with its circle zeros divided
-    out by the circle rule at least order 1, the roots of the quotient
-    inside 1 - CIRCLE_BAND."""
+    """Zeros of num strictly inside the disk, with multiplicity: with its
+    circle zeros divided out by the circle rule at least order 1, the roots
+    of the quotient, placed by the multiple-root rule, inside 1 - CIRCLE_BAND.
+    An m-fold zero appears as m equal copies."""
     if num.degree < 1:
         return ()
     _, rest = _circle_zeros(
         num, np.abs(num(circle_grid())), 1,
         lambda w: abs(num(w)) <= TOL.root_residual * _horner_bound(num.coeffs, w),
     )
-    inner = [complex(r) for r in poly_roots(rest) if abs(r) < 1.0 - CIRCLE_BAND]
+    inner = [r for r in _placed_clusters(rest, poly_roots(rest)) if abs(r) < 1.0 - CIRCLE_BAND]
     return tuple(sorted(inner, key=lambda w: (w.real, w.imag)))
 
 

@@ -22,76 +22,50 @@ one pass (polynomials._zero_order) before rooting the rest, so a
 multiple zero at a mate zero cannot splatter into theta (see
 factorization._inner_roots).
 
-subspace_distance gives the numeric side: the gap between the spans of
-the first K shift iterates of two generators, measured in the H(b)
-inner product.  Equal subspaces show a small gap that decays as K
-grows; distinct ones stay separated.
+subspace_distance gives the numeric side, exactly: the distance from f
+to the closed subspace [g], relative to |f|_b.  The same finite data fix
+[g]^perp.  With x_0, ..., x_(m-1) the zeros of g in the open disk, each
+repeated by its multiplicity (copies adjacent), f lies in [g] exactly when
 
-The monomial Gram matrix is G = I + C^H C = M^H M with M = [I; C], C the
-companion map (see space.py).  The space keeps R_N, the triangular QR
-factor of the 2N x N matrix M_N = [I_N; C_N], so R_N^H R_N = G_N and
-x -> R_N x carries the H(b) metric onto euclidean space for every
-polynomial of degree below N; no Gram matrix is formed or factored.  An
-orbit is R_N F, F the Toeplitz matrix of its generator's coefficients,
-F[j, k] = f_(j-k), built by space's upper Toeplitz builder and transposed:
-N rows, against the 2N of the stacked (f, f+) coordinates M_N F.
+    f[x_0, ..., x_s] = 0   for s < m          (divided differences),
+    f^(i)(lambda) = 0      for i < j_lambda   at each mate boundary zero lambda.
 
-N depends on the window alone: window + 1 rounded up to a multiple of 8.
-So a distance never depends on which distances came before it, and
-nearby windows (130-133 for generators of degree 1-4) share one factor:
-the space keeps only the last size's, and the rounding is what lets two
-distances in a row on one space, as in a gram query, reuse it.
-A larger factor's leading block is not bitwise the smaller one, so a
-factor is never read off a larger one.  For a polynomial generator any
-N at least the window gives the same geometry in exact arithmetic.
+At an m-fold zero w the divided differences are f^(s)(w) / s!; at distinct
+zeros they span the same functionals as the values there, and they stay
+independent as zeros come together, where the values would not.  Each
+functional l_a is the pairing with a kernel, l_a(f) = <f, k_a>_b: the
+divided difference of K_w in conj(w) over the same points
+(HbSpace._newton_kernel), or kernel_derivative(lambda, i).  So [g]^perp
+is spanned by d = codimension kernels, and the part of f orthogonal to
+[g] is its projection P f = sum_b y_b k_b.  Projecting leaves each
+pairing alone, <P f, k_a>_b = <f, k_a>_b = c_a, which reads
 
-When phi_0..phi_(N-1) are real, R_N is float64; with a real generator the
-orbit is too, and its QR and the rank certificate below run in real
-arithmetic.
+    Gamma y = c,   Gamma[a, b] = <k_b, k_a>_b = l_a(k_b),   c_a = l_a(f),
 
-Each direction of the distance needs the orbit to have full numerical
-rank.  The rule is the one of its singular values: with R the triangular
-QR factor of the orbit, sigma_min(R) > _RANK_TOL * sigma_max(R), else
-RankDeficiencyError.  An SVD per direction is costly, so the rule is
-first certified without one: a floating-point Cholesky of
-R^H R - delta I with
+and then |P f|_b^2 = <P f, f>_b = sum_b y_b conj(c_b) = c^H Gamma^-1 c.
+Gamma is the Gram matrix of the kernels, Hermitian positive definite when
+they are independent, so one Cholesky factor L solves it:
 
-    delta = (_RANK_TOL^2 + 4 gamma_(n+2)) |R|_F^2,
-    gamma_k = k u / (1 - k u),  u = 2^-53,  n the order of R,
+    d(f, [g])^2 = |L^-1 c|^2 / |f|_b^2.
 
-that runs to completion proves sigma_min(R) > _RANK_TOL |R|_F, which is
-at least _RANK_TOL sigma_max(R).  In 2-norm, relative to |R|_F^2 =
-trace(R^H R), the 4 gamma_(n+2) covers three roundings:
-
-- forming A = R^H R: inner products of length n, complex or real, are
-  off by at most gamma_(n+2) |R|^H |R| entrywise, whose 2-norm is
-  <= |R|_F^2;
-- the diagonal shift: u;
-- the Cholesky: one that runs to completion is exact for a matrix within
-  2 gamma_(n+2) sqrt(a_ii a_jj) entrywise (Demmel's real-arithmetic
-  bound gamma_(n+1) / (1 - gamma_(n+1)), doubled here for complex), a
-  perturbation of 2-norm at most 2 gamma_(n+2) trace(A).  This is the
-  condition of Rump, "Verification of positive definiteness", BIT 46
-  (2006).  A real orbit needs only half of that term, so the one delta
-  stays a proof in real arithmetic.
-
-What is left, about gamma_(n+2) - u > 0, keeps the proof strict and
-puts sigma_min above sqrt(gamma_(n+2) / 2) |R|_F, at least 1e-8 |R|_F:
-far above the SVD's own rounding, so the SVD rule would pass as well.
-Because R^H R squares the condition number, the certificate reaches no
-further than |R|_F / sigma_min of about 1 / sqrt(4 gamma_(n+2)), 4.1e6
-for the 129-iterate orbits.  Beyond that, and when R is zero, non-finite
-or so small that u |R|_F^2 underflows, the SVD rule runs, with its
-messages.
+Every l_a is read by RationalFn.divided_differences.  Gamma is averaged
+with its adjoint so it is exactly Hermitian.  A Cholesky that fails, or
+whose least pivot L_kk^2 is within d eps of Gamma's largest diagonal
+entry (rounding level, which proves nothing), raises RankDeficiencyError
+with the codimension d.  A polynomial f enters exactly; a rational f is
+replaced by its Taylor polynomial of degree D_TRUNC in both c and |f|_b,
+so the ratio is a true relative distance, at most 1.  The statistic is
+the larger of the two directed distances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CIRCLE_BAND, D_TRUNC, DISTANCE_ORBIT
+from .config import CIRCLE_BAND, D_TRUNC
 from .errors import (
     InputFormatError,
     MultipleBoundaryZeroError,
@@ -99,15 +73,9 @@ from .errors import (
 )
 from .factorization import _analytic_lowest_terms, _blaschke, _inner_roots, _lowest_terms
 from .polynomials import Poly, RationalFn, _zero_order, complex_to_json
-from .space import HbSpace, _real_if_exact, _upper_toeplitz
+from .space import HbSpace
 
-_RANK_TOL = 1e-10
-
-# Unit roundoff of double precision, and the least |R|_F^2 the rank
-# certificate accepts: above it u |R|_F^2 is a normal number, so
-# underflow stays far below the rounding terms of the certificate.
-_UNIT_ROUNDOFF = 2.0**-53
-_CERTIFIABLE_FRO2 = np.finfo(float).tiny / _UNIT_ROUNDOFF
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +91,15 @@ class SubspaceDescriptor:
     @property
     def inner_degree(self) -> int:
         return len(self.inner_roots)
+
+    @property
+    def codimension(self) -> int | float:
+        """The dimension of the orthogonal complement, the order of the kernel
+        Gram matrix Gamma of ``subspace_distance``: the inner zeros with
+        multiplicity plus the capped boundary orders; inf for the zero subspace."""
+        if self.form == "zero":
+            return math.inf
+        return self.inner_degree + sum(j for _, j in self.boundary_orders)
 
     def same_as(self, other: "SubspaceDescriptor") -> bool:
         """Same form, boundary orders and inner roots (within 1e-8)."""
@@ -221,90 +198,68 @@ def ladder_spaces(space: HbSpace) -> list[SubspaceDescriptor]:
     return [classify(space, Poly([-lam, 1]) ** j) for j in range(mult + 1)]
 
 
-def _orbit_matrix(space: HbSpace, f: RationalFn, window: int) -> np.ndarray:
-    """The n x (DISTANCE_ORBIT+1) matrix R_n F of the iterates z^k f.
+def _annihilators(space: HbSpace, target: SubspaceDescriptor) -> list[tuple]:
+    """The functionals that vanish on target, as (points, scales, kernels)
+    sequences: functional s is scales[s] f[points[0..s]], paired with kernels[s].
 
-    F[j, k] = f_(j-k) holds the iterates' coefficients (the leading columns
-    of the transposed upper Toeplitz matrix of f's coefficients, zero-padded
-    to n) and R_n is the space's metric factor, R_n^H R_n = G_n, so euclidean
-    geometry on the columns is the H(b) geometry.  A real f keeps F real.
-    The window must be at least DISTANCE_ORBIT + deg f + 1, so that every
-    iterate fits; ``subspace_distance`` sizes it so.
+    The inner zeros, copies adjacent, form one Newton sequence; each mate
+    zero lambda with j > 0 gives lambda j times, scales i! and the
+    derivative kernels.
     """
-    base = (f.as_poly() if f.is_polynomial else f.taylor_poly(D_TRUNC)).coeff_array()
-    base = _real_if_exact(base)
-    # the size rule of the module docstring: n > window, so the QR of
-    # [orbit, v] has more rows than its DISTANCE_ORBIT + 2 columns
-    n = -(-(window + 1) // 8) * 8
-    column = np.zeros(n, dtype=base.dtype)
-    column[: len(base)] = base
-    # C order, so the BLAS call of the product does not depend on F's strides
-    lagged = _upper_toeplitz(column).T[:, : DISTANCE_ORBIT + 1].copy()
-    return space._metric_factor(n) @ lagged
+    inner = list(target.inner_roots)
+    seqs = [(inner, np.ones(len(inner)),
+             [space._newton_kernel(inner[: s + 1]) for s in range(len(inner))])]
+    for lam, j in target.boundary_orders:
+        seqs.append(([lam] * j, np.array([math.factorial(i) for i in range(j)], dtype=float),
+                     [space.kernel_derivative(lam, i) for i in range(j)]))
+    return [seq for seq in seqs if seq[0]]
 
 
-def _rank_certified(r: np.ndarray) -> bool:
-    """True when a Cholesky proves sigma_min(r) > _RANK_TOL * |r|_F.
+def _distance_to(space: HbSpace, f: RationalFn, target: SubspaceDescriptor) -> float:
+    """Distance from the nonzero member f to the subspace target, relative to |f|_b.
 
-    The shift delta and its constant are derived in the module docstring,
-    with n = max(r.shape), which bounds both the inner-product length and
-    the Cholesky order.  False means "not proved", not "rank deficient".
+    d^2 = c^H Gamma^-1 c / |f|_b^2 over target's annihilators; see the
+    module docstring.
     """
-    a = r.conj().T @ r
-    fro2 = float(np.trace(a).real)
-    if not _CERTIFIABLE_FRO2 < fro2 < np.inf:
-        return False
-    n = max(r.shape)
-    gamma = (n + 2) * _UNIT_ROUNDOFF / (1.0 - (n + 2) * _UNIT_ROUNDOFF)
-    a[np.diag_indices(n)] -= (_RANK_TOL**2 + 4.0 * gamma) * fro2
+    seqs = _annihilators(space, target)
+    kernels = [k for _, _, ks in seqs for k in ks]
+    if not kernels:
+        return 0.0
+
+    def functionals(h: RationalFn) -> np.ndarray:
+        return np.concatenate([scales * h.divided_differences(pts) for pts, scales, _ in seqs])
+
+    # c and |f|_b from one function: a rational f by its Taylor polynomial
+    p = f.as_poly() if f.is_polynomial else f.taylor_poly(D_TRUNC)
+    c = functionals(RationalFn(p, Poly([1])))
+    gamma = np.column_stack([functionals(k) for k in kernels])
+    gamma = 0.5 * (gamma + gamma.conj().T)
     try:
-        np.linalg.cholesky(a)
+        factor = np.linalg.cholesky(gamma)
+        pivot = float(np.min(np.abs(np.diag(factor)))) ** 2
     except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _directed_distance(orbit: np.ndarray, v: np.ndarray) -> float:
-    """Distance from v to the column span of orbit, relative to |v|.
-
-    In the R factor of [orbit, v], |R[-1, -1]| is the norm of the part of
-    v orthogonal to the span, and R[:-1, :-1] carries the singular values
-    of orbit for the rank rule sigma_min > _RANK_TOL * sigma_max.  The
-    rule is proved by ``_rank_certified`` where it can be; otherwise the
-    singular values decide, and RankDeficiencyError names the rank.
-    """
-    r = np.linalg.qr(np.column_stack([orbit, v]), mode="r")
-    if not _rank_certified(r[:-1, :-1]):
-        s = np.linalg.svd(r[:-1, :-1], compute_uv=False)
-        if s[0] == 0.0:
-            raise RankDeficiencyError("orbit span collapsed to zero")
-        rank = int(np.sum(s > _RANK_TOL * s[0]))
-        if rank < orbit.shape[1]:
-            raise RankDeficiencyError(
-                f"orbit of {orbit.shape[1]} iterates has numerical rank {rank}"
-            )
-    return float(abs(r[-1, -1]) / np.linalg.norm(v))
+        pivot = 0.0
+    # a pivot at the rounding level of Gamma's largest entry proves nothing
+    if not pivot > len(kernels) * _EPS * float(np.max(gamma.diagonal().real)):
+        raise RankDeficiencyError(
+            f"kernel Gram matrix of codimension {target.codimension} is not numerically "
+            f"positive definite (least pivot {pivot:.3e})"
+        )
+    norm_sq = space.inner_product(p, p).real
+    return float(np.linalg.norm(np.linalg.solve(factor, c)) / math.sqrt(norm_sq))
 
 
 def subspace_distance(space: HbSpace, f, g) -> float:
-    """How far apart the invariant subspaces [f] and [g] sit, probed on
-    the window {z^k h, k = 0..DISTANCE_ORBIT} in the H(b) metric.
+    """How far apart the invariant subspaces [f] and [g] sit in the H(b) metric.
 
     The statistic is mutual generator approximation: the distance from f
-    to the orbit span of g (relative to |f|_b), maximized over both
-    directions.  The naive span-to-span gap is useless here, since for
-    nested windows the freshest shift iterate always sticks out and the
-    gap saturates near 1 even for equal subspaces.  With the mutual
-    statistic, equal subspaces decay to zero as the window grows (slowly,
-    like 1/sqrt(orbit), when the generators differ by a factor vanishing
-    on the circle), while distinct subspaces stay separated.
-
-    Since G = R^H R with R the space's metric factor, each orbit is the
-    matrix R F of its iterates, in coordinates where the H(b) metric is
-    euclidean; one QR per direction gives the distance.  Each generator
-    is put in lowest terms, a rational one is truncated at degree D_TRUNC,
-    and a pole in the closed disk (or on the circle band) raises
-    PoleInDiskError.
+    to the closed subspace [g] (relative to |f|_b), maximized over both
+    directions.  Each is exact, c^H Gamma^-1 c over the annihilating
+    kernels of the target (module docstring), so equal subspaces read 0
+    up to rounding and distinct ones their true separation.  Each
+    generator is put in lowest terms, and a pole in the closed disk (or
+    on the circle band) raises PoleInDiskError; RankDeficiencyError when
+    a kernel Gram matrix is numerically singular.
     """
     f, _ = _analytic_lowest_terms(f)
     g, _ = _analytic_lowest_terms(g)
@@ -312,9 +267,5 @@ def subspace_distance(space: HbSpace, f, g) -> float:
         return 0.0
     if f.num.is_zero or g.num.is_zero:
         return 1.0
-    fd = int(f.num.degree if f.is_polynomial else D_TRUNC)
-    gd = int(g.num.degree if g.is_polynomial else D_TRUNC)
-    window = DISTANCE_ORBIT + max(fd, gd) + 1
-    mf = _orbit_matrix(space, f, window)
-    mg = _orbit_matrix(space, g, window)
-    return max(_directed_distance(mf, mg[:, 0]), _directed_distance(mg, mf[:, 0]))
+    return max(_distance_to(space, f, classify(space, g)),
+               _distance_to(space, g, classify(space, f)))

@@ -346,13 +346,26 @@ def synthetic_division(p: Poly, w: complex, k: int) -> tuple[Poly, list[complex]
     >>> synthetic_division(Poly([1, -2, 1]), 1.0, 2)   # (z - 1)^2
     (Poly[1], [0j, 0j])
     """
+    return _newton_division(p, [w] * k)
+
+
+def _newton_division(p: Poly, points) -> tuple[Poly, list[complex]]:
+    """Divide p by (z - x_0), the quotient by (z - x_1), and so on, at most
+    deg p times: (quotient, remainders), remainder r_j = p[x_0, ..., x_j]."""
     c = list(p.coeffs)
     rems = []
-    for _ in range(min(k, len(c) - 1)):
+    for w in points[: max(len(c) - 1, 0)]:
         for j in range(len(c) - 2, -1, -1):
             c[j] += w * c[j + 1]
         rems.append(c.pop(0))
     return Poly(c), rems
+
+
+def _newton_coefficients(p: Poly, points) -> list[complex]:
+    """The divided differences p[x_0], p[x_0, x_1], ..., one per point: the
+    remainders, then the constant quotient left after deg p divisions, then zeros."""
+    quot, rems = _newton_division(p, points)
+    return (rems + list(quot.coeffs) + [0j] * len(points))[: len(points)]
 
 
 def _horner_bound(coeffs, z):
@@ -635,10 +648,14 @@ class RationalFn:
     def __call__(self, z):
         """num(z) / den(z); PoleAtPointError where |den(z)| <= TOL.pole * _horner_bound."""
         dv = self.den(z)
+        self._pole_rule(z, dv)
+        return self.num(z) / dv
+
+    def _pole_rule(self, z, dv) -> None:
+        """PoleAtPointError where dv = den(z) has |dv| <= TOL.pole * _horner_bound."""
         at_pole = abs(dv) <= TOL.pole * _horner_bound(self.den.coeffs, z)
         if np.any(at_pole) if isinstance(z, np.ndarray) else at_pole:
             raise PoleAtPointError(f"evaluation at a pole of the denominator near z = {z}")
-        return self.num(z) / dv
 
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
@@ -684,6 +701,27 @@ class RationalFn:
 
     def taylor_poly(self, n: int) -> Poly:
         return Poly(self.taylor(n))
+
+    def divided_differences(self, points) -> np.ndarray:
+        """f[x_0], f[x_0, x_1], ..., f[x_0, ..., x_s]: one per point.
+
+        At one point repeated, x_0 = ... = x_s = w, these are the Taylor
+        coefficients f^(j)(w) / j! of f at w.  Those of num and den come
+        from ``_newton_coefficients``, and f's from the product rule
+        num[x_0..x_s] = sum_i f[x_0..x_i] den[x_i..x_s], solved for its last
+        term; so no quotient-rule derivative forms, and close points cost
+        no cancellation.  PoleAtPointError at a pole of den, by the rule of
+        ``__call__``; f[x_0] is f(x_0) bit for bit.
+        """
+        points = list(points)
+        num = _newton_coefficients(self.num, points)
+        dens = [_newton_coefficients(self.den, points[i:]) for i in range(len(points))]
+        out = np.zeros(len(points), dtype=complex)
+        for s, x in enumerate(points):
+            dv = dens[s][0]
+            self._pole_rule(x, dv)
+            out[s] = (num[s] - sum(out[i] * dens[i][s - i] for i in range(s))) / dv
+        return out
 
     # -- serialization --------------------------------------------------------
 

@@ -16,18 +16,11 @@ On monomials the companion map is the upper-triangular Toeplitz matrix
 C[j, k] = conj(phi_(k-j)), so the Gram matrix of the monomials is
 G = I + C^H C.  Inner products of polynomials are exact up to rounding.
 
-One builder gives C_N to both of its consumers, and one rule,
+One builder, ``HbSpace._companion``, gives C_N, and one rule,
 ``_real_if_exact``, sets its dtype: C_N is float64 when phi_0..phi_(N-1)
 have exactly zero imaginary parts, else complex128.  So for a real
 window the Gram matrix is float64 and exactly symmetric, and its
 eigenvalues come from the real symmetric solver.
-
-The space also keeps the metric factor R_N of the last size N asked
-for: the triangular QR factor of [I_N; C_N], so R_N^H R_N = G_N without
-G being formed.  It has C_N's dtype, and ``lattice`` measures subspace
-distances in its coordinates.  One factor is kept, not one per size, so
-a long-lived space holds a single N x N array; the two distances of a
-query share one N.
 
 The same coefficients carry the shift's rank-one defect.  The defect
 direction w = Lb / a(0) pairs with the monomials as
@@ -66,6 +59,11 @@ finding: the radius is rho_b, the modulus of the nearest root of q, or
 min(rho_b, 1/|w|) for an interior w.  The mate computation finds rho_b
 once, while validating b.
 
+Every kernel is one closed form, ``HbSpace._newton_numerators``: the
+divided difference of K_w in conj(w) over points x_0..x_s, which pairs as
+<f, K[..]>_b = f[x_0, ..., x_s]; at one point repeated it is a derivative
+kernel.
+
 At a mate boundary zero w, (z - w)^(i+1) must cancel from the derivative
 kernel's numerator by the zero rule of ``polynomials`` (each remainder
 within TOL.boundary times the quotient's Horner bound), else
@@ -83,7 +81,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import CIRCLE_BAND, D_TRUNC, DEFAULT_TOLERANCES as TOL
 from .errors import InputFormatError, OrderTooHighError, VerificationError
 from .factorization import MateResult, _analytic_lowest_terms, circle_grid, pythagorean_mate
-from .polynomials import Poly, RationalFn, _zero_order, as_rational, synthetic_division
+from .polynomials import Poly, RationalFn, _zero_order, as_rational
 
 # Largest degree _degree_for_tail asks for.
 _TAIL_DEGREE_CAP = 4096
@@ -166,7 +164,6 @@ class HbSpace:
         self.norm_Lb_sq = 1.0 - abs(b0) ** 2 - self._a0**2
         self._phi = np.zeros(0, dtype=complex)
         self._inv_q = np.zeros(0, dtype=complex)
-        self._factor = np.zeros((0, 0))
 
     # -- the plus companion -------------------------------------------------
 
@@ -318,22 +315,6 @@ class HbSpace:
         """C_n[j, k] = conj(phi_(k-j)), float64 when phi_0..phi_(n-1) are exactly real."""
         return _upper_toeplitz(_real_if_exact(np.conj(self.phi_coeffs(n - 1))))
 
-    def _metric_factor(self, n: int) -> np.ndarray:
-        """The triangular R_n with R_n^H R_n = I + C^H C = gram_matrix(n), read-only.
-
-        R_n is the QR factor of the 2n x n matrix [I_n; C_n], so no Gram
-        matrix is formed or factored, and |R_n x| = |x|_b for every
-        polynomial x of degree below n.  It has C_n's dtype, float64 when
-        phi_0..phi_(n-1) are real.  The last size's factor is kept; a factor
-        is never read off a larger one.
-        """
-        r = self._factor
-        if len(r) != n:
-            r = np.linalg.qr(np.vstack([np.eye(n), self._companion(n)]), mode="r")
-            r.flags.writeable = False
-            self._factor = r
-        return r
-
     # -- shifts ------------------------------------------------------------
 
     def shift(self, f) -> HbVector:
@@ -387,20 +368,7 @@ class HbSpace:
                     f"derivative order {i} at boundary point {w} exceeds multiplicity {mult}"
                 )
         wbar = w.conjugate()
-        pole = Poly([1, -wbar])  # 1 - conj(w) z
-        # Term j carries C(i, j) (i - j)! conj(b^(j)(w)) = i! conj(t_j) with
-        # t_j = b^(j)(w) / j! the Taylor coefficients of b(w + h); repeated
-        # quotient-rule derivatives would square the denominator each time.
-        if i == 0:
-            ts = [self.b(w)]
-        else:
-            # p(w + h): the deg p remainders of p at w, then p's leading coefficient
-            shifts = [synthetic_division(p, w, len(p.coeffs)) for p in (self.b.num, self.b.den)]
-            ts = RationalFn(*(Poly(r + list(q.coeffs)) for q, r in shifts)).taylor(i)
-        acc = Poly()
-        for j, t in enumerate(ts):
-            acc = acc + (math.factorial(i) * t.conjugate()) * (pole**j).shifted(i - j)
-        nums = (math.factorial(i) * self.b.den.shifted(i) - self.b.num * acc, self.a.num * acc)
+        *nums, _ = self._newton_numerators([w] * (i + 1), math.factorial(i))
         if not on_circle:
             return *nums, wbar
         # on the circle 1 - conj(w) z = -conj(w) (z - w): cancel (z - w)^(i+1)
@@ -413,6 +381,36 @@ class HbSpace:
                                         f"stopped at order {k}")
             cancelled.append(work * unit)
         return *cancelled, 0j
+
+    def _newton_kernel(self, points) -> RationalFn:
+        """The representer of f -> f[x_0, ..., x_s] for points in the open disk.
+
+        At one point w repeated s + 1 times it is kernel_derivative(w, s) / s!.
+        """
+        num, _, head = self._newton_numerators(points)
+        return RationalFn(num, self.b.den * head)
+
+    def _newton_numerators(self, points, scale: int = 1) -> tuple[Poly, Poly, Poly]:
+        """Numerators of scale K[conj(x_0), ..., conj(x_s)] and of its companion
+        over q h, and h = prod_k (1 - conj(x_k) z).
+
+        K[..] is the divided difference of K_w in conj(w), the representer of
+        f -> f[x_0, ..., x_s].  K_w = (1 - conj(b(w)) b) S_w with
+        S_w = 1 / (1 - conj(w) z), so the product rule gives
+
+            K[..] = S[conj(x_0..x_s)] - b sum_i conj(b[x_0..x_i]) S[conj(x_i..x_s)],
+            S[conj(x_i..x_s)] = z^(s-i) / prod_(k=i..s) (1 - conj(x_k) z),
+
+        and the companion conj(b(w)) a S_w of K_w gives a.num times the same
+        sum.  At one point w repeated i + 1 times, with scale i!, K[..] is the
+        derivative kernel: term j carries i! conj(t_j), t_j = b^(j)(w) / j!.
+        """
+        s = len(points) - 1
+        acc, head = Poly(), Poly([1])  # head: prod_(k<i) (1 - conj(x_k) z)
+        for i, (x, t) in enumerate(zip(points, self.b.divided_differences(points))):
+            acc = acc + (scale * complex(t).conjugate()) * head.shifted(s - i)
+            head = head * Poly([1, -x.conjugate()])
+        return scale * self.b.den.shifted(s) - self.b.num * acc, self.a.num * acc, head
 
     # -- identities ----------------------------------------------------------
 
@@ -493,9 +491,8 @@ def _upper_toeplitz(c: np.ndarray) -> np.ndarray:
 def _real_if_exact(x: np.ndarray) -> np.ndarray:
     """x as float64 when its imaginary part is exactly zero, else x itself.
 
-    The one rule for when Gram matrices and subspace distances run in real
-    arithmetic: the companion C_n and the orbit generators both pass
-    through it.
+    The one rule for when Gram matrices run in real arithmetic: the
+    companion C_n passes through it.
     """
     return x if x.imag.any() else x.real
 

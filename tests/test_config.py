@@ -48,11 +48,12 @@ def test_parameters_no_caller_sets_are_gone():
     from hbspace.extension import extend, kernel_factorization_check, mobius_normalize
     from hbspace.factorization import _disk_pole_check, circle_grid, inner_outer
     from hbspace.isometry import rank_one_identity_check
-    from hbspace.lattice import _orbit_matrix, subspace_distance
+    from hbspace.lattice import subspace_distance
+    from orbit_route import orbit_matrix
 
     removed = [
         (rank_one_identity_check, "degree"), (subspace_distance, "degree"),
-        (_orbit_matrix, "degree"), (_orbit_matrix, "orbit"),
+        (orbit_matrix, "degree"), (orbit_matrix, "orbit"),
         (HbSpace.norm_identities_check, "degree"),
         (inner_outer, "rng"), (_disk_pole_check, "rng"),
         (RationalFn.poles, "rng"),
@@ -77,7 +78,7 @@ def test_second_copies_of_a_decision_are_gone():
     # kernel, a member's denominator, the Toeplitz builder, the circle grid
     # and the circle rule's scan step each have one home; the tail degree is
     # read only inside space
-    from hbspace import cli, errors, extension, factorization, lattice, space
+    from hbspace import cli, config, errors, extension, factorization, lattice, space
 
     assert [n for n in ("NegativeDensityError", "SingularSystemError") if hasattr(errors, n)] == []
     assert [n for n in ("norm_sq", "kernel_fn", "backward_shift") if n in vars(HbSpace)] == []
@@ -89,6 +90,13 @@ def test_second_copies_of_a_decision_are_gone():
     assert [n for n in ("_assemble_kernel_fn", "_rational_pair") if n in vars(HbSpace)] == []
     assert "step" not in inspect.signature(factorization._circle_zeros).parameters
     assert not hasattr(lattice, "sliding_window_view")
+    # the orbit route to subspace distances lives in tests/orbit_route.py,
+    # the second path beside the annihilator formula
+    orbit = ["_orbit_matrix", "_rank_certified", "_directed_distance", "_RANK_TOL",
+             "_UNIT_ROUNDOFF", "_CERTIFIABLE_FRO2", "DISTANCE_ORBIT"]
+    assert [n for n in orbit if hasattr(lattice, n) or hasattr(config, n)] == []
+    assert "_metric_factor" not in vars(HbSpace)
+    assert not hasattr(HbSpace(Poly([0.5, 0.5])), "_factor")
 
 
 def test_point_rules_have_one_home():

@@ -449,12 +449,24 @@ def test_mate_with_a_repeated_zero_off_the_circle_fails_on_its_residual():
         pythagorean_mate(RationalFn(p, s))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "a repeated root inside the disk is placed only to ~sqrt(eps), 1.05e-8 here"))
 def test_inner_roots_place_a_repeated_interior_root():
     roots = _inner_roots(Poly.from_roots([1.0, 0.2, 0.2]))
     assert len(roots) == 2
     assert max(abs(r - 0.2) for r in roots) <= 1e-12
+
+
+@pytest.mark.parametrize("roots", [
+    [0.5j, 0.5j, -0.3, 2.0],
+    [0.7 * np.exp(1j)] * 2 + [0.1, -0.4],
+    [-0.3 + 0.4j] * 5,
+    [0.2] * 7 + [0.9, -0.6j],
+])
+def test_inner_roots_place_each_multiple_root_as_one_point(roots):
+    inner = [r for r in roots if abs(r) < 1]
+    got = _inner_roots(Poly.from_roots(roots))
+    assert len(set(got)) == len(set(inner))
+    want = sorted(inner, key=lambda w: (complex(w).real, complex(w).imag))
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12
 
 
 def test_median_is_numpy_median_bit_for_bit():

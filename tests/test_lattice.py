@@ -1,5 +1,6 @@
 """Invariant subspace classification, cyclicity, membership, distances."""
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hbspace import lattice, polynomials
-from hbspace.config import D_TRUNC, DISTANCE_ORBIT
+from hbspace import polynomials
+from hbspace.config import D_TRUNC
 from hbspace.errors import (
     InputFormatError,
     MultipleBoundaryZeroError,
@@ -21,9 +22,7 @@ from hbspace.errors import (
 from hbspace.extension import build_model
 from hbspace.factorization import _inner_roots, boundary_order, inner_outer
 from hbspace.lattice import (
-    _RANK_TOL,
-    _directed_distance,
-    _rank_certified,
+    _distance_to,
     classify,
     is_cyclic,
     ladder_spaces,
@@ -32,6 +31,15 @@ from hbspace.lattice import (
 )
 from hbspace.polynomials import Poly, RationalFn, _zero_order, as_rational, poly_roots
 from hbspace.space import HbSpace, _real_if_exact, _upper_toeplitz
+from orbit_route import (
+    ORBIT,
+    RANK_TOL,
+    directed_distance,
+    metric_factor,
+    orbit_distance,
+    orbit_distances,
+    rank_certified,
+)
 
 B_HALF = RationalFn(Poly([0.5, 0.5]), Poly([1]))
 B_STEP2 = RationalFn(Poly([0, 0, 1]), Poly([3, -3, 1]))
@@ -192,7 +200,7 @@ def test_descriptor_json(step2):
     assert isinstance(blob["description"], str)
 
 
-# -- the (f, f+) route against the Cholesky reference -------------------------
+# -- the orbit route (tests/orbit_route.py) against the Cholesky reference ----
 
 
 def _degree8_symbol() -> RationalFn:
@@ -225,13 +233,13 @@ def _orthonormal_range(m: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         raise RankDeficiencyError("orbit span collapsed to zero")
-    rank = int(np.sum(s > _RANK_TOL * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     if rank < m.shape[1]:
         raise RankDeficiencyError(f"orbit of {m.shape[1]} iterates has numerical rank {rank}")
     return u[:, :rank]
 
 
-def cholesky_distance(space, f, g, orbit=DISTANCE_ORBIT, degree=D_TRUNC) -> float:
+def cholesky_distance(space, f, g, orbit=ORBIT, degree=D_TRUNC) -> float:
     """The Gram route: orbit columns in monomial coordinates, G = R^H R by
     Cholesky, orthonormal ranges by full SVD."""
     f, g = as_rational(f), as_rational(g)
@@ -269,14 +277,14 @@ REFERENCE_PAIRS = [
 def test_distance_matches_cholesky_reference(name):
     space = symbol_space(name)
     for f, g in REFERENCE_PAIRS:
-        got = subspace_distance(space, f, g)
+        got = orbit_distance(space, f, g)
         assert abs(got - cholesky_distance(space, f, g)) < 1e-10
 
 
 # -- the metric factor's coordinates against the stacked (f, f+) ones ----------
 
 
-def stacked_distance(space, f, g, orbit=DISTANCE_ORBIT, degree=D_TRUNC) -> float:
+def stacked_distance(space, f, g, orbit=ORBIT, degree=D_TRUNC) -> float:
     """The (f, f+) route in numpy alone: each orbit is [F; C F] over 2 * window
     rows, C[j, k] = conj(phi_(k-j)), and a distance is the residual of v after
     projecting onto an orthonormal basis from a reduced QR."""
@@ -307,7 +315,7 @@ def stacked_distance(space, f, g, orbit=DISTANCE_ORBIT, degree=D_TRUNC) -> float
 def test_distance_matches_the_stacked_route(name):
     space = symbol_space(name)
     for f, g in REFERENCE_PAIRS:
-        assert abs(subspace_distance(space, f, g) - stacked_distance(space, f, g)) < 1e-10
+        assert abs(orbit_distance(space, f, g) - stacked_distance(space, f, g)) < 1e-10
 
 
 @pytest.mark.parametrize("name", list(SYMBOLS))
@@ -319,7 +327,7 @@ def test_metric_factor_reproduces_the_gram_matrix(name):
     # C^H C in gram_matrix add gamma_N each.  6 N^2 u covers all three.
     space = symbol_space(name)
     for n in (1, 8, 136, 200):
-        r = space._metric_factor(n)
+        r = metric_factor(space, n)
         assert r.shape == (n, n) and not r.flags.writeable
         assert np.array_equal(np.tril(r, -1), np.zeros_like(r))
         g = space.gram_matrix(n)
@@ -327,18 +335,138 @@ def test_metric_factor_reproduces_the_gram_matrix(name):
         assert np.all(np.abs(r.conj().T @ r - g) <= 6 * n * n * 2.0**-53 * scale)
 
 
+# -- the exact distance against the orbit route -------------------------------
+
+
+def exact_distances(space, f, g) -> tuple[float, float]:
+    """(f to [g], g to [f]) by the annihilator formula, each relative."""
+    f, g = as_rational(f), as_rational(g)
+    return _distance_to(space, f, classify(space, g)), _distance_to(space, g, classify(space, f))
+
+
+@pytest.mark.parametrize("name", list(SYMBOLS))
+def test_exact_distance_sits_at_or_below_the_orbit_distance(name):
+    # the 129 shift iterates span part of the closed subspace, so in each
+    # direction the orbit route can only read farther
+    space = symbol_space(name)
+    for f, g in REFERENCE_PAIRS:
+        for exact, orbit in zip(exact_distances(space, f, g), orbit_distances(space, f, g)):
+            assert exact <= orbit + 1e-12
+
+
+@pytest.mark.parametrize("name", ["half", "affine", "model1", "model2", "model3", "deg8"])
+def test_collapse_reads_zero_and_separation_matches_the_orbit_route(name):
+    # the gram workload's pairs: collapse at the mate zero's multiplicity m,
+    # or through an inner factor z when the mate has no circle zero
+    space = symbol_space(name)
+    if space.boundary_zeros:
+        ((_, m),) = space.boundary_zeros
+        collapse, separation = (ZM1 ** (m + 1), ZM1**m), (ZM1, ONE)
+    else:
+        collapse, separation = (Z * ZM1, Z), (Z, ONE)
+    assert subspace_distance(space, *collapse) <= 1e-12
+    got = subspace_distance(space, *separation)
+    assert got >= 0.3
+    assert abs(got - orbit_distance(space, *separation)) < 1e-10
+
+
+def test_ladder_separations_match_the_orbit_route(step2):
+    gens = [ZM1**j for j in range(3)]
+    want = {(0, 1): 1 / math.sqrt(3), (0, 2): math.sqrt(2 / 3), (1, 2): 1 / math.sqrt(6)}
+    for (i, j), value in want.items():
+        got = subspace_distance(step2, gens[i], gens[j])
+        assert abs(got - value) < 1e-12
+        assert abs(got - orbit_distance(step2, gens[i], gens[j])) < 1e-10
+
+
+def test_codimension_is_the_order_of_the_kernel_gram_matrix(half, step2):
+    ladder = ladder_spaces(step2)
+    assert [d.codimension for d in ladder] == [0, 1, 2]
+    double = classify(half, Poly([-0.5, 1]) ** 2)
+    assert double.inner_roots == (0.5, 0.5)
+    assert double.codimension == 2
+    assert classify(half, Poly([])).codimension == math.inf
+
+
+def test_newton_kernels_are_the_derivative_kernels_at_a_repeated_point(half, step2):
+    # f[w, ..., w] (s + 1 times) = f^(s)(w) / s!, so the Newton representer
+    # at one point is the derivative kernel over s!
+    zs = np.array([0.3, -0.2 + 0.4j, 0.7j])
+    for space in (half, step2):
+        for w in (0.5, -0.3 + 0.6j):
+            for order in range(4):
+                got = space._newton_kernel([w] * (order + 1))(zs)
+                want = space.kernel_derivative(w, order)(zs) / math.factorial(order)
+                assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_close_inner_zeros_read_as_their_confluent_limit(half):
+    # zeros 1e-12 apart stay two zeros, and their divided difference stands
+    # in for the derivative: the distance is that of z^2 to within O(1e-12)
+    near = Poly.from_roots([0.0, 1e-12])
+    assert classify(half, near).inner_roots == (0.0, 1e-12)
+    d = subspace_distance(half, ONE, near)
+    assert abs(d - subspace_distance(half, ONE, Z * Z)) < 1e-11
+    assert abs(d - orbit_distance(half, ONE, near)) < 1e-10
+
+
+def test_a_multiple_inner_zero_pairs_with_derivative_kernels(half):
+    # (z - 1/2)^2 against z - 1/2: one point, kernels of order 0 and 1
+    f, g = Poly([-0.5, 1]) ** 2, Poly([-0.5, 1])
+    d = subspace_distance(half, f, g)
+    assert d == pytest.approx(0.8987170342729, abs=1e-12)
+    assert abs(d - orbit_distance(half, f, g)) < 1e-10
+    # a triple root that the root finder splits by ~6e-6 is placed as one
+    # point, so Gamma is the 3 x 3 matrix of its derivative kernels
+    f, g = Poly([-0.2, 1]) ** 3, Poly([-0.2, 1]) ** 2
+    assert classify(half, f).codimension == 3
+    d = subspace_distance(half, f, g)
+    assert 0.3 <= d and abs(d - orbit_distance(half, f, g)) < 1e-10
+
+
+def test_a_generator_with_a_pole_near_the_circle_reads_a_relative_distance(half):
+    # pole at 1.0001: c and |f|_b both come from the Taylor polynomial of
+    # degree D_TRUNC, so the ratio stays in [0, 1] (c of the rational f over
+    # the truncated norm read about 24)
+    f = RationalFn(Poly([1]), Poly([1, -1 / 1.0001]))
+    d = subspace_distance(half, f, ZM1)
+    assert 0.0 <= d <= 1.0
+    assert d <= orbit_distance(half, f, ZM1) + 1e-12
+
+
+@pytest.mark.parametrize("delta", [2e-4, 1e-5])
+def test_close_simple_zeros_are_not_merged(half, delta):
+    # the zero rule's 1e-7 band reads (z - 0.3)(z - 0.3002) as a double zero
+    # at 0.3001; at the root finder's residual the two zeros stay apart
+    g = Poly.from_roots([0.3, 0.3 + delta])
+    roots = classify(half, g).inner_roots
+    assert len(set(roots)) == 2
+    assert max(abs(r - w) for r, w in zip(roots, (0.3, 0.3 + delta))) < 1e-10
+    inner, _ = inner_outer(g)
+    assert len(set(np.round(poly_roots(inner.num), 8))) == 2
+    assert subspace_distance(half, g, g) < 1e-12
+
+
+def test_singular_kernel_gram_matrix_names_the_codimension(half):
+    # the mate zero listed twice: two equal kernels, so Gamma is singular
+    target = dataclasses.replace(classify(half, ZM1), boundary_orders=((1.0, 1), (1.0, 1)))
+    with pytest.raises(RankDeficiencyError, match="codimension 2"):
+        _distance_to(half, as_rational(ONE), target)
+
+
 @pytest.mark.parametrize("name", ["half", "model2", "deg8", "complex"])
 def test_distance_does_not_depend_on_earlier_calls(name):
     pair = (ZM1**2, ZM1)
     wider = (RationalFn(ZM1, Poly([1, -0.5])), ZM1)  # Taylor-truncated: a larger factor
-    space = HbSpace(SYMBOLS[name]())
-    before = repr(subspace_distance(space, *pair))
-    subspace_distance(space, *wider)
-    assert repr(subspace_distance(space, *pair)) == before
-    assert repr(subspace_distance(HbSpace(SYMBOLS[name]()), *pair)) == before
-    wider_first = HbSpace(SYMBOLS[name]())
-    subspace_distance(wider_first, *wider)
-    assert repr(subspace_distance(wider_first, *pair)) == before
+    for distance in (orbit_distance, subspace_distance):
+        space = HbSpace(SYMBOLS[name]())
+        before = repr(distance(space, *pair))
+        distance(space, *wider)
+        assert repr(distance(space, *pair)) == before
+        assert repr(distance(HbSpace(SYMBOLS[name]()), *pair)) == before
+        wider_first = HbSpace(SYMBOLS[name]())
+        distance(wider_first, *wider)
+        assert repr(distance(wider_first, *pair)) == before
 
 
 @pytest.mark.parametrize("name, dtype", [("half", np.float64), ("complex", np.complex128)])
@@ -353,7 +481,7 @@ def test_distance_qr_runs_in_real_arithmetic_for_real_data(name, dtype, monkeypa
     monkeypatch.setattr(np.linalg, "qr", spy)
     space = HbSpace(SYMBOLS[name]())
     for f, g in REFERENCE_PAIRS:
-        subspace_distance(space, f, g)
+        orbit_distance(space, f, g)
     # one QR per direction, and one factor per size: 136 for the polynomial
     # pairs (windows 130-133), 200 for the Taylor-truncated one (window 193)
     assert len(seen) == 2 * len(REFERENCE_PAIRS) + 2
@@ -372,14 +500,14 @@ def test_directed_distance_rank_check():
     rng = np.random.default_rng(3)
     x, y, v = (rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(3))
     with pytest.raises(RankDeficiencyError, match="orbit of 3 iterates has numerical rank 2"):
-        _directed_distance(np.column_stack([x, y, x]), v)
+        directed_distance(np.column_stack([x, y, x]), v)
     with pytest.raises(RankDeficiencyError, match="orbit span collapsed to zero"):
-        _directed_distance(np.zeros((12, 3), dtype=complex), v)
+        directed_distance(np.zeros((12, 3), dtype=complex), v)
     # a vector in the span sits at distance zero, one orthogonal to it at one
     orbit = np.column_stack([x, y])
-    assert _directed_distance(orbit, 2 * x - 1j * y) < 1e-14
+    assert directed_distance(orbit, 2 * x - 1j * y) < 1e-14
     q, _ = np.linalg.qr(np.column_stack([x, y, v]))
-    assert abs(_directed_distance(orbit, q[:, 2]) - 1.0) < 1e-14
+    assert abs(directed_distance(orbit, q[:, 2]) - 1.0) < 1e-14
 
 
 # generator roots off an annulus around the circle, so every orbit keeps full rank
@@ -396,9 +524,11 @@ _GENERATOR = st.lists(_ROOT, max_size=4).map(Poly.from_roots)
 def test_distance_property(name, f, g):
     space = symbol_space(name)
     d = subspace_distance(space, f, g)
-    assert abs(d - cholesky_distance(space, f, g)) < 1e-9
+    assert abs(orbit_distance(space, f, g) - cholesky_distance(space, f, g)) < 1e-9
     assert 0.0 <= d <= 1.0 + 1e-12
     assert subspace_distance(space, f, f) < 1e-12
+    for exact, orbit in zip(exact_distances(space, f, g), orbit_distances(space, f, g)):
+        assert exact <= orbit + 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -500,7 +630,7 @@ def _admits(space, f) -> dict:
 
 def test_gate_answers_on_the_three_inputs(half):
     assert _admits(half, CANCELLING) == dict.fromkeys(_gate_apis(half), True)
-    assert subspace_distance(half, CANCELLING, ONE) == pytest.approx(0.0621, abs=1e-4)
+    assert orbit_distance(half, CANCELLING, ONE) == pytest.approx(0.0621, abs=1e-4)
     assert _admits(half, NEAR_CIRCLE_POLE) == {
         "membership": False,
         "classify": InputFormatError,
@@ -510,6 +640,16 @@ def test_gate_answers_on_the_three_inputs(half):
         ),
     }
     assert _admits(half, NOT_FINITE) == dict.fromkeys(_gate_apis(half), InputFormatError)
+
+
+def test_exact_distance_is_zero_where_the_orbit_route_lags(half):
+    # generators of one subspace that differ by a factor vanishing on the
+    # circle (past the capped order at 1, or at -1, off the mate's zeros):
+    # the orbit window closes in only at a 1/sqrt(window) rate
+    assert orbit_distance(half, ZM1 * ZM1, ZM1) == pytest.approx(0.0877, abs=1e-4)
+    assert subspace_distance(half, ZM1 * ZM1, ZM1) <= 1e-12
+    assert orbit_distance(half, CANCELLING, ONE) == pytest.approx(0.0621, abs=1e-4)
+    assert subspace_distance(half, CANCELLING, ONE) == 0.0
 
 
 def _polar(radius, angle):
@@ -592,7 +732,7 @@ def test_classify_roots_each_polynomial_once(half, monkeypatch):
 
 def _svd_rule_passes(r: np.ndarray) -> bool:
     s = np.linalg.svd(r, compute_uv=False)
-    return bool(s[0] > 0.0 and np.all(s > _RANK_TOL * s[0]))
+    return bool(s[0] > 0.0 and np.all(s > RANK_TOL * s[0]))
 
 
 def _random_unitary(rng, n: int) -> np.ndarray:
@@ -620,10 +760,10 @@ def test_rank_certificate_never_accepts_what_the_svd_rule_rejects():
     trials, accepted = 1000, 0
     for _ in range(trials):
         r, cond = _graded_triangle(rng)
-        if _rank_certified(r):
+        if rank_certified(r):
             accepted += 1
             # what the certificate proves, and the rule it stands in for
-            assert np.linalg.svd(r, compute_uv=False)[-1] > _RANK_TOL * np.linalg.norm(r)
+            assert np.linalg.svd(r, compute_uv=False)[-1] > RANK_TOL * np.linalg.norm(r)
             assert _svd_rule_passes(r)
         else:
             assert cond > 1e5  # a well-conditioned R is always certified
@@ -645,11 +785,11 @@ def test_distance_runs_svd_only_beyond_the_certificate(monkeypatch):
         calls.add(key)
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(lattice.np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     for name, space in spaces.items():
         for i, (f, g) in enumerate(REFERENCE_PAIRS):
             key = (name, i)
-            assert 0.0 <= subspace_distance(space, f, g) <= 1.0 + 1e-12
+            assert 0.0 <= orbit_distance(space, f, g) <= 1.0 + 1e-12
     assert calls == BEYOND_THE_CERTIFICATE
 
 
@@ -663,19 +803,19 @@ def test_ill_conditioned_orbit_falls_back_to_the_svd_rule(monkeypatch):
         calls.append(1)
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(lattice.np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     orbit = np.column_stack([x, y, x + 1e-8 * w])  # sigma_min / sigma_max near 1e-8
     r = np.linalg.qr(np.column_stack([orbit, v]), mode="r")
     s = svd(r[:-1, :-1], compute_uv=False)
     assert 1e-10 < s[-1] / s[0] < 1e-7
-    assert not _rank_certified(r[:-1, :-1])
-    assert _directed_distance(orbit, v) == float(abs(r[-1, -1]) / np.linalg.norm(v))
+    assert not rank_certified(r[:-1, :-1])
+    assert directed_distance(orbit, v) == float(abs(r[-1, -1]) / np.linalg.norm(v))
     assert len(calls) == 1
     # well-conditioned: certified, no SVD
-    _directed_distance(np.column_stack([x, y, w]), v)
+    directed_distance(np.column_stack([x, y, w]), v)
     assert len(calls) == 1
     with pytest.raises(RankDeficiencyError, match="orbit of 3 iterates has numerical rank 2"):
-        _directed_distance(np.column_stack([x, y, x + 1e-13 * w]), v)
+        directed_distance(np.column_stack([x, y, x + 1e-13 * w]), v)
     assert len(calls) == 2
 
 

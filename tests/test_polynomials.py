@@ -435,6 +435,29 @@ def test_taylor_matches_eval():
     assert approx == pytest.approx(f(z), rel=1e-12)
 
 
+def test_divided_differences_at_one_point_are_taylor_coefficients():
+    f = RationalFn(Poly([1]), Poly([1, -0.5]))  # 1/(1 - z/2): f^(j)(w)/j! = 2^-j / (1 - w/2)^(j+1)
+    w = 0.3 - 0.4j
+    want = 0.5 ** np.arange(6) / (1 - w / 2) ** np.arange(1, 7)
+    assert np.allclose(f.divided_differences([w] * 6), want, rtol=1e-14, atol=0)
+    g = RationalFn(Poly([1, 2, 1]), Poly([1, -0.3, 0.1]))
+    assert g.divided_differences([w])[0] == g(w)  # bit for bit
+
+
+def test_divided_differences_at_distinct_and_close_points():
+    f = RationalFn(Poly([1, 2, 1]), Poly([1, -0.3, 0.1]))
+    x = [0.2, -0.5j, 0.6 + 0.1j]
+    got = f.divided_differences(x)
+    first = (f(x[1]) - f(x[0])) / (x[1] - x[0])
+    second = ((f(x[2]) - f(x[1])) / (x[2] - x[1]) - first) / (x[2] - x[0])
+    assert np.allclose(got, [f(x[0]), first, second], rtol=1e-13, atol=0)
+    # points 1e-12 apart: the divided difference is the derivative, no cancellation
+    near = f.divided_differences([0.4, 0.4 + 1e-12])[1]
+    assert abs(near - f.derivative()(0.4)) <= 1e-11 * abs(near)
+    with pytest.raises(PoleAtPointError):
+        RationalFn(Poly([1]), Poly([1, -2])).divided_differences([0.1, 0.5])
+
+
 def test_rational_json_roundtrip():
     f = RationalFn(rand_poly(4), Poly([1, -0.25, 0.05]))
     blob = json.dumps(f.to_json())

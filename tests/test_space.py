@@ -14,9 +14,9 @@ from hbspace.config import D_TRUNC, DEFAULT_TOLERANCES as TOL
 from hbspace.errors import HbError, InputFormatError, OrderTooHighError, PoleInDiskError
 from hbspace.extension import build_model, extend
 from hbspace.isometry import rank_one_identity_check
-from hbspace.lattice import subspace_distance
 from hbspace.polynomials import Poly, RationalFn
 from hbspace.space import HbSpace, _decay_profile, _degree_for_tail
+from orbit_route import orbit_distance
 
 RNG = np.random.default_rng(20260817)
 
@@ -297,8 +297,8 @@ def test_zero_symbol_space():
 
 # -- the phi = b/a route for companions and Gram matrices ---------------------
 
-# subspace_distance((z-1)^2, z-1) and (z-1, 1), the criterion-09 pairs,
-# as computed by Toeplitz back-substitution against the Taylor data of a, b
+# the orbit route's distances ((z-1)^2, z-1) and (z-1, 1), the criterion-09
+# pairs, as computed by Toeplitz back-substitution against the Taylor data of a, b
 SEED_DISTANCES = {
     "half": (0.0877058019307024, 1.0),
     "model2": (0.408248290463863, 0.5773502691896254),
@@ -363,8 +363,8 @@ def test_gram_matches_fancy_index_build(phi_case):
 def test_criterion_09_distances_unchanged(phi_case):
     name, space = phi_case
     zm1 = Poly([-1, 1])
-    d_equal = subspace_distance(space, zm1 * zm1, zm1)
-    d_apart = subspace_distance(space, zm1, Poly([1]))
+    d_equal = orbit_distance(space, zm1 * zm1, zm1)
+    d_apart = orbit_distance(space, zm1, Poly([1]))
     want_equal, want_apart = SEED_DISTANCES[name]
     assert abs(d_equal - want_equal) < 1e-10
     assert abs(d_apart - want_apart) < 1e-10

@@ -20,6 +20,7 @@ import numpy as np
 from .config import resolve_seed
 from .errors import ForbiddenPhaseError, OrderTooHighError
 from .extension import build_model, extend, kernel_factorization_check
+from .factorization import circle_grid
 from .isometry import isometry_order, rank_one_identity_check
 from .lattice import classify, is_cyclic, ladder_spaces, subspace_distance
 from .polynomials import Poly, RationalFn
@@ -300,7 +301,7 @@ def criterion_10_corpus_determinism(seed: int) -> CriterionResult:
             c = 0.45 * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2)
             den = den * Poly([1, -c])
         b = RationalFn(num, den)
-        grid = np.exp(2j * np.pi * np.arange(512) / 512)
+        grid = circle_grid()[::2]
         sup = float(np.max(np.abs(b(grid))))
         b = RationalFn(num * ((0.65 + 0.3 * rng.random()) / sup), den)
         s1 = HbSpace(b, rng=np.random.default_rng(1))

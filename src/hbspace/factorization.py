@@ -72,6 +72,7 @@ from .polynomials import (
     RationalFn,
     _match_roots,
     _horner_bound,
+    _newton_division,
     _zero_order,
     as_rational,
     complex_to_json,
@@ -418,8 +419,6 @@ def inner_outer(f) -> tuple[RationalFn, RationalFn]:
     if f.num.is_zero:
         raise ZeroFunctionError("cannot factor the zero function")
     zeros = _inner_roots(f.num)
-    deflated = f.num
-    for zeta in zeros:
-        deflated, _ = synthetic_division(deflated, zeta, 1)
+    deflated, _ = _newton_division(f.num, zeros)
     inner = _blaschke(zeros)
     return inner, RationalFn(deflated * inner.den, f.den)

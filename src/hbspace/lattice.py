@@ -13,49 +13,45 @@ exactly when those data agree, and
 is the simplest generator.  [f] is all of H(b) (f is cyclic) when theta
 is trivial and every j_i = 0.
 
-Every generator first passes the gate factorization._lowest_terms, so
-it is finite and in lowest terms; a pole inside the disk raises
-PoleInDiskError, and one on the circle band is not a member.
-
-classify reads ord_{lambda_i} f and divides it out of the numerator in
-one pass (polynomials._zero_order) before rooting the rest, so a
-multiple zero at a mate zero cannot splatter into theta (see
-factorization._inner_roots).
+Every generator passes the gate factorization._lowest_terms once, so it
+is finite and in lowest terms; a pole inside the disk raises
+PoleInDiskError, and one on the circle band is not a member.  Its
+descriptor reads ord_{lambda_i} f and divides it out of the numerator in
+one pass (polynomials._zero_order) before rooting the rest, so a multiple
+zero at a mate zero cannot splatter into theta.
 
 subspace_distance gives the numeric side, exactly: the distance from f
-to the closed subspace [g], relative to |f|_b.  The same finite data fix
-[g]^perp.  With x_0, ..., x_(m-1) the zeros of g in the open disk, each
-repeated by its multiplicity (copies adjacent), f lies in [g] exactly when
+to [g], relative to |f|_b.  The same data fix [g]^perp by one family of
+functionals, divided differences over point sequences: the zeros of g in
+the open disk with multiplicity (copies adjacent), and each mate zero
+lambda repeated j_lambda times.  f lies in [g] exactly when
 
-    f[x_0, ..., x_s] = 0   for s < m          (divided differences),
-    f^(i)(lambda) = 0      for i < j_lambda   at each mate boundary zero lambda.
+    f[x_0, ..., x_s] = 0   for s < len(x), over every sequence x.
 
-At an m-fold zero w the divided differences are f^(s)(w) / s!; at distinct
-zeros they span the same functionals as the values there, and they stay
-independent as zeros come together, where the values would not.  Each
-functional l_a is the pairing with a kernel, l_a(f) = <f, k_a>_b: the
+At w repeated s + 1 times f[w, ..., w] = f^(s)(w) / s!; at distinct points
+the divided differences span the same functionals as the values, and they
+stay independent as points come together, where values would not.  Each
+l_a(f), read by RationalFn.divided_differences, is <f, k_a>_b with k_a the
 divided difference of K_w in conj(w) over the same points
-(HbSpace._newton_kernel), or kernel_derivative(lambda, i).  So [g]^perp
-is spanned by d = codimension kernels, and the part of f orthogonal to
-[g] is its projection P f = sum_b y_b k_b.  Projecting leaves each
-pairing alone, <P f, k_a>_b = <f, k_a>_b = c_a, which reads
+(HbSpace._newton_kernel).  The part of f orthogonal to [g] is
+P f = sum_b y_b k_b over the d = codimension kernels, and
+<P f, k_a>_b = <f, k_a>_b = c_a reads
 
     Gamma y = c,   Gamma[a, b] = <k_b, k_a>_b = l_a(k_b),   c_a = l_a(f),
 
-and then |P f|_b^2 = <P f, f>_b = sum_b y_b conj(c_b) = c^H Gamma^-1 c.
-Gamma is the Gram matrix of the kernels, Hermitian positive definite when
-they are independent, so one Cholesky factor L solves it:
+so |P f|_b^2 = c^H Gamma^-1 c.  Gamma, the Gram matrix of the kernels, is
+Hermitian positive definite when they are independent, and one Cholesky
+factor L solves it:
 
     d(f, [g])^2 = |L^-1 c|^2 / |f|_b^2.
 
-Every l_a is read by RationalFn.divided_differences.  Gamma is averaged
-with its adjoint so it is exactly Hermitian.  A Cholesky that fails, or
-whose least pivot L_kk^2 is within d eps of Gamma's largest diagonal
-entry (rounding level, which proves nothing), raises RankDeficiencyError
-with the codimension d.  A polynomial f enters exactly; a rational f is
-replaced by its Taylor polynomial of degree D_TRUNC in both c and |f|_b,
-so the ratio is a true relative distance, at most 1.  The statistic is
-the larger of the two directed distances.
+Gamma is averaged with its adjoint so it is exactly Hermitian.  A
+Cholesky that fails, or whose least pivot L_kk^2 is within d eps of
+Gamma's largest diagonal entry (rounding level, which proves nothing),
+raises RankDeficiencyError with the codimension d.  A polynomial f enters
+exactly; a rational f is replaced by its Taylor polynomial of degree
+D_TRUNC in both c and |f|_b, so the ratio is a true relative distance,
+at most 1.  The statistic is the larger of the two directed distances.
 """
 
 from __future__ import annotations
@@ -140,6 +136,13 @@ def membership(space: HbSpace, f) -> bool:
 def classify(space: HbSpace, f) -> SubspaceDescriptor:
     """The descriptor of [f]; InputFormatError unless f is a member of H(b)."""
     f, radius = _lowest_terms(f)
+    if radius <= 1.0 + CIRCLE_BAND:
+        raise InputFormatError("not a member of the space: pole on the unit circle")
+    return _describe(space, f)
+
+
+def _describe(space: HbSpace, f: RationalFn) -> SubspaceDescriptor:
+    """The descriptor of [f] for f past the gate: in lowest terms, analytic on the closed disk."""
     if f.num.is_zero:
         return SubspaceDescriptor(
             form="zero",
@@ -148,8 +151,6 @@ def classify(space: HbSpace, f) -> SubspaceDescriptor:
             canonical=RationalFn(Poly([]), Poly([1])),
             description="the zero subspace",
         )
-    if radius <= 1.0 + CIRCLE_BAND:
-        raise InputFormatError("not a member of the space: pole on the unit circle")
     orders = []
     canonical_poly = Poly([1])
     rest = f.num  # f.num with its full order at each mate zero divided out
@@ -198,21 +199,15 @@ def ladder_spaces(space: HbSpace) -> list[SubspaceDescriptor]:
     return [classify(space, Poly([-lam, 1]) ** j) for j in range(mult + 1)]
 
 
-def _annihilators(space: HbSpace, target: SubspaceDescriptor) -> list[tuple]:
-    """The functionals that vanish on target, as (points, scales, kernels)
-    sequences: functional s is scales[s] f[points[0..s]], paired with kernels[s].
+def _annihilators(target: SubspaceDescriptor) -> list[list[complex]]:
+    """The point sequences whose divided differences vanish on target:
+    functional s of sequence x is f[x_0, ..., x_s], for s < len(x).
 
-    The inner zeros, copies adjacent, form one Newton sequence; each mate
-    zero lambda with j > 0 gives lambda j times, scales i! and the
-    derivative kernels.
+    The inner zeros, copies adjacent, form one sequence; each mate zero
+    lambda with j > 0 forms another, lambda repeated j times.
     """
-    inner = list(target.inner_roots)
-    seqs = [(inner, np.ones(len(inner)),
-             [space._newton_kernel(inner[: s + 1]) for s in range(len(inner))])]
-    for lam, j in target.boundary_orders:
-        seqs.append(([lam] * j, np.array([math.factorial(i) for i in range(j)], dtype=float),
-                     [space.kernel_derivative(lam, i) for i in range(j)]))
-    return [seq for seq in seqs if seq[0]]
+    seqs = [list(target.inner_roots), *([lam] * j for lam, j in target.boundary_orders)]
+    return [seq for seq in seqs if seq]
 
 
 def _distance_to(space: HbSpace, f: RationalFn, target: SubspaceDescriptor) -> float:
@@ -221,13 +216,13 @@ def _distance_to(space: HbSpace, f: RationalFn, target: SubspaceDescriptor) -> f
     d^2 = c^H Gamma^-1 c / |f|_b^2 over target's annihilators; see the
     module docstring.
     """
-    seqs = _annihilators(space, target)
-    kernels = [k for _, _, ks in seqs for k in ks]
+    seqs = _annihilators(target)
+    kernels = [space._newton_kernel(seq[: s + 1]) for seq in seqs for s in range(len(seq))]
     if not kernels:
         return 0.0
 
     def functionals(h: RationalFn) -> np.ndarray:
-        return np.concatenate([scales * h.divided_differences(pts) for pts, scales, _ in seqs])
+        return np.concatenate([h.divided_differences(seq) for seq in seqs])
 
     # c and |f|_b from one function: a rational f by its Taylor polynomial
     p = f.as_poly() if f.is_polynomial else f.taylor_poly(D_TRUNC)
@@ -257,9 +252,9 @@ def subspace_distance(space: HbSpace, f, g) -> float:
     directions.  Each is exact, c^H Gamma^-1 c over the annihilating
     kernels of the target (module docstring), so equal subspaces read 0
     up to rounding and distinct ones their true separation.  Each
-    generator is put in lowest terms, and a pole in the closed disk (or
-    on the circle band) raises PoleInDiskError; RankDeficiencyError when
-    a kernel Gram matrix is numerically singular.
+    generator passes the gate once and is put in lowest terms; a pole in
+    the closed disk (or on the circle band) raises PoleInDiskError;
+    RankDeficiencyError when a kernel Gram matrix is numerically singular.
     """
     f, _ = _analytic_lowest_terms(f)
     g, _ = _analytic_lowest_terms(g)
@@ -267,5 +262,5 @@ def subspace_distance(space: HbSpace, f, g) -> float:
         return 0.0
     if f.num.is_zero or g.num.is_zero:
         return 1.0
-    return max(_distance_to(space, f, classify(space, g)),
-               _distance_to(space, g, classify(space, f)))
+    return max(_distance_to(space, f, _describe(space, g)),
+               _distance_to(space, g, _describe(space, f)))

@@ -62,7 +62,7 @@ once, while validating b.
 Every kernel is one closed form, ``HbSpace._newton_numerators``: the
 divided difference of K_w in conj(w) over points x_0..x_s, which pairs as
 <f, K[..]>_b = f[x_0, ..., x_s]; at one point repeated it is a derivative
-kernel.
+kernel over s!, inside the disk and at a mate boundary zero alike.
 
 At a mate boundary zero w, (z - w)^(i+1) must cancel from the derivative
 kernel's numerator by the zero rule of ``polynomials`` (each remainder
@@ -383,10 +383,12 @@ class HbSpace:
         return *cancelled, 0j
 
     def _newton_kernel(self, points) -> RationalFn:
-        """The representer of f -> f[x_0, ..., x_s] for points in the open disk.
-
-        At one point w repeated s + 1 times it is kernel_derivative(w, s) / s!.
-        """
+        """The representer of f -> f[x_0, ..., x_s] for points in the open disk, or
+        for one mate boundary zero w repeated: there kernel_derivative(w, s) / s!."""
+        w, s = points[0], len(points) - 1
+        if abs(abs(w) - 1.0) <= CIRCLE_BAND:  # the cancellation stays in _kernel_numerators
+            k = self.kernel_derivative(w, s)
+            return RationalFn(k.num * (1.0 / math.factorial(s)), k.den)
         num, _, head = self._newton_numerators(points)
         return RationalFn(num, self.b.den * head)
 

@@ -97,6 +97,10 @@ def test_second_copies_of_a_decision_are_gone():
     assert [n for n in orbit if hasattr(lattice, n) or hasattr(config, n)] == []
     assert "_metric_factor" not in vars(HbSpace)
     assert not hasattr(HbSpace(Poly([0.5, 0.5])), "_factor")
+    # every annihilator is a divided difference whose representer comes from
+    # HbSpace._newton_kernel, so lattice scales no derivative kernel itself
+    source = Path(lattice.__file__).read_text()
+    assert [n for n in ("kernel_derivative", "factorial") if n in source] == []
 
 
 def test_point_rules_have_one_home():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hbspace import polynomials
+from hbspace import factorization
 from hbspace.config import D_TRUNC
 from hbspace.errors import (
     InputFormatError,
@@ -398,6 +398,15 @@ def test_newton_kernels_are_the_derivative_kernels_at_a_repeated_point(half, ste
                 got = space._newton_kernel([w] * (order + 1))(zs)
                 want = space.kernel_derivative(w, order)(zs) / math.factorial(order)
                 assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    # and at the mate boundary zero w = 1, below its multiplicity (1 on
+    # half, 2 on step2), where the circle pole cancels
+    for space, mult in ((half, 1), (step2, 2)):
+        for order in range(mult):
+            got = space._newton_kernel([1.0] * (order + 1))
+            want = space.kernel_derivative(1.0, order)
+            assert got.den == want.den
+            assert np.max(np.abs(got(zs) - want(zs) / math.factorial(order))) <= 1e-15 * max(
+                1.0, np.max(np.abs(want(zs))))
 
 
 def test_close_inner_zeros_read_as_their_confluent_limit(half):
@@ -642,6 +651,16 @@ def test_gate_answers_on_the_three_inputs(half):
     assert _admits(half, NOT_FINITE) == dict.fromkeys(_gate_apis(half), InputFormatError)
 
 
+def test_orbit_window_closes_in_at_its_exact_rate(half):
+    # on half the window of W + 1 shift iterates reads exactly 1/sqrt(W + 2)
+    # for (z - 1)^2 against z - 1, which generate one subspace
+    for window in (8, 16, 32, 64, 128, 256):
+        got = cholesky_distance(half, ZM1**2, ZM1, orbit=window)
+        assert abs(got - 1 / math.sqrt(window + 2)) <= 1e-14
+    assert abs(orbit_distance(half, ZM1**2, ZM1) - 1 / math.sqrt(ORBIT + 2)) <= 1e-14
+    assert subspace_distance(half, ZM1**2, ZM1) <= 1e-12
+
+
 def test_exact_distance_is_zero_where_the_orbit_route_lags(half):
     # generators of one subspace that differ by a factor vanishing on the
     # circle (past the capped order at 1, or at -1, off the mate's zeros):
@@ -710,21 +729,39 @@ def test_gate_property(case):
     assert {a is True for a in answers.values()} == {admitted}
 
 
-def test_classify_roots_each_polynomial_once(half, monkeypatch):
-    # num and den of f in lowest terms, then the numerator left after the
-    # boundary zero at 1 is divided out
-    f = RationalFn(Poly.from_roots([1, 0.3, -2]), Poly([1, -0.4]) * Poly([1, 0.25j]))
+@pytest.fixture
+def root_calls(monkeypatch):
+    """The degrees of the polynomials the gate and the descriptor root, in call order."""
     calls = []
-    original = polynomials.poly_roots
+    original = factorization.poly_roots
 
     def counting(p, rng=None):
         calls.append(p.degree)
         return original(p, rng=rng)
 
-    monkeypatch.setattr(polynomials, "poly_roots", counting)
+    monkeypatch.setattr(factorization, "poly_roots", counting)
+    return calls
+
+
+def test_classify_roots_each_polynomial_once(half, root_calls):
+    # num and den of f in lowest terms, then the numerator left after the
+    # boundary zero at 1 is divided out
+    f = RationalFn(Poly.from_roots([1, 0.3, -2]), Poly([1, -0.4]) * Poly([1, 0.25j]))
     d = classify(half, f)
     assert d.inner_degree == 1 and d.boundary_orders[0][1] == 1
-    assert len(calls) <= 3
+    assert len(root_calls) <= 3
+
+
+def test_subspace_distance_gates_each_generator_once(half, root_calls):
+    # a rational generator roots its den and num in the gate, and only the
+    # part of its numerator off the mate zero after it
+    rational = RationalFn(ZM1, Poly([1, -0.5]))  # (z - 1)/(1 - z/2)
+    assert subspace_distance(half, rational, ZM1) == 0.0
+    assert len(root_calls) == 2
+    root_calls.clear()
+    inner = Poly([-0.3, 1])
+    assert subspace_distance(half, RationalFn(inner, Poly([1, -0.5])), inner) <= 1e-12
+    assert len(root_calls) == 4
 
 
 # -- the rank rule: a Cholesky certificate first, the SVD rule as fallback ----

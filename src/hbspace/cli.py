@@ -42,12 +42,12 @@ EXIT_NUMERICAL = 3
 def parse_symbol(text: str) -> RationalFn:
     if text.startswith("@"):
         try:
-            text = Path(text[1:]).read_text()
-        except OSError as exc:
+            text = Path(text[1:]).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"cannot read symbol file: {exc}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputFormatError(f"symbol is not valid JSON: {exc}")
     return RationalFn.from_json(data)
 

@@ -43,11 +43,11 @@ Vectors built from those forms pair exactly against polynomials because
 the H^2 pairing only reads coefficients up to the polynomial's degree.
 
 Each such member is a pair of numerators over one denominator, which
-``HbSpace._member_den`` builds from (conj(w), i): q = b.den for b, b+, Lb,
-La and the boundary kernels, q (1 - conj(w) z)^(i+1) for u_w^i at an
-interior w.  So their Taylor coefficients are the numerators convolved
-with one cached series of 1/q, times the closed-form series of
-(1 - conj(w) z)^-(i+1) at an interior w; the recurrence of
+``HbSpace._member_den`` builds from the points left in it:
+q prod_k (1 - conj(x_k) z), q = b.den.  No point is left for b, b+, Lb,
+La and the boundary kernels, so their denominator is q.  Their Taylor
+coefficients are the numerators convolved with one cached series of 1/q
+and one geometric series per nonzero point; the recurrence of
 ``RationalFn.taylor`` runs once per space for them.  phi = b/a stays on
 that recurrence: the Gram matrix I + C^H C sits one rounding away from
 its bound >= I (a one-ulp perturbation of phi on a degree-8 symbol pushed
@@ -56,18 +56,18 @@ so phi keeps its exact bits.
 
 Their Taylor tails are bounded from the decay radius, which needs no root
 finding: the radius is rho_b, the modulus of the nearest root of q, or
-min(rho_b, 1/|w|) for an interior w.  The mate computation finds rho_b
-once, while validating b.
+min(rho_b, 1/|x_k|) over the points left.  The mate computation finds
+rho_b once, while validating b.
 
-Every kernel is one closed form, ``HbSpace._newton_numerators``: the
+Every kernel comes from one builder, ``HbSpace._newton_numerators``: the
 divided difference of K_w in conj(w) over points x_0..x_s, which pairs as
 <f, K[..]>_b = f[x_0, ..., x_s]; at one point repeated it is a derivative
 kernel over s!, inside the disk and at a mate boundary zero alike.
 
-At a mate boundary zero w, (z - w)^(i+1) must cancel from the derivative
-kernel's numerator by the zero rule of ``polynomials`` (each remainder
-within TOL.boundary times the quotient's Horner bound), else
-VerificationError; poles follow its rule |den(z)| <= TOL.pole * B_den(z).
+At a mate boundary zero w, (z - w)^(s+1) must cancel from both numerators
+by the zero rule of ``polynomials`` (each remainder within TOL.boundary
+times the quotient's Horner bound), else VerificationError; then no point
+is left.  Poles follow its rule |den(z)| <= TOL.pole * B_den(z).
 """
 
 from __future__ import annotations
@@ -88,6 +88,9 @@ _TAIL_DEGREE_CAP = 4096
 
 # Largest derivative order i whose i! is finite in double precision.
 _MAX_DERIVATIVE_ORDER = 170
+
+# Largest gram_matrix size: C, C^H C and G then take 256 MiB each in complex128.
+_MAX_GRAM_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -257,21 +260,22 @@ class HbSpace:
         c = 1.0 / self._a0
         return HbVector(u.f * c, u.f_plus * c, u.tail_f * c, u.tail_plus * c)
 
-    def _member_den(self, wbar: complex, i: int) -> Poly:
-        """The denominator of a closed-form member: q, or q (1 - wbar z)^(i+1) for wbar != 0."""
-        return self.b.den if wbar == 0 else self.b.den * Poly([1, -wbar]) ** (i + 1)
+    def _member_den(self, points) -> Poly:
+        """The one denominator rule: q prod_k (1 - conj(x_k) z) over points, q = b.den."""
+        return self.b.den * math.prod((Poly([1, -x.conjugate()]) for x in points), start=Poly([1]))
 
-    def _member(
-        self, num: Poly, plus_num: Poly, degree: int, wbar: complex = 0j, i: int = 0
-    ) -> HbVector:
-        """num/den and its companion plus_num/den, den = ``_member_den(wbar, i)``,
-        truncated at degree; their tails are bounded on |z| < min(rho_b, 1/|wbar|)."""
+    def _member(self, num: Poly, plus_num: Poly, degree: int, points=()) -> HbVector:
+        """num/den and its companion plus_num/den, den = ``_member_den(points)``,
+        truncated at degree; their tails are bounded on |z| < min(rho_b, 1/|x_k|).
+        1/den is the cached 1/q series times one geometric series per nonzero x_k."""
         series = self._inv_q_coeffs(degree)
         radius = self.pole_radius
-        if wbar != 0:
-            series = np.convolve(series, _inverse_power_series(wbar, i, degree))[: degree + 1]
-            radius = min(radius, 1.0 / abs(wbar))
-        den = self._member_den(wbar, i)
+        for x in points:
+            if x != 0:
+                powers = np.cumprod(np.full(degree, x.conjugate()))
+                series = np.convolve(series, np.concatenate(([1.0], powers)))[: degree + 1]
+                radius = min(radius, 1.0 / abs(x))
+        den = self._member_den(points)
         return HbVector(
             f=Poly(_truncated_product(num, series)),
             f_plus=Poly(_truncated_product(plus_num, series)),
@@ -300,10 +304,13 @@ class HbSpace:
         the (j, k) and (k, j) entries alike.  The sum is assembled in place
         with the roundings of eye(n) + 0.5 (h + h^H) (a floating-point sum
         commutes exactly), so its bytes are that expression's, signed zeros
-        included, without its temporaries.  InputFormatError for n < 1.
+        included, without its temporaries.  InputFormatError for n < 1 or
+        n > _MAX_GRAM_SIZE (4096), which caps C, C^H C and G at 256 MiB each.
         """
         if n < 1:
             raise InputFormatError("gram size must be at least 1")
+        if n > _MAX_GRAM_SIZE:
+            raise InputFormatError(f"gram size {n} exceeds {_MAX_GRAM_SIZE}")
         c = self._companion(n)
         h = c.conj().T @ c
         g = h + h.conj().T
@@ -335,23 +342,22 @@ class HbSpace:
         boundary zero of multiplicity m and i <= m - 1, in which case the
         circle pole cancels and the result is analytic on the closed disk.
         """
-        num, _, wbar = self._kernel_numerators(w, i)
-        return RationalFn(num, self._member_den(wbar, i))
+        num, _, rest = self._kernel_numerators(w, i)
+        return RationalFn(num, self._member_den(rest))
 
     def kernel_vector(self, lam: complex, degree: int = D_TRUNC) -> HbVector:
         """Truncated kernel with its exact companion conj(b(lam)) a k_lam."""
         return self.derivative_kernel_vector(lam, 0, degree=degree)
 
     def derivative_kernel_vector(self, w: complex, i: int, degree: int = D_TRUNC) -> HbVector:
-        num, plus_num, wbar = self._kernel_numerators(w, i)
-        return self._member(num, plus_num, degree, wbar, i)
+        """u_w^i = ``kernel_derivative(w, i)``, <f, u_w^i>_b = f^(i)(w), truncated at
+        degree with its exact companion and geometric tail bounds; w, i as there."""
+        num, plus_num, rest = self._kernel_numerators(w, i)
+        return self._member(num, plus_num, degree, rest)
 
-    def _kernel_numerators(self, w: complex, i: int) -> tuple[Poly, Poly, complex]:
-        """Numerators of u_w^i and its companion over ``_member_den(wbar, i)``, and wbar.
-
-        wbar is conj(w) inside the disk.  At a mate boundary zero w it is 0:
-        (z - w)^(i+1) is cancelled from both numerators, so the two share q.
-        """
+    def _kernel_numerators(self, w: complex, i: int) -> tuple[Poly, Poly, list]:
+        """Numerators of u_w^i = i! K[conj(w), ..., conj(w)] (i + 1 copies) and of its
+        companion over ``_member_den(rest)``, and rest; the checks of the public calls."""
         if i < 0:
             raise InputFormatError(f"derivative order must be nonnegative, got {i}")
         if i > _MAX_DERIVATIVE_ORDER:
@@ -360,59 +366,56 @@ class HbSpace:
             )
         if abs(w) > 1.0 + CIRCLE_BAND:
             raise InputFormatError(f"kernel point {w} lies outside the closed unit disk")
-        on_circle = abs(abs(w) - 1.0) <= CIRCLE_BAND
-        if on_circle:
+        if abs(abs(w) - 1.0) <= CIRCLE_BAND:
             mult = next((m for lam, m in self.boundary_zeros if abs(w - lam) <= CIRCLE_BAND), 0)
             if i >= mult:
                 raise OrderTooHighError(
                     f"derivative order {i} at boundary point {w} exceeds multiplicity {mult}"
                 )
-        wbar = w.conjugate()
-        *nums, _ = self._newton_numerators([w] * (i + 1), math.factorial(i))
-        if not on_circle:
-            return *nums, wbar
-        # on the circle 1 - conj(w) z = -conj(w) (z - w): cancel (z - w)^(i+1)
-        unit = 1.0 / (-wbar) ** (i + 1)
-        cancelled = []
-        for num in nums:
-            k, work = _zero_order(num, w, at_most=i + 1)
-            if k <= i:
-                raise VerificationError(f"boundary kernel cancellation of (z - w)^{i + 1} "
-                                        f"stopped at order {k}")
-            cancelled.append(work * unit)
-        return *cancelled, 0j
+        num, plus_num, rest = self._newton_numerators([w] * (i + 1))
+        fact = float(math.factorial(i))
+        return num * fact, plus_num * fact, rest
 
     def _newton_kernel(self, points) -> RationalFn:
-        """The representer of f -> f[x_0, ..., x_s] for points in the open disk, or
-        for one mate boundary zero w repeated: there kernel_derivative(w, s) / s!."""
-        w, s = points[0], len(points) - 1
-        if abs(abs(w) - 1.0) <= CIRCLE_BAND:  # the cancellation stays in _kernel_numerators
-            k = self.kernel_derivative(w, s)
-            return RationalFn(k.num * (1.0 / math.factorial(s)), k.den)
-        num, _, head = self._newton_numerators(points)
-        return RationalFn(num, self.b.den * head)
+        """The representer K[conj(x_0), ..., conj(x_s)] of f -> f[x_0, ..., x_s]."""
+        num, _, rest = self._newton_numerators(points)
+        return RationalFn(num, self._member_den(rest))
 
-    def _newton_numerators(self, points, scale: int = 1) -> tuple[Poly, Poly, Poly]:
-        """Numerators of scale K[conj(x_0), ..., conj(x_s)] and of its companion
-        over q h, and h = prod_k (1 - conj(x_k) z).
+    def _newton_numerators(self, points) -> tuple[Poly, Poly, list]:
+        """Numerators of K[conj(x_0), ..., conj(x_s)] and of its companion over
+        ``_member_den(rest)``, and rest, the points left in the denominator.
 
         K[..] is the divided difference of K_w in conj(w), the representer of
-        f -> f[x_0, ..., x_s].  K_w = (1 - conj(b(w)) b) S_w with
+        f -> f[x_0, ..., x_s], for points in the open disk or one mate boundary
+        zero repeated.  K_w = (1 - conj(b(w)) b) S_w with
         S_w = 1 / (1 - conj(w) z), so the product rule gives
 
             K[..] = S[conj(x_0..x_s)] - b sum_i conj(b[x_0..x_i]) S[conj(x_i..x_s)],
             S[conj(x_i..x_s)] = z^(s-i) / prod_(k=i..s) (1 - conj(x_k) z),
 
         and the companion conj(b(w)) a S_w of K_w gives a.num times the same
-        sum.  At one point w repeated i + 1 times, with scale i!, K[..] is the
-        derivative kernel: term j carries i! conj(t_j), t_j = b^(j)(w) / j!.
+        sum; rest is points.  At a mate boundary zero w repeated,
+        1 - conj(w) z = -conj(w) (z - w), and (z - w)^(s+1) is cancelled from
+        both numerators, so rest is empty.
         """
         s = len(points) - 1
         acc, head = Poly(), Poly([1])  # head: prod_(k<i) (1 - conj(x_k) z)
         for i, (x, t) in enumerate(zip(points, self.b.divided_differences(points))):
-            acc = acc + (scale * complex(t).conjugate()) * head.shifted(s - i)
+            acc = acc + complex(t).conjugate() * head.shifted(s - i)
             head = head * Poly([1, -x.conjugate()])
-        return scale * self.b.den.shifted(s) - self.b.num * acc, self.a.num * acc, head
+        nums = self.b.den.shifted(s) - self.b.num * acc, self.a.num * acc
+        w = points[0]
+        if abs(abs(w) - 1.0) > CIRCLE_BAND:
+            return *nums, points
+        unit = 1.0 / (-w.conjugate()) ** (s + 1)
+        cancelled = []
+        for num in nums:
+            k, work = _zero_order(num, w, at_most=s + 1)
+            if k <= s:
+                raise VerificationError(f"boundary kernel cancellation of (z - w)^{s + 1} "
+                                        f"stopped at order {k}")
+            cancelled.append(work * unit)
+        return *cancelled, []
 
     # -- identities ----------------------------------------------------------
 
@@ -472,12 +475,6 @@ def _grown_series(cache: np.ndarray, num: Poly, den: Poly, n: int) -> np.ndarray
 def _truncated_product(p: Poly, series: np.ndarray) -> np.ndarray:
     """Coefficients 0..len(series)-1 of p times the power series."""
     return np.convolve(p.coeff_array(max(len(p.coeffs), 1)), series)[: len(series)]
-
-
-def _inverse_power_series(wbar: complex, i: int, n: int) -> np.ndarray:
-    """Coefficients 0..n of (1 - wbar z)^-(i+1): c_k = c_(k-1) wbar (k + i) / k."""
-    k = np.arange(1, n + 1)
-    return np.concatenate(([1.0 + 0j], np.cumprod(wbar * (k + i) / k)))
 
 
 def _upper_toeplitz(c: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbspace import HbSpace
+from hbspace import space as space_module
 from hbspace.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_symbol
 
 HALF = "[0.5, 0.5]"
@@ -328,6 +329,30 @@ def test_boolean_coefficient_rejected(symbol, capsys):
     assert code == EXIT_VALIDATION
     assert not out
     assert json.loads(err)["type"] == "InputFormatError"
+
+
+DEEP = "[" * 100_000  # past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("argv,file_bytes", [
+    (["mate", "-b", DEEP], None),
+    (["mate", "-b", "@{}"], DEEP.encode()),
+    (["mate", "-b", "@{}"], b"\xff\xfe\x00bad"),  # not UTF-8
+    (["gram", "-b", HALF, "--size", str(space_module._MAX_GRAM_SIZE + 1)], None),
+    (["gram", "-b", HALF, "--size", "1000000000000000"], None),
+    (["gram", "-b", HALF, "--size", "99999999999999999999999"], None),
+], ids=["deep-json", "deep-json-file", "non-utf8-file", "size-cap", "size-huge", "size-overflow"])
+def test_escaping_inputs_exit_two_with_a_typed_error(argv, file_bytes, tmp_path, capsys):
+    if file_bytes is not None:
+        path = tmp_path / "symbol.json"
+        path.write_bytes(file_bytes)
+        argv = [arg.format(path) for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    blob = json.loads(err)
+    assert set(blob) == {"error", "type"}
+    assert blob["type"] == "InputFormatError"
 
 
 @pytest.mark.parametrize("size", ["0", "-1"])

@@ -101,6 +101,16 @@ def test_second_copies_of_a_decision_are_gone():
     # HbSpace._newton_kernel, so lattice scales no derivative kernel itself
     source = Path(lattice.__file__).read_text()
     assert [n for n in ("kernel_derivative", "factorial") if n in source] == []
+    # _newton_numerators is the one kernel builder: it owns the circle
+    # cancellation, takes no scale, and _newton_kernel has no circle fork
+    assert "scale" not in inspect.signature(HbSpace._newton_numerators).parameters
+    assert not hasattr(space, "_inverse_power_series")
+    source = inspect.getsource(HbSpace._newton_kernel)
+    assert [n for n in ("kernel_derivative", "factorial") if n in source] == []
+    sites = [fn.name for fn in ast.walk(ast.parse(Path(space.__file__).read_text()))
+             if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_zero_order"]
+    assert sites == ["_newton_numerators"]
 
 
 def test_point_rules_have_one_home():

@@ -19,6 +19,12 @@ q - u p vanishes at 1 and the construction degenerates.
 
 Iterating n times from b0 = 0 with a fixed omega and t builds the model
 symbols whose shift is a strict 2n-isometry.
+
+The phase rule: u is ``_unit(t)`` = cos t - i sin t, except that a part
+no larger than |t| eps (the rounding of t itself) is 0 when the other
+part is exactly +-1.  So every multiple of pi/2 gives an exact unit; at
+the default t = pi, u = -1 and the towers from b0 = 0 are real rational
+functions.  Every other phase gives exp(-i t) bit for bit.
 """
 
 from __future__ import annotations
@@ -120,8 +126,23 @@ def brownian_shift_symbol(sigma: float) -> RationalFn:
     return RationalFn(Poly([0, gamma]), Poly([1, -beta]))
 
 
+def _unit(t: float) -> complex:
+    """u = exp(-i t), exact at the multiples of pi/2 (the phase rule above)."""
+    re, im = math.cos(t), -math.sin(t)
+    rounding = abs(t) * np.finfo(float).eps
+    if abs(re) == 1.0 and abs(im) <= rounding:
+        im = 0.0
+    elif abs(im) == 1.0 and abs(re) <= rounding:
+        re = 0.0
+    return complex(re, im)
+
+
 def extend(b0, omega: complex = 1.0, t: float = math.pi) -> ExtensionResult:
     """One extension step; b0 must be rational, nonextreme, b0(0) = 0.
+
+    u = ``_unit(t)``: exp(-i t), with the rounding of t dropped at the
+    multiples of pi/2, so t = pi uses u = -1 and a real b0 extends to a
+    real b.
 
     The one rule for omega is 0 < s < 1 in double precision
     (DegenerateOmegaError): omega = 0, or an |omega|^2 that underflows,
@@ -148,7 +169,7 @@ def extend(b0, omega: complex = 1.0, t: float = math.pi) -> ExtensionResult:
         raise DegenerateOmegaError(
             f"extension weight omega = {omega} gives s = {s}, outside (0, 1) in double precision"
         )
-    u = np.exp(-1j * t)
+    u = _unit(t)
     p, q = b0.num, b0.den
     core = q - u * p
     num = s * core.shifted(1) + ((1.0 - s) * u) * (p - p.shifted(1))
@@ -225,7 +246,7 @@ def kernel_factorization_check(b0, ext: ExtensionResult) -> dict:
     b0 = as_rational(b0)
     bt = ext.b
     s = ext.s
-    u = np.exp(-1j * ext.t)
+    u = _unit(ext.t)
     radii = np.array([0.25, 0.55, 0.8])
     angles = np.exp(2j * np.pi * np.arange(1, 8) / 7.3)
     zs = (radii[:, None] * angles[None, :]).ravel()

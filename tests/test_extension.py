@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hbspace import extension
 from hbspace.errors import (
     DegenerateOmegaError,
     ForbiddenPhaseError,
@@ -13,6 +14,7 @@ from hbspace.errors import (
     VerificationError,
 )
 from hbspace.extension import (
+    _unit,
     brownian_shift_symbol,
     build_model,
     extend,
@@ -187,6 +189,54 @@ def test_kernel_factorization_later_step():
     step_off = extend(B_STEP1, omega=0.6 + 0.3j, t=2.0)
     out = kernel_factorization_check(B_STEP1, step_off)
     assert out["max_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi,
+                               3 * math.pi / 2, 2 * math.pi, 4 * math.pi])
+def test_unit_is_exact_at_multiples_of_a_right_angle(t):
+    k = round(t / (math.pi / 2)) % 4
+    want = (1 + 0j, -1j, -1 + 0j, 1j)[k]
+    u = _unit(t)
+    assert (u.real, u.imag) == (want.real, want.imag)
+
+
+def _same_bits(x: complex, y: complex) -> bool:
+    return (x.real.hex(), x.imag.hex()) == (y.real.hex(), y.imag.hex())
+
+
+def test_unit_is_exp_bit_for_bit_away_from_the_right_angles():
+    rng = np.random.default_rng(29)
+    for t in rng.uniform(0.3, 2 * math.pi - 0.3, 10_000):
+        t = float(t)
+        assert _same_bits(_unit(t), complex(np.exp(-1j * t)))
+    # no snap: cos rounds to -1 here but sin is 1e-9, far above t's rounding
+    assert _same_bits(_unit(math.pi - 1e-9), complex(np.exp(-1j * (math.pi - 1e-9))))
+    assert _unit(math.pi - 1e-9).imag != 0.0
+    for t in (1e17, 1e300):
+        assert _same_bits(_unit(t), complex(np.exp(-1j * t)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_default_towers_are_exactly_real(n):
+    b = build_model(n).b
+    space = HbSpace(b)
+    for coeffs in (b.num.coeff_array(), b.den.coeff_array(), space.a.num.coeff_array(),
+                   space.phi_coeffs(200)):
+        assert not coeffs.imag.any()
+    assert space.gram_matrix(256).dtype == np.float64
+
+
+def test_kernel_factorization_at_pi_uses_the_exact_unit(monkeypatch):
+    seen = []
+
+    def recording(t):
+        seen.append(_unit(t))
+        return seen[-1]
+
+    step = extend(B_STEP1, omega=1.0, t=math.pi)
+    monkeypatch.setattr(extension, "_unit", recording)
+    kernel_factorization_check(B_STEP1, step)
+    assert [(u.real, u.imag) for u in seen] == [(-1.0, 0.0)]
 
 
 def test_extension_json_roundtrippable():

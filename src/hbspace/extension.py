@@ -20,6 +20,19 @@ q - u p vanishes at 1 and the construction degenerates.
 Iterating n times from b0 = 0 with a fixed omega and t builds the model
 symbols whose shift is a strict 2n-isometry.
 
+The carried norm: each step adds |omega|^2 to the squared defect norm,
+|w_t|_b^2 = |w|_b^2 + |omega|^2, that is a_t(0)^2 = (1 - s) a0(0)^2.  So
+the symbol ``extend`` returns carries that number, and a step from it
+reads the number instead of rooting the density of b0 for its mate.
+Only symbols ``extend`` itself built carry it (and the zero symbol
+``build_model`` starts from, with |w|_b^2 = 0); any other symbol,
+including one read back from JSON or recentred by ``mobius_normalize``,
+is measured by its mate.  A carried symbol is a RationalFn with the same
+num, den and JSON as ``RationalFn(num, den)``.  A space built on it,
+``HbSpace(b)`` or the final space of ``build_model(verify=True)``, still
+roots the density and gates its mate on TOL.mate, so its norm_b_sq is
+an independent witness of the carried chain.
+
 The phase rule: u is ``_unit(t)`` = cos t - i sin t, except that a part
 no larger than |t| eps (the rounding of t itself) is 0 when the other
 part is exactly +-1.  So every multiple of pi/2 gives an exact unit; at
@@ -46,6 +59,16 @@ from .errors import (
 from .isometry import isometry_order
 from .polynomials import Poly, RationalFn, as_rational, complex_to_json
 from .space import HbSpace
+
+
+class _Carried(RationalFn):
+    """RationalFn(num, den) with its |w|_b^2 = a(0)^(-2) - 1 carried along."""
+
+    __slots__ = ("norm_b_sq",)
+
+    def __init__(self, num: Poly, den: Poly, norm_b_sq: float):
+        super().__init__(num, den)
+        object.__setattr__(self, "norm_b_sq", norm_b_sq)
 
 
 @dataclass(frozen=True)
@@ -157,7 +180,7 @@ def extend(b0, omega: complex = 1.0, t: float = math.pi) -> ExtensionResult:
         raise InputFormatError(
             "extension requires b(0) = 0; apply mobius_normalize first"
         )
-    w_sq = HbSpace(b0).norm_b_sq
+    w_sq = b0.norm_b_sq if isinstance(b0, _Carried) else HbSpace(b0).norm_b_sq
     t0 = forbidden_phase(b0)
     if t0 is not None and _phase_distance(t, t0) <= TOL.phase:
         raise ForbiddenPhaseError(
@@ -178,7 +201,7 @@ def extend(b0, omega: complex = 1.0, t: float = math.pi) -> ExtensionResult:
         + (2.0 - s) * (q - q.shifted(1))
         - (s * u) * (p - p.shifted(1))
     )
-    bt = RationalFn(num, den)
+    bt = _Carried(num, den, w_sq + omega_sq)
     deg0 = int(max(b0.degree, 0))
     if int(bt.degree) != deg0 + 1:
         raise VerificationError(
@@ -212,10 +235,14 @@ def build_model(
     verify: bool = False,
 ) -> ModelResult:
     """n extension steps from b0 = 0; the shift becomes a strict
-    2n-isometry on the resulting space (checked when verify is set)."""
+    2n-isometry on the resulting space (checked when verify is set).
+
+    The steps carry the defect norm from |0|_b^2 = 0, so only the final
+    space, built under verify, roots a density.
+    """
     if n < 1:
         raise InputFormatError("model order must be at least 1")
-    b = RationalFn(Poly([]), Poly([1]))
+    b = _Carried(Poly([]), Poly([1]), 0.0)
     steps = []
     for _ in range(n):
         step = extend(b, omega=omega, t=t)

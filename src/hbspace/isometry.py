@@ -14,8 +14,22 @@ The searches below read the rank-one defect straight from the Taylor
 coefficients of phi = b/a (see ``hbspace.space``):
 <beta_1 z^k, z^j>_b = phi_(j+1) conj(phi_(k+1)), and
 beta_(m+1) = S* beta_m S - beta_m, so on monomials beta_m is the (m-1)-th
-diagonal difference X[j+1, k+1] - X[j, k] of that outer product.  The
-entries satisfy a fixed linear recurrence along diagonals (phi is
+diagonal difference X[j+1, k+1] - X[j, k] of that outer product.
+
+That difference D = E (x) E - I (E the index shift) splits as
+D = Delta (x) E + I (x) Delta, Delta = E - I, and the two terms commute,
+so for u_j = phi_(j+1)
+
+    D^r (u u^H)[j, k] = sum_a C(r, a) (Delta^a u)_j conj((Delta^(r-a) u)_(k+a)).
+
+The search takes the one-sided differences Delta^a u once and every r in
+one batched product.  Each term then rounds like
+eps |Delta^a u| |Delta^(r-a) u|, where differencing the outer product
+itself rounds like 2^m eps defect_1: on a tower phi_k is a polynomial
+in k, so the high differences are small and the defect at the order,
+zero exactly, reads several times closer to zero.
+
+The entries satisfy a fixed linear recurrence along diagonals (phi is
 rational), so once the m-th defect vanishes on a window wider than the
 recurrence length plus the transient, it vanishes for all indices.  The
 probe window, 2n + m_max + 8 for a degree-n symbol, adds a comfortable
@@ -27,6 +41,7 @@ independent path to the same defect.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,17 +96,40 @@ def defect_form(space: HbSpace, f, g, m: int) -> complex:
     return total
 
 
+@functools.lru_cache(maxsize=64)
+def _difference_plan(m_max: int, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """binom[r, a] = C(r, a) for a <= r, else 0, and gather[r, a, k], the flat
+    index of (Delta^(r - a) u)_(k + a) in the (m_max, len(u) + 1) row array,
+    len(u) = window + m_max - 1; for a > r it points at the zero pad column.
+    Both read-only: the cache hands the same arrays to every call.
+    """
+    width = window + m_max
+    r, a = np.indices((m_max, m_max))
+    below = a <= r
+    binom = np.array([[math.comb(i, j) for j in range(m_max)] for i in range(m_max)], dtype=float)
+    gather = np.where(below, r - a, 0)[:, :, None] * width + a[:, :, None] + np.arange(window)
+    gather[~below] = width - 1
+    binom.flags.writeable = False
+    gather.flags.writeable = False
+    return binom, gather
+
+
 def isometry_order(space: HbSpace, m_max: int = 8) -> DefectReport:
     """Search for the smallest m making the shift an m-isometry."""
     probe_degree = 2 * space.n + m_max + 8
     window = probe_degree + 1
     phi = space.phi_coeffs(probe_degree + m_max)
-    # beta_1 on z^0 .. z^(probe_degree + m_max - 1), so m_max - 1 differences cover the window
-    diff = np.outer(phi[1:], np.conj(phi[1:]))
-    defects = [float(np.max(np.abs(diff[:window, :window])))]
-    for _ in range(2, m_max + 1):
-        diff = diff[1:, 1:] - diff[:-1, :-1]
-        defects.append(float(np.max(np.abs(diff[:window, :window]))))
+    u = phi[1:]
+    binom, gather = _difference_plan(m_max, window)
+    # rows[a] = Delta^a u, zero past its length and in the pad column u.size
+    rows = np.zeros((m_max, u.size + 1), dtype=complex)
+    rows[0, : u.size] = u
+    for a in range(1, m_max):
+        np.subtract(rows[a - 1, 1 : u.size - a + 1], rows[a - 1, : u.size - a],
+                    out=rows[a, : u.size - a])
+    left = binom[:, None, :] * rows[:, :window].T
+    right = np.take(rows.conj(), gather)
+    defects = [float(x) for x in np.max(np.abs(left @ right), axis=(1, 2))]
     order = None
     strict = None
     for m in range(1, m_max + 1):

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from hbspace import extension
+from hbspace import extension, factorization, polynomials
+from hbspace.config import DEFAULT_TOLERANCES as TOL
 from hbspace.errors import (
     DegenerateOmegaError,
     ForbiddenPhaseError,
@@ -22,7 +23,8 @@ from hbspace.extension import (
     kernel_factorization_check,
     mobius_normalize,
 )
-from hbspace.polynomials import Poly, RationalFn
+from hbspace.isometry import isometry_order
+from hbspace.polynomials import Poly, RationalFn, poly_roots
 from hbspace.space import HbSpace
 
 B_ZERO = RationalFn(Poly([]), Poly([1]))
@@ -333,3 +335,113 @@ def test_infinite_denominator_rejected():
             HbSpace(RationalFn(Poly([0, 0.5]), Poly(den)))
         with pytest.raises(InputFormatError):
             extend(RationalFn(Poly([0, 0.5]), Poly(den)))
+
+
+# -- the carried defect norm --------------------------------------------------
+
+
+def _random_nonextreme(rng):
+    """b0(0) = 0, degree 1-5, poles at modulus 1.3-3, sup|b0| in [0.3, 0.97]."""
+    degree = int(rng.integers(1, 6))
+    num = Poly(np.concatenate([[0.0], rng.standard_normal(degree)
+                               + 1j * rng.standard_normal(degree)]))
+    poles = rng.uniform(1.3, 3.0, degree) * np.exp(2j * np.pi * rng.random(degree))
+    den = Poly.from_roots(poles, 1.0)
+    zs = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    peak = float(np.max(np.abs(num(zs) / den(zs))))
+    return RationalFn(num * (rng.uniform(0.3, 0.97) / peak), den)
+
+
+def _random_step(rng):
+    omega = rng.uniform(0.3, 2.0) * np.exp(2j * np.pi * rng.random())
+    return complex(omega), float(2 * np.pi * rng.random())
+
+
+def test_carried_norm_matches_the_mate_of_the_extension():
+    # a_t(0)^2 = (1 - s) a0(0)^2: carried w_sq + |omega|^2 against the new symbol's mate
+    rng = np.random.default_rng(3030)
+    for _ in range(60):
+        b0 = _random_nonextreme(rng)
+        omega, t = _random_step(rng)
+        step = extend(b0, omega=omega, t=t)
+        measured = HbSpace(step.b).norm_b_sq
+        assert abs(step.b.norm_b_sq - measured) <= 1e-9 * measured
+
+
+def _count_spaces(monkeypatch):
+    built = []
+
+    def counting(b, rng=None):
+        built.append(b)
+        return HbSpace(b, rng=rng)
+
+    monkeypatch.setattr(extension, "HbSpace", counting)
+    return built
+
+
+def test_extend_from_a_carried_symbol_builds_no_space(monkeypatch):
+    first = extend(B_STEP1, omega=0.8 - 0.3j, t=2.0)
+    built = _count_spaces(monkeypatch)
+    extend(first.b, omega=1.1j, t=4.0)
+    assert built == []
+
+
+def test_a_symbol_read_back_from_json_takes_the_mate():
+    rng = np.random.default_rng(3031)
+    for _ in range(10):
+        b0 = _random_nonextreme(rng)
+        omega, t = _random_step(rng)
+        b = extend(b0, omega=omega, t=t).b
+        omega, t = _random_step(rng)
+        carried = extend(b, omega=omega, t=t)
+        bare = RationalFn.from_json(b.to_json())
+        assert bare.to_json() == b.to_json()
+        with pytest.MonkeyPatch.context() as mp:
+            built = _count_spaces(mp)
+            measured = extend(bare, omega=omega, t=t)
+        assert len(built) == 1
+        assert abs(measured.s - carried.s) <= 1e-9
+        for got, want in ((measured.b.num, carried.b.num), (measured.b.den, carried.b.den)):
+            assert np.max(np.abs(got.coeff_array() - want.coeff_array())) <= 1e-9
+
+
+def _count_roots(monkeypatch):
+    calls = []
+
+    def counting(p, *args, **kwargs):
+        calls.append(p)
+        return poly_roots(p, *args, **kwargs)
+
+    monkeypatch.setattr(factorization, "poly_roots", counting)
+    monkeypatch.setattr(polynomials, "poly_roots", counting)
+    return calls
+
+
+def test_build_model_roots_nothing_without_verify(monkeypatch):
+    calls = _count_roots(monkeypatch)
+    build_model(4)
+    assert calls == []
+    build_model(4, verify=True)
+    assert calls
+
+
+# The n = 4 towers queries whose m = 8 defect read 1.1e-8 ... 2.6e-8 through
+# two-dimensional differencing, above tol.iso: (omega, t) as the bench draws them.
+TOWERS_N4 = [
+    (complex(-1.514179244967816, -0.3226727377519893), 3.4366172186465116),
+    (complex(-1.527484472489251, 0.3391690757124853), 3.913912592597009),
+    (complex(-0.11733730442340444, 1.5006098329359674), 3.2919688050689424),
+    (complex(-0.12170407077422955, -1.7969645928228049), 4.59506181848624),
+    (complex(-1.4370047015922793, 1.1754260798360534), 4.594356873975861),
+    (complex(-1.4250407192557226, 0.29170582077261714), 3.22301910948039),
+    (complex(0.11701075470559637, 1.5544576095685407), 3.7870079769766716),
+    (complex(-1.4378030503047243, -0.1519424649214859), 3.588166930107265),
+]
+
+
+@pytest.mark.parametrize("omega,t", TOWERS_N4)
+def test_n4_towers_read_order_8(omega, t):
+    model = build_model(4, omega=omega, t=t, verify=True)
+    assert model.isometry_order == 8
+    rep = isometry_order(HbSpace(model.b), m_max=10)
+    assert rep.defects[7] <= TOL.iso / 3

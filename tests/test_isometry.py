@@ -13,6 +13,7 @@ from hbspace.isometry import (
 )
 from hbspace.polynomials import Poly, RationalFn
 from hbspace.space import HbSpace
+from test_lattice import symbol_space
 
 RNG = np.random.default_rng(411)
 
@@ -163,6 +164,28 @@ def test_defects_match_gram_differences(name):
         assert abs(got - want) <= 2**m * 64 * EPS * g_max
     if rep.order == 1:
         assert abs(rep.strict_margin - g_max) <= 64 * EPS * g_max
+
+
+def _outer_difference_defects(space, m_max, probe_degree):
+    """max |beta_m| on the window by differencing the outer product in two
+    dimensions, X[j + 1, k + 1] - X[j, k], m - 1 times."""
+    window = probe_degree + 1
+    phi = space.phi_coeffs(probe_degree + m_max)
+    diff = np.outer(phi[1:], np.conj(phi[1:]))
+    out = [float(np.max(np.abs(diff[:window, :window])))]
+    for _ in range(2, m_max + 1):
+        diff = diff[1:, 1:] - diff[:-1, :-1]
+        out.append(float(np.max(np.abs(diff[:window, :window]))))
+    return out
+
+
+@pytest.mark.parametrize("name", ["half", "model1", "model2", "model3", "deg8"])
+def test_defects_match_outer_product_differences(name):
+    space = symbol_space(name)
+    rep = isometry_order(space)
+    ref = _outer_difference_defects(space, rep.m_max, rep.probe_degree)
+    for m, (got, want) in enumerate(zip(rep.defects, ref), start=1):
+        assert abs(got - want) <= 64 * 2**m * EPS * rep.defects[0]
 
 
 @pytest.mark.parametrize("name,lam", [("step1", 1.0), ("step2", 1.0), ("step3", 1.0),

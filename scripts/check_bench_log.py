@@ -1,0 +1,53 @@
+"""Exit 1 unless a ``bench/run.py`` log reports correct outputs.
+
+    python3 bench/run.py --workload towers --seed 1 | tee bench.log
+    python3 scripts/check_bench_log.py bench.log
+
+The log passes when its last line is the verdict JSON with
+``"correct": true`` and its one ``report`` line names no failure of
+``towers.isometry_order.n4``.  That check is mended, so a failure of it
+fails the log although the benchmark's known defects still allow it.
+Each refusal prints its reason to stderr.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+MENDED = ("towers.isometry_order.n4",)
+
+
+def problems(text: str) -> list[str]:
+    lines = text.splitlines()
+    if not lines:
+        return ["empty log"]
+    out = []
+    try:
+        verdict = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        verdict = None
+    if not (isinstance(verdict, dict) and verdict.get("correct") is True):
+        out.append("the last line does not read \"correct\": true")
+    reports = [line[len("report "):] for line in lines if line.startswith("report ")]
+    if len(reports) != 1:
+        return out + [f"{len(reports)} report lines, expected one"]
+    failures = json.loads(reports[0])["failures_by_check"]
+    out += [f"mended check {name} failed {failures[name]} time(s)" for name in MENDED
+            if name in failures]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: check_bench_log.py LOG", file=sys.stderr)
+        return 2
+    with open(argv[0], encoding="utf-8") as fh:
+        found = problems(fh.read())
+    for line in found:
+        print(f"{argv[0]}: {line}", file=sys.stderr)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

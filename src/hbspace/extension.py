@@ -24,14 +24,16 @@ The carried norm: each step adds |omega|^2 to the squared defect norm,
 |w_t|_b^2 = |w|_b^2 + |omega|^2, that is a_t(0)^2 = (1 - s) a0(0)^2.  So
 the symbol ``extend`` returns carries that number, and a step from it
 reads the number instead of rooting the density of b0 for its mate.
-Only symbols ``extend`` itself built carry it (and the zero symbol
-``build_model`` starts from, with |w|_b^2 = 0); any other symbol,
-including one read back from JSON or recentred by ``mobius_normalize``,
-is measured by its mate.  A carried symbol is a RationalFn with the same
-num, den and JSON as ``RationalFn(num, den)``.  A space built on it,
-``HbSpace(b)`` or the final space of ``build_model(verify=True)``, still
-roots the density and gates its mate on TOL.mate, so its norm_b_sq is
-an independent witness of the carried chain.
+Only symbols ``extend`` itself built carry it.  The plain zero symbol,
+a zero numerator over the denominator 1 (the start of every tower, from
+``build_model``, JSON ``[]`` or code), reads |0|_b^2 = 0 by inspection.
+Any other symbol, including one read back from JSON or recentred by
+``mobius_normalize``, is measured by its mate.  A carried symbol is a
+RationalFn with the same num, den and JSON as ``RationalFn(num, den)``.
+A space built on it, ``HbSpace(b)`` or the final space of
+``build_model(verify=True)``, still roots the density and gates its mate
+on TOL.mate, so its norm_b_sq is an independent witness of the carried
+chain.
 
 The phase rule: u is ``_unit(t)`` = cos t - i sin t, except that a part
 no larger than |t| eps (the rounding of t itself) is 0 when the other
@@ -180,7 +182,12 @@ def extend(b0, omega: complex = 1.0, t: float = math.pi) -> ExtensionResult:
         raise InputFormatError(
             "extension requires b(0) = 0; apply mobius_normalize first"
         )
-    w_sq = b0.norm_b_sq if isinstance(b0, _Carried) else HbSpace(b0).norm_b_sq
+    if isinstance(b0, _Carried):
+        w_sq = b0.norm_b_sq
+    elif b0.num.is_zero and b0.den == Poly([1]):
+        w_sq = 0.0
+    else:
+        w_sq = HbSpace(b0).norm_b_sq
     t0 = forbidden_phase(b0)
     if t0 is not None and _phase_distance(t, t0) <= TOL.phase:
         raise ForbiddenPhaseError(
@@ -242,7 +249,7 @@ def build_model(
     """
     if n < 1:
         raise InputFormatError("model order must be at least 1")
-    b = _Carried(Poly([]), Poly([1]), 0.0)
+    b = RationalFn(Poly([]), Poly([1]))
     steps = []
     for _ in range(n):
         step = extend(b, omega=omega, t=t)

@@ -11,23 +11,29 @@ form <beta_m f, g>_b from inner products:
     defect_form(f, g, m) = sum_k (-1)^(m-k) C(m, k) <z^k f, z^k g>_b.
 
 The searches below read the rank-one defect straight from the Taylor
-coefficients of phi = b/a (see ``hbspace.space``):
+coefficients of phi = b/a (see ``hbspace.space``): the defect direction w
+pairs as <w, z^j>_b = phi_(j+1),
 <beta_1 z^k, z^j>_b = phi_(j+1) conj(phi_(k+1)), and
 beta_(m+1) = S* beta_m S - beta_m, so on monomials beta_m is the (m-1)-th
 diagonal difference X[j+1, k+1] - X[j, k] of that outer product.
 
-That difference D = E (x) E - I (E the index shift) splits as
-D = Delta (x) E + I (x) Delta, Delta = E - I, and the two terms commute,
-so for u_j = phi_(j+1)
+One difference engine serves both searches.  With u_j = phi_(j+1) and E
+the index shift, (E u)_j = <w, z^(j+1)>_b, so
+
+    <w, (z - lam)^k z^j>_b = ((E - conj(lam))^k u)_j,
+
+and ``_difference_rows`` builds the rows (E - mu)^a u once per call:
+annihilation_check reads them at mu = conj(lam), isometry_order at
+mu = 1, Delta = E - I.  The diagonal difference D = E (x) E - I splits as
+D = Delta (x) E + I (x) Delta, and the two terms commute, so
 
     D^r (u u^H)[j, k] = sum_a C(r, a) (Delta^a u)_j conj((Delta^(r-a) u)_(k+a)).
 
-The search takes the one-sided differences Delta^a u once and every r in
-one batched product.  Each term then rounds like
-eps |Delta^a u| |Delta^(r-a) u|, where differencing the outer product
-itself rounds like 2^m eps defect_1: on a tower phi_k is a polynomial
-in k, so the high differences are small and the defect at the order,
-zero exactly, reads several times closer to zero.
+The order search takes every r in one batched product.  Each term then
+rounds like eps |Delta^a u| |Delta^(r-a) u|, where differencing the outer
+product itself rounds like 2^m eps defect_1: on a tower phi_k is a
+polynomial in k, so the high differences are small and the defect at the
+order, zero exactly, reads several times closer to zero.
 
 The entries satisfy a fixed linear recurrence along diagonals (phi is
 rational), so once the m-th defect vanishes on a window wider than the
@@ -35,8 +41,8 @@ recurrence length plus the transient, it vanishes for all indices.  The
 probe window, 2n + m_max + 8 for a degree-n symbol, adds a comfortable
 margin on top of that length.
 
-rank_one_identity_check stays on the closed-form vector Lb, an
-independent path to the same defect.
+defect_form and rank_one_identity_check stay on inner products and the
+closed-form vector Lb, independent paths to the same defect.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import D_TRUNC, DEFAULT_TOLERANCES as TOL
+from .errors import InputFormatError
 from .polynomials import Poly
 from .space import HbSpace
 
@@ -114,19 +121,29 @@ def _difference_plan(m_max: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     return binom, gather
 
 
+def _difference_rows(u: np.ndarray, depth: int, mu: complex) -> np.ndarray:
+    """rows[a] = (E - mu)^a u for a < depth, E the index shift; row a is zero
+    past its len(u) - a entries and in the pad column len(u) the gather reads."""
+    rows = np.zeros((depth, u.size + 1), dtype=complex)
+    rows[0, : u.size] = u
+    for a in range(1, depth):
+        np.subtract(rows[a - 1, 1 : u.size - a + 1], mu * rows[a - 1, : u.size - a],
+                    out=rows[a, : u.size - a])
+    return rows
+
+
 def isometry_order(space: HbSpace, m_max: int = 8) -> DefectReport:
-    """Search for the smallest m making the shift an m-isometry."""
+    """Search for the smallest m making the shift an m-isometry.
+
+    InputFormatError for m_max < 1.
+    """
+    if m_max < 1:
+        raise InputFormatError(f"isometry order search needs m_max >= 1, got {m_max}")
     probe_degree = 2 * space.n + m_max + 8
     window = probe_degree + 1
     phi = space.phi_coeffs(probe_degree + m_max)
-    u = phi[1:]
     binom, gather = _difference_plan(m_max, window)
-    # rows[a] = Delta^a u, zero past its length and in the pad column u.size
-    rows = np.zeros((m_max, u.size + 1), dtype=complex)
-    rows[0, : u.size] = u
-    for a in range(1, m_max):
-        np.subtract(rows[a - 1, 1 : u.size - a + 1], rows[a - 1, : u.size - a],
-                    out=rows[a, : u.size - a])
+    rows = _difference_rows(phi[1:], m_max, 1.0)
     left = binom[:, None, :] * rows[:, :window].T
     right = np.take(rows.conj(), gather)
     defects = [float(x) for x in np.max(np.abs(left @ right), axis=(1, 2))]
@@ -174,18 +191,17 @@ def rank_one_identity_check(space: HbSpace, f, g) -> dict:
 
 
 def annihilation_check(space: HbSpace, lam: complex, k_max: int) -> tuple[float, ...]:
-    """residual_k = max_j |<w, (z - conj(lam))^k z^j>_b| for k = 0..k_max.
+    """residual_k = max_j |<w, (z - lam)^k z^j>_b| for k = 0..k_max, j <= 12.
 
     When b has a lone boundary zero at lam of multiplicity n, the defect
-    direction w pairs to zero against every (z - conj(lam))^k z^j with
-    k >= n, and against none below; the drop in the returned sequence
-    reads off that multiplicity.
+    direction w pairs to zero against every (z - lam)^k z^j with k >= n,
+    and against none below; the drop in the returned sequence reads off
+    that multiplicity.  The pairings are the rows of the one difference
+    engine, <w, (z - lam)^k z^j>_b = ((E - conj(lam))^k u)_j with
+    u_j = phi_(j+1).  InputFormatError for k_max < 0.
     """
-    # <w, p z^j>_b = sum_i conj(p_i) phi_(i+j+1); np.correlate conjugates p
-    head = space.phi_coeffs(_ANNIHILATION_PROBE + k_max + 1)[1:]
-    base = Poly([-np.conj(lam), 1.0])
-    out = []
-    for k in range(k_max + 1):
-        vals = np.correlate(head[: _ANNIHILATION_PROBE + k + 1], (base**k).coeff_array(), "valid")
-        out.append(float(np.max(np.abs(vals))))
-    return tuple(out)
+    if k_max < 0:
+        raise InputFormatError(f"annihilation check needs k_max >= 0, got {k_max}")
+    u = space.phi_coeffs(_ANNIHILATION_PROBE + k_max + 1)[1:]
+    rows = _difference_rows(u, k_max + 1, np.conj(lam))
+    return tuple(float(x) for x in np.max(np.abs(rows[:, : _ANNIHILATION_PROBE + 1]), axis=1))

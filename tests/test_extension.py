@@ -12,6 +12,7 @@ from hbspace.errors import (
     DegenerateOmegaError,
     ForbiddenPhaseError,
     InputFormatError,
+    PoleInDiskError,
     VerificationError,
 )
 from hbspace.extension import (
@@ -384,6 +385,25 @@ def test_extend_from_a_carried_symbol_builds_no_space(monkeypatch):
     built = _count_spaces(monkeypatch)
     extend(first.b, omega=1.1j, t=4.0)
     assert built == []
+
+
+@pytest.mark.parametrize("omega,t", [(1.0, math.pi), (0.8 - 0.3j, 2.0), (1.7j, 0.4)])
+def test_the_plain_zero_reads_its_norm_without_a_space(monkeypatch, omega, t):
+    carried = extend(extension._Carried(Poly([]), Poly([1]), 0.0), omega=omega, t=t)
+    built = _count_spaces(monkeypatch)
+    plain = extend(RationalFn(Poly([]), Poly([1])), omega=omega, t=t)
+    assert built == []
+    assert (plain.b.num.coeffs, plain.b.den.coeffs) == (carried.b.num.coeffs, carried.b.den.coeffs)
+    assert plain.b.norm_b_sq == carried.b.norm_b_sq
+    assert plain.s == carried.s
+    assert plain.certificates == carried.certificates
+
+
+def test_any_other_zero_numerator_takes_the_mate(monkeypatch):
+    built = _count_spaces(monkeypatch)
+    with pytest.raises(PoleInDiskError):
+        extend(RationalFn(Poly([]), Poly([1, -2])))
+    assert len(built) == 1
 
 
 def test_a_symbol_read_back_from_json_takes_the_mate():

@@ -1,9 +1,14 @@
 """Defect forms, isometry orders, and the rank-one shift identity."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
+from hbspace import isometry
 from hbspace.config import D_TRUNC
+from hbspace.errors import InputFormatError
 from hbspace.extension import build_model
 from hbspace.isometry import (
     annihilation_check,
@@ -139,9 +144,9 @@ def _gram_difference_defects(space, m_max, probe_degree):
 
 
 def _paired_annihilation(space, lam, k_max, probe_degree=12):
-    """max_j |<w, (z - conj(lam))^k z^j>_b| from a truncated w and pairings."""
+    """max_j |<w, (z - lam)^k z^j>_b| from a truncated w and pairings."""
     w = space.vector_w(degree=max(D_TRUNC, probe_degree + k_max + 2))
-    base = Poly([-np.conj(lam), 1.0])
+    base = Poly([-lam, 1.0])
     return [
         max(abs(space.pair(w, space.vector((base**k).shifted(j))))
             for j in range(probe_degree + 1))
@@ -195,3 +200,95 @@ def test_annihilation_matches_paired_w(spaces, name, lam):
     want = _paired_annihilation(spaces[name], lam, 5)
     assert np.max(np.abs(np.array(got) - want)) < 1e-12 * max(1.0, max(want))
 
+
+def _correlated_annihilation(space, lam, k_max, probe_degree=12):
+    """max_j |<w, (z - lam)^k z^j>_b| by the binomial route: the coefficients
+    of the Poly power (z - lam)^k correlated against phi_1, phi_2, ...
+    (np.correlate conjugates its second argument)."""
+    head = space.phi_coeffs(probe_degree + k_max + 1)[1:]
+    base = Poly([-lam, 1.0])
+    return [
+        float(np.max(np.abs(np.correlate(head[: probe_degree + k + 1],
+                                         (base**k).coeff_array(), "valid"))))
+        for k in range(k_max + 1)
+    ]
+
+
+def _annihilation_majorant(space, lam, k_max, probe_degree=12):
+    """M_k = max_j sum_i C(k, i) |lam|^(k - i) |phi_(i+j+1)|, the size of the
+    terms both routes round."""
+    head = np.abs(space.phi_coeffs(probe_degree + k_max + 1)[1:])
+    return [
+        float(np.max(np.correlate(head[: probe_degree + k + 1],
+                                  [math.comb(k, i) * abs(lam) ** (k - i) for i in range(k + 1)],
+                                  "valid")))
+        for k in range(k_max + 1)
+    ]
+
+
+def _rotated_tower(n, lam):
+    """b(conj(lam) z) for the default n-tower: the mate zero moves from 1 to lam."""
+    b = build_model(n).b
+    return RationalFn(*(Poly([c * np.conj(lam) ** k for k, c in enumerate(p.coeffs)])
+                        for p in (b.num, b.den)))
+
+
+ROTATION = np.exp(0.7j)
+
+
+@pytest.mark.parametrize("name,lam", [("step1", 1.0), ("step2", 1.0), ("step3", 1.0),
+                                      ("step3", -1.0), ("half", np.exp(0.7j)),
+                                      ("complex", 0.3 - 0.4j), ("rotated2", ROTATION),
+                                      ("rotated3", ROTATION), ("rotated3", 1.0)])
+def test_annihilation_matches_the_binomial_correlation(spaces, name, lam):
+    # A rounding bound, not a fitted one: the difference rows round each of
+    # their k steps (E - mu) r like (1 + sqrt 5) u |(E + |mu|) r|, the Poly
+    # power and the correlation together like
+    # (2 sqrt 2 (k + 1) + sqrt 2 (k + 2)) u on the same majorant, u = eps/2;
+    # so the routes differ by at most 8 (k + 1) eps M_k.  For real lam the
+    # correlation is the route annihilation_check used to take.
+    space = HbSpace(_rotated_tower(int(name[-1]), ROTATION)) if name.startswith("rotated") \
+        else spaces[name]
+    got = annihilation_check(space, lam, 5)
+    want = _correlated_annihilation(space, lam, 5)
+    bound = _annihilation_majorant(space, lam, 5)
+    for k, (g, w, m) in enumerate(zip(got, want, bound)):
+        assert abs(g - w) <= 8 * (k + 1) * EPS * m
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_annihilation_drops_at_the_mate_zero_of_a_rotated_tower(n):
+    space = HbSpace(_rotated_tower(n, ROTATION))
+    ((zero, mult),) = space.boundary_zeros
+    assert mult == n and abs(zero - ROTATION) < 1e-6
+    res = annihilation_check(space, ROTATION, n + 2)
+    assert res[n - 1] > 0.3
+    assert all(r < 1e-9 for r in res[n:])
+
+
+def test_one_function_builds_the_difference_rows():
+    source = inspect.getsource(annihilation_check)
+    assert "correlate" not in source and "**" not in source
+    assert "_difference_rows(" in source
+    assert "_difference_rows(" in inspect.getsource(isometry_order)
+    module = inspect.getsource(isometry)
+    assert "np.correlate" not in module
+    assert module.count("np.subtract(") == 1
+    assert "np.subtract(" in inspect.getsource(isometry._difference_rows)
+
+
+class _NoWork:
+    """A space whose coefficients must not be read."""
+
+    def phi_coeffs(self, n):
+        raise AssertionError("work done before the depth was checked")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: isometry_order(_NoWork(), m_max=0),
+    lambda: isometry_order(_NoWork(), m_max=-1),
+    lambda: annihilation_check(_NoWork(), 1.0, -1),
+], ids=["m_max_0", "m_max_negative", "k_max_negative"])
+def test_a_bad_depth_is_an_input_error(call):
+    with pytest.raises(InputFormatError):
+        call()

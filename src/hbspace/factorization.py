@@ -45,7 +45,12 @@ merge simple zeros up to about 4e-4 apart).
 
 For rational nonextreme b, a rational f lies in H(b) exactly when it is
 analytic on the closed disk (Sarason 1994), so one gate, ``_lowest_terms``,
-admits every function from outside the space by its nearest pole.
+admits every function from outside the space by its nearest pole.  The
+symbol gate, ``_disk_pole_check``, likewise reads only the modulus of q's
+nearest root, and takes it from ``RationalFn.poles``: one companion
+eigensolve, certified by the root finder's residual rule, with
+``poly_roots`` as the fallback.  Every zero the factorization divides or
+keeps, of the density and of numerators, comes from ``poly_roots``.
 """
 
 from __future__ import annotations
@@ -147,7 +152,11 @@ def _clear_of_disk(radius: float) -> float:
 
 
 def _disk_pole_check(b: RationalFn) -> float:
-    """The symbol rule: finite, nearest pole (inf if none) clear of the disk; b is not reduced."""
+    """The symbol rule: finite, nearest pole (inf if none) clear of the disk; b is not reduced.
+
+    The poles are ``RationalFn.poles``: certified companion eigenvalues, or
+    the root finder's roots where one of them misses the residual rule.
+    """
     _check_finite(b)
     return _clear_of_disk(float(np.min(np.abs(b.poles()), initial=np.inf)))
 
@@ -193,6 +202,10 @@ def _analytic_lowest_terms(f) -> tuple[RationalFn, float]:
 def _validate(b: RationalFn):
     """One pass over b = p/q: finite, no pole in the closed disk, in the closed ball.
 
+    The pole rule is ``_disk_pole_check``: q's nearest root, from one
+    certified eigensolve (``RationalFn.poles``), must lie past the circle
+    band.  Only its modulus is read, so q's roots are polished only when
+    the eigenvalues miss the residual rule and ``poly_roots`` roots q.
     The ball rule rejects b (NotInUnitBallError) when, on the grid,
     sup |b| > 1 + 10 TOL.mate or the density |q|^2 - |p|^2 dips below
     -10 TOL.mate max |q|^2.  A value that overflows on the grid fails it

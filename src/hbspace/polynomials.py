@@ -16,7 +16,9 @@ circles of the Newton polygon when the fallback misses its residual too
 polish the roots, and Aberth steps part a close pair that Newton leaves
 above the rounding bound.  Each step evaluates p, p' and the Horner bound at all roots in
 one stacked Horner pass (``_horner_stacked``) that rounds exactly as
-three separate Horner loops would.
+three separate Horner loops would.  ``RationalFn.poles``, which only the
+symbol gate reads, takes the companion eigenvalues first and roots by
+``poly_roots`` only when one of them misses the iteration's residual rule.
 
 Two point rules read their threshold off the Horner bound B_p(z) =
 sum |c_k| |z|^k (``_horner_bound``): den has a pole at z when |den(z)| <=
@@ -676,9 +678,30 @@ class RationalFn:
     # -- structure ----------------------------------------------------------
 
     def poles(self) -> np.ndarray:
+        """Roots of den with multiplicity, for the symbol gate's nearest pole.
+
+        One LAPACK eigensolve: the companion eigenvalues of den's trimmed,
+        max-normalised coefficients, as ``poly_roots`` takes them in its
+        own fallback.  They stand when every one meets the residual rule
+        the root iteration stops on, |den(r)| <= TOL.root_residual * B_den(r)
+        on the normalised coefficients; else ``poly_roots(den)`` roots it.
+        Companion eigenvalues are backward stable (Edelman & Murakami,
+        Math. Comp. 64, 1995), so a simple pole's modulus comes out within
+        a few ulps times its condition; the zeros of every numerator and
+        density keep ``poly_roots`` and its polish.
+        """
         if self.is_polynomial:
             return np.zeros(0, dtype=complex)
-        return poly_roots(self.den)
+        c = self.den.trim().coeff_array()
+        c = c / np.max(np.abs(c))
+        roots = np.roots(c[::-1])
+        # roots at scales far apart can overflow the Horner sums; a residual
+        # that reads inf or NaN certifies nothing, and the root finder decides
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.abs(_horner_many(c, roots))
+            certified = np.all(np.isfinite(resid)
+                               & (resid <= TOL.root_residual * _horner_bound(c, roots)))
+        return roots if certified else poly_roots(self.den)
 
     def taylor(self, n: int) -> np.ndarray:
         """Taylor coefficients at the origin through degree n inclusive.

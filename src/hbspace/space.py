@@ -57,7 +57,11 @@ so phi keeps its exact bits.
 Their Taylor tails are bounded from the decay radius, which needs no root
 finding: the radius is rho_b, the modulus of the nearest root of q, or
 min(rho_b, 1/|x_k|) over the points left.  The mate computation finds
-rho_b once, while validating b.
+rho_b once, while validating b, from the certified companion eigenvalues
+of ``RationalFn.poles``.  A member's ``HbVector`` bounds its tails on first
+read, not when built: only ``norm_identities_check`` reads them, and the
+kernels and the Lb that other checks pair never pay for a bound, nor for
+the denominator ``_member_den`` builds for it.
 
 Every kernel comes from one builder, ``HbSpace._newton_numerators``: the
 divided difference of K_w in conj(w) over points x_0..x_s, which pairs as
@@ -73,7 +77,6 @@ is left.  Poles follow its rule |den(z)| <= TOL.pole * B_den(z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -93,19 +96,51 @@ _MAX_DERIVATIVE_ORDER = 170
 _MAX_GRAM_SIZE = 4096
 
 
-@dataclass(frozen=True)
 class HbVector:
     """A member of H(b) carried as the pair (f, f+).
 
     For vectors built from polynomials the pair satisfies the defining
     Toeplitz relation exactly.  Vectors truncated from rational members
-    carry geometric tail bounds on the dropped coefficients.
+    carry geometric tail bounds on the dropped coefficients, tail_f and
+    tail_plus.  The closed-form members of ``HbSpace`` bound them on
+    first read, not when built: each bound evaluates its member on a
+    circle of 256 points, and kernels are paired far more often than
+    their tails are read.  A bound read is the one an eager build would
+    have stored, bit for bit.  f and f_plus are fixed at construction.
     """
 
-    f: Poly
-    f_plus: Poly
-    tail_f: float = 0.0
-    tail_plus: float = 0.0
+    __slots__ = ("f", "f_plus", "_tails")
+
+    def __init__(self, f: Poly, f_plus: Poly, tail_f: float = 0.0, tail_plus: float = 0.0):
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "f_plus", f_plus)
+        object.__setattr__(self, "_tails", (tail_f, tail_plus))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HbVector is immutable")
+
+    @classmethod
+    def _bounded_on_read(cls, f: Poly, f_plus: Poly, tails) -> "HbVector":
+        """The vector whose (tail_f, tail_plus) is tails(), called on the first read."""
+        v = cls(f, f_plus)
+        object.__setattr__(v, "_tails", tails)
+        return v
+
+    def _tail_pair(self) -> tuple[float, float]:
+        if callable(self._tails):
+            object.__setattr__(self, "_tails", self._tails())
+        return self._tails
+
+    @property
+    def tail_f(self) -> float:
+        return self._tail_pair()[0]
+
+    @property
+    def tail_plus(self) -> float:
+        return self._tail_pair()[1]
+
+    def __repr__(self):
+        return f"HbVector(f={self.f!r}, f_plus={self.f_plus!r})"
 
 
 def _decay_profile(g: RationalFn, radius: float) -> tuple[float, float]:
@@ -258,7 +293,9 @@ class HbSpace:
         """The defect vector w = sqrt(1 + |b|_b^2) Lb = Lb / a(0)."""
         u = self.vector_Lb(degree)
         c = 1.0 / self._a0
-        return HbVector(u.f * c, u.f_plus * c, u.tail_f * c, u.tail_plus * c)
+        return HbVector._bounded_on_read(
+            u.f * c, u.f_plus * c, lambda: (u.tail_f * c, u.tail_plus * c)
+        )
 
     def _member_den(self, points) -> Poly:
         """The one denominator rule: q prod_k (1 - conj(x_k) z) over points, q = b.den."""
@@ -275,12 +312,14 @@ class HbSpace:
                 powers = np.cumprod(np.full(degree, x.conjugate()))
                 series = np.convolve(series, np.concatenate(([1.0], powers)))[: degree + 1]
                 radius = min(radius, 1.0 / abs(x))
-        den = self._member_den(points)
-        return HbVector(
-            f=Poly(_truncated_product(num, series)),
-            f_plus=Poly(_truncated_product(plus_num, series)),
-            tail_f=_tail_bound(RationalFn(num, den), degree, radius),
-            tail_plus=_tail_bound(RationalFn(plus_num, den), degree, radius),
+
+        def tails() -> tuple[float, float]:
+            den = self._member_den(points)
+            return (_tail_bound(RationalFn(num, den), degree, radius),
+                    _tail_bound(RationalFn(plus_num, den), degree, radius))
+
+        return HbVector._bounded_on_read(
+            Poly(_truncated_product(num, series)), Poly(_truncated_product(plus_num, series)), tails
         )
 
     # -- inner products ------------------------------------------------------

@@ -4,6 +4,7 @@ import cmath
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from hbspace.errors import (
     PoleAtPointError,
     PoleInDiskError,
 )
-from hbspace import factorization
+from hbspace import factorization, polynomials
 from hbspace.extension import build_model
 from hbspace.factorization import (
     _inner_roots,
@@ -518,6 +519,101 @@ def test_mate_carries_pole_radius():
     assert mate.pole_radius == 2.0
     assert "pole_radius" not in mate.to_json()
     assert pythagorean_mate(RationalFn(Poly([0.5, 0.5]))).pole_radius == float("inf")
+
+
+# -- the symbol gate's poles: one certified eigensolve --------------------------
+
+
+def _counting_roots(monkeypatch) -> list:
+    """Every polynomial handed to poly_roots from here on, in call order."""
+    real, calls = polynomials.poly_roots, []
+
+    def counting(p, rng=None):
+        calls.append(p)
+        return real(p, rng)
+
+    monkeypatch.setattr(polynomials, "poly_roots", counting)
+    monkeypatch.setattr(factorization, "poly_roots", counting)
+    return calls
+
+
+def _gate_admits(radius: float) -> bool:
+    try:
+        factorization._clear_of_disk(radius)
+    except PoleInDiskError:
+        return False
+    return True
+
+
+def test_poles_near_the_circle_match_the_root_finder(monkeypatch):
+    # simple poles at moduli 1 + 5e-7 ... 1.01, at least pi/d apart in angle;
+    # the circle band (1e-6) splits them between admitted and rejected
+    gen = np.random.default_rng(5)
+    dens = []
+    for _ in range(300):
+        d = int(gen.integers(2, 17))
+        radii = 1.0 + 10.0 ** gen.uniform(np.log10(5e-7), -2, d)
+        angles = 2 * np.pi * (np.arange(d) + 0.5 * gen.random(d) + gen.random()) / d
+        dens.append(Poly.from_roots(radii * np.exp(1j * angles)))
+    want = [np.min(np.abs(poly_roots(RationalFn(Poly([1]), den).den))) for den in dens]
+    calls = _counting_roots(monkeypatch)
+    got = [np.min(np.abs(RationalFn(Poly([1]), den).poles())) for den in dens]
+    assert calls == []  # every eigenvalue set met the residual rule
+    assert np.max(np.abs(np.subtract(got, want)) / want) <= 1e-9
+    assert [_gate_admits(r) for r in got] == [_gate_admits(r) for r in want]
+    assert 0 < sum(map(_gate_admits, got)) < len(dens)
+
+
+def test_scale_spread_dens_take_the_root_finder(monkeypatch):
+    # coefficients (N + iN) 10^U(-6, 6): about 1 in 22 companion eigenvalue
+    # sets misses the residual rule, and poly_roots roots those instead
+    gen = np.random.default_rng(11)
+    fns = []
+    for _ in range(400):
+        d = int(gen.integers(2, 17))
+        c = (gen.standard_normal(d + 1) + 1j * gen.standard_normal(d + 1)) * 10.0 ** gen.uniform(-6, 6, d + 1)
+        fns.append(RationalFn(Poly([1]), Poly(c)))
+    calls = _counting_roots(monkeypatch)
+    fell_back = 0
+    for f in fns:
+        before = len(calls)
+        poles = f.poles()
+        if len(calls) > before:
+            fell_back += 1
+            assert calls[before:] == [f.den]
+            assert np.array_equal(poles, poly_roots(f.den))
+        else:
+            c = f.den.trim().coeff_array()
+            c = c / np.max(np.abs(c))
+            resid = np.abs(polynomials._horner_many(c, poles))
+            assert np.all(resid <= TOL.root_residual * polynomials._horner_bound(c, poles))
+    assert fell_back >= 5
+
+
+def test_pole_residual_that_overflows_certifies_nothing(monkeypatch):
+    # den(z) = 1 + ... + 1e150 z^25 + 1e137 z^26: one root near -1e13, where
+    # the Horner sums pass 1e308; the rule is read without a warning, fails,
+    # and the root finder decides
+    den = Poly([1e-150] * 25 + [1, 1e-13])
+    decided = np.array([2.0 + 0j])
+    monkeypatch.setattr(polynomials, "poly_roots", lambda p, rng=None: decided)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert RationalFn(Poly([1]), den).poles() is decided
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 1e150, 1e-150], [1, 1e-150, 1e150], [1e-150, 1, 1e150],
+    [1e150, 1, 1e-150, 1e150], [1, 1e150, 1e150, 1e-150, 1e-150], [1e-150, 1e150, 1, 2e150],
+])
+def test_poles_at_extreme_scales_raise_no_warning(coeffs):
+    f = RationalFn(Poly([1]), Poly(coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.min(np.abs(f.poles()))
+    want = np.min(np.abs(poly_roots(f.den)))
+    assert abs(got - want) <= 1e-9 * want
+    assert _gate_admits(got) == _gate_admits(want)
 
 
 # -- the mate residual on a second, exact path --------------------------------

@@ -421,7 +421,7 @@ def test_members_need_no_root_finding(radius_case, monkeypatch):
 
     _patch_roots(monkeypatch, counting)
     space = HbSpace(radius_case)
-    assert len(calls) <= 2  # b.den once, the Laurent density once
+    assert len(calls) == 1  # the Laurent density; b.den's poles are companion eigenvalues
     _patch_roots(monkeypatch, refuse)
     assert space.norm_identities_check()["ok"]
     space.vector_b()
@@ -458,19 +458,26 @@ def _recorded_tails(monkeypatch, build) -> list[tuple[RationalFn, int, float]]:
     return seen
 
 
+def _read_tails(*vectors):
+    """The vectors, each with tail_f, then tail_plus, read: members bound them on first read."""
+    for v in vectors:
+        v.tail_f, v.tail_plus
+    return vectors
+
+
 def test_carried_radius_tail_bounds(radius_case, monkeypatch):
     space = HbSpace(radius_case)
-    exact = _recorded_tails(monkeypatch, lambda: (space.vector_b(), space.vector_Lb()))
+    exact = _recorded_tails(monkeypatch, lambda: _read_tails(space.vector_b(), space.vector_Lb()))
     for lam, m in space.boundary_zeros:
         for i in range(min(m, 3)):
             exact += _recorded_tails(
-                monkeypatch, lambda: space.derivative_kernel_vector(lam, i)
+                monkeypatch, lambda: _read_tails(space.derivative_kernel_vector(lam, i))
             )
     interior = []
     for w in INTERIOR_POINTS:
         for i in range(3):
             interior += _recorded_tails(
-                monkeypatch, lambda: space.derivative_kernel_vector(w, i)
+                monkeypatch, lambda: _read_tails(space.derivative_kernel_vector(w, i))
             )
     assert len(exact) >= 4 and len(interior) == 18
     for g, degree, bound in exact:  # b, b+, Lb, La and boundary kernels: same q
@@ -481,6 +488,39 @@ def test_carried_radius_tail_bounds(radius_case, monkeypatch):
         assert abs(bound - ref) <= 0.01 * ref
     for g, degree, bound in exact + interior:
         assert bound >= np.sum(np.abs(g.taylor(2000)[degree + 1 :]))
+
+
+def _eager_tails(space, num: Poly, plus_num: Poly, degree: int, points=()) -> tuple:
+    """The tail bounds a member over ``_member_den(points)`` stored when it was built."""
+    radius = min([space.pole_radius] + [1.0 / abs(x) for x in points if x != 0])
+    den = space._member_den(points)
+    return (space_module._tail_bound(RationalFn(num, den), degree, radius),
+            space_module._tail_bound(RationalFn(plus_num, den), degree, radius))
+
+
+def test_member_tails_are_bounded_on_first_read(radius_case, monkeypatch):
+    space = HbSpace(radius_case)
+    q = space.b.den
+    lb_nums = (space_module._backward(space.b.num - space.b(0) * q),
+               -space_module._backward(space.a.num - space.a(0) * q))
+    cases = [(space.vector_Lb, lb_nums, ())]
+    for w, i in [(0.0, 0), (0.3, 0), (0.9j, 2)] + [(lam, 0) for lam, _ in space.boundary_zeros]:
+        num, plus_num, rest = space._kernel_numerators(w, i)
+        build = (lambda w=w: space.kernel_vector(w)) if i == 0 else (
+            lambda w=w, i=i: space.derivative_kernel_vector(w, i))
+        cases.append((build, (num, plus_num), rest))
+    for build, nums, points in cases:
+        built = []
+        assert _recorded_tails(monkeypatch, lambda: built.append(build())) == []
+        v = built[0]
+        read = _recorded_tails(monkeypatch, lambda: _read_tails(v))
+        assert [bound for _, _, bound in read] == [v.tail_f, v.tail_plus]
+        assert (v.tail_f, v.tail_plus) == _eager_tails(space, *nums, D_TRUNC, points)
+    lb = space.vector_Lb()
+    w = space.vector_w()
+    c = 1.0 / space.a(0).real
+    assert (w.tail_f, w.tail_plus) == (lb.tail_f * c, lb.tail_plus * c)
+    assert len(_recorded_tails(monkeypatch, lambda: _read_tails(space.vector_w()))) == 2
 
 
 # -- members from the cached series of 1/q ---------------------------------------
@@ -560,7 +600,9 @@ def test_series_route_matches_taylor_loop(series_case, monkeypatch):
     space = series_case
     for name, build, extra in _members(space):
         built = []
-        (g, degree, _), (gplus, _, _) = _recorded_tails(monkeypatch, lambda: built.append(build()))
+        (g, degree, _), (gplus, _, _) = _recorded_tails(
+            monkeypatch, lambda: built.extend(_read_tails(build()))
+        )
         # w = Lb / a(0): the loop reference scaled the same way
         c = 1.0 / space.a(0).real if name == "w" else 1.0
         for member, got in ((g, built[0].f), (gplus, built[0].f_plus)):

@@ -29,11 +29,13 @@ D = Delta (x) E + I (x) Delta, and the two terms commute, so
 
     D^r (u u^H)[j, k] = sum_a C(r, a) (Delta^a u)_j conj((Delta^(r-a) u)_(k+a)).
 
-The order search takes every r in one batched product.  Each term then
-rounds like eps |Delta^a u| |Delta^(r-a) u|, where differencing the outer
-product itself rounds like 2^m eps defect_1: on a tower phi_k is a
-polynomial in k, so the high differences are small and the defect at the
-order, zero exactly, reads several times closer to zero.
+The order search takes every r in one batched product, whose right
+factor at (r, a) is one slice of the rows, conj(rows[r - a, a : a + window]),
+and zero for a > r.  Each term then rounds like
+eps |Delta^a u| |Delta^(r-a) u|, where differencing the outer product
+itself rounds like 2^m eps defect_1: on a tower phi_k is a polynomial in
+k, so the high differences are small and the defect at the order, zero
+exactly, reads several times closer to zero.
 
 The entries satisfy a fixed linear recurrence along diagonals (phi is
 rational), so once the m-th defect vanishes on a window wider than the
@@ -104,28 +106,19 @@ def defect_form(space: HbSpace, f, g, m: int) -> complex:
 
 
 @functools.lru_cache(maxsize=64)
-def _difference_plan(m_max: int, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """binom[r, a] = C(r, a) for a <= r, else 0, and gather[r, a, k], the flat
-    index of (Delta^(r - a) u)_(k + a) in the (m_max, len(u) + 1) row array,
-    len(u) = window + m_max - 1; for a > r it points at the zero pad column.
-    Both read-only: the cache hands the same arrays to every call.
-    """
-    width = window + m_max
-    r, a = np.indices((m_max, m_max))
-    below = a <= r
+def _binomials(m_max: int) -> np.ndarray:
+    """binom[r, a] = C(r, a) for r, a < m_max, zero for a > r; read-only, since
+    the cache hands the same array to every call."""
     binom = np.array([[math.comb(i, j) for j in range(m_max)] for i in range(m_max)], dtype=float)
-    gather = np.where(below, r - a, 0)[:, :, None] * width + a[:, :, None] + np.arange(window)
-    gather[~below] = width - 1
     binom.flags.writeable = False
-    gather.flags.writeable = False
-    return binom, gather
+    return binom
 
 
 def _difference_rows(u: np.ndarray, depth: int, mu: complex) -> np.ndarray:
-    """rows[a] = (E - mu)^a u for a < depth, E the index shift; row a is zero
-    past its len(u) - a entries and in the pad column len(u) the gather reads."""
-    rows = np.zeros((depth, u.size + 1), dtype=complex)
-    rows[0, : u.size] = u
+    """rows[a] = (E - mu)^a u for a < depth, E the index shift, in a
+    (depth, len(u)) array; row a is zero past its len(u) - a entries."""
+    rows = np.zeros((depth, u.size), dtype=complex)
+    rows[0] = u
     for a in range(1, depth):
         np.subtract(rows[a - 1, 1 : u.size - a + 1], mu * rows[a - 1, : u.size - a],
                     out=rows[a, : u.size - a])
@@ -142,10 +135,13 @@ def isometry_order(space: HbSpace, m_max: int = 8) -> DefectReport:
     probe_degree = 2 * space.n + m_max + 8
     window = probe_degree + 1
     phi = space.phi_coeffs(probe_degree + m_max)
-    binom, gather = _difference_plan(m_max, window)
     rows = _difference_rows(phi[1:], m_max, 1.0)
-    left = binom[:, None, :] * rows[:, :window].T
-    right = np.take(rows.conj(), gather)
+    left = _binomials(m_max)[:, None, :] * rows[:, :window].T
+    # right[r, a] = conj(rows[r - a, a : a + window]), zero for a > r
+    conj = rows.conj()
+    right = np.zeros((m_max, m_max, window), dtype=complex)
+    for a in range(m_max):
+        right[a:, a] = conj[: m_max - a, a : a + window]
     defects = [float(x) for x in np.max(np.abs(left @ right), axis=(1, 2))]
     order = None
     strict = None

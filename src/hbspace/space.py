@@ -100,31 +100,24 @@ class HbVector:
     """A member of H(b) carried as the pair (f, f+).
 
     For vectors built from polynomials the pair satisfies the defining
-    Toeplitz relation exactly.  Vectors truncated from rational members
-    carry geometric tail bounds on the dropped coefficients, tail_f and
-    tail_plus.  The closed-form members of ``HbSpace`` bound them on
-    first read, not when built: each bound evaluates its member on a
-    circle of 256 points, and kernels are paired far more often than
-    their tails are read.  A bound read is the one an eager build would
-    have stored, bit for bit.  f and f_plus are fixed at construction.
+    Toeplitz relation exactly and the tails are zero.  Truncated rational
+    members carry geometric tail bounds on the dropped coefficients:
+    tails() returns (tail_f, tail_plus), run on the first read of either,
+    since each bound evaluates its member on 256 circle points and kernels
+    are paired far more often than their tails are read.  A bound read is
+    the one an eager build would have stored, bit for bit.  f and f_plus
+    are fixed at construction.
     """
 
     __slots__ = ("f", "f_plus", "_tails")
 
-    def __init__(self, f: Poly, f_plus: Poly, tail_f: float = 0.0, tail_plus: float = 0.0):
+    def __init__(self, f: Poly, f_plus: Poly, tails=lambda: (0.0, 0.0)):
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "f_plus", f_plus)
-        object.__setattr__(self, "_tails", (tail_f, tail_plus))
+        object.__setattr__(self, "_tails", tails)
 
     def __setattr__(self, name, value):
         raise AttributeError("HbVector is immutable")
-
-    @classmethod
-    def _bounded_on_read(cls, f: Poly, f_plus: Poly, tails) -> "HbVector":
-        """The vector whose (tail_f, tail_plus) is tails(), called on the first read."""
-        v = cls(f, f_plus)
-        object.__setattr__(v, "_tails", tails)
-        return v
 
     def _tail_pair(self) -> tuple[float, float]:
         if callable(self._tails):
@@ -257,7 +250,7 @@ class HbSpace:
             f = f.as_poly()
         elif not isinstance(f, Poly):
             f = Poly([f]) if np.isscalar(f) else Poly(f)
-        return HbVector(f=f, f_plus=self.plus_function(f))
+        return HbVector(f, self.plus_function(f))
 
     def truncated_vector(self, f: RationalFn, degree: int = D_TRUNC) -> HbVector:
         """Taylor truncation of a rational member; the companion is the phi
@@ -270,12 +263,8 @@ class HbSpace:
         """
         f, radius = _analytic_lowest_terms(f)
         ft = f.taylor_poly(degree)
-        return HbVector(
-            f=ft,
-            f_plus=self.plus_function(ft),
-            tail_f=_tail_bound(f, degree, radius),
-            tail_plus=0.0,
-        )
+        return HbVector(ft, self.plus_function(ft),
+                        lambda: (_tail_bound(f, degree, radius), 0.0))
 
     def vector_b(self, degree: int = D_TRUNC) -> HbVector:
         """b itself: b+ = 1/a(0) - a."""
@@ -293,9 +282,7 @@ class HbSpace:
         """The defect vector w = sqrt(1 + |b|_b^2) Lb = Lb / a(0)."""
         u = self.vector_Lb(degree)
         c = 1.0 / self._a0
-        return HbVector._bounded_on_read(
-            u.f * c, u.f_plus * c, lambda: (u.tail_f * c, u.tail_plus * c)
-        )
+        return HbVector(u.f * c, u.f_plus * c, lambda: (u.tail_f * c, u.tail_plus * c))
 
     def _member_den(self, points) -> Poly:
         """The one denominator rule: q prod_k (1 - conj(x_k) z) over points, q = b.den."""
@@ -318,7 +305,7 @@ class HbSpace:
             return (_tail_bound(RationalFn(num, den), degree, radius),
                     _tail_bound(RationalFn(plus_num, den), degree, radius))
 
-        return HbVector._bounded_on_read(
+        return HbVector(
             Poly(_truncated_product(num, series)), Poly(_truncated_product(plus_num, series)), tails
         )
 

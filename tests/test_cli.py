@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -361,6 +364,22 @@ def test_escaping_inputs_exit_two_with_a_typed_error(argv, file_bytes, tmp_path,
     blob = json.loads(err)
     assert set(blob) == {"error", "type"}
     assert blob["type"] == "InputFormatError"
+
+
+def test_overflowing_coefficients_leave_only_the_error_line_on_stderr():
+    # root finding on this den overflows its Horner sums; numpy must not
+    # warn about it on the process's stderr
+    den = json.dumps([1e-150] * 25 + [1, 1e-13])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hbspace.cli", "mate", "-b", f'{{"num": [0.1], "den": {den}}}'],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert not proc.stdout
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["type"] == "PoleInDiskError"
 
 
 @pytest.mark.parametrize("size", ["0", "-1"])

@@ -5,6 +5,8 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import hbspace
 from hbspace import DEFAULT_TOLERANCES, HbSpace, Tolerances, isometry_order
 from hbspace.polynomials import Poly, RationalFn
@@ -78,7 +80,8 @@ def test_second_copies_of_a_decision_are_gone():
     # kernel, a member's denominator, the Toeplitz builder, the circle grid
     # and the circle rule's scan step each have one home; the tail degree is
     # read only inside space
-    from hbspace import cli, config, errors, extension, factorization, lattice, space
+    from hbspace import (cli, config, errors, extension, factorization, isometry, lattice,
+                         polynomials, space)
 
     assert [n for n in ("NegativeDensityError", "SingularSystemError") if hasattr(errors, n)] == []
     assert [n for n in ("norm_sq", "kernel_fn", "backward_shift") if n in vars(HbSpace)] == []
@@ -111,6 +114,13 @@ def test_second_copies_of_a_decision_are_gone():
              if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_zero_order"]
     assert sites == ["_newton_numerators"]
+    # the shift-defect engine slices its rows, with no gather plan and no pad
+    # column; HbVector has one constructor; Aberth writes its stop test once
+    assert not hasattr(isometry, "_difference_plan")
+    assert not hasattr(space.HbVector, "_bounded_on_read")
+    u = np.arange(7, dtype=complex)
+    assert isometry._difference_rows(u, 3, 1.0).shape == (3, len(u))
+    assert inspect.getsource(polynomials._aberth).count("TOL.root_residual") == 1
 
 
 def test_point_rules_have_one_home():

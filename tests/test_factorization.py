@@ -17,6 +17,7 @@ from hbspace.config import DEFAULT_TOLERANCES as TOL
 from hbspace.errors import (
     ExtremeFunctionError,
     FactorizationError,
+    NonConvergenceError,
     NotInUnitBallError,
     PoleAtPointError,
     PoleInDiskError,
@@ -614,6 +615,27 @@ def test_poles_at_extreme_scales_raise_no_warning(coeffs):
     want = np.min(np.abs(poly_roots(f.den)))
     assert abs(got - want) <= 1e-9 * want
     assert _gate_admits(got) == _gate_admits(want)
+
+
+def test_overflowing_den_raises_its_error_and_no_warning():
+    # the Aberth iteration on this den overflows its Horner sums near the
+    # root at -1e13; each stage judges the non-finite values itself, so the
+    # caller sees the gate's error and no numpy warning
+    den = Poly([1e-150] * 25 + [1, 1e-13])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleInDiskError):
+            HbSpace(RationalFn(Poly([0.1]), den))
+
+
+@pytest.mark.xfail(strict=True, raises=NonConvergenceError, reason=(
+    "poly_roots misses its residual after the Newton-polygon restart "
+    "(root residual 1.000e+00 after fallback), though the polygon puts 29 "
+    "poles at |z| ~ 6.7e-6 and one near -1e13"))
+def test_den_with_poles_at_two_far_scales_is_rejected_as_a_pole_in_the_disk():
+    den = Poly([1] * 29 + [1e150, 1e137])
+    with pytest.raises(PoleInDiskError):
+        HbSpace(RationalFn(Poly([0.1]), den))
 
 
 # -- the mate residual on a second, exact path --------------------------------

@@ -32,9 +32,10 @@ At w repeated s + 1 times f[w, ..., w] = f^(s)(w) / s!; at distinct points
 the divided differences span the same functionals as the values, and they
 stay independent as points come together, where values would not.  Each
 l_a(f), read by RationalFn.divided_differences, is <f, k_a>_b with k_a the
-divided difference of K_w in conj(w) over the same points
-(HbSpace._newton_kernel).  The part of f orthogonal to [g] is
-P f = sum_b y_b k_b over the d = codimension kernels, and
+divided difference of K_w in conj(w) over the same points; one sweep of
+HbSpace._newton_kernels gives a sequence's kernels, one per prefix.  The
+part of f orthogonal to [g] is P f = sum_b y_b k_b over the d =
+codimension kernels, and
 <P f, k_a>_b = <f, k_a>_b = c_a reads
 
     Gamma y = c,   Gamma[a, b] = <k_b, k_a>_b = l_a(k_b),   c_a = l_a(f),
@@ -217,7 +218,7 @@ def _distance_to(space: HbSpace, f: RationalFn, target: SubspaceDescriptor) -> f
     module docstring.
     """
     seqs = _annihilators(target)
-    kernels = [space._newton_kernel(seq[: s + 1]) for seq in seqs for s in range(len(seq))]
+    kernels = [k for seq in seqs for k in space._newton_kernels(seq)]
     if not kernels:
         return 0.0
 

@@ -12,7 +12,9 @@ Root finding uses a simultaneous Aberth-Ehrlich iteration started on a
 randomly rotated circle, with the companion-matrix eigenvalue solver as a
 fallback when the iteration stalls, and the iteration restarted on the
 circles of the Newton polygon when the fallback misses its residual too
-(roots at scales far apart, such as 1e-59 next to 0.5).  Newton steps
+(roots at scales far apart, such as 1e-59 next to 0.5).  An iterate so
+far out that Horner's p overflows takes its Newton ratio from the
+reversed polynomial, whose Horner sum at 1/z stays finite.  Newton steps
 polish the roots, and Aberth steps part a close pair that Newton leaves
 above the rounding bound.  Each step evaluates p, p' and the Horner bound at all roots in
 one stacked Horner pass (``_horner_stacked``) that rounds exactly as
@@ -435,7 +437,12 @@ def _newton_polygon_start(c: np.ndarray, rng: np.random.Generator) -> np.ndarray
 def _aberth(
     c: np.ndarray, rng: np.random.Generator, z: np.ndarray | None = None
 ) -> np.ndarray | None:
-    """Simultaneous root iteration from z, by default one circle; roots or None on a stall."""
+    """Simultaneous root iteration from z, by default one circle; roots or None on a stall.
+
+    Where p/p' is not finite (Horner's p overflows far out), the Newton
+    ratio comes from the reversed polynomial r(u) = u^d p(1/u):
+    p/p' = z / (d - u r'(u) / r(u)) with u = 1/z.
+    """
     d = len(c) - 1
     table = _horner_table(c)
     if z is None:
@@ -459,7 +466,15 @@ def _aberth(
         if np.any(bad):
             z[bad] += 1e-8 * (1.0 + np.abs(z[bad])) * np.exp(1j * rng.uniform(0, 2 * np.pi, bad.sum()))
             continue
-        z = z - _aberth_step(z, pz / dpz)
+        ratio = pz / dpz
+        far = ~np.isfinite(ratio)
+        if np.any(far):
+            # p(z) = z^d r(1/z) for the reversed polynomial r, so with u = 1/z
+            # p/p' = z / (d - u r'(u) / r(u)), finite where Horner's p overflows
+            u = 1.0 / z[far]
+            ru, dru, _ = _horner_stacked(_horner_table(c[::-1]), u)
+            ratio[far] = z[far] / (d - u * dru / ru)
+        z = z - _aberth_step(z, ratio)
     return None
 
 
@@ -704,24 +719,33 @@ class RationalFn:
                                & (resid <= TOL.root_residual * _horner_bound(c, roots)))
         return roots if certified else poly_roots(self.den)
 
-    def taylor(self, n: int) -> np.ndarray:
+    def taylor(self, n: int, head: np.ndarray | None = None) -> np.ndarray:
         """Taylor coefficients at the origin through degree n inclusive.
 
         Requires den(0) != 0; solves den * c = num by forward recursion.
+        Each coefficient reads only the earlier ones, so given head, the
+        coefficients 0..len(head)-1 of an earlier call, the recursion
+        resumes there and returns coefficients len(head)..n only, with the
+        bits a fresh call gives them.
         """
         d0 = self.den.coeff(0)
         if abs(d0) <= 1e-14 * self.den.scale():
             raise PoleAtPointError("Taylor expansion at a pole at the origin")
+        start = 0 if head is None else len(head)
         num = self.num.coeff_array(n + 1)
         den = self.den.coeff_array(min(len(self.den.coeffs), n + 1))
-        out = np.zeros(n + 1, dtype=complex)
-        for k in range(n + 1):
+        # coefficient k sits at rev[n - k], so out[k - 1], ..., out[k - m]
+        # are one contiguous slice
+        rev = np.zeros(n + 1, dtype=complex)
+        if start:
+            rev[n - start + 1 :] = head[::-1]
+        for k in range(start, n + 1):
             acc = num[k]
             m = min(k, len(den) - 1)
             if m > 0:
-                acc -= np.dot(den[1 : m + 1], out[k - 1 :: -1][:m])
-            out[k] = acc / d0
-        return out
+                acc -= np.dot(den[1 : m + 1], rev[n - k + 1 : n - k + 1 + m])
+            rev[n - k] = acc / d0
+        return rev[n - start :: -1].copy()
 
     def taylor_poly(self, n: int) -> Poly:
         return Poly(self.taylor(n))

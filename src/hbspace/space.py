@@ -52,7 +52,15 @@ and one geometric series per nonzero point; the recurrence of
 that recurrence: the Gram matrix I + C^H C sits one rounding away from
 its bound >= I (a one-ulp perturbation of phi on a degree-8 symbol pushed
 the smallest eigenvalue of gram_matrix(256) below 1 in 15 of 20 trials),
-so phi keeps its exact bits.
+so phi keeps its exact bits.  Both cached series grow by doubling, and
+each growth resumes the recurrence past the cached prefix, so every
+coefficient is computed once and keeps the bits of a fresh expansion.
+
+A member's coefficients are computed on first read, and only as far as
+read: ``pair`` reads the overlap of its two vectors, over the lengths
+the whole expansions have once trimmed, so pairing a degree-6 vector
+with a degree-96 kernel expands 1/q and both products to 7 coefficients,
+not 97.  Each coefficient read has the bits of the whole expansion's.
 
 Their Taylor tails are bounded from the decay radius, which needs no root
 finding: the radius is rho_b, the modulus of the nearest root of q, or
@@ -66,7 +74,10 @@ the denominator ``_member_den`` builds for it.
 Every kernel comes from one builder, ``HbSpace._newton_numerators``: the
 divided difference of K_w in conj(w) over points x_0..x_s, which pairs as
 <f, K[..]>_b = f[x_0, ..., x_s]; at one point repeated it is a derivative
-kernel over s!, inside the disk and at a mate boundary zero alike.
+kernel over s!, inside the disk and at a mate boundary zero alike.  One
+sweep over a point sequence gives the kernels of all its prefixes, and
+each space memoizes its sweeps: at a mate zero of multiplicity m, one
+sweep of the zero repeated m times serves every derivative order below m.
 
 At a mate boundary zero w, (z - w)^(s+1) must cancel from both numerators
 by the zero rule of ``polynomials`` (each remainder within TOL.boundary
@@ -92,6 +103,9 @@ _TAIL_DEGREE_CAP = 4096
 # Largest derivative order i whose i! is finite in double precision.
 _MAX_DERIVATIVE_ORDER = 170
 
+# Point sequences whose Newton sweeps one HbSpace keeps, oldest dropped first.
+_SWEEPS_KEPT = 64
+
 # Largest gram_matrix size: C, C^H C and G then take 256 MiB each in complex128.
 _MAX_GRAM_SIZE = 4096
 
@@ -105,19 +119,32 @@ class HbVector:
     tails() returns (tail_f, tail_plus), run on the first read of either,
     since each bound evaluates its member on 256 circle points and kernels
     are paired far more often than their tails are read.  A bound read is
-    the one an eager build would have stored, bit for bit.  f and f_plus
-    are fixed at construction.
+    the one an eager build would have stored, bit for bit.
+
+    A member's f and f+ are computed on first read, and only as far as
+    read: ``HbSpace.pair`` reads the overlap of its two vectors, so a
+    degree-6 vector paired with a degree-96 kernel expands 7 coefficients
+    of the kernel, not 97.  Every coefficient read is the one the whole
+    expansion gives, bit for bit, and reading f or f_plus expands it all.
     """
 
-    __slots__ = ("f", "f_plus", "_tails")
+    __slots__ = ("_f", "_f_plus", "_tails")
 
-    def __init__(self, f: Poly, f_plus: Poly, tails=lambda: (0.0, 0.0)):
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "f_plus", f_plus)
+    def __init__(self, f: Poly | _OnRead, f_plus: Poly | _OnRead, tails=lambda: (0.0, 0.0)):
+        object.__setattr__(self, "_f", f)
+        object.__setattr__(self, "_f_plus", f_plus)
         object.__setattr__(self, "_tails", tails)
 
     def __setattr__(self, name, value):
         raise AttributeError("HbVector is immutable")
+
+    @property
+    def f(self) -> Poly:
+        return self._f if isinstance(self._f, Poly) else self._f.poly()
+
+    @property
+    def f_plus(self) -> Poly:
+        return self._f_plus if isinstance(self._f_plus, Poly) else self._f_plus.poly()
 
     def _tail_pair(self) -> tuple[float, float]:
         if callable(self._tails):
@@ -134,6 +161,29 @@ class HbVector:
 
     def __repr__(self):
         return f"HbVector(f={self.f!r}, f_plus={self.f_plus!r})"
+
+
+class _OnRead:
+    """Coefficients 0..size-1 of a truncated series, computed on first read.
+
+    compute(n) returns the first n of them, each with the bits of the whole
+    array's; head(n) keeps the longest array computed so far.
+    """
+
+    __slots__ = ("size", "_compute", "_head", "_poly")
+
+    def __init__(self, size: int, compute):
+        self.size, self._compute, self._head, self._poly = size, compute, None, None
+
+    def head(self, n: int) -> np.ndarray:
+        if self._head is None or len(self._head) < n:
+            self._head = self._compute(n)
+        return self._head[:n]
+
+    def poly(self) -> Poly:
+        if self._poly is None:
+            self._poly = Poly(self.head(self.size))
+        return self._poly
 
 
 def _decay_profile(g: RationalFn, radius: float) -> tuple[float, float]:
@@ -195,6 +245,7 @@ class HbSpace:
         self.norm_Lb_sq = 1.0 - abs(b0) ** 2 - self._a0**2
         self._phi = np.zeros(0, dtype=complex)
         self._inv_q = np.zeros(0, dtype=complex)
+        self._sweeps: dict = {}  # point sequence -> ``_newton_numerators`` of its prefixes
 
     # -- the plus companion -------------------------------------------------
 
@@ -290,30 +341,36 @@ class HbSpace:
 
     def _member(self, num: Poly, plus_num: Poly, degree: int, points=()) -> HbVector:
         """num/den and its companion plus_num/den, den = ``_member_den(points)``,
-        truncated at degree; their tails are bounded on |z| < min(rho_b, 1/|x_k|).
-        1/den is the cached 1/q series times one geometric series per nonzero x_k."""
-        series = self._inv_q_coeffs(degree)
+        truncated at degree and expanded on read; their tails are bounded on
+        |z| < min(rho_b, 1/|x_k|).  1/den is the cached 1/q series times one
+        geometric series per nonzero x_k."""
         radius = self.pole_radius
         for x in points:
             if x != 0:
-                powers = np.cumprod(np.full(degree, x.conjugate()))
-                series = np.convolve(series, np.concatenate(([1.0], powers)))[: degree + 1]
                 radius = min(radius, 1.0 / abs(x))
+
+        def inverse_den(m: int) -> np.ndarray:
+            series = self._inv_q_coeffs(m - 1)
+            for x in points:
+                if x != 0:
+                    powers = np.cumprod(np.full(m - 1, x.conjugate()))
+                    series = np.convolve(series, np.concatenate(([1.0], powers)))[:m]
+            return series
 
         def tails() -> tuple[float, float]:
             den = self._member_den(points)
             return (_tail_bound(RationalFn(num, den), degree, radius),
                     _tail_bound(RationalFn(plus_num, den), degree, radius))
 
-        return HbVector(
-            Poly(_truncated_product(num, series)), Poly(_truncated_product(plus_num, series)), tails
-        )
+        series = _OnRead(degree + 1, inverse_den)
+        return HbVector(_truncated_product(num, series), _truncated_product(plus_num, series), tails)
 
     # -- inner products ------------------------------------------------------
 
     def pair(self, u: HbVector, v: HbVector) -> complex:
-        """<u, v>_b, linear in u and conjugate-linear in v."""
-        return _h2_dot(u.f, v.f) + _h2_dot(u.f_plus, v.f_plus)
+        """<u, v>_b, linear in u and conjugate-linear in v; reads each member
+        only as far as the overlap of the two vectors (see ``_h2_dot``)."""
+        return _h2_dot(u._f, v._f) + _h2_dot(u._f_plus, v._f_plus)
 
     def inner_product(self, f, g) -> complex:
         u = f if isinstance(f, HbVector) else self.vector(f)
@@ -383,7 +440,9 @@ class HbSpace:
 
     def _kernel_numerators(self, w: complex, i: int) -> tuple[Poly, Poly, list]:
         """Numerators of u_w^i = i! K[conj(w), ..., conj(w)] (i + 1 copies) and of its
-        companion over ``_member_den(rest)``, and rest; the checks of the public calls."""
+        companion over ``_member_den(rest)``, and rest; the checks of the public calls.
+        At a mate boundary zero of multiplicity m, one sweep of w repeated m times
+        serves every order i < m."""
         if i < 0:
             raise InputFormatError(f"derivative order must be nonnegative, got {i}")
         if i > _MAX_DERIVATIVE_ORDER:
@@ -392,24 +451,28 @@ class HbSpace:
             )
         if abs(w) > 1.0 + CIRCLE_BAND:
             raise InputFormatError(f"kernel point {w} lies outside the closed unit disk")
+        points = [w] * (i + 1)
         if abs(abs(w) - 1.0) <= CIRCLE_BAND:
             mult = next((m for lam, m in self.boundary_zeros if abs(w - lam) <= CIRCLE_BAND), 0)
             if i >= mult:
                 raise OrderTooHighError(
                     f"derivative order {i} at boundary point {w} exceeds multiplicity {mult}"
                 )
-        num, plus_num, rest = self._newton_numerators([w] * (i + 1))
+            points = [w] * mult
+        num, plus_num, rest = _held(self._newton_numerators(points)[i])
         fact = float(math.factorial(i))
         return num * fact, plus_num * fact, rest
 
-    def _newton_kernel(self, points) -> RationalFn:
-        """The representer K[conj(x_0), ..., conj(x_s)] of f -> f[x_0, ..., x_s]."""
-        num, _, rest = self._newton_numerators(points)
-        return RationalFn(num, self._member_den(rest))
+    def _newton_kernels(self, points) -> list[RationalFn]:
+        """The representers K[conj(x_0), ..., conj(x_s)] of f -> f[x_0, ..., x_s],
+        one per prefix of points, from one sweep."""
+        return [RationalFn(num, self._member_den(rest))
+                for num, _, rest in map(_held, self._newton_numerators(points))]
 
-    def _newton_numerators(self, points) -> tuple[Poly, Poly, list]:
+    def _newton_numerators(self, points) -> list:
         """Numerators of K[conj(x_0), ..., conj(x_s)] and of its companion over
-        ``_member_den(rest)``, and rest, the points left in the denominator.
+        ``_member_den(rest)``, and rest, the points left in the denominator: one
+        triple per prefix x_0..x_s of points, from one sweep memoized per space.
 
         K[..] is the divided difference of K_w in conj(w), the representer of
         f -> f[x_0, ..., x_s], for points in the open disk or one mate boundary
@@ -420,28 +483,43 @@ class HbSpace:
             S[conj(x_i..x_s)] = z^(s-i) / prod_(k=i..s) (1 - conj(x_k) z),
 
         and the companion conj(b(w)) a S_w of K_w gives a.num times the same
-        sum; rest is points.  At a mate boundary zero w repeated,
-        1 - conj(w) z = -conj(w) (z - w), and (z - w)^(s+1) is cancelled from
-        both numerators, so rest is empty.
+        sum; rest is the prefix.  The sums of successive prefixes follow
+        acc_s = z acc_(s-1) + conj(b[x_0..x_s]) prod_(k<s) (1 - conj(x_k) z),
+        with the additions of summing each prefix alone.  At a mate boundary
+        zero w repeated, 1 - conj(w) z = -conj(w) (z - w), and (z - w)^(s+1) is
+        cancelled from both numerators, so rest is empty; a prefix whose
+        cancellation fails holds its VerificationError message instead, which
+        ``_held`` raises.
         """
-        s = len(points) - 1
-        acc, head = Poly(), Poly([1])  # head: prod_(k<i) (1 - conj(x_k) z)
-        for i, (x, t) in enumerate(zip(points, self.b.divided_differences(points))):
-            acc = acc + complex(t).conjugate() * head.shifted(s - i)
-            head = head * Poly([1, -x.conjugate()])
-        nums = self.b.den.shifted(s) - self.b.num * acc, self.a.num * acc
+        key = tuple(map(repr, points))
+        if key in self._sweeps:
+            return self._sweeps[key]
         w = points[0]
-        if abs(abs(w) - 1.0) > CIRCLE_BAND:
-            return *nums, points
-        unit = 1.0 / (-w.conjugate()) ** (s + 1)
-        cancelled = []
-        for num in nums:
-            k, work = _zero_order(num, w, at_most=s + 1)
-            if k <= s:
-                raise VerificationError(f"boundary kernel cancellation of (z - w)^{s + 1} "
-                                        f"stopped at order {k}")
-            cancelled.append(work * unit)
-        return *cancelled, []
+        boundary = abs(abs(w) - 1.0) <= CIRCLE_BAND
+        sweep = []
+        acc, head = Poly(), Poly([1])  # head: prod_(k<s) (1 - conj(x_k) z)
+        for s, (x, t) in enumerate(zip(points, self.b.divided_differences(points))):
+            acc = acc.shifted(1) + complex(t).conjugate() * head
+            head = head * Poly([1, -x.conjugate()])
+            nums = self.b.den.shifted(s) - self.b.num * acc, self.a.num * acc
+            if not boundary:
+                sweep.append((*nums, points[: s + 1]))
+                continue
+            unit = 1.0 / (-w.conjugate()) ** (s + 1)
+            cancelled = []
+            for num in nums:
+                k, work = _zero_order(num, w, at_most=s + 1)
+                if k <= s:
+                    sweep.append(f"boundary kernel cancellation of (z - w)^{s + 1} "
+                                 f"stopped at order {k}")
+                    break
+                cancelled.append(work * unit)
+            else:
+                sweep.append((*cancelled, []))
+        if len(self._sweeps) >= _SWEEPS_KEPT:
+            del self._sweeps[next(iter(self._sweeps))]
+        self._sweeps[key] = sweep
+        return sweep
 
     # -- identities ----------------------------------------------------------
 
@@ -477,11 +555,32 @@ class HbSpace:
         return f"HbSpace(b={self.b!r}, n={self.n})"
 
 
-def _h2_dot(f: Poly, g: Poly) -> complex:
-    n = min(len(f.coeffs), len(g.coeffs))
+def _h2_dot(f: Poly | _OnRead, g: Poly | _OnRead) -> complex:
+    """sum_k f_k conj(g_k) over the overlap n of the trimmed coefficients.
+
+    An unexpanded member's trimmed length is at most its size, and at least
+    n when its coefficient n - 1 is nonzero; only when that coefficient is
+    zero is the rest expanded to find it.  So n is the overlap of the whole
+    expansions, and the sum is theirs, bit for bit.
+    """
+    n = min(len(x.coeffs) if isinstance(x, Poly) else x.size for x in (f, g))
+    for x in (f, g):
+        if n and isinstance(x, _OnRead) and x.head(n)[n - 1] == 0:
+            n = min(n, len(x.poly().coeffs))
     if n == 0:
         return 0j
-    return complex(np.dot(f.coeff_array(n), np.conj(g.coeff_array(n))))
+    return complex(np.dot(_head(f, n), np.conj(_head(g, n))))
+
+
+def _head(x: Poly | _OnRead, n: int) -> np.ndarray:
+    return x.coeff_array(n) if isinstance(x, Poly) else x.head(n)
+
+
+def _held(entry) -> tuple[Poly, Poly, list]:
+    """A sweep entry of ``_newton_numerators``, or the VerificationError it holds raised."""
+    if isinstance(entry, str):
+        raise VerificationError(entry)
+    return entry
 
 
 def _correlate(c: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -490,17 +589,33 @@ def _correlate(c: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _grown_series(cache: np.ndarray, num: Poly, den: Poly, n: int) -> np.ndarray:
-    """cache if it reaches degree n, else num/den expanded by doubling; read-only."""
+    """cache if it reaches degree n, else num/den expanded by doubling, the
+    recursion resumed past cache (each coefficient once); read-only."""
     if len(cache) > n:
         return cache
-    out = RationalFn(num, den).taylor(max(n, 2 * len(cache) + 8))
+    grown = RationalFn(num, den).taylor(max(n, 2 * len(cache) + 8), cache)
+    out = np.concatenate([cache, grown])
     out.flags.writeable = False
     return out
 
 
-def _truncated_product(p: Poly, series: np.ndarray) -> np.ndarray:
-    """Coefficients 0..len(series)-1 of p times the power series."""
-    return np.convolve(p.coeff_array(max(len(p.coeffs), 1)), series)[: len(series)]
+def _truncated_product(p: Poly, series: _OnRead) -> _OnRead:
+    """Coefficients 0..series.size-1 of p times the power series, on read.
+
+    np.convolve puts its longer operand first and sums each coefficient in
+    that operand's index order, so a head keeps first the operand that is
+    first in the whole product: p when it has at least series.size
+    coefficients, else the series.  Then every coefficient read has the
+    bits of the whole product's.
+    """
+    c = p.coeff_array(max(len(p.coeffs), 1))
+    size = series.size
+
+    def compute(n: int) -> np.ndarray:
+        m = n if len(c) >= size else min(size, n + (len(c) >= n))
+        return np.convolve(c[:n], series.head(m))[:n]
+
+    return _OnRead(size, compute)
 
 
 def _upper_toeplitz(c: np.ndarray) -> np.ndarray:

@@ -27,6 +27,13 @@ GOOD = _log(failures={"towers.extend:VerificationError": 1, "towers.strict_margi
     (GOOD.replace('"correct": true', '"correct": "true"'), "correct"),
     (GOOD.rsplit("\n", 2)[0] + "\n", "correct"),
     (_log(failures={"towers.isometry_order.n4": 2}), "towers.isometry_order.n4"),
+    *[(_log(failures={name: 1}), name) for name in (
+        "towers.derivative_kernel.i2:PoleAtPointError",
+        "towers.derivative_kernel.i3:PoleAtPointError",
+        "towers.derivative_kernel.i2:VerificationError",
+        "towers.derivative_kernel.i3:VerificationError",
+        "towers.derivative_pairing.i2",
+        "towers.derivative_pairing.i3")],
     (_log(reports=0), "report lines"),
     (_log(reports=2), "report lines"),
     ("", "empty"),

@@ -382,6 +382,15 @@ def test_overflowing_coefficients_leave_only_the_error_line_on_stderr():
     assert json.loads(lines[0])["type"] == "PoleInDiskError"
 
 
+def test_poles_at_two_far_scales_exit_two(capsys):
+    # 29 poles at |z| ~ 6.7e-6 beside one near -1e13: a pole in the disk
+    den = json.dumps([1] * 29 + [1e150, 1e137])
+    code, out, err = run_cli(["mate", "-b", f'{{"num": [0.1], "den": {den}}}'], capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err)["type"] == "PoleInDiskError"
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_gram_size_below_one_rejected(size, capsys):
     code, out, err = run_cli(["gram", "-b", HALF, "--size", size], capsys)

@@ -101,14 +101,15 @@ def test_second_copies_of_a_decision_are_gone():
     assert "_metric_factor" not in vars(HbSpace)
     assert not hasattr(HbSpace(Poly([0.5, 0.5])), "_factor")
     # every annihilator is a divided difference whose representer comes from
-    # HbSpace._newton_kernel, so lattice scales no derivative kernel itself
+    # HbSpace._newton_kernels, so lattice scales no derivative kernel itself
     source = Path(lattice.__file__).read_text()
     assert [n for n in ("kernel_derivative", "factorial") if n in source] == []
     # _newton_numerators is the one kernel builder: it owns the circle
-    # cancellation, takes no scale, and _newton_kernel has no circle fork
+    # cancellation, takes no scale, and _newton_kernels has no circle fork
     assert "scale" not in inspect.signature(HbSpace._newton_numerators).parameters
     assert not hasattr(space, "_inverse_power_series")
-    source = inspect.getsource(HbSpace._newton_kernel)
+    assert "_newton_kernel" not in vars(HbSpace)  # one builder for every prefix
+    source = inspect.getsource(HbSpace._newton_kernels)
     assert [n for n in ("kernel_derivative", "factorial") if n in source] == []
     sites = [fn.name for fn in ast.walk(ast.parse(Path(space.__file__).read_text()))
              if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)

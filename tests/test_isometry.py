@@ -277,6 +277,29 @@ def test_one_function_builds_the_difference_rows():
     assert "np.subtract(" in inspect.getsource(isometry._difference_rows)
 
 
+def _multiplied_rows(u: np.ndarray, depth: int, mu: complex) -> np.ndarray:
+    """(E - mu)^a u with the multiply by mu at every mu, 1 included."""
+    rows = np.zeros((depth, u.size), dtype=complex)
+    rows[0] = u
+    for a in range(1, depth):
+        rows[a, : u.size - a] = rows[a - 1, 1 : u.size - a + 1] - mu * rows[a - 1, : u.size - a]
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, "complex"])
+def test_rows_at_mu_one_keep_the_values_and_the_defects(n, monkeypatch):
+    # at mu = 1 the rows subtract without multiplying by 1: the values of
+    # x - 1 * y, so the defects and the strict margin keep their bits
+    space = HbSpace(B_COMPLEX if n == "complex" else build_model(n).b)
+    m_max = 10
+    u = space.phi_coeffs(2 * space.n + 3 * m_max + 8)[1:]
+    assert np.array_equal(isometry._difference_rows(u, m_max, 1.0), _multiplied_rows(u, m_max, 1.0))
+    got = isometry_order(space, m_max=m_max)
+    monkeypatch.setattr(isometry, "_difference_rows", _multiplied_rows)
+    want = isometry_order(space, m_max=m_max)
+    assert (got.order, got.defects, got.strict_margin) == (want.order, want.defects, want.strict_margin)
+
+
 class _NoWork:
     """A space whose coefficients must not be read."""
 

@@ -395,18 +395,59 @@ def test_newton_kernels_are_the_derivative_kernels_at_a_repeated_point(half, ste
     for space in (half, step2):
         for w in (0.5, -0.3 + 0.6j):
             for order in range(4):
-                got = space._newton_kernel([w] * (order + 1))(zs)
+                got = space._newton_kernels([w] * (order + 1))[-1](zs)
                 want = space.kernel_derivative(w, order)(zs) / math.factorial(order)
                 assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
     # and at the mate boundary zero w = 1, below its multiplicity (1 on
     # half, 2 on step2), where the circle pole cancels
     for space, mult in ((half, 1), (step2, 2)):
         for order in range(mult):
-            got = space._newton_kernel([1.0] * (order + 1))
+            got = space._newton_kernels([1.0] * (order + 1))[-1]
             want = space.kernel_derivative(1.0, order)
             assert got.den == want.den
             assert np.max(np.abs(got(zs) - want(zs) / math.factorial(order))) <= 1e-15 * max(
                 1.0, np.max(np.abs(want(zs))))
+
+
+def _numerators_of_one_prefix(space, points):
+    """Numerators of K[conj(x_0), ..., conj(x_s)] for the whole of points alone:
+    the sum_i conj(b[x_0..x_i]) z^(s-i) prod_(k<i) (1 - conj(x_k) z) summed in i,
+    then the boundary cancellation of (z - w)^(s+1)."""
+    s = len(points) - 1
+    acc, head = Poly(), Poly([1])
+    for i, (x, t) in enumerate(zip(points, space.b.divided_differences(points))):
+        acc = acc + complex(t).conjugate() * head.shifted(s - i)
+        head = head * Poly([1, -x.conjugate()])
+    nums = space.b.den.shifted(s) - space.b.num * acc, space.a.num * acc
+    w = points[0]
+    if abs(abs(w) - 1.0) > 1e-9:
+        return nums
+    unit = 1.0 / (-w.conjugate()) ** (s + 1)
+    return tuple(_zero_order(num, w, at_most=s + 1)[1] * unit for num in nums)
+
+
+@pytest.mark.parametrize("name,points", [
+    ("step2", [0.5, 0.5, -0.3 + 0.2j, 0.0]),
+    ("step2", [1.0, 1.0]),
+    ("complex", [0.2j, 0.7, 0.7, -0.1]),
+    ("model3", [1.0, 1.0, 1.0]),
+])
+def test_prefix_kernels_of_one_sweep_are_each_prefix_alone(name, points):
+    # one sweep, acc_s = z acc_(s-1) + conj(b[x_0..x_s]) head_s, makes the
+    # additions of summing each prefix alone, so the bits are the same
+    space = {"step2": lambda: HbSpace(B_STEP2), "complex": lambda: HbSpace(B_COMPLEX),
+             "model3": lambda: HbSpace(build_model(3).b)}[name]()
+    sweep = space._newton_numerators(points)
+    kernels = space._newton_kernels(points)
+    assert len(sweep) == len(kernels) == len(points)
+    for s, ((num, plus_num, rest), kernel) in enumerate(zip(sweep, kernels)):
+        prefix = points[: s + 1]
+        # repr keeps the sign of a zero, which == does not
+        assert repr([p.coeffs for p in (num, plus_num)]) == repr(
+            [p.coeffs for p in _numerators_of_one_prefix(space, prefix)])
+        alone = HbSpace(space.b)._newton_kernels(prefix)[-1]
+        assert (kernel.num, kernel.den) == (alone.num, alone.den)
+        assert rest == ([] if abs(points[0]) == 1.0 else prefix)
 
 
 def test_close_inner_zeros_read_as_their_confluent_limit(half):

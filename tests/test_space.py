@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hbspace import factorization, polynomials
 from hbspace import space as space_module
 from hbspace.config import D_TRUNC, DEFAULT_TOLERANCES as TOL
-from hbspace.errors import HbError, InputFormatError, OrderTooHighError, PoleInDiskError
+from hbspace.errors import (HbError, InputFormatError, OrderTooHighError, PoleInDiskError,
+                            VerificationError)
 from hbspace.extension import build_model, extend
 from hbspace.isometry import rank_one_identity_check
 from hbspace.polynomials import Poly, RationalFn
@@ -635,6 +636,103 @@ def test_phi_keeps_the_taylor_loop_bits(series_case):
     phi = RationalFn(space.b.num, space.a.num)
     for n in (3, 64, 300, 40):
         assert np.array_equal(space.phi_coeffs(n), phi.taylor(n))
+
+
+# -- members read on demand ------------------------------------------------------
+
+
+def _bits(x: complex) -> str:
+    return repr(complex(x))  # repr keeps the sign of a zero
+
+
+def test_members_pair_alike_read_on_demand_or_whole(series_case):
+    # pair reads a member only as far as the overlap; every value is the one
+    # the whole expansion gives, bit for bit, on either side of the pairing
+    _pair_on_demand_and_whole(series_case)
+
+
+def test_short_members_pair_over_their_trimmed_length():
+    # over a constant q, b, Lb and K_0 end after 3-5 coefficients, inside the
+    # overlap with a degree-8 vector; the dot runs over their trimmed length,
+    # as it did on the whole expansions, not over the 9 coefficients read
+    _pair_on_demand_and_whole(HbSpace(RationalFn(Poly([1, 1, 1, 1, 1]) * (1 / 6))))
+
+
+def _pair_on_demand_and_whole(space):
+    rng = np.random.default_rng(7)
+    for degree in range(9):
+        p = space.vector(Poly(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)))
+        for name, build, _ in _members(space):
+            whole = build()
+            whole.f, whole.f_plus  # expanded before any pairing
+            for pairing in (lambda v: space.pair(p, v), lambda v: space.pair(v, p)):
+                on_demand = build()
+                assert _bits(pairing(on_demand)) == _bits(pairing(whole)), (name, degree)
+                # expanded after a pairing read its head: the same polynomials
+                assert repr((on_demand.f.coeffs, on_demand.f_plus.coeffs)) == repr(
+                    (whole.f.coeffs, whole.f_plus.coeffs)), name
+
+
+def test_pairing_a_long_kernel_expands_only_the_overlap():
+    space = HbSpace(build_model(3, omega=0.5, t=2.0).b)
+    vf = space.vector(Poly([1, -2, 0.5j, 3, 0, 1, 0.25]))
+    for i in range(3):
+        space.pair(vf, space.derivative_kernel_vector(1.0, i, degree=96))
+    assert 0 < len(space._inv_q) < 96
+
+
+def test_phi_grows_by_resuming_the_recurrence(series_case, monkeypatch):
+    space = HbSpace(series_case.b)
+    real = RationalFn.taylor
+    steps = []
+
+    def counting(self, n, head=None):
+        out = real(self, n, head)
+        steps.append(len(out))
+        return out
+
+    monkeypatch.setattr(RationalFn, "taylor", counting)
+    for n in (8, 26, 62):
+        space.phi_coeffs(n)
+    monkeypatch.undo()
+    assert steps == [9, 18, 36]  # each of the 63 coefficients computed once
+    fresh = RationalFn(space.b.num, space.a.num).taylor(62)
+    assert space.phi_coeffs(62).tobytes() == fresh.tobytes()
+
+
+def test_boundary_derivative_kernels_sweep_once(series_case, monkeypatch):
+    space = HbSpace(series_case.b)
+    real = RationalFn.divided_differences
+    sweeps = []
+
+    def counting(self, points):
+        sweeps.append(len(points))
+        return real(self, points)
+
+    monkeypatch.setattr(RationalFn, "divided_differences", counting)
+    for lam, m in space.boundary_zeros:
+        sweeps.clear()
+        for i in range(m):
+            space.derivative_kernel_vector(lam, i)
+            space.kernel_derivative(lam, i)
+        assert sweeps == [m]
+
+
+def test_a_failed_cancellation_raises_for_its_order_only(monkeypatch):
+    space = HbSpace(build_model(3).b)
+    real = space_module._zero_order
+
+    def failing_at_order_one(p, w, at_most=None):
+        k, quot = real(p, w, at_most)
+        return (1, quot) if at_most == 2 else (k, quot)
+
+    monkeypatch.setattr(space_module, "_zero_order", failing_at_order_one)
+    space.derivative_kernel_vector(1.0, 0)
+    with pytest.raises(VerificationError, match="stopped at order 1"):
+        space.derivative_kernel_vector(1.0, 1)
+    space.derivative_kernel_vector(1.0, 2)
+    with pytest.raises(VerificationError, match="stopped at order 1"):
+        space.kernel_derivative(1.0, 1)  # the memoized sweep raises it again
 
 
 # -- random symbols in the ball ------------------------------------------------

@@ -116,14 +116,11 @@ def _binomials(m_max: int) -> np.ndarray:
 
 def _difference_rows(u: np.ndarray, depth: int, mu: complex) -> np.ndarray:
     """rows[a] = (E - mu)^a u for a < depth, E the index shift, in a
-    (depth, len(u)) array; row a is zero past its len(u) - a entries.  At
-    mu = 1 the shifted row is subtracted without the multiply by 1, which
-    on finite rows leaves every value and moves at most the sign of a zero."""
+    (depth, len(u)) array; row a is zero past its len(u) - a entries."""
     rows = np.zeros((depth, u.size), dtype=complex)
     rows[0] = u
     for a in range(1, depth):
-        prev = rows[a - 1, : u.size - a]
-        np.subtract(rows[a - 1, 1 : u.size - a + 1], prev if mu == 1 else mu * prev,
+        np.subtract(rows[a - 1, 1 : u.size - a + 1], mu * rows[a - 1, : u.size - a],
                     out=rows[a, : u.size - a])
     return rows
 

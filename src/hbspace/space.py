@@ -56,11 +56,11 @@ so phi keeps its exact bits.  Both cached series grow by doubling, and
 each growth resumes the recurrence past the cached prefix, so every
 coefficient is computed once and keeps the bits of a fresh expansion.
 
-A member's coefficients are computed on first read, and only as far as
-read: ``pair`` reads the overlap of its two vectors, over the lengths
-the whole expansions have once trimmed, so pairing a degree-6 vector
-with a degree-96 kernel expands 1/q and both products to 7 coefficients,
-not 97.  Each coefficient read has the bits of the whole expansion's.
+A member's coefficients are computed on read, and only as far as read:
+``pair`` reads the overlap of its two vectors, the smaller of their sizes,
+so pairing a degree-6 vector with a degree-96 kernel expands 1/q and both
+products to 7 coefficients, not 97.  Every read computes its prefix
+afresh, so a pair value depends on nothing read before it.
 
 Their Taylor tails are bounded from the decay radius, which needs no root
 finding: the radius is rho_b, the modulus of the nearest root of q, or
@@ -76,7 +76,7 @@ divided difference of K_w in conj(w) over points x_0..x_s, which pairs as
 <f, K[..]>_b = f[x_0, ..., x_s]; at one point repeated it is a derivative
 kernel over s!, inside the disk and at a mate boundary zero alike.  One
 sweep over a point sequence gives the kernels of all its prefixes, and
-each space memoizes its sweeps: at a mate zero of multiplicity m, one
+each space keeps its last sweep: at a mate zero of multiplicity m, one
 sweep of the zero repeated m times serves every derivative order below m.
 
 At a mate boundary zero w, (z - w)^(s+1) must cancel from both numerators
@@ -103,9 +103,6 @@ _TAIL_DEGREE_CAP = 4096
 # Largest derivative order i whose i! is finite in double precision.
 _MAX_DERIVATIVE_ORDER = 170
 
-# Point sequences whose Newton sweeps one HbSpace keeps, oldest dropped first.
-_SWEEPS_KEPT = 64
-
 # Largest gram_matrix size: C, C^H C and G then take 256 MiB each in complex128.
 _MAX_GRAM_SIZE = 4096
 
@@ -121,11 +118,10 @@ class HbVector:
     are paired far more often than their tails are read.  A bound read is
     the one an eager build would have stored, bit for bit.
 
-    A member's f and f+ are computed on first read, and only as far as
-    read: ``HbSpace.pair`` reads the overlap of its two vectors, so a
-    degree-6 vector paired with a degree-96 kernel expands 7 coefficients
-    of the kernel, not 97.  Every coefficient read is the one the whole
-    expansion gives, bit for bit, and reading f or f_plus expands it all.
+    A member's f and f+ are computed on read, and only as far as read:
+    ``HbSpace.pair`` reads the overlap of its two vectors, so a degree-6
+    vector paired with a degree-96 kernel expands 7 coefficients of the
+    kernel, not 97.  Reading f or f_plus expands it all, once.
     """
 
     __slots__ = ("_f", "_f_plus", "_tails")
@@ -164,21 +160,15 @@ class HbVector:
 
 
 class _OnRead:
-    """Coefficients 0..size-1 of a truncated series, computed on first read.
+    """Coefficients 0..size-1 of a truncated series, computed on read.
 
-    compute(n) returns the first n of them, each with the bits of the whole
-    array's; head(n) keeps the longest array computed so far.
+    head(n) computes the first n of them afresh; poly() keeps the whole.
     """
 
-    __slots__ = ("size", "_compute", "_head", "_poly")
+    __slots__ = ("size", "head", "_poly")
 
-    def __init__(self, size: int, compute):
-        self.size, self._compute, self._head, self._poly = size, compute, None, None
-
-    def head(self, n: int) -> np.ndarray:
-        if self._head is None or len(self._head) < n:
-            self._head = self._compute(n)
-        return self._head[:n]
+    def __init__(self, size: int, head):
+        self.size, self.head, self._poly = size, head, None
 
     def poly(self) -> Poly:
         if self._poly is None:
@@ -245,7 +235,7 @@ class HbSpace:
         self.norm_Lb_sq = 1.0 - abs(b0) ** 2 - self._a0**2
         self._phi = np.zeros(0, dtype=complex)
         self._inv_q = np.zeros(0, dtype=complex)
-        self._sweeps: dict = {}  # point sequence -> ``_newton_numerators`` of its prefixes
+        self._sweep = (None, [])  # (point sequence, its ``_newton_numerators``)
 
     # -- the plus companion -------------------------------------------------
 
@@ -312,6 +302,7 @@ class HbSpace:
         geometry (subspace angles), not for certified identities.  Raises
         PoleInDiskError when f has a pole in the closed disk.
         """
+        _check_degree(degree)
         f, radius = _analytic_lowest_terms(f)
         ft = f.taylor_poly(degree)
         return HbVector(ft, self.plus_function(ft),
@@ -344,6 +335,7 @@ class HbSpace:
         truncated at degree and expanded on read; their tails are bounded on
         |z| < min(rho_b, 1/|x_k|).  1/den is the cached 1/q series times one
         geometric series per nonzero x_k."""
+        _check_degree(degree)
         radius = self.pole_radius
         for x in points:
             if x != 0:
@@ -449,7 +441,7 @@ class HbSpace:
             raise InputFormatError(
                 f"derivative order {i} exceeds {_MAX_DERIVATIVE_ORDER}, past which i! overflows"
             )
-        if abs(w) > 1.0 + CIRCLE_BAND:
+        if not abs(w) <= 1.0 + CIRCLE_BAND:  # NaN fails it too
             raise InputFormatError(f"kernel point {w} lies outside the closed unit disk")
         points = [w] * (i + 1)
         if abs(abs(w) - 1.0) <= CIRCLE_BAND:
@@ -472,7 +464,8 @@ class HbSpace:
     def _newton_numerators(self, points) -> list:
         """Numerators of K[conj(x_0), ..., conj(x_s)] and of its companion over
         ``_member_den(rest)``, and rest, the points left in the denominator: one
-        triple per prefix x_0..x_s of points, from one sweep memoized per space.
+        triple per prefix x_0..x_s of points, from one sweep; the space keeps
+        the last sweep, so a repeated request for the same points reuses it.
 
         K[..] is the divided difference of K_w in conj(w), the representer of
         f -> f[x_0, ..., x_s], for points in the open disk or one mate boundary
@@ -492,8 +485,8 @@ class HbSpace:
         ``_held`` raises.
         """
         key = tuple(map(repr, points))
-        if key in self._sweeps:
-            return self._sweeps[key]
+        if self._sweep[0] == key:
+            return self._sweep[1]
         w = points[0]
         boundary = abs(abs(w) - 1.0) <= CIRCLE_BAND
         sweep = []
@@ -516,9 +509,7 @@ class HbSpace:
                 cancelled.append(work * unit)
             else:
                 sweep.append((*cancelled, []))
-        if len(self._sweeps) >= _SWEEPS_KEPT:
-            del self._sweeps[next(iter(self._sweeps))]
-        self._sweeps[key] = sweep
+        self._sweep = key, sweep
         return sweep
 
     # -- identities ----------------------------------------------------------
@@ -556,17 +547,8 @@ class HbSpace:
 
 
 def _h2_dot(f: Poly | _OnRead, g: Poly | _OnRead) -> complex:
-    """sum_k f_k conj(g_k) over the overlap n of the trimmed coefficients.
-
-    An unexpanded member's trimmed length is at most its size, and at least
-    n when its coefficient n - 1 is nonzero; only when that coefficient is
-    zero is the rest expanded to find it.  So n is the overlap of the whole
-    expansions, and the sum is theirs, bit for bit.
-    """
+    """sum_k f_k conj(g_k) over the overlap n, the smaller of the two sizes."""
     n = min(len(x.coeffs) if isinstance(x, Poly) else x.size for x in (f, g))
-    for x in (f, g):
-        if n and isinstance(x, _OnRead) and x.head(n)[n - 1] == 0:
-            n = min(n, len(x.poly().coeffs))
     if n == 0:
         return 0j
     return complex(np.dot(_head(f, n), np.conj(_head(g, n))))
@@ -574,6 +556,12 @@ def _h2_dot(f: Poly | _OnRead, g: Poly | _OnRead) -> complex:
 
 def _head(x: Poly | _OnRead, n: int) -> np.ndarray:
     return x.coeff_array(n) if isinstance(x, Poly) else x.head(n)
+
+
+def _check_degree(degree) -> None:
+    """InputFormatError unless the truncation degree is an integer >= 0."""
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise InputFormatError(f"truncation degree must be an integer >= 0, got {degree!r}")
 
 
 def _held(entry) -> tuple[Poly, Poly, list]:
@@ -602,20 +590,11 @@ def _grown_series(cache: np.ndarray, num: Poly, den: Poly, n: int) -> np.ndarray
 def _truncated_product(p: Poly, series: _OnRead) -> _OnRead:
     """Coefficients 0..series.size-1 of p times the power series, on read.
 
-    np.convolve puts its longer operand first and sums each coefficient in
-    that operand's index order, so a head keeps first the operand that is
-    first in the whole product: p when it has at least series.size
-    coefficients, else the series.  Then every coefficient read has the
-    bits of the whole product's.
+    The series is np.convolve's first operand, as it is in the whole product
+    when p is the shorter, so a read then has the whole product's bits.
     """
     c = p.coeff_array(max(len(p.coeffs), 1))
-    size = series.size
-
-    def compute(n: int) -> np.ndarray:
-        m = n if len(c) >= size else min(size, n + (len(c) >= n))
-        return np.convolve(c[:n], series.head(m))[:n]
-
-    return _OnRead(size, compute)
+    return _OnRead(series.size, lambda n: np.convolve(series.head(n), c[:n])[:n])
 
 
 def _upper_toeplitz(c: np.ndarray) -> np.ndarray:

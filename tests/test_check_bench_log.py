@@ -34,6 +34,7 @@ GOOD = _log(failures={"towers.extend:VerificationError": 1, "towers.strict_margi
         "towers.derivative_kernel.i3:VerificationError",
         "towers.derivative_pairing.i2",
         "towers.derivative_pairing.i3")],
+    (_log(failures={"corpus.boundary_zero_missed": 1}), "corpus.boundary_zero_missed"),
     (_log(reports=0), "report lines"),
     (_log(reports=2), "report lines"),
     ("", "empty"),

@@ -122,6 +122,11 @@ def test_second_copies_of_a_decision_are_gone():
     u = np.arange(7, dtype=complex)
     assert isometry._difference_rows(u, 3, 1.0).shape == (3, len(u))
     assert inspect.getsource(polynomials._aberth).count("TOL.root_residual") == 1
+    # a member reads its head afresh and a space keeps one sweep, so neither
+    # keeps a read cache of its own; the rows take no fork at mu = 1
+    assert not hasattr(space, "_SWEEPS_KEPT")
+    assert "_head" not in space._OnRead.__slots__
+    assert "mu == 1" not in inspect.getsource(isometry._difference_rows)
 
 
 def test_point_rules_have_one_home():

@@ -288,8 +288,8 @@ def _multiplied_rows(u: np.ndarray, depth: int, mu: complex) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, "complex"])
 def test_rows_at_mu_one_keep_the_values_and_the_defects(n, monkeypatch):
-    # at mu = 1 the rows subtract without multiplying by 1: the values of
-    # x - 1 * y, so the defects and the strict margin keep their bits
+    # mu = 1 takes no fork of its own: the rows are x - 1 * y, as at any mu,
+    # so the defects and the strict margin are those of the reference rows
     space = HbSpace(B_COMPLEX if n == "complex" else build_model(n).b)
     m_max = 10
     u = space.phi_coeffs(2 * space.n + 3 * m_max + 8)[1:]

@@ -373,10 +373,32 @@ def test_criterion_09_distances_unchanged(phi_case):
 
 
 def test_kernel_rejects_bad_order_and_point(half):
-    with pytest.raises(InputFormatError):
-        half.kernel_derivative(0.0, -1)
-    with pytest.raises(InputFormatError):
-        half.kernel_derivative(1.5, 0)
+    for order, point in ((-1, 0.0), (0, 1.5), (0, math.nan), (1, complex(math.nan, 0))):
+        with pytest.raises(InputFormatError):
+            half.kernel_derivative(point, order)
+        with pytest.raises(InputFormatError):
+            half.derivative_kernel_vector(point, order)
+
+
+@pytest.mark.parametrize("build", [
+    lambda space: space.kernel_vector(0.3, degree=-3),
+    lambda space: space.kernel_vector(0.3, degree=2.5),
+    lambda space: space.derivative_kernel_vector(1.0, 0, degree=True),
+    lambda space: space.vector_b(-2),
+    lambda space: space.vector_w(-1),
+    lambda space: space.truncated_vector(RationalFn(Poly([1]), Poly([1, -0.5])), degree=-1),
+], ids=["kernel_negative", "kernel_fractional", "kernel_bool", "b_negative", "w_negative",
+        "truncated_negative"])
+def test_a_bad_truncation_degree_is_an_input_error(build, monkeypatch):
+    space = HbSpace(RationalFn(Poly([0, 1]), Poly([2, -1])))  # z / (2 - z)
+
+    def no_read(*args):
+        raise AssertionError("a coefficient was read before the degree was checked")
+
+    monkeypatch.setattr(RationalFn, "taylor", no_read)
+    monkeypatch.setattr(RationalFn, "taylor_poly", no_read)
+    with pytest.raises(InputFormatError, match="truncation degree"):
+        build(space)
 
 
 def test_boundary_derivative_pairing_tower_3():
@@ -646,31 +668,51 @@ def _bits(x: complex) -> str:
 
 
 def test_members_pair_alike_read_on_demand_or_whole(series_case):
-    # pair reads a member only as far as the overlap; every value is the one
-    # the whole expansion gives, bit for bit, on either side of the pairing
-    _pair_on_demand_and_whole(series_case)
+    # pair reads a member only as far as the overlap and computes that head
+    # afresh: every value has the same bits whether the member is fresh, was
+    # expanded whole first, or was paired with longer and shorter vectors first
+    _pair_alike_whatever_was_read(series_case)
 
 
 def test_short_members_pair_over_their_trimmed_length():
     # over a constant q, b, Lb and K_0 end after 3-5 coefficients, inside the
-    # overlap with a degree-8 vector; the dot runs over their trimmed length,
-    # as it did on the whole expansions, not over the 9 coefficients read
-    _pair_on_demand_and_whole(HbSpace(RationalFn(Poly([1, 1, 1, 1, 1]) * (1 / 6))))
+    # overlap with a degree-8 vector; the zeros past their end enter the dot,
+    # and the value keeps its bits whatever was read of the member before
+    _pair_alike_whatever_was_read(HbSpace(RationalFn(Poly([1, 1, 1, 1, 1]) * (1 / 6))))
 
 
-def _pair_on_demand_and_whole(space):
+def _pair_alike_whatever_was_read(space):
     rng = np.random.default_rng(7)
+
+    def vector(degree):
+        return space.vector(Poly(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)))
+
     for degree in range(9):
-        p = space.vector(Poly(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)))
+        p, longer, shorter = vector(degree), vector(degree + 5), vector(max(degree - 3, 0))
         for name, build, _ in _members(space):
             whole = build()
             whole.f, whole.f_plus  # expanded before any pairing
+            paired = build()
+            for q in (longer, shorter):
+                space.pair(q, paired), space.pair(paired, q)
             for pairing in (lambda v: space.pair(p, v), lambda v: space.pair(v, p)):
                 on_demand = build()
-                assert _bits(pairing(on_demand)) == _bits(pairing(whole)), (name, degree)
+                want = _bits(pairing(on_demand))
+                assert _bits(pairing(whole)) == want, (name, degree)
+                assert _bits(pairing(paired)) == want, (name, degree)
                 # expanded after a pairing read its head: the same polynomials
                 assert repr((on_demand.f.coeffs, on_demand.f_plus.coeffs)) == repr(
                     (whole.f.coeffs, whole.f_plus.coeffs)), name
+
+
+def test_heads_have_the_whole_expansion_bits_when_the_numerator_is_shorter(series_case):
+    # every member's numerator is shorter than its 65 coefficients, so the
+    # series leads each product, a short read and the whole expansion alike
+    for name, build, _ in _members(series_case):
+        v = build()
+        for part, whole in ((v._f, v.f), (v._f_plus, v.f_plus)):
+            for n in (1, 4, 9, 30):
+                assert space_module._head(part, n).tobytes() == whole.coeff_array(n).tobytes(), (name, n)
 
 
 def test_pairing_a_long_kernel_expands_only_the_overlap():
@@ -716,6 +758,22 @@ def test_boundary_derivative_kernels_sweep_once(series_case, monkeypatch):
             space.derivative_kernel_vector(lam, i)
             space.kernel_derivative(lam, i)
         assert sweeps == [m]
+
+
+def test_kernels_at_many_points_keep_one_sweep(monkeypatch):
+    space = HbSpace(B_HALF)
+    points = [0.9 * cmath.exp(2j * math.pi * k / 100) for k in range(100)]
+    for w in points:
+        space.kernel_vector(w)
+    key, sweep = space._sweep
+    assert key == (repr(points[-1]),) and len(sweep) == 1
+
+    def no_sweep(self, points):
+        raise AssertionError("the kept sweep was computed again")
+
+    monkeypatch.setattr(RationalFn, "divided_differences", no_sweep)
+    space.kernel_vector(points[-1])
+    space.kernel_derivative(points[-1], 0)
 
 
 def test_a_failed_cancellation_raises_for_its_order_only(monkeypatch):

@@ -35,7 +35,10 @@ and zero for a > r.  Each term then rounds like
 eps |Delta^a u| |Delta^(r-a) u|, where differencing the outer product
 itself rounds like 2^m eps defect_1: on a tower phi_k is a polynomial in
 k, so the high differences are small and the defect at the order, zero
-exactly, reads several times closer to zero.
+exactly, reads several times closer to zero.  At a lone mate zero lam != 1,
+phi_k = conj(lam)^k poly(k) and differencing cancels nothing, so the search
+reads phi(lam z), b.num and a.num times lam^k: f -> f(lam z) is unitary onto
+H(b(lam z)), so the order is rotation invariant (rotated towers to n = 4).
 
 The entries satisfy a fixed linear recurrence along diagonals (phi is
 rational), so once the m-th defect vanishes on a window wider than the
@@ -57,7 +60,7 @@ import numpy as np
 
 from .config import D_TRUNC, DEFAULT_TOLERANCES as TOL
 from .errors import InputFormatError
-from .polynomials import Poly
+from .polynomials import Poly, RationalFn
 from .space import HbSpace
 
 # Monomials z^0 .. z^12 probed by annihilation_check.
@@ -134,7 +137,13 @@ def isometry_order(space: HbSpace, m_max: int = 8) -> DefectReport:
         raise InputFormatError(f"isometry order search needs m_max >= 1, got {m_max}")
     probe_degree = 2 * space.n + m_max + 8
     window = probe_degree + 1
-    phi = space.phi_coeffs(probe_degree + m_max)
+    lam = space.boundary_zeros[0][0] if len(space.boundary_zeros) == 1 else 1.0
+    if lam == 1.0:
+        phi = space.phi_coeffs(probe_degree + m_max)
+    else:  # phi(lam z), the lone boundary zero's own frame, where its zero sits at 1
+        num, den = (Poly(p.coeff_array() * lam ** np.arange(len(p.coeffs)))
+                    for p in (space.b.num, space.a.num))
+        phi = RationalFn(num, den).taylor(probe_degree + m_max)
     rows = _difference_rows(phi[1:], m_max, 1.0)
     left = _binomials(m_max)[:, None, :] * rows[:, :window].T
     # right[r, a] = conj(rows[r - a, a : a + window]), zero for a > r

@@ -75,14 +75,15 @@ Every kernel comes from one builder, ``HbSpace._newton_numerators``: the
 divided difference of K_w in conj(w) over points x_0..x_s, which pairs as
 <f, K[..]>_b = f[x_0, ..., x_s]; at one point repeated it is a derivative
 kernel over s!, inside the disk and at a mate boundary zero alike.  One
-sweep over a point sequence gives the kernels of all its prefixes, and
-each space keeps its last sweep: at a mate zero of multiplicity m, one
-sweep of the zero repeated m times serves every derivative order below m.
-
-At a mate boundary zero w, (z - w)^(s+1) must cancel from both numerators
-by the zero rule of ``polynomials`` (each remainder within TOL.boundary
-times the quotient's Horner bound), else VerificationError; then no point
-is left.  Poles follow its rule |den(z)| <= TOL.pole * B_den(z).
+sweep over a point sequence gives the kernels of all its prefixes, each
+numerator one step from the last: N_s = z N_(s-1) - c_s b.num h_s, with
+c_s = conj(b[x_0..x_s]) and h_s = prod_(k<s) (1 - conj(x_k) z), and the
+companion's with a.num and a plus sign.  Each space keeps its last sweep,
+so at a mate zero of multiplicity m one sweep serves every order below m.
+At a mate boundary zero w, each step divides both numerators once by
+1 - conj(w) z by the zero rule of ``polynomials``, so h_s stays 1 and no
+point is left; a division failing at prefix k raises VerificationError for
+orders k on; lower orders return.  Poles: |den(z)| <= TOL.pole * B_den(z).
 """
 
 from __future__ import annotations
@@ -320,12 +321,6 @@ class HbSpace:
             _backward(self.b.num - self.b(0) * q), -_backward(self.a.num - self.a(0) * q), degree
         )
 
-    def vector_w(self, degree: int = D_TRUNC) -> HbVector:
-        """The defect vector w = sqrt(1 + |b|_b^2) Lb = Lb / a(0)."""
-        u = self.vector_Lb(degree)
-        c = 1.0 / self._a0
-        return HbVector(u.f * c, u.f_plus * c, lambda: (u.tail_f * c, u.tail_plus * c))
-
     def _member_den(self, points) -> Poly:
         """The one denominator rule: q prod_k (1 - conj(x_k) z) over points, q = b.den."""
         return self.b.den * math.prod((Poly([1, -x.conjugate()]) for x in points), start=Poly([1]))
@@ -476,13 +471,13 @@ class HbSpace:
             S[conj(x_i..x_s)] = z^(s-i) / prod_(k=i..s) (1 - conj(x_k) z),
 
         and the companion conj(b(w)) a S_w of K_w gives a.num times the same
-        sum; rest is the prefix.  The sums of successive prefixes follow
-        acc_s = z acc_(s-1) + conj(b[x_0..x_s]) prod_(k<s) (1 - conj(x_k) z),
-        with the additions of summing each prefix alone.  At a mate boundary
-        zero w repeated, 1 - conj(w) z = -conj(w) (z - w), and (z - w)^(s+1) is
-        cancelled from both numerators, so rest is empty; a prefix whose
-        cancellation fails holds its VerificationError message instead, which
-        ``_held`` raises.
+        sum; rest is the prefix.  Prefix s is one step from prefix s - 1, with
+        c_s = conj(b[x_0..x_s]) and h_s = prod_(k<s) (1 - conj(x_k) z):
+        N_s = z N_(s-1) - c_s b.num h_s from N_0 = q - c_0 b.num, and
+        P_s = z P_(s-1) + c_s a.num h_s from P_(-1) = 0.  At a mate boundary
+        zero w repeated, each step divides N_s and P_s once by 1 - conj(w) z,
+        so h_s stays 1 and rest is empty; a division failing at prefix k ends
+        the sweep: prefixes k on hold its VerificationError message for ``_held``.
         """
         key = tuple(map(repr, points))
         if self._sweep[0] == key:
@@ -490,25 +485,20 @@ class HbSpace:
         w = points[0]
         boundary = abs(abs(w) - 1.0) <= CIRCLE_BAND
         sweep = []
-        acc, head = Poly(), Poly([1])  # head: prod_(k<s) (1 - conj(x_k) z)
+        nums, h = (self.b.den, Poly()), Poly([1])  # z N_(-1) = q, z P_(-1) = 0, h_0
         for s, (x, t) in enumerate(zip(points, self.b.divided_differences(points))):
-            acc = acc.shifted(1) + complex(t).conjugate() * head
-            head = head * Poly([1, -x.conjugate()])
-            nums = self.b.den.shifted(s) - self.b.num * acc, self.a.num * acc
-            if not boundary:
-                sweep.append((*nums, points[: s + 1]))
-                continue
-            unit = 1.0 / (-w.conjugate()) ** (s + 1)
-            cancelled = []
-            for num in nums:
-                k, work = _zero_order(num, w, at_most=s + 1)
-                if k <= s:
-                    sweep.append(f"boundary kernel cancellation of (z - w)^{s + 1} "
-                                 f"stopped at order {k}")
+            ch = complex(t).conjugate() * h
+            nums = nums[0] - self.b.num * ch, nums[1] + self.a.num * ch
+            if boundary:
+                steps = [_zero_order(num, w, at_most=1) for num in nums]
+                if not all(k for k, _ in steps):
+                    sweep += [f"boundary kernel division failed at prefix {s}"] * (len(points) - s)
                     break
-                cancelled.append(work * unit)
+                nums = tuple(work * (-1.0 / w.conjugate()) for _, work in steps)
             else:
-                sweep.append((*cancelled, []))
+                h = h * Poly([1, -x.conjugate()])
+            sweep.append((*nums, [] if boundary else points[: s + 1]))
+            nums = nums[0].shifted(1), nums[1].shifted(1)
         self._sweep = key, sweep
         return sweep
 

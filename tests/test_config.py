@@ -111,10 +111,14 @@ def test_second_copies_of_a_decision_are_gone():
     assert "_newton_kernel" not in vars(HbSpace)  # one builder for every prefix
     source = inspect.getsource(HbSpace._newton_kernels)
     assert [n for n in ("kernel_derivative", "factorial") if n in source] == []
-    sites = [fn.name for fn in ast.walk(ast.parse(Path(space.__file__).read_text()))
+    sites = [(fn.name, node) for fn in ast.walk(ast.parse(Path(space.__file__).read_text()))
              if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_zero_order"]
-    assert sites == ["_newton_numerators"]
+    assert [name for name, _ in sites] == ["_newton_numerators"]
+    # one division by 1 - conj(w) z per prefix and numerator: the recurrence
+    # leaves no (s + 1)-fold cancellation; and w = Lb / a(0) is no member
+    assert [ast.unparse(k) for _, node in sites for k in node.keywords] == ["at_most=1"]
+    assert "vector_w" not in vars(HbSpace)
     # the shift-defect engine slices its rows, with no gather plan and no pad
     # column; HbVector has one constructor; Aberth writes its stop test once
     assert not hasattr(isometry, "_difference_plan")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hbspace import isometry
-from hbspace.config import D_TRUNC
+from hbspace.config import D_TRUNC, DEFAULT_TOLERANCES as TOL
 from hbspace.errors import InputFormatError
 from hbspace.extension import build_model
 from hbspace.isometry import (
@@ -144,12 +144,12 @@ def _gram_difference_defects(space, m_max, probe_degree):
 
 
 def _paired_annihilation(space, lam, k_max, probe_degree=12):
-    """max_j |<w, (z - lam)^k z^j>_b| from a truncated w and pairings."""
-    w = space.vector_w(degree=max(D_TRUNC, probe_degree + k_max + 2))
+    """max_j |<w, (z - lam)^k z^j>_b| from a truncated w = Lb / a(0) and pairings."""
+    lb = space.vector_Lb(degree=max(D_TRUNC, probe_degree + k_max + 2))
     base = Poly([-lam, 1.0])
     return [
-        max(abs(space.pair(w, space.vector((base**k).shifted(j))))
-            for j in range(probe_degree + 1))
+        max(abs(space.pair(lb, space.vector((base**k).shifted(j))))
+            for j in range(probe_degree + 1)) / space.a(0).real
         for k in range(k_max + 1)
     ]
 
@@ -226,11 +226,15 @@ def _annihilation_majorant(space, lam, k_max, probe_degree=12):
     ]
 
 
-def _rotated_tower(n, lam):
-    """b(conj(lam) z) for the default n-tower: the mate zero moves from 1 to lam."""
-    b = build_model(n).b
+def _rotated(b, lam):
+    """b(conj(lam) z): a mate zero at 1 moves to lam."""
     return RationalFn(*(Poly([c * np.conj(lam) ** k for k, c in enumerate(p.coeffs)])
                         for p in (b.num, b.den)))
+
+
+def _rotated_tower(n, lam):
+    """b(conj(lam) z) for the default n-tower: the mate zero moves from 1 to lam."""
+    return _rotated(build_model(n).b, lam)
 
 
 ROTATION = np.exp(0.7j)
@@ -264,6 +268,32 @@ def test_annihilation_drops_at_the_mate_zero_of_a_rotated_tower(n):
     res = annihilation_check(space, ROTATION, n + 2)
     assert res[n - 1] > 0.3
     assert all(r < 1e-9 for r in res[n:])
+
+
+# 32 equally spaced units, which put the zero off 1 by rounding, and the exact
+# units -1 and +-i
+UNITS = [np.exp(2j * np.pi * k / 32) for k in range(32)] + [-1.0, 1j, -1j]
+
+
+@pytest.mark.parametrize("n,omega,t", [(1, 1.0, math.pi), (2, 1.0, math.pi), (3, 1.0, math.pi),
+                                       (4, 1.0, math.pi), (3, 0.6 + 0.3j, 2.0)])
+def test_isometry_order_is_rotation_invariant(n, omega, t):
+    # f -> f(c z), |c| = 1, maps H(b) unitarily onto H(b(c z)) and conjugates
+    # the shift to c times the shift, so every rotation has b's order, 2n on
+    # an n-tower; the search reads phi in the mate zero's own frame
+    b = build_model(n, omega=omega, t=t).b
+    for lam in UNITS:
+        rep = isometry_order(HbSpace(_rotated(b, lam)), m_max=2 * n + 2)
+        assert rep.order == 2 * n and rep.strict_margin > TOL.strict, (lam, rep.defects)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "beta_10 of the rotated default 5-tower rounds like its differenced terms, "
+    "above TOL.iso, as it does unrotated"
+))
+def test_rotated_five_tower_reads_order_10():
+    rep = isometry_order(HbSpace(_rotated(build_model(5).b, -1.0)), m_max=12)
+    assert rep.order == 10
 
 
 def test_one_function_builds_the_difference_rows():

@@ -426,6 +426,27 @@ def _numerators_of_one_prefix(space, points):
     return tuple(_zero_order(num, w, at_most=s + 1)[1] * unit for num in nums)
 
 
+def _term_scales(space, points):
+    """Coefficient scales of the terms ``_numerators_of_one_prefix`` sums, taken in
+    absolute value: |q| z^s + |b.num| A and |a.num| A with
+    A = sum_i |b[x_0..x_i]| z^(s-i) prod_(k<i) (1 + |x_k| z); at the boundary,
+    their quotient by (z - 1)^(s+1), each division the tail sums of the
+    coefficients above, as dividing by z - w sums them for |w| = 1."""
+    s = len(points) - 1
+    acc, head = np.zeros(s + 1), np.ones(1)
+    for i, (x, t) in enumerate(zip(points, space.b.divided_differences(points))):
+        acc[s - i :] += abs(t) * head
+        head = np.convolve(head, [1.0, abs(x)])
+    mags = [np.abs(space.b.den.coeff_array()), np.abs(space.b.num.coeff_array()),
+            np.abs(space.a.num.coeff_array())]
+    terms = [Poly(mags[0]).shifted(s) + Poly(np.convolve(mags[1], acc)),
+             Poly(np.convolve(mags[2], acc))]
+    if abs(abs(points[0]) - 1.0) <= 1e-9:
+        for _ in range(s + 1):
+            terms = [Poly(np.cumsum(p.coeff_array()[::-1])[::-1][1:]) for p in terms]
+    return [p.scale() for p in terms]
+
+
 @pytest.mark.parametrize("name,points", [
     ("step2", [0.5, 0.5, -0.3 + 0.2j, 0.0]),
     ("step2", [1.0, 1.0]),
@@ -433,8 +454,11 @@ def _numerators_of_one_prefix(space, points):
     ("model3", [1.0, 1.0, 1.0]),
 ])
 def test_prefix_kernels_of_one_sweep_are_each_prefix_alone(name, points):
-    # one sweep, acc_s = z acc_(s-1) + conj(b[x_0..x_s]) head_s, makes the
-    # additions of summing each prefix alone, so the bits are the same
+    # one sweep builds prefix s from prefix s - 1 by one recurrence step, so
+    # it sums the per-prefix reference's terms in another order: each step
+    # rounds each coefficient about once against the scale of those terms, so
+    # prefix s lies within (s + 1) eps of that scale.  A fresh sweep over the
+    # prefix alone makes the same steps, so its bits are the same
     space = {"step2": lambda: HbSpace(B_STEP2), "complex": lambda: HbSpace(B_COMPLEX),
              "model3": lambda: HbSpace(build_model(3).b)}[name]()
     sweep = space._newton_numerators(points)
@@ -442,10 +466,16 @@ def test_prefix_kernels_of_one_sweep_are_each_prefix_alone(name, points):
     assert len(sweep) == len(kernels) == len(points)
     for s, ((num, plus_num, rest), kernel) in enumerate(zip(sweep, kernels)):
         prefix = points[: s + 1]
+        reference = _numerators_of_one_prefix(space, prefix)
+        for got, want, scale in zip((num, plus_num), reference, _term_scales(space, prefix)):
+            n = max(len(got.coeffs), len(want.coeffs))
+            err = np.max(np.abs(got.coeff_array(n) - want.coeff_array(n)))
+            assert err <= (s + 1) * np.finfo(float).eps * scale, (s, err / scale)
+        fresh = HbSpace(space.b)
         # repr keeps the sign of a zero, which == does not
         assert repr([p.coeffs for p in (num, plus_num)]) == repr(
-            [p.coeffs for p in _numerators_of_one_prefix(space, prefix)])
-        alone = HbSpace(space.b)._newton_kernels(prefix)[-1]
+            [p.coeffs for p in fresh._newton_numerators(prefix)[-1][:2]])
+        alone = fresh._newton_kernels(prefix)[-1]
         assert (kernel.num, kernel.den) == (alone.num, alone.den)
         assert rest == ([] if abs(points[0]) == 1.0 else prefix)
 

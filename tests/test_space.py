@@ -235,13 +235,6 @@ def test_vector_b_closed_form(half):
     assert abs(half.pair(vb, vb) - 3.0) < 1e-12
 
 
-def test_vector_w_norm(half):
-    w = half.vector_w(degree=16)
-    # w = Lb / a(0) = 1 here, and |1|^2 = 2
-    assert abs(w.f.coeff(0) - 1.0) < 1e-12
-    assert abs(half.pair(w, w) - 2.0) < 1e-12
-
-
 def test_truncated_vector_matches_closed_form(step2):
     lam = 0.45 - 0.2j
     kv = step2.kernel_vector(lam, degree=96)
@@ -328,8 +321,10 @@ def test_gram_displacement_is_rank_one(phi_case):
 def test_w_pairs_to_phi(phi_case):
     _, space = phi_case
     n = 48
-    w = space.vector_w()
-    got = np.array([space.pair(w, space.vector(Poly([0] * j + [1]))) for j in range(n)])
+    # the defect direction w = Lb / a(0)
+    lb = space.vector_Lb()
+    got = np.array([space.pair(lb, space.vector(Poly([0] * j + [1]))) for j in range(n)])
+    got /= space.a(0).real
     phi = space.phi_coeffs(n)
     assert not phi.flags.writeable
     assert np.max(np.abs(got - phi[1:])) < 1e-12 * max(1.0, np.max(np.abs(phi)))
@@ -385,9 +380,8 @@ def test_kernel_rejects_bad_order_and_point(half):
     lambda space: space.kernel_vector(0.3, degree=2.5),
     lambda space: space.derivative_kernel_vector(1.0, 0, degree=True),
     lambda space: space.vector_b(-2),
-    lambda space: space.vector_w(-1),
     lambda space: space.truncated_vector(RationalFn(Poly([1]), Poly([1, -0.5])), degree=-1),
-], ids=["kernel_negative", "kernel_fractional", "kernel_bool", "b_negative", "w_negative",
+], ids=["kernel_negative", "kernel_fractional", "kernel_bool", "b_negative",
         "truncated_negative"])
 def test_a_bad_truncation_degree_is_an_input_error(build, monkeypatch):
     space = HbSpace(RationalFn(Poly([0, 1]), Poly([2, -1])))  # z / (2 - z)
@@ -449,7 +443,6 @@ def test_members_need_no_root_finding(radius_case, monkeypatch):
     assert space.norm_identities_check()["ok"]
     space.vector_b()
     space.vector_Lb()
-    space.vector_w()
     for lam in (0.0,) + INTERIOR_POINTS:
         space.kernel_vector(lam)
     for lam, m in space.boundary_zeros:
@@ -539,11 +532,6 @@ def test_member_tails_are_bounded_on_first_read(radius_case, monkeypatch):
         read = _recorded_tails(monkeypatch, lambda: _read_tails(v))
         assert [bound for _, _, bound in read] == [v.tail_f, v.tail_plus]
         assert (v.tail_f, v.tail_plus) == _eager_tails(space, *nums, D_TRUNC, points)
-    lb = space.vector_Lb()
-    w = space.vector_w()
-    c = 1.0 / space.a(0).real
-    assert (w.tail_f, w.tail_plus) == (lb.tail_f * c, lb.tail_plus * c)
-    assert len(_recorded_tails(monkeypatch, lambda: _read_tails(space.vector_w()))) == 2
 
 
 # -- members from the cached series of 1/q ---------------------------------------
@@ -603,7 +591,7 @@ def series_case(request):
 def _members(space):
     """(name, build, d) for the members the series route builds over q d."""
     one = Poly([1])
-    out = [("b", space.vector_b, one), ("Lb", space.vector_Lb, one), ("w", space.vector_w, one)]
+    out = [("b", space.vector_b, one), ("Lb", space.vector_Lb, one)]
     for w in SERIES_POINTS:
         out.append((f"K_{w}", lambda w=w: space.kernel_vector(w), Poly([1, -np.conj(w)])))
     for w in SERIES_POINTS[1:]:
@@ -626,11 +614,9 @@ def test_series_route_matches_taylor_loop(series_case, monkeypatch):
         (g, degree, _), (gplus, _, _) = _recorded_tails(
             monkeypatch, lambda: built.extend(_read_tails(build()))
         )
-        # w = Lb / a(0): the loop reference scaled the same way
-        c = 1.0 / space.a(0).real if name == "w" else 1.0
         for member, got in ((g, built[0].f), (gplus, built[0].f_plus)):
-            want = c * member.taylor(degree)
-            bound = c * _series_route_bound(space, member, extra, degree) + U * np.abs(want)
+            want = member.taylor(degree)
+            bound = _series_route_bound(space, member, extra, degree) + U * np.abs(want)
             err = np.abs(got.coeff_array(degree + 1) - want)
             assert np.all(err <= bound), (name, float(np.max(err / bound)))
 
@@ -776,21 +762,26 @@ def test_kernels_at_many_points_keep_one_sweep(monkeypatch):
     space.kernel_derivative(points[-1], 0)
 
 
-def test_a_failed_cancellation_raises_for_its_order_only(monkeypatch):
+def test_a_failed_cancellation_ends_the_sweep(monkeypatch):
+    # each prefix divides its numerators once by 1 - conj(w) z, two zero-rule
+    # calls; the third call, prefix 1's numerator, fails, and every later
+    # prefix builds on it
     space = HbSpace(build_model(3).b)
     real = space_module._zero_order
+    calls = []
 
-    def failing_at_order_one(p, w, at_most=None):
-        k, quot = real(p, w, at_most)
-        return (1, quot) if at_most == 2 else (k, quot)
+    def failing_at_prefix_one(p, w, at_most=None):
+        calls.append(at_most)
+        return (0, p) if len(calls) == 3 else real(p, w, at_most)
 
-    monkeypatch.setattr(space_module, "_zero_order", failing_at_order_one)
+    monkeypatch.setattr(space_module, "_zero_order", failing_at_prefix_one)
     space.derivative_kernel_vector(1.0, 0)
-    with pytest.raises(VerificationError, match="stopped at order 1"):
-        space.derivative_kernel_vector(1.0, 1)
-    space.derivative_kernel_vector(1.0, 2)
-    with pytest.raises(VerificationError, match="stopped at order 1"):
-        space.kernel_derivative(1.0, 1)  # the memoized sweep raises it again
+    for i in (1, 2):
+        with pytest.raises(VerificationError, match="failed at prefix 1"):
+            space.derivative_kernel_vector(1.0, i)
+    with pytest.raises(VerificationError, match="failed at prefix 1"):
+        space.kernel_derivative(1.0, 1)  # the kept sweep raises it again
+    assert calls == [1, 1, 1, 1]
 
 
 # -- random symbols in the ball ------------------------------------------------

@@ -7,6 +7,8 @@ pairs.  One grammar reads them back (``complex_from_json``): a polynomial
 is a coefficient list, bare or under "coeffs", for a symbol or for either
 part of a quotient, and every entry is a number or an [re, im] pair of
 numbers.  Booleans are not numbers, and non-finite values are rejected.
+A product by exactly one only clears signed zeros; every other product
+is ``np.convolve``, so no product rounds differently from numpy's.
 
 Root finding uses a simultaneous Aberth-Ehrlich iteration started on a
 randomly rotated circle, with the companion-matrix eigenvalue solver as a
@@ -57,6 +59,13 @@ def _trim_exact(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
     while last > 0 and coeffs[last - 1] == 0:
         last -= 1
     return coeffs[:last]
+
+
+def _poly(coeffs: tuple[complex, ...]) -> "Poly":
+    """The Poly of a tuple of Python complex, without ``Poly.__init__``'s conversion."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "coeffs", _trim_exact(coeffs))
+    return p
 
 
 class Poly:
@@ -144,12 +153,17 @@ class Poly:
             return Poly([other])
         return None
 
+    def _pairs(self, q: "Poly", pad: complex):
+        """Coefficient pairs of self and q, the shorter padded with 0j on the left, pad on the right."""
+        a, b = self.coeffs, q.coeffs
+        n = max(len(a), len(b))
+        return zip(a + (0j,) * (n - len(a)), b + (pad,) * (n - len(b)))
+
     def __add__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(q.coeffs))
-        return Poly([self.coeff(k) + q.coeff(k) for k in range(n)])
+        return _poly(tuple([x + y for x, y in self._pairs(q, 0j)]))
 
     __radd__ = __add__
 
@@ -157,28 +171,36 @@ class Poly:
         return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
+        # x - (-0.0) is x + 0.0: bit for bit self + (-q), signed zeros included
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self + (-q)
+        return _poly(tuple([x - y for x, y in self._pairs(q, complex(-0.0, -0.0))]))
 
     def __rsub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return q + (-self)
+        return q - self
 
     def __mul__(self, other):
+        # a product by exactly one only clears signed zeros; every other
+        # product is np.convolve (a Python loop could round otherwise).
+        # np.convolve sums c * 1 from +0, which is c + 0j for a finite c;
+        # inf * 0 is NaN there, so a non-finite c keeps np.convolve
         if isinstance(other, (int, float, complex)):
-            # np.convolve as for a constant Poly: a Python loop could round otherwise
-            if self.is_zero or other == 0:
-                return Poly()
-            return Poly(np.convolve(self.coeff_array(), np.array([other], dtype=complex)))
-        if not isinstance(other, Poly):
+            b = _trim_exact((complex(other),))
+        elif isinstance(other, Poly):
+            b = other.coeffs
+        else:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a = self.coeffs
+        if not a or not b:
             return Poly()
-        return Poly(np.convolve(self.coeff_array(), other.coeff_array()))
+        kept = a if b == (1,) else b if a == (1,) else None
+        if kept is not None and all(map(cmath.isfinite, kept)):
+            return _poly(tuple([x + 0j for x in kept]))
+        return _poly(tuple(np.convolve(np.array(a, dtype=complex), np.array(b, dtype=complex)).tolist()))
 
     __rmul__ = __mul__
 
@@ -190,8 +212,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __divmod__(self, other):

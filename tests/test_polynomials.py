@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbspace import Poly, RationalFn
 from hbspace.errors import InputFormatError, PoleAtPointError, ZeroFunctionError
@@ -212,7 +214,8 @@ def test_coeff_array_is_a_fresh_writable_copy():
     assert Poly().coeff_array().shape == (0,)
 
 
-@pytest.mark.parametrize("s", [0, 3, -2, 0.0, -0.0, 0.1, -1e-300, 0.3 - 0.7j, 1j, True])
+@pytest.mark.parametrize("s", [0, 3, -2, 0.0, -0.0, 0.1, -1e-300, 0.3 - 0.7j, 1j, True,
+                               1, 1.0, 1 + 0j])
 def test_scalar_product_is_the_constant_poly_product(s):
     # the product a constant Poly gives: np.convolve with a length-1 array
     for p in (rand_poly(6), rand_poly(0, 1e8), Poly([0.0, -0.0, 1.0]), Poly()):
@@ -220,6 +223,122 @@ def test_scalar_product_is_the_constant_poly_product(s):
         want = Poly() if p.is_zero or q.is_zero else Poly(np.convolve(p.coeff_array(), q.coeff_array()))
         assert repr((p * s).coeffs) == repr(want.coeffs)
         assert repr((s * p).coeffs) == repr(want.coeffs)
+
+
+# Reference arithmetic: np.convolve for every product, the coeff(k) loop for
+# sums, p + (-q) for differences and a power loop that squares once more than
+# it needs.  Each Poly operation must match it bit for bit, signed zeros included.
+
+
+def _ref_mul(p, other):
+    if isinstance(other, Poly):
+        if p.is_zero or other.is_zero:
+            return Poly()
+        return Poly(np.convolve(p.coeff_array(), other.coeff_array()))
+    if p.is_zero or other == 0:
+        return Poly()
+    return Poly(np.convolve(p.coeff_array(), np.array([other], dtype=complex)))
+
+
+def _ref_pow(p, n):
+    out, base = Poly([1]), p
+    while n:
+        if n & 1:
+            out = _ref_mul(out, base)
+        base = _ref_mul(base, base)
+        n >>= 1
+    return out
+
+
+def _ref_add(p, q):
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly([p.coeff(k) + q.coeff(k) for k in range(n)])
+
+
+def _ref_sub(p, q):
+    return _ref_add(p, Poly([-c for c in q.coeffs]))
+
+
+def _ref_rational(num, den):
+    d0 = den.coeff(0)
+    s = 1.0 / d0 if abs(d0) > 1e-12 * den.scale() else 1.0 / den.coeffs[-1]
+    return _ref_mul(num, s), _ref_mul(den, s)
+
+
+_EDGE = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300)
+_NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+def _polys(parts, max_size=6):
+    part = st.sampled_from(parts) | st.floats(-10.0, 10.0)
+    return st.lists(st.builds(complex, part, part), max_size=max_size).map(Poly)
+
+
+def _same(got, want):
+    assert repr(got.coeffs) == repr(want.coeffs)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(p=_polys(_EDGE + _NONFINITE), q=_polys(_EDGE, max_size=3))
+def test_products_by_one_sums_and_differences_round_as_the_reference(p, q):
+    for one in (1, 1.0, 1 + 0j, complex(1.0, -0.0), True):
+        _same(p * one, _ref_mul(p, one))
+        _same(one * p, _ref_mul(p, one))
+    _same(Poly([1]) * p, _ref_mul(Poly([1]), p))
+    _same(p * Poly([1]), _ref_mul(p, Poly([1])))
+    _same(p * q, _ref_mul(p, q))
+    for x, y in ((p, q), (q, p)):
+        _same(x + y, _ref_add(x, y))
+        _same(x - y, _ref_sub(x, y))
+        _same(1.5 - x, _ref_sub(Poly([1.5]), x))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(p=_polys((0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e-30, 1e30), max_size=4))
+def test_powers_round_as_the_reference_loop(p):
+    for k in range(10):
+        _same(p ** k, _ref_pow(p, k))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(num=_polys(_EDGE + _NONFINITE), den=_polys(_EDGE, max_size=4).filter(lambda d: not d.is_zero),
+       d0=st.sampled_from((None, 1.0, 1 + 0j, complex(1.0, -0.0), 2.0)))
+def test_rational_normalisation_rounds_as_the_reference(num, den, d0):
+    if d0 is not None:  # den(0) == 1 exactly, the common case
+        den = Poly((d0,) + den.coeffs[1:])
+    got = RationalFn(num, den)
+    want = _ref_rational(num, den)
+    _same(got.num, want[0])
+    _same(got.den, want[1])
+
+
+def _count_convolve(monkeypatch):
+    calls = []
+    convolve = np.convolve
+
+    def counted(*args):
+        calls.append(1)
+        return convolve(*args)
+
+    monkeypatch.setattr(np, "convolve", counted)
+    return calls
+
+
+def test_products_by_one_and_powers_skip_the_convolutions_they_need_not(monkeypatch):
+    calls = _count_convolve(monkeypatch)
+    p = Poly([0.5, -0.0, 2 - 1j, 1j])
+    for k in range(1, 10):
+        calls.clear()
+        p ** k
+        assert len(calls) == k.bit_count() + k.bit_length() - 2, k
+    calls.clear()
+    RationalFn(p)
+    p * 1, 1.0 * p, Poly([1]) * p, p * Poly([1 + 0j])
+    assert calls == []
+    # a non-finite coefficient keeps np.convolve, which turns inf * 0 into NaN
+    nonfinite = Poly([complex(math.inf, 0.0), 1.0])
+    assert repr(RationalFn(nonfinite).num.coeffs[0]) == "(inf+nanj)"
+    assert len(calls) == 1
 
 
 def test_zero_order_divides_the_order_out():

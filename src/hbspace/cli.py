@@ -11,7 +11,8 @@ Symbols accept three JSON spellings: a bare coefficient list
 rational ``{"num": ..., "den": ...}``.  In each, every entry is a number
 or an [re, im] pair of numbers, read by ``complex_from_json``; booleans
 are rejected.  ``hb mate`` prints ``MateResult.to_json`` with
-``a_at_origin`` and ``norm_b_sq`` added.
+``a_at_origin`` and ``norm_b_sq`` added.  Each handler imports the
+modules it runs, so a subcommand loads only what it uses.
 """
 
 from __future__ import annotations
@@ -25,14 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
 from .config import resolve_seed
 from .errors import InputFormatError, NumericalError, ValidationError
-from .extension import build_model, extend, kernel_factorization_check, mobius_normalize
-from .isometry import isometry_order
-from .lattice import classify
 from .polynomials import Poly, RationalFn, complex_to_json
-from .space import HbSpace
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -68,9 +64,14 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _space(args) -> HbSpace:
-    rng = np.random.default_rng(resolve_seed(args.seed))
-    return HbSpace(parse_symbol(args.symbol), rng=rng)
+def _space(args):
+    # the seed first, so a bad HB_SEED is reported before a bad symbol, and
+    # the space module only once the symbol parses
+    seed = resolve_seed(args.seed)
+    b = parse_symbol(args.symbol)
+    from .space import HbSpace
+
+    return HbSpace(b, rng=seed)
 
 
 def cmd_mate(args) -> int:
@@ -108,6 +109,8 @@ def cmd_gram(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .isometry import isometry_order
+
     space = _space(args)
     identities = space.norm_identities_check()
     plus_res = max(
@@ -127,6 +130,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from .extension import extend, kernel_factorization_check, mobius_normalize
+
     b0 = parse_symbol(args.symbol)
     if args.normalize:
         b0 = mobius_normalize(b0)
@@ -139,6 +144,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_model(args) -> int:
+    from .extension import build_model
+
     out = build_model(
         args.steps,
         omega=parse_point(args.omega),
@@ -150,6 +157,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .lattice import classify
+
     space = _space(args)
     desc = classify(space, parse_symbol(args.generator))
     _emit(desc.to_json())
@@ -157,6 +166,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cyclic(args) -> int:
+    from .lattice import classify
+
     space = _space(args)
     desc = classify(space, parse_symbol(args.generator))
     _emit({
@@ -168,6 +179,8 @@ def cmd_cyclic(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .acceptance import run_all
+
     seed = resolve_seed(args.seed)
     results = run_all(seed)
     for r in results:

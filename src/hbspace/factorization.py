@@ -299,7 +299,7 @@ def _circle_zeros(
     return zeros, p
 
 
-def pythagorean_mate(b, rng: np.random.Generator | None = None) -> MateResult:
+def pythagorean_mate(b, rng: np.random.Generator | int | None = None) -> MateResult:
     """Outer a = r/q with |a|^2 + |b|^2 = 1 on the circle and a(0) > 0.
 
     Raises the symbol errors of ``is_nonextreme``, ExtremeFunctionError

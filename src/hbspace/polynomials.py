@@ -501,8 +501,12 @@ def _aberth(
     return None
 
 
-def poly_roots(p: Poly, rng: np.random.Generator | None = None) -> np.ndarray:
+def poly_roots(p: Poly, rng: np.random.Generator | int | None = None) -> np.ndarray:
     """Roots of p with multiplicity, lowest-degree-first coefficients.
+
+    ``rng`` is a Generator, which the call advances, or a seed (None means
+    0).  Only the simultaneous iteration (degree 3 and up) draws from it,
+    so only there is a Generator built from a seed.
 
     Raises ZeroFunctionError on the zero polynomial and
     NonConvergenceError if the simultaneous iteration, the companion-matrix
@@ -536,8 +540,7 @@ def poly_roots(p: Poly, rng: np.random.Generator | None = None) -> np.ndarray:
         else:
             found = np.array([-s / (2.0 * a2), -2.0 * a0 / s])
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
+        rng = np.random.default_rng(0 if rng is None else rng)
         with np.errstate(over="ignore", invalid="ignore"):
             found = _aberth(c, rng)
             if found is None:

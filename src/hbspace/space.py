@@ -220,7 +220,7 @@ class HbSpace:
     norm_Lb_sq : float     |Lb|_b^2 = 1 - |b(0)|^2 - a(0)^2
     """
 
-    def __init__(self, b, rng: np.random.Generator | None = None):
+    def __init__(self, b, rng: np.random.Generator | int | None = None):
         b = as_rational(b)
         self.b = b
         # raises the typed validation errors for poles, ball, extremality

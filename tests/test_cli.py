@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hbspace import HbSpace
 from hbspace import space as space_module
 from hbspace.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_symbol
+from hbspace.polynomials import complex_to_json
 
 HALF = "[0.5, 0.5]"
 AFFINE = "[0, 0.5]"
@@ -235,6 +237,76 @@ def test_bad_seed_env_rejected(monkeypatch, capsys):
         "error": "HB_SEED must be an integer, got 'abc'",
         "type": "InputFormatError",
     }
+
+
+def test_bad_seed_env_wins_over_a_bad_symbol(monkeypatch, capsys):
+    monkeypatch.setenv("HB_SEED", "abc")
+    code, out, err = run_cli(["mate", "-b", "[0.5,"], capsys)
+    assert code == EXIT_VALIDATION
+    assert not out
+    assert json.loads(err)["error"] == "HB_SEED must be an integer, got 'abc'"
+
+
+# a symbol whose density the simultaneous iteration roots: its mate's bits
+# differ between seeds 0, 7 and 42
+SEEDED = "[0.3, 0.2, -0.1, 0.15]"
+
+
+def _mate_output(seed: int) -> str:
+    space = HbSpace(parse_symbol(SEEDED), rng=np.random.default_rng(seed))
+    payload = space.mate.to_json()
+    payload.update(a_at_origin=complex_to_json(space.a(0)), norm_b_sq=space.norm_b_sq)
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv,env,seed", [
+    (["mate", "-b", SEEDED], None, 0),
+    (["mate", "-b", SEEDED, "--seed", "7"], None, 7),
+    (["mate", "-b", SEEDED, "--seed", "7"], "42", 42),
+])
+def test_mate_seed_is_the_library_generator_seed(argv, env, seed, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("HB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HB_SEED", env)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert out == _mate_output(seed)
+
+
+def test_seeded_symbol_reaches_the_root_finder_seed():
+    assert len({_mate_output(seed) for seed in (0, 7, 42)}) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["mate", "-b", HALF],
+    ["kernel", "-b", HALF, "--at", "0", "--point", "0.5"],
+    ["gram", "-b", HALF, "--size", "8"],
+    ["mate", "-b", "[0.5,"],
+])
+def test_a_subcommand_imports_only_the_modules_it_runs(argv):
+    # numpy 1.x imports numpy.random inside `import numpy`, numpy 2 on first
+    # use: either way, a call that draws nothing must not be what loads it
+    code = ("import contextlib, io, json, sys\n"
+            "import numpy\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "from hbspace.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    exit_code = main({argv!r})\n"
+            "print(json.dumps({'exit': exit_code,\n"
+            "                  'random': ('numpy.random' in sys.modules) == before,\n"
+            "                  'modules': sorted(m for m in sys.modules\n"
+            "                                    if m.startswith('hbspace.'))}))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("HB_SEED", None)
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    report = json.loads(run.stdout)
+    assert report["exit"] in (EXIT_OK, EXIT_VALIDATION)
+    assert report["random"]
+    unused = {"hbspace.extension", "hbspace.isometry", "hbspace.lattice", "hbspace.acceptance"}
+    assert not unused & set(report["modules"])
 
 
 @pytest.mark.parametrize("argv,env", [

@@ -431,6 +431,18 @@ def test_roots_at_scales_far_apart():
     assert abs(rts[2] - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_roots_take_a_seed_or_its_generator(seed):
+    gen = np.random.default_rng(seed + 1000)
+    for deg in range(3, 21):
+        c = gen.standard_normal(deg + 1) + 1j * gen.standard_normal(deg + 1)
+        p = Poly(c)
+        want = repr(poly_roots(p, rng=np.random.default_rng(seed)))
+        assert repr(poly_roots(p, rng=seed)) == want
+        if seed == 0:
+            assert repr(poly_roots(p)) == want
+
+
 def test_zero_poly_roots_raise():
     with pytest.raises(ZeroFunctionError):
         poly_roots(Poly())

@@ -48,6 +48,21 @@ def step2():
     return HbSpace(B_STEP2)
 
 
+def test_a_shared_generator_advances_between_builds():
+    # the acceptance battery builds several spaces from one Generator; a seed
+    # builds the same space as a fresh Generator of that seed
+    b = RationalFn(Poly([0.3, 0.2, -0.1, 0.15]))
+    shared, fresh = np.random.default_rng(5), np.random.default_rng(5)
+
+    def mate(rng):
+        return repr(HbSpace(b, rng=rng).mate.to_json())
+
+    first, second = mate(shared), mate(shared)
+    assert first == mate(fresh) == mate(5)
+    assert second == mate(fresh)
+    assert second != first
+
+
 def test_plus_of_z_affine_half(half):
     fp = half.plus_function(Z)
     assert fp.degree == 1

@@ -18,11 +18,14 @@ circles of the Newton polygon when the fallback misses its residual too
 far out that Horner's p overflows takes its Newton ratio from the
 reversed polynomial, whose Horner sum at 1/z stays finite.  Newton steps
 polish the roots, and Aberth steps part a close pair that Newton leaves
-above the rounding bound.  Each step evaluates p, p' and the Horner bound at all roots in
-one stacked Horner pass (``_horner_stacked``) that rounds exactly as
-three separate Horner loops would.  ``RationalFn.poles``, which only the
-symbol gate reads, takes the companion eigenvalues first and roots by
-``poly_roots`` only when one of them misses the iteration's residual rule.
+above the rounding bound.  Each step evaluates p, p' and the Horner bound
+at all roots in one stacked Horner pass (``_horner_stacked``) that rounds
+exactly as three separate Horner loops would.  The polish evaluates each
+point once, and a kept Newton trial carries its values into the next
+step, so three Newton steps and a stall test that passes take 4 passes.
+``RationalFn.poles``, which only the symbol gate reads, takes the
+companion eigenvalues first and roots by ``poly_roots`` only when one of
+them misses the iteration's residual rule.
 
 Two point rules read their threshold off the Horner bound B_p(z) =
 sum |c_k| |z|^k (``_horner_bound``): den has a pole at z when |den(z)| <=
@@ -321,8 +324,9 @@ def _horner_many(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _horner_table(c: np.ndarray) -> np.ndarray:
-    """Rows c, c' = (k c_k) and |c|: the table ``_horner_stacked`` reads.
+def _horner_table(c: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Rows c, c' = (k c_k) and |c|, and its columns as (3, 1) views, top first:
+    what ``_horner_stacked`` reads.
 
     Row c' is one entry short and padded at the top; the pass never reads
     that entry.  |c_k| is numpy's scalar abs, as in ``_horner_bound``: the
@@ -333,10 +337,12 @@ def _horner_table(c: np.ndarray) -> np.ndarray:
     table[0] = c
     table[1, :d] = np.arange(1, d + 1) * c[1:]
     table[2] = [abs(ck) for ck in c]
-    return table
+    return table, [table[:, k : k + 1] for k in range(d, -1, -1)]
 
 
-def _horner_stacked(table: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _horner_stacked(
+    horner: tuple[np.ndarray, list[np.ndarray]], z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p(z), p'(z) and ``_horner_bound(c, z)`` for the ``_horner_table`` of c, degree >= 1.
 
     One Horner pass over the three rows, with |z| as the bound row's
@@ -345,19 +351,20 @@ def _horner_stacked(table: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.nd
     on (x + 0j) while it stays finite; past an overflow inf * 0 would
     turn it into NaN, so that rare case takes the float loop.
     """
+    table, columns = horner
     points = np.empty((3, len(z)), dtype=complex)
     points[:2] = z
     points[2] = np.abs(z)
     acc = np.empty_like(points)
-    acc[:] = table[:, -1:]
+    acc[:] = columns[0]
     acc *= points
     # p' starts one degree lower, at its top coefficient itself: -0 + x is x
     # for every x, a signed zero included, where 0 * z + x need not be
     acc[1] = complex(-0.0, -0.0)
-    acc += table[:, -2:-1]
-    for k in range(table.shape[1] - 3, -1, -1):
-        acc *= points
-        acc += table[:, k : k + 1]
+    np.add(acc, columns[1], out=acc)
+    for column in columns[2:]:
+        np.multiply(acc, points, out=acc)
+        np.add(acc, column, out=acc)
     bound = np.maximum(acc[2].real, 1e-300)
     if not np.isfinite(bound).all():
         bound = _horner_bound(table[0], z)
@@ -426,7 +433,7 @@ def _aberth_step(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     a root coinciding with another sees it as it sees itself, not at all."""
     diff = z[:, None] - z[None, :]
     diff[diff == 0] = np.inf
-    s = np.sum(1.0 / diff, axis=1)
+    s = np.divide(1.0, diff, out=diff).sum(axis=1)
     denom = 1.0 - w * s
     small = np.abs(denom) < 1e-12
     denom[small] = 1.0
@@ -481,17 +488,17 @@ def _aberth(
 
     for step in range(121):
         pz, dpz, bound = _horner_stacked(table, z)
-        if np.all(np.abs(pz) <= TOL.root_residual * bound):
+        if (np.abs(pz) <= TOL.root_residual * bound).all():
             return z
         if step == 120:
             break
         bad = np.abs(dpz) < 1e-300
-        if np.any(bad):
+        if bad.any():
             z[bad] += 1e-8 * (1.0 + np.abs(z[bad])) * np.exp(1j * rng.uniform(0, 2 * np.pi, bad.sum()))
             continue
         ratio = pz / dpz
         far = ~np.isfinite(ratio)
-        if np.any(far):
+        if far.any():
             # p(z) = z^d r(1/z) for the reversed polynomial r, so with u = 1/z
             # p/p' = z / (d - u r'(u) / r(u)), finite where Horner's p overflows
             u = 1.0 / z[far]
@@ -568,23 +575,31 @@ def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     its two roots; the Aberth correction parts it.  Roots in a
     multiple-root cluster just shuffle within the cluster; the
     factorization divides circle zeros out before it roots.
+
+    Each point is evaluated once, by one stacked Horner pass: one at the
+    start and one at each Newton trial, whose p, p' and bound a kept trial
+    carries into the next step.  So a polish whose stall loop stops at
+    once makes 4 passes; every later stall step makes one more.
     """
     table = _horner_table(c)
     z = z.copy()
+    pz, dpz, bound = _horner_stacked(table, z)
     for _ in range(3):
-        pz, dpz, _ = _horner_stacked(table, z)
         ok = np.abs(dpz) > 1e-300
         step = np.zeros_like(z)
         step[ok] = pz[ok] / dpz[ok]
         # reject steps that increase the residual (cluster oscillation)
         trial = z - step
-        better = np.abs(_horner_many(c, trial)) <= np.abs(pz)
-        z[better] = trial[better]
+        tpz, tdpz, tbound = _horner_stacked(table, trial)
+        better = np.abs(tpz) <= np.abs(pz)
+        for held, moved in ((z, trial), (pz, tpz), (dpz, tdpz), (bound, tbound)):
+            np.copyto(held, moved, where=better)
     rounding = 2 * (len(c) - 1) * np.finfo(float).eps
-    for _ in range(8):
-        pz, dpz, bound = _horner_stacked(table, z)
+    for k in range(8):
+        if k:
+            pz, dpz, bound = _horner_stacked(table, z)
         stalled = np.abs(pz) > rounding * bound
-        if not stalled.any() or np.any(np.abs(dpz) <= 1e-300):
+        if not stalled.any() or (np.abs(dpz) <= 1e-300).any():
             break
         z[stalled] -= _aberth_step(z, pz / dpz)[stalled]
     return z
@@ -765,11 +780,18 @@ class RationalFn:
         rev = np.zeros(n + 1, dtype=complex)
         if start:
             rev[n - start + 1 :] = head[::-1]
-        for k in range(start, n + 1):
+        m = len(den) - 1
+        for k in range(start, min(m, n + 1)):
             acc = num[k]
-            m = min(k, len(den) - 1)
-            if m > 0:
-                acc -= np.dot(den[1 : m + 1], rev[n - k + 1 : n - k + 1 + m])
+            if k > 0:
+                acc -= np.dot(den[1 : k + 1], rev[n - k + 1 : n + 1])
+            rev[n - k] = acc / d0
+        # from k = m on, every step reads the same window of den
+        window = den[1:]
+        for k in range(max(start, m), n + 1):
+            acc = num[k]
+            if m:
+                acc -= np.dot(window, rev[n - k + 1 : n - k + 1 + m])
             rev[n - k] = acc / d0
         return rev[n - start :: -1].copy()
 

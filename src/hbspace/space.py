@@ -104,7 +104,8 @@ _TAIL_DEGREE_CAP = 4096
 # Largest derivative order i whose i! is finite in double precision.
 _MAX_DERIVATIVE_ORDER = 170
 
-# Largest gram_matrix size: C, C^H C and G then take 256 MiB each in complex128.
+# Largest gram_matrix size: C (which becomes G), conj(C) and C^H C then
+# take 256 MiB each in complex128, conj(C) only for complex C.
 _MAX_GRAM_SIZE = 4096
 
 
@@ -371,11 +372,13 @@ class HbSpace:
         C's dtype: float64 (G exactly symmetric) when phi_0..phi_(n-1) are
         exactly real, else complex128 (see ``_companion``).  The
         product is averaged with its adjoint, since BLAS does not round
-        the (j, k) and (k, j) entries alike.  The sum is assembled in place
-        with the roundings of eye(n) + 0.5 (h + h^H) (a floating-point sum
-        commutes exactly), so its bytes are that expression's, signed zeros
-        included, without its temporaries.  InputFormatError for n < 1 or
-        n > _MAX_GRAM_SIZE (4096), which caps C, C^H C and G at 256 MiB each.
+        the (j, k) and (k, j) entries alike.  G is assembled in C's buffer,
+        which the product no longer needs, with the roundings of
+        eye(n) + 0.5 (h + h^H) (a floating-point sum commutes exactly):
+        adding +0.0 clears the signed zeros that eye's zeros clear.  So its
+        bytes are that expression's, signed zeros included, and at the peak
+        the N x N arrays are C, conj(C) for complex C, and C^H C.
+        InputFormatError for n < 1 or n > _MAX_GRAM_SIZE (4096).
         """
         if n < 1:
             raise InputFormatError("gram size must be at least 1")
@@ -383,9 +386,11 @@ class HbSpace:
             raise InputFormatError(f"gram size {n} exceeds {_MAX_GRAM_SIZE}")
         c = self._companion(n)
         h = c.conj().T @ c
-        g = h + h.conj().T
+        g = np.conjugate(h.T, out=c)
+        g += h
         g *= 0.5
-        g += np.eye(n)
+        g += 0.0
+        g.flat[:: n + 1] += 1.0
         return g
 
     def _companion(self, n: int) -> np.ndarray:
@@ -541,7 +546,8 @@ def _h2_dot(f: Poly | _OnRead, g: Poly | _OnRead) -> complex:
     n = min(len(x.coeffs) if isinstance(x, Poly) else x.size for x in (f, g))
     if n == 0:
         return 0j
-    return complex(np.dot(_head(f, n), np.conj(_head(g, n))))
+    head = _head(f, n)
+    return complex(np.dot(head, np.conj(head if g is f else _head(g, n))))
 
 
 def _head(x: Poly | _OnRead, n: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -938,6 +939,45 @@ def test_gram_matrix_bytes_match_the_out_of_place_expression(name):
         g = space.gram_matrix(n)
         assert g.dtype == expected.dtype
         assert g.tobytes() == expected.tobytes()
+
+
+def test_gram_matrix_clears_the_signed_zeros_the_identity_clears():
+    # b = -0.4 + 0.2i z^2: at n = 3, 0.5 (h + h^H) holds -0.0 real parts off
+    # the diagonal (OpenBLAS zgemm), which eye(n)'s +0.0 turns into +0.0
+    space = HbSpace(RationalFn(Poly([-0.4, 0, 0.2j])))
+    for n in range(1, 8):
+        c = _upper_toeplitz(_real_if_exact(np.conj(space.phi_coeffs(n - 1))))
+        h = c.conj().T @ c
+        expected = np.eye(n) + 0.5 * (h + h.conj().T)
+        assert space.gram_matrix(n).tobytes() == expected.tobytes()
+
+
+# the N x N arrays of gram_matrix(256) alive at its peak: C and C^H C, and
+# conj(C) for a complex C; the out-of-place expression reads 4.01 and 4.13
+@pytest.mark.parametrize("name, dtype, arrays", [("model2", np.float64, 2.25),
+                                                 ("deg8", np.complex128, 3.25)])
+def test_gram_matrix_peak_memory_in_arrays_of_its_size(name, dtype, arrays):
+    space = symbol_space(name)
+    assert space.gram_matrix(256).dtype == dtype  # phi and BLAS warmed up
+    tracemalloc.start()
+    try:
+        g = space.gram_matrix(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * g.nbytes
+
+
+@pytest.mark.parametrize("name", ["model2", "deg8"])
+def test_gram_matrix_returns_a_fresh_array_apart_from_phi(name):
+    space = symbol_space(name)
+    first = space.gram_matrix(17)
+    want = first.tobytes()
+    first[:] = 7.0
+    second = space.gram_matrix(17)
+    assert second.tobytes() == want
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(second, space.phi_coeffs(16))
 
 
 # default towers: real symbols, since t = pi gives the exact unit u = -1

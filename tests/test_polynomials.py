@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from hbspace import Poly, RationalFn
 from hbspace.errors import InputFormatError, PoleAtPointError, ZeroFunctionError
+import hbspace.polynomials as polynomials
 from hbspace.polynomials import (
+    _aberth,
     _horner_bound,
     _horner_stacked,
     _horner_table,
+    _newton_polish,
     _zero_order,
     as_rational,
     complex_from_json,
@@ -187,6 +190,117 @@ def test_stacked_horner_past_an_overflow():
     assert np.isinf(bound[:2]).all()
     for got, ref in zip((pz, dpz, bound), want):
         assert got.tobytes() == ref.tobytes()
+
+
+def _stacked_loops(c, z):
+    # p, p' and the bound by the separate loops, as one stacked pass gives them
+    return _horner_loop(c, z), _horner_loop(np.arange(1, len(c)) * c[1:], z), _bound_loop(c, z)
+
+
+def _aberth_step_reference(z, w):
+    diff = z[:, None] - z[None, :]
+    diff[diff == 0] = np.inf
+    denom = 1.0 - w * np.sum(1.0 / diff, axis=1)
+    denom[np.abs(denom) < 1e-12] = 1.0
+    return w / denom
+
+
+def _polish_reference(c, z):
+    """The polish as three Newton steps that each evaluate at z and again at
+    the trial, then a stall loop that evaluates at the top of every step:
+    (roots, stall-loop iterations run)."""
+    z = z.copy()
+    for _ in range(3):
+        pz, dpz, _ = _stacked_loops(c, z)
+        ok = np.abs(dpz) > 1e-300
+        step = np.zeros_like(z)
+        step[ok] = pz[ok] / dpz[ok]
+        trial = z - step
+        better = np.abs(_horner_loop(c, trial)) <= np.abs(pz)
+        z[better] = trial[better]
+    rounding = 2 * (len(c) - 1) * np.finfo(float).eps
+    for iteration in range(1, 9):
+        pz, dpz, bound = _stacked_loops(c, z)
+        stalled = np.abs(pz) > rounding * bound
+        if not stalled.any() or np.any(np.abs(dpz) <= 1e-300):
+            break
+        z[stalled] -= _aberth_step_reference(z, pz / dpz)[stalled]
+    return z, iteration
+
+
+def _polish_cases():
+    """Seeded (c, start) pairs, degree 3-33 at scales 1e-8..1e8: generic
+    coefficients, a cluster within 1e-6 of the unit circle, or a close pair."""
+    gen = np.random.default_rng(40)
+    for case in range(150):
+        degree = int(gen.integers(3, 34))
+        scale = 10.0 ** gen.uniform(-8, 8)
+        kind = case % 3
+        if kind == 0:
+            c = gen.standard_normal(degree + 1) + 1j * gen.standard_normal(degree + 1)
+        else:
+            size = int(gen.integers(2, min(degree, 6) + 1)) if kind == 1 else 2
+            center = np.exp(2j * np.pi * gen.random())
+            if kind == 2:
+                center *= gen.uniform(0.3, 3.0)
+            spread = 1e-6 if kind == 1 else 10.0 ** gen.uniform(-7, -5)
+            offsets = gen.standard_normal(size) + 1j * gen.standard_normal(size)
+            near = center * (1.0 + spread * offsets)
+            rest = gen.uniform(0.2, 3.0, degree - size)
+            rest = rest * np.exp(2j * np.pi * gen.random(degree - size))
+            c = np.poly(np.concatenate([near, rest]))[::-1].astype(complex)
+        c = scale * c
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = _aberth(c / np.max(np.abs(c)), np.random.default_rng(case))
+        yield c, np.roots(c[::-1]) if start is None else start
+    # a start whose first stall test flips on the bound at the kept trial,
+    # not at the point before it
+    yield (np.array([0.14296532664168232 - 0.17916451597995225j,
+                     0.021840471641561915 + 1.1894887597499089j,
+                     -0.7251169080628018 - 1.5479542388017022j, 1]),
+           np.array([0.15698284955775726 + 0.2025111582004191j,
+                     0.57448970629692 - 0.1445656039827982j,
+                     -0.010557425787431834 + 1.4742113440517484j]))
+
+
+def _count_passes(monkeypatch):
+    counts = {"stacked": 0, "many": 0}
+
+    def counted(name, inner):
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+        return wrapper
+
+    monkeypatch.setattr(polynomials, "_horner_stacked", counted("stacked", _horner_stacked))
+    monkeypatch.setattr(polynomials, "_horner_many", counted("many", polynomials._horner_many))
+    return counts
+
+
+def test_polish_is_the_reference_loop_bit_for_bit(monkeypatch):
+    counts = _count_passes(monkeypatch)
+    stall_steps = 0
+    for c, start in _polish_cases():
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, iterations = _polish_reference(c, start)
+            counts.update(stacked=0, many=0)
+            got = _newton_polish(c, start)
+        assert got.tobytes() == want.tobytes()
+        # one pass at the start and one per Newton trial, then one at the
+        # top of every stall step after the first
+        assert counts == {"stacked": 3 + iterations, "many": 0}
+        stall_steps += iterations > 1
+    assert stall_steps >= 10  # the stall loop's later steps are pinned too
+
+
+def test_polish_whose_stall_loop_stops_at_once_makes_four_passes(monkeypatch):
+    counts = _count_passes(monkeypatch)
+    c = np.poly([0.5, -0.3j, 2.0, -1.5 + 0.2j])[::-1].astype(complex)
+    got = _newton_polish(c, np.roots(c[::-1]))
+    want, iterations = _polish_reference(c, np.roots(c[::-1]))
+    assert iterations == 1
+    assert counts == {"stacked": 4, "many": 0}  # the reference loop makes 7
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("arr", [
@@ -564,6 +678,43 @@ def test_taylor_matches_eval():
     z = 0.4 + 0.2j
     approx = Poly(c)(z)
     assert approx == pytest.approx(f(z), rel=1e-12)
+
+
+def _taylor_reference(f, n, head=None):
+    # the recurrence with the window of den sliced afresh at every step
+    d0 = f.den.coeff(0)
+    start = 0 if head is None else len(head)
+    num = f.num.coeff_array(n + 1)
+    den = f.den.coeff_array(min(len(f.den.coeffs), n + 1))
+    rev = np.zeros(n + 1, dtype=complex)
+    if start:
+        rev[n - start + 1 :] = head[::-1]
+    for k in range(start, n + 1):
+        acc = num[k]
+        m = min(k, len(den) - 1)
+        if m > 0:
+            acc -= np.dot(den[1 : m + 1], rev[n - k + 1 : n - k + 1 + m])
+        rev[n - k] = acc / d0
+    return rev[n - start :: -1].copy()
+
+
+@pytest.mark.parametrize("den_degree", range(17))
+def test_taylor_is_the_reference_recurrence_bit_for_bit(den_degree):
+    gen = np.random.default_rng(100 + den_degree)
+    den = gen.standard_normal(den_degree + 1) + 1j * gen.standard_normal(den_degree + 1)
+    den[1:][gen.random(den_degree) < 0.2] = 0.0
+    den[-1] = den[-1] or 1.0
+    den[0] = 3.0 * den[0]
+    num = gen.standard_normal(int(gen.integers(1, 20))) * 10.0 ** gen.uniform(-8, 8)
+    f = RationalFn(Poly(num * (1 + 0.5j)), Poly(den))
+    for n in range(3 * den_degree + 6):
+        fresh = _taylor_reference(f, n)
+        assert f.taylor(n).tobytes() == fresh.tobytes()
+        for length in range(n + 1):
+            head = fresh[:length]
+            want = _taylor_reference(f, n, head)
+            assert want.tobytes() == fresh[length:].tobytes()
+            assert f.taylor(n, head).tobytes() == want.tobytes()
 
 
 def test_divided_differences_at_one_point_are_taylor_coefficients():

@@ -1,7 +1,7 @@
 """Command line interface.
 
 Every subcommand reads symbols as JSON (inline or ``@file``) and writes
-a single JSON document to stdout with sorted keys, so runs are
+one strict JSON document to stdout with sorted keys, so runs are
 reproducible and diffable.  Exit codes: 0 on success, 2 when the input
 is rejected (a malformed command line included), 3 when a numerical
 verification fails.  Errors go to stderr as JSON ``{"error", "type"}``.
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import resolve_seed
-from .errors import InputFormatError, NumericalError, ValidationError
+from .errors import InputFormatError, NumericalError, ValidationError, VerificationError
 from .polynomials import Poly, RationalFn, complex_to_json
 
 EXIT_OK = 0
@@ -61,7 +61,11 @@ def parse_point(text: str) -> complex:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    try:  # strict JSON: a value that overflowed to inf or NaN exits 3, and stdout stays empty
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise VerificationError(f"output holds a non-finite value: {exc}") from None
+    print(text)
 
 
 def _space(args):

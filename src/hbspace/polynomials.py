@@ -760,40 +760,33 @@ class RationalFn:
                                & (resid <= TOL.root_residual * _horner_bound(c, roots)))
         return roots if certified else poly_roots(self.den)
 
-    def taylor(self, n: int, head: np.ndarray | None = None) -> np.ndarray:
+    def taylor(self, n: int) -> np.ndarray:
         """Taylor coefficients at the origin through degree n inclusive.
 
         Requires den(0) != 0; solves den * c = num by forward recursion.
-        Each coefficient reads only the earlier ones, so given head, the
-        coefficients 0..len(head)-1 of an earlier call, the recursion
-        resumes there and returns coefficients len(head)..n only, with the
-        bits a fresh call gives them.
         """
         d0 = self.den.coeff(0)
         if abs(d0) <= 1e-14 * self.den.scale():
             raise PoleAtPointError("Taylor expansion at a pole at the origin")
-        start = 0 if head is None else len(head)
         num = self.num.coeff_array(n + 1)
         den = self.den.coeff_array(min(len(self.den.coeffs), n + 1))
         # coefficient k sits at rev[n - k], so out[k - 1], ..., out[k - m]
         # are one contiguous slice
         rev = np.zeros(n + 1, dtype=complex)
-        if start:
-            rev[n - start + 1 :] = head[::-1]
         m = len(den) - 1
-        for k in range(start, min(m, n + 1)):
+        for k in range(min(m, n + 1)):
             acc = num[k]
             if k > 0:
                 acc -= np.dot(den[1 : k + 1], rev[n - k + 1 : n + 1])
             rev[n - k] = acc / d0
         # from k = m on, every step reads the same window of den
         window = den[1:]
-        for k in range(max(start, m), n + 1):
+        for k in range(m, n + 1):
             acc = num[k]
             if m:
                 acc -= np.dot(window, rev[n - k + 1 : n - k + 1 + m])
             rev[n - k] = acc / d0
-        return rev[n - start :: -1].copy()
+        return rev[::-1].copy()
 
     def taylor_poly(self, n: int) -> Poly:
         return Poly(self.taylor(n))

@@ -52,9 +52,8 @@ and one geometric series per nonzero point; the recurrence of
 that recurrence: the Gram matrix I + C^H C sits one rounding away from
 its bound >= I (a one-ulp perturbation of phi on a degree-8 symbol pushed
 the smallest eigenvalue of gram_matrix(256) below 1 in 15 of 20 trials),
-so phi keeps its exact bits.  Both cached series grow by doubling, and
-each growth resumes the recurrence past the cached prefix, so every
-coefficient is computed once and keeps the bits of a fresh expansion.
+so phi keeps its exact bits.  Both cached series grow by doubling, each
+growth one fresh expansion, so the caches hold a fresh expansion's bits.
 
 A member's coefficients are computed on read, and only as far as read:
 ``pair`` reads the overlap of its two vectors, the smaller of their sizes,
@@ -69,7 +68,8 @@ rho_b once, while validating b, from the certified companion eigenvalues
 of ``RationalFn.poles``.  A member's ``HbVector`` bounds its tails on first
 read, not when built: only ``norm_identities_check`` reads them, and the
 kernels and the Lb that other checks pair never pay for a bound, nor for
-the denominator ``_member_den`` builds for it.
+the denominator ``_member_den`` builds for it.  Both bounds of a member
+come from one pass of that denominator over the circle of ``_decay_profile``.
 
 Every kernel comes from one builder, ``HbSpace._newton_numerators``: the
 divided difference of K_w in conj(w) over points x_0..x_s, which pairs as
@@ -116,9 +116,10 @@ class HbVector:
     Toeplitz relation exactly and the tails are zero.  Truncated rational
     members carry geometric tail bounds on the dropped coefficients:
     tails() returns (tail_f, tail_plus), run on the first read of either,
-    since each bound evaluates its member on 256 circle points and kernels
-    are paired far more often than their tails are read.  A bound read is
-    the one an eager build would have stored, bit for bit.
+    since the bounds evaluate the member's numerators and denominator on
+    256 circle points and kernels are paired far more often than their tails
+    are read.  A bound read is the one an eager build would have stored,
+    bit for bit.
 
     A member's f and f+ are computed on read, and only as far as read:
     ``HbSpace.pair`` reads the overlap of its two vectors, so a degree-6
@@ -178,33 +179,32 @@ class _OnRead:
         return self._poly
 
 
-def _decay_profile(g: RationalFn, radius: float) -> tuple[float, float]:
-    """(M, rho) with |g_k| <= M * rho^(-k) for g analytic on |z| < radius (inf: polynomial)."""
+def _decay_profile(nums, den: Poly, radius: float) -> list[tuple[float, float]]:
+    """One (M, rho) per num with |(num/den)_k| <= M rho^(-k), for num/den analytic
+    on |z| < radius: den is evaluated once, on |z| = rho = radius^(3/4).  A
+    polynomial (radius inf) computes nothing and reads (inf, inf), which
+    ``_tail_bound`` takes as no tail."""
     if math.isinf(radius):
-        return float(max(g.num.scale(), 1.0)), math.inf
+        return [(math.inf, math.inf)] * len(nums)
     rho = radius**0.75
     zs = rho * circle_grid()[::4]
-    m = 2.0 * float(np.max(np.abs(g.num(zs) / g.den(zs))))
-    return m, rho
+    d = den(zs)
+    return [(2.0 * float(np.max(np.abs(num(zs) / d))), rho) for num in nums]
 
 
-def _degree_for_tail(g: RationalFn, radius: float, target: float) -> int:
-    """Smallest degree D with the coefficient bound of g (poles at modulus
-    >= radius) below target past D, at most _TAIL_DEGREE_CAP."""
-    m, rho = _decay_profile(g, radius)
-    if math.isinf(rho):
-        return int(max(g.num.degree, 0))
+def _degree_for_tail(m: float, rho: float, target: float) -> int:
+    """Smallest degree D with the bound M rho^(-k) below target past D, at
+    most _TAIL_DEGREE_CAP; rho finite."""
     if m <= target:
         return 0
     need = math.log(m / target) / math.log(rho)
     return min(_TAIL_DEGREE_CAP, max(0, math.ceil(need)))
 
 
-def _tail_bound(g: RationalFn, degree: int, radius: float) -> float:
-    m, rho = _decay_profile(g, radius)
+def _tail_bound(m: float, rho: float, degree: int) -> float:
+    """sum_{k > D} |g_k| <= M rho^(-(D+1)) / (1 - 1/rho) for D = degree; 0 for rho inf."""
     if math.isinf(rho):
         return 0.0
-    # sum_{k > D} |g_k| <= M rho^(-(D+1)) / (1 - 1/rho)
     return m * rho ** (-(degree + 1)) / (1.0 - 1.0 / rho)
 
 
@@ -307,8 +307,8 @@ class HbSpace:
         _check_degree(degree)
         f, radius = _analytic_lowest_terms(f)
         ft = f.taylor_poly(degree)
-        return HbVector(ft, self.plus_function(ft),
-                        lambda: (_tail_bound(f, degree, radius), 0.0))
+        return HbVector(ft, self.plus_function(ft), lambda: (
+            _tail_bound(*_decay_profile([f.num], f.den, radius)[0], degree), 0.0))
 
     def vector_b(self, degree: int = D_TRUNC) -> HbVector:
         """b itself: b+ = 1/a(0) - a."""
@@ -347,8 +347,9 @@ class HbSpace:
 
         def tails() -> tuple[float, float]:
             den = self._member_den(points)
-            return (_tail_bound(RationalFn(num, den), degree, radius),
-                    _tail_bound(RationalFn(plus_num, den), degree, radius))
+            s = 1.0 / den.coeff(0)  # the normalisation of RationalFn(num, den)
+            return tuple(_tail_bound(m, rho, degree)
+                         for m, rho in _decay_profile([num * s, plus_num * s], den * s, radius))
 
         series = _OnRead(degree + 1, inverse_den)
         return HbVector(_truncated_product(num, series), _truncated_product(plus_num, series), tails)
@@ -517,7 +518,9 @@ class HbSpace:
         (rho_b = inf) the degree max(D_TRUNC, deg b, deg a) keeps every
         coefficient and the tail bound is 0, so one route serves both.
         """
-        tails = (_degree_for_tail(g, self.pole_radius, 1e-16) for g in (self.b, self.a))
+        r = self.pole_radius
+        tails = (g.num.degree if math.isinf(r) else
+                 _degree_for_tail(*_decay_profile([g.num], g.den, r)[0], 1e-16) for g in (self.b, self.a))
         degree = max(D_TRUNC, *tails)
         vb = self.vector_b(degree)
         vl = self.vector_Lb(degree)
@@ -573,12 +576,11 @@ def _correlate(c: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _grown_series(cache: np.ndarray, num: Poly, den: Poly, n: int) -> np.ndarray:
-    """cache if it reaches degree n, else num/den expanded by doubling, the
-    recursion resumed past cache (each coefficient once); read-only."""
+    """cache if it reaches degree n, else num/den expanded afresh, read-only,
+    to degree max(n, 2 len(cache) + 8): growth by doubling."""
     if len(cache) > n:
         return cache
-    grown = RationalFn(num, den).taylor(max(n, 2 * len(cache) + 8), cache)
-    out = np.concatenate([cache, grown])
+    out = RationalFn(num, den).taylor(max(n, 2 * len(cache) + 8))
     out.flags.writeable = False
     return out
 

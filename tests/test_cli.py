@@ -29,6 +29,14 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"stdout is not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_mate_half(capsys):
     code, out, _ = run_cli(["mate", "-b", HALF], capsys)
     assert code == EXIT_OK
@@ -374,6 +382,18 @@ def test_kernel_order_past_factorial_range_rejected(capsys):
     assert json.loads(err)["type"] == "InputFormatError"
 
 
+@pytest.mark.parametrize("at, order", [("0.5", 151), ("0.3+0.3j", 146), ("-0.7j", 160), ("0.9", 168)])
+def test_kernel_coefficients_overflowing_exit_3_with_nothing_on_stdout(at, order, capsys):
+    # the first order whose kernel coefficients overflow at this point
+    code, out, err = run_cli(["kernel", "-b", HALF, f"--at={at}", "--order", str(order)], capsys)
+    assert code == EXIT_NUMERICAL
+    assert not out
+    assert json.loads(err)["type"] == "VerificationError"
+    code, out, _ = run_cli(["kernel", "-b", HALF, f"--at={at}", "--order", str(order - 1)], capsys)
+    assert code == EXIT_OK
+    strict_json(out)
+
+
 @pytest.mark.parametrize("argv", [
     ["extend", "-b", AFFINE, "--omega", "1e10"],
     ["extend", "-b", AFFINE, "--omega", "1e300"],
@@ -569,5 +589,7 @@ def test_every_command_line_exits_with_a_contract_code(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL)
-    if code != EXIT_OK:
+    if code == EXIT_OK:
+        strict_json(out.getvalue())
+    else:
         assert set(json.loads(err.getvalue().splitlines()[-1])) == {"error", "type"}

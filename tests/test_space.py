@@ -16,7 +16,7 @@ from hbspace.errors import (HbError, InputFormatError, OrderTooHighError, PoleIn
 from hbspace.extension import build_model, extend
 from hbspace.isometry import rank_one_identity_check
 from hbspace.polynomials import Poly, RationalFn
-from hbspace.space import HbSpace, _decay_profile, _degree_for_tail, _real_if_exact
+from hbspace.space import HbSpace, _decay_profile, _degree_for_tail, _real_if_exact, _tail_bound
 from orbit_route import orbit_distance
 
 RNG = np.random.default_rng(20260817)
@@ -278,12 +278,17 @@ def test_shift_keeps_the_plus_relation(half):
     assert half.plus_residual(sv) < 1e-12
 
 
-def test_degree_for_tail():
-    g = RationalFn(Poly([1]), Poly([1, -0.5]))  # pole at 2
-    d = _degree_for_tail(g, 2.0, 1e-12)
+def test_degree_for_tail(monkeypatch):
+    (m, rho), = _decay_profile([Poly([1])], Poly([1, -0.5]), 2.0)  # 1/(1 - z/2), pole at 2
+    d = _degree_for_tail(m, rho, 1e-12)
     tail = 0.5 ** (d + 1) / 0.5
     assert tail < 1e-9  # bound is conservative, not tight
-    assert _degree_for_tail(RationalFn(Poly([1, 1]), Poly([1])), math.inf, 1e-12) == 1
+    # a polynomial computes no profile and has no tail; the norm check keeps
+    # every coefficient of polynomial b: max(D_TRUNC, deg b.num, deg a.num)
+    assert _decay_profile([Poly([1, 1])], Poly([1]), math.inf) == [(math.inf, math.inf)]
+    assert _tail_bound(math.inf, math.inf, 0) == 0.0
+    monkeypatch.setattr(space_module, "D_TRUNC", 0)
+    assert HbSpace(B_HALF).norm_identities_check()["truncation"]["degree"] == 1
 
 
 @pytest.mark.parametrize("pole", [0.5, 1.0])
@@ -292,6 +297,19 @@ def test_tail_rejects_pole_in_closed_disk(half, pole):
     g = RationalFn(Poly([1]), Poly([1, -1.0 / pole]))
     with pytest.raises(PoleInDiskError):
         half.truncated_vector(g, 16)
+
+
+@pytest.mark.parametrize("d0", [49, 3 + 1j, 98])
+def test_truncated_vector_tail_profiles_its_own_coefficients(half, d0):
+    # RationalFn left den(0) one rounding off 1; the bound reads f's num and
+    # den as they are, with no second normalisation
+    f = RationalFn(Poly([1, 2]), Poly([d0, -3]))
+    assert f.den.coeff(0) != 1
+    rho = factorization._analytic_lowest_terms(f)[1] ** 0.75
+    zs = rho * factorization.circle_grid()[::4]
+    m = 2.0 * float(np.max(np.abs(f.num(zs) / f.den(zs))))
+    v = half.truncated_vector(f, 12)
+    assert (v.tail_f, v.tail_plus) == (m * rho**-13 / (1.0 - 1.0 / rho), 0.0)
 
 
 def test_zero_symbol_space():
@@ -430,9 +448,17 @@ def test_boundary_derivative_pairing_tower_3():
 INTERIOR_POINTS = (0.3, 0.9j, -0.95)
 
 
+# normalized by 1/49, so q(0) = 49 * (1/49) is 1 only up to rounding
+B_DEN49 = RationalFn(Poly([1, 2]), Poly([49, -3]))
+
+
+def _radius_symbol(name: str) -> RationalFn:
+    return {"step2": B_STEP2, "model3": build_model(3).b, "complex": B_COMPLEX, "den49": B_DEN49}[name]
+
+
 @pytest.fixture(scope="module", params=["step2", "model3", "complex"])
 def radius_case(request):
-    return {"step2": B_STEP2, "model3": build_model(3).b, "complex": B_COMPLEX}[request.param]
+    return _radius_symbol(request.param)
 
 
 def _patch_roots(monkeypatch, fn):
@@ -467,25 +493,32 @@ def test_members_need_no_root_finding(radius_case, monkeypatch):
     assert rank_one_identity_check(space, Poly([1, 2, 3]), Poly([0, 1j, 1]))["relative"] < 1e-9
 
 
-def _old_route_tail(g: RationalFn, degree: int) -> float:
-    """The tail bound from a fresh root finding on g.den."""
-    m, rho = _decay_profile(g, float(np.min(np.abs(g.poles()))))
+def _old_route_tail(num: Poly, den: Poly, degree: int) -> float:
+    """The tail bound of num/den from a fresh root finding on den."""
+    (m, rho), = _decay_profile([num], den, float(np.min(np.abs(RationalFn(num, den).poles()))))
     return m * rho ** (-(degree + 1)) / (1.0 - 1.0 / rho)
 
 
-def _recorded_tails(monkeypatch, build) -> list[tuple[RationalFn, int, float]]:
-    """Every (member, degree, tail bound) that build() asks _tail_bound for."""
-    real = space_module._tail_bound
-    seen = []
+def _recorded_tails(monkeypatch, build) -> list[tuple[Poly, Poly, int, float]]:
+    """Every (num, den, degree, tail bound) that build() asks _tail_bound for:
+    the numerators _decay_profile reads over den, in order, one per bound."""
+    real_profile, real_bound = space_module._decay_profile, space_module._tail_bound
+    members, seen = [], []
 
-    def record(g, degree, radius):
-        out = real(g, degree, radius)
-        seen.append((g, degree, out))
+    def profile(nums, den, radius):
+        members.extend((num, den) for num in nums)
+        return real_profile(nums, den, radius)
+
+    def bound(m, rho, degree):
+        out = real_bound(m, rho, degree)
+        seen.append((*members[len(seen)], degree, out))
         return out
 
-    with monkeypatch.context() as m:
-        m.setattr(space_module, "_tail_bound", record)
+    with monkeypatch.context() as mp:
+        mp.setattr(space_module, "_decay_profile", profile)
+        mp.setattr(space_module, "_tail_bound", bound)
         build()
+    assert len(members) == len(seen)
     return seen
 
 
@@ -511,26 +544,28 @@ def test_carried_radius_tail_bounds(radius_case, monkeypatch):
                 monkeypatch, lambda: _read_tails(space.derivative_kernel_vector(w, i))
             )
     assert len(exact) >= 4 and len(interior) == 18
-    for g, degree, bound in exact:  # b, b+, Lb, La and boundary kernels: same q
-        assert bound == _old_route_tail(g, degree)
-    for g, degree, bound in interior:
+    for num, den, degree, bound in exact:  # b, b+, Lb, La and boundary kernels: same q
+        assert bound == _old_route_tail(num, den, degree)
+    for num, den, degree, bound in interior:
         # the old route roots (1 - conj(w) z)^(i+1) as a splattered cluster
-        ref = _old_route_tail(g, degree)
+        ref = _old_route_tail(num, den, degree)
         assert abs(bound - ref) <= 0.01 * ref
-    for g, degree, bound in exact + interior:
-        assert bound >= np.sum(np.abs(g.taylor(2000)[degree + 1 :]))
+    for num, den, degree, bound in exact + interior:
+        assert bound >= np.sum(np.abs(RationalFn(num, den).taylor(2000)[degree + 1 :]))
 
 
 def _eager_tails(space, num: Poly, plus_num: Poly, degree: int, points=()) -> tuple:
-    """The tail bounds a member over ``_member_den(points)`` stored when it was built."""
+    """The tail bounds a member over ``_member_den(points)`` stored when it was built:
+    each of num/den and plus_num/den as a RationalFn, profiled over its own den."""
     radius = min([space.pole_radius] + [1.0 / abs(x) for x in points if x != 0])
     den = space._member_den(points)
-    return (space_module._tail_bound(RationalFn(num, den), degree, radius),
-            space_module._tail_bound(RationalFn(plus_num, den), degree, radius))
+    return tuple(_tail_bound(*_decay_profile([g.num], g.den, radius)[0], degree)
+                 for g in (RationalFn(num, den), RationalFn(plus_num, den)))
 
 
-def test_member_tails_are_bounded_on_first_read(radius_case, monkeypatch):
-    space = HbSpace(radius_case)
+@pytest.mark.parametrize("name", ["step2", "model3", "complex", "den49"])
+def test_member_tails_are_bounded_on_first_read(name, monkeypatch):
+    space = HbSpace(_radius_symbol(name))
     q = space.b.den
     lb_nums = (space_module._backward(space.b.num - space.b(0) * q),
                -space_module._backward(space.a.num - space.a(0) * q))
@@ -545,7 +580,7 @@ def test_member_tails_are_bounded_on_first_read(radius_case, monkeypatch):
         assert _recorded_tails(monkeypatch, lambda: built.append(build())) == []
         v = built[0]
         read = _recorded_tails(monkeypatch, lambda: _read_tails(v))
-        assert [bound for _, _, bound in read] == [v.tail_f, v.tail_plus]
+        assert [bound for *_, bound in read] == [v.tail_f, v.tail_plus]
         assert (v.tail_f, v.tail_plus) == _eager_tails(space, *nums, D_TRUNC, points)
 
 
@@ -597,8 +632,7 @@ def series_case(request):
         "model2": build_model(2).b,
         "complex": B_COMPLEX,
         "tower3": build_model(3, omega=0.5, t=2.0).b,
-        # normalized by 1/49, so q(0) = 49 * (1/49) is 1 only up to rounding
-        "den49": RationalFn(Poly([1, 2]), Poly([49, -3])),
+        "den49": B_DEN49,
     }[request.param]
     return HbSpace(b)
 
@@ -626,10 +660,10 @@ def test_series_route_matches_taylor_loop(series_case, monkeypatch):
     space = series_case
     for name, build, extra in _members(space):
         built = []
-        (g, degree, _), (gplus, _, _) = _recorded_tails(
-            monkeypatch, lambda: built.extend(_read_tails(build()))
-        )
-        for member, got in ((g, built[0].f), (gplus, built[0].f_plus)):
+        recorded = _recorded_tails(monkeypatch, lambda: built.extend(_read_tails(build())))
+        (degree,) = {degree for *_, degree, _ in recorded}
+        for (num, den, *_), got in zip(recorded, (built[0].f, built[0].f_plus)):
+            member = RationalFn(num, den)
             want = member.taylor(degree)
             bound = _series_route_bound(space, member, extra, degree) + U * np.abs(want)
             err = np.abs(got.coeff_array(degree + 1) - want)
@@ -725,22 +759,28 @@ def test_pairing_a_long_kernel_expands_only_the_overlap():
 
 
 def test_phi_grows_by_resuming_the_recurrence(series_case, monkeypatch):
+    # each growth of phi and of 1/q runs the recurrence again from the start:
+    # one taylor call to degree max(n, 2 len + 8), whose bits the cache holds
     space = HbSpace(series_case.b)
+    caches = (("_phi", space.phi_coeffs, space.b.num, space.a.num),
+              ("_inv_q", space._inv_q_coeffs, Poly([1]), space.b.den))
     real = RationalFn.taylor
-    steps = []
+    calls = []
 
-    def counting(self, n, head=None):
-        out = real(self, n, head)
-        steps.append(len(out))
-        return out
+    def counting(self, n):
+        calls.append(n)
+        return real(self, n)
 
-    monkeypatch.setattr(RationalFn, "taylor", counting)
     for n in (8, 26, 62):
-        space.phi_coeffs(n)
-    monkeypatch.undo()
-    assert steps == [9, 18, 36]  # each of the 63 coefficients computed once
-    fresh = RationalFn(space.b.num, space.a.num).taylor(62)
-    assert space.phi_coeffs(62).tobytes() == fresh.tobytes()
+        for attr, read, num, den in caches:
+            grown_to = max(n, 2 * len(getattr(space, attr)) + 8)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(RationalFn, "taylor", counting)
+                read(n)
+            assert calls == [grown_to], attr
+            cache = getattr(space, attr)
+            assert cache.tobytes() == RationalFn(num, den).taylor(len(cache) - 1).tobytes(), attr
 
 
 def test_boundary_derivative_kernels_sweep_once(series_case, monkeypatch):

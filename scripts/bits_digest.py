@@ -5,8 +5,8 @@
 
 With ``--items`` it prints one sha256 per item instead, one item a line:
 ``roots`` for the whole roots block, then ``<symbol> mate``, ``<symbol>
-phi`` and ``<symbol> gram`` (or ``<symbol> error``) for each symbol, so
-a diff of two such outputs names what moved.
+phi``, ``<symbol> gram`` and ``<symbol> members`` (or ``<symbol> error``)
+for each symbol, so a diff of two such outputs names what moved.
 
 The digest covers, in order:
 
@@ -17,10 +17,13 @@ The digest covers, in order:
   first input block at seeds 1 and 2: the mate (``repr`` of its
   numerator coefficients, of its boundary zeros and of its residual),
   the bytes of ``phi_coeffs(256)`` and of ``gram_matrix(256)`` read as
-  complex128, or the name of the error a rejected symbol raises.  The
-  Gram hash covers its values and signs of zero, not its dtype: a
-  float64 Gram and the complex128 Gram with the same real parts and
-  +0.0 imaginary parts hash alike.
+  complex128, and the member layer: the ``repr`` of
+  ``norm_identities_check()`` (truncation degree, tail bound, both
+  Gram-side values) and of one pairing of two interior kernels, K_0.5
+  with the first derivative kernel at 0.4i; or the name of the error a
+  rejected symbol raises.  The Gram hash covers its values and signs of
+  zero, not its dtype: a float64 Gram and the complex128 Gram with the
+  same real parts and +0.0 imaginary parts hash alike.
 
 Symbols come from ``bench/inputs.py`` and ``bench/checks.py``, which
 this script only reads.  hbspace is imported from ``sys.path``, so
@@ -87,6 +90,8 @@ def items():
         yield f"{label} mate", repr((mate.a.num.coeffs, mate.boundary_zeros, mate.residual)).encode()
         yield f"{label} phi", space.phi_coeffs(SIZE).tobytes()
         yield f"{label} gram", np.asarray(space.gram_matrix(SIZE), dtype=complex).tobytes()
+        kernels = space.pair(space.kernel_vector(0.5), space.derivative_kernel_vector(0.4j, 1))
+        yield f"{label} members", repr((space.norm_identities_check(), kernels)).encode()
 
 
 def digest() -> str:

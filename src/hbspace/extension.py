@@ -171,7 +171,8 @@ def extend(b0, omega: complex = 1.0, t: float = math.pi) -> ExtensionResult:
 
     The one rule for omega is 0 < s < 1 in double precision
     (DegenerateOmegaError): omega = 0, or an |omega|^2 that underflows,
-    gives s = 0, and a huge omega rounds s to 1.  A small omega inside the
+    gives s = 0, a huge omega rounds s to 1, and an |omega|^2 that
+    overflows is rejected before s is formed.  A small omega inside the
     rule can still leave the certificates at z = 1 unevaluable, which is
     a VerificationError.
     """
@@ -194,6 +195,10 @@ def extend(b0, omega: complex = 1.0, t: float = math.pi) -> ExtensionResult:
             f"phase t = {t} collides with the degenerate direction arg b0(1) = {t0}"
         )
     omega_sq = abs(omega) * abs(omega)  # inf past the float range, no OverflowError
+    if math.isinf(omega_sq):
+        raise DegenerateOmegaError(
+            f"extension weight omega = {omega} has |omega|^2 overflowing double precision"
+        )
     s = omega_sq / (1.0 + w_sq + omega_sq)
     if not 0.0 < s < 1.0:
         raise DegenerateOmegaError(

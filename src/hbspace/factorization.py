@@ -211,7 +211,7 @@ def _validate(b: RationalFn):
     -10 TOL.mate max |q|^2.  A value that overflows on the grid fails it
     too: q(0) = 1 and q has no root in the closed disk, so |q| <= 2^deg q
     there and only |p| can overflow.  Returns the modulus of q's nearest
-    root, b = p/q on the grid, the density, the coefficients of
+    root, q and b = p/q on the grid, the density, the coefficients of
     z^d (|q|^2 - |p|^2) (full length 2d + 1) with their scale, and whether
     b is nonextreme.
     """
@@ -231,7 +231,7 @@ def _validate(b: RationalFn):
     scale = float(np.max(np.abs(arr)))
     if not p.is_zero:
         arr = arr - (p * p.reflect(d)).coeff_array(2 * d + 1)
-    return radius, bv, density, arr, scale, bool(np.max(np.abs(arr)) > 1e-10 * scale)
+    return radius, qv, bv, density, arr, scale, bool(np.max(np.abs(arr)) > 1e-10 * scale)
 
 
 def is_nonextreme(b) -> bool:
@@ -311,10 +311,11 @@ def pythagorean_mate(b, rng: np.random.Generator | int | None = None) -> MateRes
     The Laurent coefficients are symmetrized exactly before rooting.  The
     circle zeros of the density |q|^2 - |p|^2 (on the grid, from
     ``_validate``) come first; each 2m-fold one gives the mate an m-fold
-    zero.
+    zero.  The residual reads q on the grid from ``_validate`` too, when
+    a's denominator has b's coefficients.
     """
     b = as_rational(b)
-    radius, bv, density, arr, scale, nonextreme = _validate(b)
+    radius, qv, bv, density, arr, scale, nonextreme = _validate(b)
     if not nonextreme:
         raise ExtremeFunctionError("b is an extreme point; no mate exists")
 
@@ -346,7 +347,14 @@ def pythagorean_mate(b, rng: np.random.Generator | int | None = None) -> MateRes
     if abs(a0) < 1e-15:
         raise FactorizationError("mate vanishes at the origin")
     a = RationalFn(a.num * (a0.conjugate() / abs(a0)), a.den)
-    residual = float(np.max(np.abs(np.abs(a(zs)) ** 2 + np.abs(bv) ** 2 - 1.0)))
+    if a.den.coeffs == b.den.coeffs:
+        # a(zs) over the q values _validate holds; equal coefficients give
+        # equal values, so |a|^2 keeps its bits
+        a._pole_rule(zs, qv)
+        av = a.num(zs) / qv
+    else:  # den(0) = 1 did not round to 1 in b's normalisation
+        av = a(zs)
+    residual = float(np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0)))
     if not residual <= TOL.mate:
         raise FactorizationError(f"mate factorization failed: residual {residual:.3e}")
     zeros = tuple(sorted(pairs, key=lambda t: np.angle(t[0])))

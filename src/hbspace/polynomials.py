@@ -21,8 +21,10 @@ polish the roots, and Aberth steps part a close pair that Newton leaves
 above the rounding bound.  Each step evaluates p, p' and the Horner bound
 at all roots in one stacked Horner pass (``_horner_stacked``) that rounds
 exactly as three separate Horner loops would.  The polish evaluates each
-point once, and a kept Newton trial carries its values into the next
-step, so three Newton steps and a stall test that passes take 4 passes.
+point once: it starts from the values of the iteration's last pass,
+which certified the roots, and a kept Newton trial carries its values
+into the next step, so three Newton steps and a stall test that passes
+take 3 passes after the iteration (4 after the eigenvalue fallback).
 ``RationalFn.poles``, which only the symbol gate reads, takes the
 companion eigenvalues first and roots by ``poly_roots`` only when one of
 them misses the iteration's residual rule.
@@ -465,16 +467,18 @@ def _newton_polygon_start(c: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 
 def _aberth(
-    c: np.ndarray, rng: np.random.Generator, z: np.ndarray | None = None
-) -> np.ndarray | None:
-    """Simultaneous root iteration from z, by default one circle; roots or None on a stall.
+    c: np.ndarray, table, rng: np.random.Generator, z: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+    """Simultaneous root iteration from z, by default one circle, for c's
+    ``_horner_table``: (roots, their (p, p', bound)), or None on a stall.
 
+    The values are those of the stacked pass that certified the roots, so
+    ``_newton_polish`` starts from them instead of a pass of its own.
     Where p/p' is not finite (Horner's p overflows far out), the Newton
     ratio comes from the reversed polynomial r(u) = u^d p(1/u):
     p/p' = z / (d - u r'(u) / r(u)) with u = 1/z.
     """
     d = len(c) - 1
-    table = _horner_table(c)
     if z is None:
         # Start on a circle whose radius blends the Cauchy bound with the
         # geometric-mean estimate, randomly rotated and jittered so symmetric
@@ -487,9 +491,10 @@ def _aberth(
         z = radius * np.exp(1j * angles) * (1.0 + 0.01 * rng.standard_normal(d))
 
     for step in range(121):
-        pz, dpz, bound = _horner_stacked(table, z)
+        values = _horner_stacked(table, z)
+        pz, dpz, bound = values
         if (np.abs(pz) <= TOL.root_residual * bound).all():
-            return z
+            return z, values
         if step == 120:
             break
         bad = np.abs(dpz) < 1e-300
@@ -548,25 +553,29 @@ def poly_roots(p: Poly, rng: np.random.Generator | int | None = None) -> np.ndar
             found = np.array([-s / (2.0 * a2), -2.0 * a0 / s])
     else:
         rng = np.random.default_rng(0 if rng is None else rng)
+        table = _horner_table(c)
         with np.errstate(over="ignore", invalid="ignore"):
-            found = _aberth(c, rng)
-            if found is None:
-                found = np.roots(c[::-1])
-                resid = np.abs(_horner_many(c, found)) / _horner_bound(c, found)
+            certified = _aberth(c, table, rng)
+            if certified is None:
+                roots = np.roots(c[::-1])
+                resid = np.abs(_horner_many(c, roots)) / _horner_bound(c, roots)
+                # the companion eigenvalues were certified by no pass: the
+                # polish makes its own opening pass
+                certified = roots, None
                 if np.max(resid) > 1e3 * TOL.root_residual:
                     # roots at scales far apart defeat both; restart on the
                     # circles of the Newton polygon
-                    found = _aberth(c, rng, _newton_polygon_start(c, rng))
-                    if found is None:
+                    certified = _aberth(c, table, rng, _newton_polygon_start(c, rng))
+                    if certified is None:
                         raise NonConvergenceError(
                             f"root residual {np.max(resid):.3e} after fallback"
                         )
-            found = _newton_polish(c, found)
+            found = _newton_polish(c, *certified, table=table)
     roots = np.concatenate([np.zeros(k0, dtype=complex), found])
     return roots
 
 
-def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _newton_polish(c: np.ndarray, z: np.ndarray, values=None, table=None) -> np.ndarray:
     """Three Newton steps per root, then Aberth steps for the roots whose
     residual is still above Horner's rounding bound 2 deg eps sum |c_k| |z|^k.
 
@@ -579,11 +588,14 @@ def _newton_polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     Each point is evaluated once, by one stacked Horner pass: one at the
     start and one at each Newton trial, whose p, p' and bound a kept trial
     carries into the next step.  So a polish whose stall loop stops at
-    once makes 4 passes; every later stall step makes one more.
+    once makes 4 passes; every later stall step makes one more.  The
+    opening pass is skipped when the caller holds its values: ``values``
+    is (p, p', bound) at z from a pass over ``table``, c's Horner table,
+    and the polish updates those arrays in place.
     """
-    table = _horner_table(c)
+    table = _horner_table(c) if table is None else table
     z = z.copy()
-    pz, dpz, bound = _horner_stacked(table, z)
+    pz, dpz, bound = _horner_stacked(table, z) if values is None else values
     for _ in range(3):
         ok = np.abs(dpz) > 1e-300
         step = np.zeros_like(z)

@@ -59,7 +59,8 @@ A member's coefficients are computed on read, and only as far as read:
 ``pair`` reads the overlap of its two vectors, the smaller of their sizes,
 so pairing a degree-6 vector with a degree-96 kernel expands 1/q and both
 products to 7 coefficients, not 97.  Every read computes its prefix
-afresh, so a pair value depends on nothing read before it.
+afresh, so a pair value depends on nothing read before it; a member's f
+and f+ read at one size within one ``pair`` share that read's 1/den head.
 
 Their Taylor tails are bounded from the decay radius, which needs no root
 finding: the radius is rho_b, the modulus of the nearest root of q, or
@@ -70,6 +71,10 @@ read, not when built: only ``norm_identities_check`` reads them, and the
 kernels and the Lb that other checks pair never pay for a bound, nor for
 the denominator ``_member_den`` builds for it.  Both bounds of a member
 come from one pass of that denominator over the circle of ``_decay_profile``.
+At the pole radius that circle is the space's own, |z| = rho_b^(3/4), and
+the space evaluates each polynomial there once (``_on_decay_circle``): q
+serves the degree profiles of ``norm_identities_check`` and the tails of
+b and Lb alike, and b.num serves two of them.
 
 Every kernel comes from one builder, ``HbSpace._newton_numerators``: the
 divided difference of K_w in conj(w) over points x_0..x_s, which pairs as
@@ -124,7 +129,8 @@ class HbVector:
     A member's f and f+ are computed on read, and only as far as read:
     ``HbSpace.pair`` reads the overlap of its two vectors, so a degree-6
     vector paired with a degree-96 kernel expands 7 coefficients of the
-    kernel, not 97.  Reading f or f_plus expands it all, once.
+    kernel, not 97, and f and f+ read at one size share one series head.
+    Reading f or f_plus expands it all, once.
     """
 
     __slots__ = ("_f", "_f_plus", "_tails")
@@ -163,15 +169,28 @@ class HbVector:
 
 
 class _OnRead:
-    """Coefficients 0..size-1 of a truncated series, computed on read.
+    """Coefficients 0..size-1 of num times a power series, computed on read.
 
-    head(n) computes the first n of them afresh; poly() keeps the whole.
+    series(n) computes the series' first n coefficients afresh, head(n)
+    the product's; poly() keeps the whole.
     """
 
-    __slots__ = ("size", "head", "_poly")
+    __slots__ = ("size", "series", "_num", "_poly")
 
-    def __init__(self, size: int, head):
-        self.size, self.head, self._poly = size, head, None
+    def __init__(self, num: Poly, series, size: int):
+        self.size, self.series, self._poly = size, series, None
+        self._num = num.coeff_array(max(len(num.coeffs), 1))
+
+    def head(self, n: int, series: np.ndarray | None = None) -> np.ndarray:
+        """The first n coefficients, from ``series`` = self.series(n) when given.
+
+        The series is np.convolve's first operand, as it is in the whole
+        product when num is the shorter, so a read then has the whole
+        product's bits.
+        """
+        if series is None:
+            series = self.series(n)
+        return np.convolve(series, self._num[:n])[:n]
 
     def poly(self) -> Poly:
         if self._poly is None:
@@ -179,17 +198,20 @@ class _OnRead:
         return self._poly
 
 
-def _decay_profile(nums, den: Poly, radius: float) -> list[tuple[float, float]]:
+def _decay_profile(nums, den: Poly, radius: float, values=None) -> list[tuple[float, float]]:
     """One (M, rho) per num with |(num/den)_k| <= M rho^(-k), for num/den analytic
-    on |z| < radius: den is evaluated once, on |z| = rho = radius^(3/4).  A
-    polynomial (radius inf) computes nothing and reads (inf, inf), which
-    ``_tail_bound`` takes as no tail."""
+    on |z| < radius: den is evaluated once, on |z| = rho = radius^(3/4), or
+    read from ``values(p)``, p on that circle, when given.  A polynomial
+    (radius inf) computes nothing and reads (inf, inf), which ``_tail_bound``
+    takes as no tail."""
     if math.isinf(radius):
         return [(math.inf, math.inf)] * len(nums)
     rho = radius**0.75
-    zs = rho * circle_grid()[::4]
-    d = den(zs)
-    return [(2.0 * float(np.max(np.abs(num(zs) / d))), rho) for num in nums]
+    if values is None:
+        zs = rho * circle_grid()[::4]
+        values = lambda p: p(zs)
+    d = values(den)
+    return [(2.0 * float(np.max(np.abs(values(num) / d))), rho) for num in nums]
 
 
 def _degree_for_tail(m: float, rho: float, target: float) -> int:
@@ -238,6 +260,7 @@ class HbSpace:
         self._phi = np.zeros(0, dtype=complex)
         self._inv_q = np.zeros(0, dtype=complex)
         self._sweep = (None, [])  # (point sequence, its ``_newton_numerators``)
+        self._decay_values: dict = {}  # coefficients -> values, see _on_decay_circle
 
     # -- the plus companion -------------------------------------------------
 
@@ -255,6 +278,17 @@ class HbSpace:
         """Taylor coefficients of 1/q through degree n, q = b.den; cached like phi."""
         self._inv_q = _grown_series(self._inv_q, Poly([1]), self.b.den, n)
         return self._inv_q[: n + 1]
+
+    def _on_decay_circle(self, p: Poly) -> np.ndarray:
+        """p on |z| = rho_b^(3/4), the circle of ``_decay_profile`` at the pole
+        radius, evaluated once per coefficient tuple.  Tuples that compare
+        equal differ at most in signs of zero, so their values differ at most
+        there too, and every |num / den| the profile reads keeps its bits."""
+        values = self._decay_values.get(p.coeffs)
+        if values is None:
+            zs = self.pole_radius**0.75 * circle_grid()[::4]
+            values = self._decay_values[p.coeffs] = p(zs)
+        return values
 
     def plus_function(self, f: Poly) -> Poly:
         """The unique polynomial f+ with T_conj(a) f+ = T_conj(b) f.
@@ -329,8 +363,9 @@ class HbSpace:
     def _member(self, num: Poly, plus_num: Poly, degree: int, points=()) -> HbVector:
         """num/den and its companion plus_num/den, den = ``_member_den(points)``,
         truncated at degree and expanded on read; their tails are bounded on
-        |z| < min(rho_b, 1/|x_k|).  1/den is the cached 1/q series times one
-        geometric series per nonzero x_k."""
+        |z| < min(rho_b, 1/|x_k|), from the space's pass at radius rho_b.
+        1/den is the cached 1/q series times one geometric series per
+        nonzero x_k."""
         _check_degree(degree)
         radius = self.pole_radius
         for x in points:
@@ -348,18 +383,23 @@ class HbSpace:
         def tails() -> tuple[float, float]:
             den = self._member_den(points)
             s = 1.0 / den.coeff(0)  # the normalisation of RationalFn(num, den)
-            return tuple(_tail_bound(m, rho, degree)
-                         for m, rho in _decay_profile([num * s, plus_num * s], den * s, radius))
+            shared = self._on_decay_circle if radius == self.pole_radius else None
+            return tuple(_tail_bound(m, rho, degree) for m, rho in _decay_profile(
+                [num * s, plus_num * s], den * s, radius, shared))
 
-        series = _OnRead(degree + 1, inverse_den)
-        return HbVector(_truncated_product(num, series), _truncated_product(plus_num, series), tails)
+        return HbVector(_OnRead(num, inverse_den, degree + 1),
+                        _OnRead(plus_num, inverse_den, degree + 1), tails)
 
     # -- inner products ------------------------------------------------------
 
     def pair(self, u: HbVector, v: HbVector) -> complex:
         """<u, v>_b, linear in u and conjugate-linear in v; reads each member
-        only as far as the overlap of the two vectors (see ``_h2_dot``)."""
-        return _h2_dot(u._f, v._f) + _h2_dot(u._f_plus, v._f_plus)
+        only as far as the overlap of the two vectors, f and f+ from one
+        series head when the two overlaps agree (see ``_heads``)."""
+        n, m = _overlap(u._f, v._f), _overlap(u._f_plus, v._f_plus)
+        uf, up = _heads(u, n, m)
+        vf, vp = (uf, up) if v is u else _heads(v, n, m)
+        return _h2_dot(uf, vf) + _h2_dot(up, vp)
 
     def inner_product(self, f, g) -> complex:
         u = f if isinstance(f, HbVector) else self.vector(f)
@@ -519,8 +559,8 @@ class HbSpace:
         coefficient and the tail bound is 0, so one route serves both.
         """
         r = self.pole_radius
-        tails = (g.num.degree if math.isinf(r) else
-                 _degree_for_tail(*_decay_profile([g.num], g.den, r)[0], 1e-16) for g in (self.b, self.a))
+        tails = (g.num.degree if math.isinf(r) else _degree_for_tail(
+            *_decay_profile([g.num], g.den, r, self._on_decay_circle)[0], 1e-16) for g in (self.b, self.a))
         degree = max(D_TRUNC, *tails)
         vb = self.vector_b(degree)
         vl = self.vector_Lb(degree)
@@ -544,17 +584,31 @@ class HbSpace:
         return f"HbSpace(b={self.b!r}, n={self.n})"
 
 
-def _h2_dot(f: Poly | _OnRead, g: Poly | _OnRead) -> complex:
-    """sum_k f_k conj(g_k) over the overlap n, the smaller of the two sizes."""
-    n = min(len(x.coeffs) if isinstance(x, Poly) else x.size for x in (f, g))
-    if n == 0:
-        return 0j
-    head = _head(f, n)
-    return complex(np.dot(head, np.conj(head if g is f else _head(g, n))))
+def _overlap(f: Poly | _OnRead, g: Poly | _OnRead) -> int:
+    """The smaller of the two sizes: how far a pairing reads each."""
+    return min(len(x.coeffs) if isinstance(x, Poly) else x.size for x in (f, g))
+
+
+def _heads(v: HbVector, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """v's f to n coefficients and f+ to m.  A member's f and f+ at one size
+    are read from one series head, computed afresh: the head each read
+    alone would compute, so both keep their bits."""
+    f, plus = v._f, v._f_plus
+    if n and n == m and isinstance(f, _OnRead) and isinstance(plus, _OnRead) and f.series is plus.series:
+        series = f.series(n)
+        return f.head(n, series), plus.head(n, series)
+    return _head(f, n), _head(plus, m)
 
 
 def _head(x: Poly | _OnRead, n: int) -> np.ndarray:
+    if n == 0:
+        return np.zeros(0, dtype=complex)
     return x.coeff_array(n) if isinstance(x, Poly) else x.head(n)
+
+
+def _h2_dot(f: np.ndarray, g: np.ndarray) -> complex:
+    """sum_k f_k conj(g_k) over two heads of one length."""
+    return complex(np.dot(f, np.conj(g))) if len(f) else 0j
 
 
 def _check_degree(degree) -> None:
@@ -583,16 +637,6 @@ def _grown_series(cache: np.ndarray, num: Poly, den: Poly, n: int) -> np.ndarray
     out = RationalFn(num, den).taylor(max(n, 2 * len(cache) + 8))
     out.flags.writeable = False
     return out
-
-
-def _truncated_product(p: Poly, series: _OnRead) -> _OnRead:
-    """Coefficients 0..series.size-1 of p times the power series, on read.
-
-    The series is np.convolve's first operand, as it is in the whole product
-    when p is the shorter, so a read then has the whole product's bits.
-    """
-    c = p.coeff_array(max(len(p.coeffs), 1))
-    return _OnRead(series.size, lambda n: np.convolve(series.head(n), c[:n])[:n])
 
 
 def _upper_toeplitz(c: np.ndarray) -> np.ndarray:

@@ -116,9 +116,15 @@ def test_small_omega_inside_the_rule_fails_verification():
 
 @pytest.mark.parametrize("omega", [1e10, 1e300, 1e200j])
 def test_omega_beyond_double_precision(omega):
-    # s = |omega|^2 / (1 + |w|^2 + |omega|^2) rounds to 1, or |omega|^2 overflows
-    with pytest.raises(DegenerateOmegaError):
+    # s = |omega|^2 / (1 + |w|^2 + |omega|^2) rounds to 1, or |omega|^2
+    # overflows and the message names that, not s = nan
+    with pytest.raises(DegenerateOmegaError) as err:
         extend(RationalFn(Poly([0, 0.5])), omega=omega)
+    overflows = math.isinf(abs(omega) * abs(omega))
+    assert overflows == (omega != 1e10)
+    message = "|omega|^2 overflowing double precision" if overflows else "gives s = 1.0, outside"
+    assert message in str(err.value)
+    assert "nan" not in str(err.value)
 
 
 def test_extension_needs_vanishing_origin():

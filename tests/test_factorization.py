@@ -1,11 +1,13 @@
 """Pythagorean mate, extremality, boundary orders, inner-outer splits."""
 
 import cmath
+import importlib.util
 import os
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hbspace.config import DEFAULT_TOLERANCES as TOL
 from hbspace.errors import (
     ExtremeFunctionError,
     FactorizationError,
+    HbError,
     NotInUnitBallError,
     PoleAtPointError,
     PoleInDiskError,
@@ -714,3 +717,43 @@ def test_mate_residual_matches_exact_arithmetic(name):
         assert abs(e_float[i] - exact) <= bound
         exact_max = max(exact_max, abs(exact))
     assert exact_max <= TOL.mate
+
+
+def _corpus_symbols(seeds=(1, 2)):
+    """The corpus workload's first input block at each seed, from bench/inputs.py."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for seed in seeds:
+        for index in range(inputs.BLOCK["corpus"]):
+            q = inputs.make("corpus", seed, index)
+            yield RationalFn(*(Poly([complex(re, im) for re, im in q[k]]) for k in ("num", "den")))
+
+
+def test_mate_residual_reads_validates_q_bit_for_bit(monkeypatch):
+    # where a's denominator has b's coefficients the residual divides a.num
+    # on the grid by the q values _validate holds; it reads as from a(zs)
+    real, grid_calls = RationalFn.__call__, []
+
+    def counting(self, z):
+        grid_calls.append(isinstance(z, np.ndarray))
+        return real(self, z)
+
+    monkeypatch.setattr(RationalFn, "__call__", counting)
+    shared = own = 0
+    zs = circle_grid()
+    for b in [*_corpus_symbols(), RationalFn(Poly([1, 2]), Poly([49, -3]))]:
+        grid_calls.clear()
+        try:
+            mate = pythagorean_mate(b)
+        except HbError:
+            continue
+        a = mate.a
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.max(np.abs(np.abs(real(a, zs)) ** 2 + np.abs(real(b, zs)) ** 2 - 1.0)))
+        assert repr(mate.residual) == repr(want)
+        same = a.den.coeffs == b.den.coeffs
+        assert grid_calls.count(True) == (0 if same else 1)
+        shared, own = shared + same, own + (not same)
+    assert shared >= 140 and own >= 1  # den49: 49 * (1/49) rounds below 1

@@ -250,9 +250,10 @@ def _polish_cases():
             rest = rest * np.exp(2j * np.pi * gen.random(degree - size))
             c = np.poly(np.concatenate([near, rest]))[::-1].astype(complex)
         c = scale * c
+        unit = c / np.max(np.abs(c))
         with np.errstate(over="ignore", invalid="ignore"):
-            start = _aberth(c / np.max(np.abs(c)), np.random.default_rng(case))
-        yield c, np.roots(c[::-1]) if start is None else start
+            found = _aberth(unit, _horner_table(unit), np.random.default_rng(case))
+        yield c, np.roots(c[::-1]) if found is None else found[0]
     # a start whose first stall test flips on the bound at the kept trial,
     # not at the point before it
     yield (np.array([0.14296532664168232 - 0.17916451597995225j,
@@ -291,6 +292,33 @@ def test_polish_is_the_reference_loop_bit_for_bit(monkeypatch):
         assert counts == {"stacked": 3 + iterations, "many": 0}
         stall_steps += iterations > 1
     assert stall_steps >= 10  # the stall loop's later steps are pinned too
+
+
+def test_carried_polish_is_the_uncarried_polish_bit_for_bit(monkeypatch):
+    # poly_roots hands the polish the p, p' and bound of the pass that
+    # certified the iteration's roots: the polish returns what it returns
+    # from its own opening pass, bit for bit, with one pass fewer
+    counts = _count_passes(monkeypatch)
+    real, calls = polynomials._newton_polish, []
+
+    def recording(c, z, values=None, table=None):
+        start = z.copy()
+        counts.update(stacked=0)
+        out = real(c, z, values, table)
+        calls.append((c, start, values is not None, out, counts["stacked"]))
+        return out
+
+    monkeypatch.setattr(polynomials, "_newton_polish", recording)
+    for c, _ in _polish_cases():
+        poly_roots(Poly(c))
+    assert len(calls) == 151
+    for c, start, carried, got, passes in calls:
+        counts.update(stacked=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = real(c, start)
+        assert got.tobytes() == want.tobytes()
+        assert passes == counts["stacked"] - carried
+    assert sum(carried for _, _, carried, _, _ in calls) >= 140
 
 
 def test_polish_whose_stall_loop_stops_at_once_makes_four_passes(monkeypatch):

@@ -505,9 +505,9 @@ def _recorded_tails(monkeypatch, build) -> list[tuple[Poly, Poly, int, float]]:
     real_profile, real_bound = space_module._decay_profile, space_module._tail_bound
     members, seen = [], []
 
-    def profile(nums, den, radius):
+    def profile(nums, den, radius, values=None):
         members.extend((num, den) for num in nums)
-        return real_profile(nums, den, radius)
+        return real_profile(nums, den, radius, values)
 
     def bound(m, rho, degree):
         out = real_bound(m, rho, degree)
@@ -582,6 +582,38 @@ def test_member_tails_are_bounded_on_first_read(name, monkeypatch):
         read = _recorded_tails(monkeypatch, lambda: _read_tails(v))
         assert [bound for *_, bound in read] == [v.tail_f, v.tail_plus]
         assert (v.tail_f, v.tail_plus) == _eager_tails(space, *nums, D_TRUNC, points)
+
+
+@pytest.mark.parametrize("name", ["step2", "model3", "complex", "den49"])
+def test_norm_check_evaluates_each_polynomial_once_on_the_decay_circle(name, monkeypatch):
+    # the degree profiles of b and a and the tails of b and Lb all sit at the
+    # pole radius: q is evaluated once for the four of them, and so is every
+    # numerator, b.num for two; the report is the one fresh passes give
+    space = HbSpace(_radius_symbol(name))
+    real, passes = Poly.__call__, []
+
+    def counting(self, z):
+        if isinstance(z, np.ndarray) and len(z) == 256:
+            passes.append(self.coeffs)
+        return real(self, z)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Poly, "__call__", counting)
+        report = space.norm_identities_check()
+    q, a = space.b.den, space.a
+    assert passes.count(q.coeffs) == 1
+    assert len(passes) == len(set(passes))
+    # den49: a.den = q / q(0) is not q, and a's profile makes its own pass
+    assert len(passes) == (6 if a.den == q else 8)
+    r = space.pole_radius
+    degree = max(D_TRUNC, *(_degree_for_tail(*_decay_profile([g.num], g.den, r)[0], 1e-16)
+                            for g in (space.b, a)))
+    lb_nums = (space_module._backward(space.b.num - space.b(0) * q),
+               -space_module._backward(a.num - a(0) * q))
+    tails = (_eager_tails(space, space.b.num, q * (1.0 / space._a0) - a.num, degree)
+             + _eager_tails(space, *lb_nums, degree))
+    assert report["truncation"]["degree"] == degree
+    assert repr(report["truncation"]["tail_bound"]) == repr(max(tails))
 
 
 # -- members from the cached series of 1/q ---------------------------------------
@@ -748,6 +780,20 @@ def test_heads_have_the_whole_expansion_bits_when_the_numerator_is_shorter(serie
         for part, whole in ((v._f, v.f), (v._f_plus, v.f_plus)):
             for n in (1, 4, 9, 30):
                 assert space_module._head(part, n).tobytes() == whole.coeff_array(n).tobytes(), (name, n)
+
+
+def test_pair_reads_one_series_head_per_member(series_case, monkeypatch):
+    # a member's f and f+ are read at one size: one 1/den head serves both,
+    # and a member paired with itself is read once
+    space = series_case
+    real, reads = HbSpace._inv_q_coeffs, []
+    monkeypatch.setattr(HbSpace, "_inv_q_coeffs", lambda self, n: reads.append(n) or real(self, n))
+    members = [build() for _, build, _ in _members(space)]
+    for u in members:
+        for v in members:
+            reads.clear()
+            space.pair(u, v)
+            assert len(reads) == (1 if u is v else 2)
 
 
 def test_pairing_a_long_kernel_expands_only_the_overlap():

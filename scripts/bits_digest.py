@@ -6,7 +6,9 @@
 With ``--items`` it prints one sha256 per item instead, one item a line:
 ``roots`` for the whole roots block, then ``<symbol> mate``, ``<symbol>
 phi``, ``<symbol> gram`` and ``<symbol> members`` (or ``<symbol> error``)
-for each symbol, so a diff of two such outputs names what moved.
+for each symbol, then ``towers:<seed>:<index> steps`` and
+``towers:<seed>:<index> space`` for each tower, so a diff of two such
+outputs names what moved.
 
 The digest covers, in order:
 
@@ -23,7 +25,16 @@ The digest covers, in order:
   with the first derivative kernel at 0.4i; or the name of the error a
   rejected symbol raises.  The Gram hash covers its values and signs of
   zero, not its dtype: a float64 Gram and the complex128 Gram with the
-  same real parts and +0.0 imaginary parts hash alike.
+  same real parts and +0.0 imaginary parts hash alike;
+- for the towers workload's first input block at seeds 1 and 2 (complex
+  omega, phases off the real axis), the query's extension steps: per
+  step the ``repr`` of b's numerator and denominator coefficients, of s,
+  of the certificates and of the kernel-update residual, or the name of
+  the error the step raises; and for the final space the ``repr`` of its
+  mate, of the pairings of the query's f with the boundary derivative
+  kernels of order 0..n-1, of the ladder (boundary orders and canonical
+  coefficients of each rung), of the annihilation drops and of the
+  isometry defects, with an error's name in place of a value.
 
 Symbols come from ``bench/inputs.py`` and ``bench/checks.py``, which
 this script only reads.  hbspace is imported from ``sys.path``, so
@@ -44,12 +55,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import checks  # noqa: E402
 import inputs  # noqa: E402
-from hbspace import HbSpace, Poly  # noqa: E402
+from hbspace import (  # noqa: E402
+    HbSpace, Poly, RationalFn, annihilation_check, extend, isometry_order,
+    kernel_factorization_check, ladder_spaces)
 from hbspace.errors import HbError  # noqa: E402
 from hbspace.polynomials import poly_roots  # noqa: E402
 
 POLYS = 4000
 CORPUS_SEEDS = (1, 2)
+TOWERS_SEEDS = (1, 2)
 SIZE = 256
 
 
@@ -76,6 +90,50 @@ def _symbols():
             yield f"corpus:{seed}:{index}", checks.symbol(q["num"], q["den"])
 
 
+def _attempt(fn, *args, **kwargs):
+    """fn's value, or the name of the HbError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except HbError as exc:
+        return type(exc).__name__
+
+
+def _tower(q: dict):
+    """(steps, space) reprs of one towers query; space is None when a step fails."""
+    omega = complex(*q["omega"])
+    b = RationalFn(Poly([]), Poly([1]))
+    steps = []
+    for _ in range(q["n"]):
+        step = _attempt(extend, b, omega=omega, t=q["phase"])
+        if isinstance(step, str):
+            steps.append(step)
+            return repr(steps), None
+        residual = _attempt(kernel_factorization_check, b, step)
+        steps.append((step.b.num.coeffs, step.b.den.coeffs, step.s, step.certificates, residual))
+        b = step.b
+    space = _attempt(HbSpace, b)
+    if isinstance(space, str):
+        return repr(steps), space
+    n = q["n"]
+    vf = space.vector(Poly(checks._c(q["f"])))
+
+    def pairing(i):
+        return space.pair(vf, space.derivative_kernel_vector(1.0, i, degree=96))
+
+    ladder = _attempt(ladder_spaces, space)
+    if not isinstance(ladder, str):
+        ladder = [(d.boundary_orders, d.inner_roots, d.canonical.num.coeffs, d.canonical.den.coeffs)
+                  for d in ladder]
+    mate = space.mate
+    return repr(steps), repr((
+        (mate.a.num.coeffs, mate.boundary_zeros, mate.residual),
+        [_attempt(pairing, i) for i in range(n)],
+        ladder,
+        _attempt(annihilation_check, space, 1.0, n),
+        _attempt(isometry_order, space, m_max=2 * n + 2),
+    ))
+
+
 def items():
     """(label, bytes) pairs, in the order the digest hashes them."""
     rng = np.random.default_rng(0)
@@ -92,6 +150,12 @@ def items():
         yield f"{label} gram", np.asarray(space.gram_matrix(SIZE), dtype=complex).tobytes()
         kernels = space.pair(space.kernel_vector(0.5), space.derivative_kernel_vector(0.4j, 1))
         yield f"{label} members", repr((space.norm_identities_check(), kernels)).encode()
+    for seed in TOWERS_SEEDS:
+        for index in range(inputs.BLOCK["towers"]):
+            steps, space = _tower(inputs.make("towers", seed, index))
+            yield f"towers:{seed}:{index} steps", steps.encode()
+            if space is not None:
+                yield f"towers:{seed}:{index} space", space.encode()
 
 
 def digest() -> str:

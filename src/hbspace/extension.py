@@ -270,6 +270,13 @@ def build_model(
     return ModelResult(b=b, n=n, steps=tuple(steps), isometry_order=order)
 
 
+# The kernel update's 21 points and its w x z matrix 1 - conj(w) z, read-only
+_KERNEL_POINTS = (np.array([0.25, 0.55, 0.8])[:, None]
+                  * np.exp(2j * np.pi * np.arange(1, 8) / 7.3)[None, :]).ravel()
+_KERNEL_CROSS = 1.0 - np.conj(_KERNEL_POINTS)[:, None] * _KERNEL_POINTS[None, :]
+_KERNEL_POINTS.flags.writeable = _KERNEL_CROSS.flags.writeable = False
+
+
 def kernel_factorization_check(b0, ext: ExtensionResult) -> dict:
     """Max residual of the kernel update under one extension step:
 
@@ -277,7 +284,8 @@ def kernel_factorization_check(b0, ext: ExtensionResult) -> dict:
 
     with e = sqrt(s)(1 - b_new)/(1 - z) and
     f = sqrt(1 - s)(1 - b_new)/(1 - u b0), over all pairs (w, z) of 21
-    points on three circles of radius 0.25, 0.55 and 0.8.  Each symbol is
+    points on three circles of radius 0.25, 0.55 and 0.8.  The points and
+    the matrix 1 - conj(w) z are built once, at import.  Each symbol is
     evaluated once on the point array and the w x z residual matrix is
     formed by broadcasting (rows w, columns z).  A non-finite residual
     raises VerificationError.
@@ -286,15 +294,12 @@ def kernel_factorization_check(b0, ext: ExtensionResult) -> dict:
     bt = ext.b
     s = ext.s
     u = _unit(ext.t)
-    radii = np.array([0.25, 0.55, 0.8])
-    angles = np.exp(2j * np.pi * np.arange(1, 8) / 7.3)
-    zs = (radii[:, None] * angles[None, :]).ravel()
+    zs, cross = _KERNEL_POINTS, _KERNEL_CROSS
 
     bt_z = bt(zs)
     b0_z = b0(zs)
     e = math.sqrt(s) * (1.0 - bt_z) / (1.0 - zs)
     f = math.sqrt(1.0 - s) * (1.0 - bt_z) / (1.0 - u * b0_z)
-    cross = 1.0 - np.conj(zs)[:, None] * zs[None, :]
     k_new = (1.0 - np.conj(bt_z)[:, None] * bt_z[None, :]) / cross
     k_old = (1.0 - np.conj(b0_z)[:, None] * b0_z[None, :]) / cross
     rhs = np.conj(e)[:, None] * e[None, :] + np.conj(f)[:, None] * f[None, :] * k_old

@@ -261,6 +261,17 @@ def _on_circle(w: complex) -> complex | None:
     return w / abs(w) if w and cmath.isfinite(w) else None
 
 
+def _circle_minima(magnitude: np.ndarray) -> np.ndarray:
+    """Where a value on the cyclic grid is at most both neighbours' and below
+    1e-2 of the maximum; each neighbour comparison reads slices, not a rolled copy."""
+    low = magnitude < 1e-2 * np.max(magnitude)
+    low[1:] &= magnitude[1:] <= magnitude[:-1]
+    low[0] &= magnitude[0] <= magnitude[-1]
+    low[:-1] &= magnitude[:-1] <= magnitude[1:]
+    low[-1] &= magnitude[-1] <= magnitude[0]
+    return low
+
+
 def _circle_zeros(
     p: Poly, magnitude: np.ndarray, least: int, vanishes
 ) -> tuple[list[tuple[complex, int]], Poly]:
@@ -276,10 +287,8 @@ def _circle_zeros(
     just off the circle, so the caller's ``vanishes(lambda)`` says where
     its function is zero at lambda itself.
     """
-    low = ((magnitude <= np.roll(magnitude, 1)) & (magnitude <= np.roll(magnitude, -1))
-           & (magnitude < 1e-2 * np.max(magnitude)))
     zeros = []
-    for z0 in circle_grid()[low]:
+    for z0 in circle_grid()[_circle_minima(magnitude)]:
         if p.degree < least:
             break
         z0 = complex(z0)

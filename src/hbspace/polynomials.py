@@ -7,8 +7,12 @@ pairs.  One grammar reads them back (``complex_from_json``): a polynomial
 is a coefficient list, bare or under "coeffs", for a symbol or for either
 part of a quotient, and every entry is a number or an [re, im] pair of
 numbers.  Booleans are not numbers, and non-finite values are rejected.
-A product by exactly one only clears signed zeros; every other product
-is ``np.convolve``, so no product rounds differently from numpy's.
+A product by one term s is ``x * s + 0j`` per coefficient x in Python
+arithmetic, which is what ``np.convolve`` returns for it bit for bit
+(its length-1 complex dot rounds the four real products once each and
+adds the result to +0; numpy's ufunc multiply may fuse, so it is not
+the match).  Every other product, and any product with a non-finite
+factor, is ``np.convolve``, so no product rounds differently from numpy's.
 
 Root finding uses a simultaneous Aberth-Ehrlich iteration started on a
 randomly rotated circle, with the companion-matrix eigenvalue solver as a
@@ -69,7 +73,7 @@ def _trim_exact(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
 def _poly(coeffs: tuple[complex, ...]) -> "Poly":
     """The Poly of a tuple of Python complex, without ``Poly.__init__``'s conversion."""
     p = object.__new__(Poly)
-    object.__setattr__(p, "coeffs", _trim_exact(coeffs))
+    object.__setattr__(p, "coeffs", _trim_exact(coeffs) if coeffs and coeffs[-1] == 0 else coeffs)
     return p
 
 
@@ -173,7 +177,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return _poly(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other):
         # x - (-0.0) is x + 0.0: bit for bit self + (-q), signed zeros included
@@ -189,10 +193,12 @@ class Poly:
         return q - self
 
     def __mul__(self, other):
-        # a product by exactly one only clears signed zeros; every other
-        # product is np.convolve (a Python loop could round otherwise).
-        # np.convolve sums c * 1 from +0, which is c + 0j for a finite c;
-        # inf * 0 is NaN there, so a non-finite c keeps np.convolve
+        # a product by one term s is x * s + 0j per coefficient x, which is
+        # np.convolve's value bit for bit: at length 1 its complex dot
+        # rounds xr*sr, xi*si, xr*si and xi*sr once each, combines them as
+        # Python's complex * does, and adds the sum to +0.  Longer dots
+        # accumulate in partial sums and may fuse, so every other product
+        # is np.convolve; so is a non-finite one, where inf * 0 is NaN
         if isinstance(other, (int, float, complex)):
             b = _trim_exact((complex(other),))
         elif isinstance(other, Poly):
@@ -202,9 +208,10 @@ class Poly:
         a = self.coeffs
         if not a or not b:
             return Poly()
-        kept = a if b == (1,) else b if a == (1,) else None
-        if kept is not None and all(map(cmath.isfinite, kept)):
-            return _poly(tuple([x + 0j for x in kept]))
+        if len(b) == 1 or len(a) == 1:
+            s, kept = (b[0], a) if len(b) == 1 else (a[0], b)
+            if cmath.isfinite(s) and all(map(cmath.isfinite, kept)):
+                return _poly(tuple([x * s + 0j for x in kept]))
         return _poly(tuple(np.convolve(np.array(a, dtype=complex), np.array(b, dtype=complex)).tolist()))
 
     __rmul__ = __mul__
@@ -255,7 +262,7 @@ class Poly:
     def derivative(self, order: int = 1) -> "Poly":
         out = self
         for _ in range(order):
-            out = Poly([k * c for k, c in enumerate(out.coeffs)][1:])
+            out = _poly(tuple([k * c for k, c in enumerate(out.coeffs)][1:]))
         return out
 
     def reflect(self, d: int | None = None) -> "Poly":
@@ -271,13 +278,15 @@ class Poly:
         if d < len(self.coeffs) - 1:
             raise ValueError("reflection degree below the polynomial degree")
         padded = list(self.coeffs) + [0j] * (d + 1 - len(self.coeffs))
-        return Poly([c.conjugate() for c in reversed(padded)])
+        return _poly(tuple([c.conjugate() for c in reversed(padded)]))
 
     def shifted(self, k: int) -> "Poly":
-        """Multiply by z^k."""
+        """Multiply by z^k, k >= 0."""
+        if k < 0:
+            raise ValueError("negative shift of a polynomial")
         if self.is_zero:
             return Poly()
-        return Poly((0j,) * k + self.coeffs)
+        return _poly((0j,) * k + self.coeffs)
 
     # -- serialization -------------------------------------------------------
 
@@ -813,10 +822,19 @@ class RationalFn:
         term; so no quotient-rule derivative forms, and close points cost
         no cancellation.  PoleAtPointError at a pole of den, by the rule of
         ``__call__``; f[x_0] is f(x_0) bit for bit.
+
+        den[x_i..x_s] divides den by (z - x_i), ..., (z - x_s).  At one
+        point object repeated, every suffix's divisions are the first ones
+        of the whole sequence's, in the same order, so den is divided once
+        and each suffix reads a prefix of the result.
         """
         points = list(points)
         num = _newton_coefficients(self.num, points)
-        dens = [_newton_coefficients(self.den, points[i:]) for i in range(len(points))]
+        if points and all(x is points[0] for x in points):
+            whole = _newton_coefficients(self.den, points)
+            dens = [whole[: len(points) - i] for i in range(len(points))]
+        else:
+            dens = [_newton_coefficients(self.den, points[i:]) for i in range(len(points))]
         out = np.zeros(len(points), dtype=complex)
         for s, x in enumerate(points):
             dv = dens[s][0]

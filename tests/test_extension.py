@@ -191,6 +191,33 @@ def test_kernel_factorization_step_from_zero():
     assert out["max_residual"] < 1e-12
 
 
+def _kernel_residual_per_call(b0, ext):
+    """The kernel update's residual with its points and cross matrix built per call."""
+    radii = np.array([0.25, 0.55, 0.8])
+    angles = np.exp(2j * np.pi * np.arange(1, 8) / 7.3)
+    zs = (radii[:, None] * angles[None, :]).ravel()
+    bt_z, b0_z = ext.b(zs), b0(zs)
+    e = math.sqrt(ext.s) * (1.0 - bt_z) / (1.0 - zs)
+    f = math.sqrt(1.0 - ext.s) * (1.0 - bt_z) / (1.0 - _unit(ext.t) * b0_z)
+    cross = 1.0 - np.conj(zs)[:, None] * zs[None, :]
+    k_new = (1.0 - np.conj(bt_z)[:, None] * bt_z[None, :]) / cross
+    k_old = (1.0 - np.conj(b0_z)[:, None] * b0_z[None, :]) / cross
+    rhs = np.conj(e)[:, None] * e[None, :] + np.conj(f)[:, None] * f[None, :] * k_old
+    return zs, cross, float(np.max(np.abs(k_new - rhs)))
+
+
+def test_kernel_update_points_are_the_per_call_expression_bit_for_bit():
+    zs, cross, _ = _kernel_residual_per_call(B_ZERO, extend(B_ZERO, omega=1.0, t=np.pi))
+    assert extension._KERNEL_POINTS.tobytes() == zs.tobytes()
+    assert extension._KERNEL_CROSS.tobytes() == cross.tobytes()
+    assert not extension._KERNEL_POINTS.flags.writeable
+    assert not extension._KERNEL_CROSS.flags.writeable
+    for b0, omega, t in ((B_ZERO, 1.0, np.pi), (B_STEP1, 0.6 + 0.3j, 2.0), (B_STEP2, 1.3j, 4.1)):
+        step = extend(b0, omega=omega, t=t)
+        got = kernel_factorization_check(b0, step)["max_residual"]
+        assert repr(got) == repr(_kernel_residual_per_call(b0, step)[2])
+
+
 def test_kernel_factorization_later_step():
     step = extend(B_STEP1, omega=1.0, t=np.pi)
     out = kernel_factorization_check(B_STEP1, step)

@@ -27,6 +27,7 @@ from hbspace.errors import (
 from hbspace import factorization, polynomials
 from hbspace.extension import build_model
 from hbspace.factorization import (
+    _circle_minima,
     _inner_roots,
     _lowest_terms,
     _median,
@@ -757,3 +758,26 @@ def test_mate_residual_reads_validates_q_bit_for_bit(monkeypatch):
         assert grid_calls.count(True) == (0 if same else 1)
         shared, own = shared + same, own + (not same)
     assert shared >= 140 and own >= 1  # den49: 49 * (1/49) rounds below 1
+
+
+def test_circle_minima_are_the_roll_expression():
+    def rolled(m):
+        return (m <= np.roll(m, 1)) & (m <= np.roll(m, -1)) & (m < 1e-2 * np.max(m))
+
+    rng = np.random.default_rng(44)
+    grids = [
+        np.array([0.0, 0.0, 1.0, 0.0]),                     # ties across the wrap
+        np.array([5.0, 0.0, 0.0, 0.0, 5.0, 1e-3, 5.0]),     # a plateau, a lone dip
+        np.array([0.0, 1.0, 1.0, 1.0]),                     # the minimum at index 0
+        np.array([1.0, 1.0, 1.0, 0.0]),                     # the minimum at the end
+        np.array([2.0, 2.0, 2.0]),                          # flat: no value below 1e-2 max
+        np.array([0.0, 0.0, 0.0]),                          # all zero: nothing below 0
+        np.array([np.nan, 0.0, 1.0, 0.0]),                  # NaN compares false both ways
+        np.array([3.0]),
+        np.round(rng.random(1024), 1) * 100.0,              # many ties
+        np.abs(np.cos(np.linspace(0.0, 6.0 * np.pi, 1024, endpoint=False))),
+    ]
+    for m in grids:
+        want = rolled(m)
+        got = _circle_minima(m.copy())
+        assert got.dtype == bool and np.array_equal(got, want), m

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -483,6 +484,73 @@ def test_products_by_one_and_powers_skip_the_convolutions_they_need_not(monkeypa
     assert len(calls) == 1
 
 
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+             -sys.float_info.max, 1.0, -1.0)
+
+
+def _draw(rng, count):
+    """count complex numbers whose parts are specials or normals of any exponent."""
+    parts = [float(rng.choice(_SPECIALS)) if rng.random() < 0.3
+             else float(rng.standard_normal() * 10.0 ** rng.uniform(-300, 300))
+             for _ in range(2 * count)]
+    return [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+
+
+def _convolved(a, b):
+    with np.errstate(all="ignore"):
+        return Poly(np.convolve(np.array(a, dtype=complex), np.array(b, dtype=complex)))
+
+
+def test_one_term_products_are_np_convolve_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(44)
+    calls = _count_convolve(monkeypatch)
+    for trial in range(3000):
+        p = Poly(_draw(rng, int(rng.integers(1, 8))))
+        kind = trial % 4
+        s = (1 + 0j if kind == 0 else complex(_draw(rng, 1)[0].real) if kind == 1
+             else _draw(rng, 1)[0])
+        if p.is_zero or s == 0:
+            continue
+        want = _convolved(p.coeffs, [s]).coeffs
+        calls.clear()
+        products = [p * s, s * p, p * Poly([s]), Poly([s]) * p]
+        assert calls == [], (p, s)
+        for got in products:
+            assert np.array(got.coeffs, dtype=complex).tobytes() == np.array(want).tobytes(), (p, s)
+            assert all(type(c) is complex for c in got.coeffs)
+    # a non-finite factor keeps np.convolve, whose inf * 0 is NaN
+    for p, s in ((Poly([complex(math.inf, 0.0), 1.0]), 2.0), (Poly([1.0, -0.0j]), math.inf),
+                 (Poly([0.5, complex(0.0, math.nan)]), 1.0)):
+        calls.clear()
+        got = p * s
+        assert len(calls) == 1
+        assert repr(got.coeffs) == repr(_convolved(p.coeffs, [s]).coeffs)
+
+
+def test_shifted_multiplies_by_a_power_of_z_and_rejects_a_negative_shift():
+    p = Poly([1, 2])
+    assert p.shifted(0) == p
+    assert p.shifted(2).coeffs == (0j, 0j, 1 + 0j, 2 + 0j)
+    assert Poly().shifted(3).is_zero
+    with pytest.raises(ValueError, match="negative shift"):
+        p.shifted(-1)
+
+
+def test_neg_derivative_and_reflect_keep_the_constructor_s_bits():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        p = Poly(_draw(rng, int(rng.integers(0, 7))))
+        with np.errstate(all="ignore"):
+            assert repr((-p).coeffs) == repr(Poly([-c for c in p.coeffs]).coeffs)
+            assert repr(p.derivative().coeffs) == repr(
+                Poly([k * c for k, c in enumerate(p.coeffs)][1:]).coeffs)
+            if not p.is_zero:
+                d = p.degree + 2
+                padded = list(p.coeffs) + [0j] * (d + 1 - len(p.coeffs))
+                assert repr(p.reflect(d).coeffs) == repr(
+                    Poly([c.conjugate() for c in reversed(padded)]).coeffs)
+
+
 def test_zero_order_divides_the_order_out():
     for k in range(6):
         p = Poly([2, -1j, 0.5]) * Poly([-1j, 1]) ** k
@@ -743,6 +811,39 @@ def test_divided_differences_at_one_point_are_taylor_coefficients():
     assert np.allclose(f.divided_differences([w] * 6), want, rtol=1e-14, atol=0)
     g = RationalFn(Poly([1, 2, 1]), Poly([1, -0.3, 0.1]))
     assert g.divided_differences([w])[0] == g(w)  # bit for bit
+
+
+def _divided_differences_per_suffix(f, points):
+    """f's divided differences with den divided afresh for every suffix."""
+    points = list(points)
+    num = polynomials._newton_coefficients(f.num, points)
+    dens = [polynomials._newton_coefficients(f.den, points[i:]) for i in range(len(points))]
+    out = np.zeros(len(points), dtype=complex)
+    for s, x in enumerate(points):
+        dv = dens[s][0]
+        f._pole_rule(x, dv)
+        out[s] = (num[s] - sum(out[i] * dens[i][s - i] for i in range(s))) / dv
+    return out
+
+
+def test_repeated_point_divided_differences_are_the_per_suffix_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    symbols = [RationalFn(Poly([1, 2, 1]), Poly([1, -0.3, 0.1])),
+               RationalFn(Poly([0, 3, -6, 5]), Poly([12, -21, 14, -3])),
+               RationalFn(Poly([0.5j, 1]), Poly([1])),
+               RationalFn(Poly([1, -0.0, 2j]), Poly([2.0, complex(0.4, -0.0)]))]
+    symbols += [RationalFn(rand_poly(d),
+                           Poly([1.0]) + Poly(0.3 * rng.standard_normal(e + 1)).shifted(1))
+                for d, e in ((3, 2), (5, 5), (1, 7))]
+    points = [0.3 - 0.4j, 1.0, 1.0 + 0j, -0.0, complex(0.0, -0.0), 0.6j, 0.999 - 0.01j]
+    for f in symbols:
+        for w in points:
+            for m in range(1, f.den.degree + 4):
+                want = _divided_differences_per_suffix(f, [w] * m)
+                assert f.divided_differences([w] * m).tobytes() == want.tobytes(), (f, w, m)
+    # a pole at the repeated point raises as the loop does
+    with pytest.raises(PoleAtPointError):
+        RationalFn(Poly([1]), Poly([1, -2])).divided_differences([0.5] * 3)
 
 
 def test_divided_differences_at_distinct_and_close_points():

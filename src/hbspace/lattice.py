@@ -15,7 +15,10 @@ is trivial and every j_i = 0.
 
 Every generator passes the gate factorization._lowest_terms once, so it
 is finite and in lowest terms; a pole inside the disk raises
-PoleInDiskError, and one on the circle band is not a member.  Its
+PoleInDiskError, and one on the circle band is not a member.  Before
+the gate a numerator whose coefficients all sit below 2^-511 is lifted
+exactly by a power of two: [f] does not change, and neither the Horner
+bound's floor nor an underflowing |f|_b^2 is left to read.  Its
 descriptor reads ord_{lambda_i} f and divides it out of the numerator in
 one pass (polynomials._zero_order) before rooting the rest, so a multiple
 zero at a mate zero cannot splatter into theta.
@@ -69,10 +72,13 @@ from .errors import (
     RankDeficiencyError,
 )
 from .factorization import _analytic_lowest_terms, _blaschke, _inner_roots, _lowest_terms
-from .polynomials import Poly, RationalFn, _zero_order, complex_to_json
+from .polynomials import (
+    Poly, RationalFn, _dyadic_rescaled, _zero_order, as_rational, complex_to_json)
 from .space import HbSpace
 
 _EPS = np.finfo(float).eps
+# Below this scale a generator's squared norm leaves the normal range.
+_SQUARE_FLOOR = 2.0**-511
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +140,22 @@ def membership(space: HbSpace, f) -> bool:
     return radius > 1.0 + CIRCLE_BAND
 
 
+def _generator(f) -> RationalFn:
+    """f, with its numerator lifted exactly by a power of two to about unit
+    scale when its scale is below ``_SQUARE_FLOOR`` (``_dyadic_rescaled``).
+
+    [f] is [c f] for every c != 0 and a distance relative to |f|_b does
+    not see c either; lifted, the zero rule no longer reads every point as
+    a zero under the Horner bound's floor, and |f|_b^2 does not underflow.
+    """
+    f = as_rational(f)
+    num = _dyadic_rescaled(f.num, _SQUARE_FLOOR)
+    return f if num is f.num else RationalFn(num, f.den)
+
+
 def classify(space: HbSpace, f) -> SubspaceDescriptor:
     """The descriptor of [f]; InputFormatError unless f is a member of H(b)."""
-    f, radius = _lowest_terms(f)
+    f, radius = _lowest_terms(_generator(f))
     if radius <= 1.0 + CIRCLE_BAND:
         raise InputFormatError("not a member of the space: pole on the unit circle")
     return _describe(space, f)
@@ -257,8 +276,8 @@ def subspace_distance(space: HbSpace, f, g) -> float:
     the closed disk (or on the circle band) raises PoleInDiskError;
     RankDeficiencyError when a kernel Gram matrix is numerically singular.
     """
-    f, _ = _analytic_lowest_terms(f)
-    g, _ = _analytic_lowest_terms(g)
+    f, _ = _analytic_lowest_terms(_generator(f))
+    g, _ = _analytic_lowest_terms(_generator(g))
     if f.num.is_zero and g.num.is_zero:
         return 0.0
     if f.num.is_zero or g.num.is_zero:

@@ -24,7 +24,19 @@ reversed polynomial, whose Horner sum at 1/z stays finite.  Newton steps
 polish the roots, and Aberth steps part a close pair that Newton leaves
 above the rounding bound.  Each step evaluates p, p' and the Horner bound
 at all roots in one stacked Horner pass (``_horner_stacked``) that rounds
-exactly as three separate Horner loops would.  The polish evaluates each
+exactly as three separate Horner loops would.  The pass reads a table
+built once per polynomial (``_horner_table``): each column k of the rows
+(c, c', |c|) repeated as a contiguous (3, m) block for the m roots, one
+(d + 1, 3, m) array of 48 (d + 1) m bytes (50 KB at d = m = 32, 4.1 MB at
+300, 46 MB at 1000), so each Horner step is an in-place multiply and a
+same-shape add.  An add cannot fuse, so adding the block gives what
+adding a broadcast (3, 1) column gives, bit for bit; the multiply keeps
+the accumulator as its first operand, as the loops do, since numpy's
+complex multiply is not operand-symmetric in the last bit.  The
+iteration's masked writes, sums and stop tests call numpy's ufuncs
+(``np.copyto(where=)``, ``np.add.reduce``, ``np.logical_and.reduce``)
+directly, which give the values of boolean indexing, ``.sum()`` and
+``.all()`` without their Python-level wrappers.  The polish evaluates each
 point once: it starts from the values of the iteration's last pass,
 which certified the roots, and a kept Newton trial carries its values
 into the next step, so three Newton steps and a stall test that passes
@@ -37,7 +49,10 @@ Two point rules read their threshold off the Horner bound B_p(z) =
 sum |c_k| |z|^k (``_horner_bound``): den has a pole at z when |den(z)| <=
 TOL.pole * B_den(z), and p a zero of order k at w when k synthetic
 divisions by (z - w) each leave a remainder within TOL.boundary * B(w) of
-the quotient divided (``_zero_order``).
+the quotient divided (``_zero_order``).  The bound reads at least
+``_BOUND_FLOOR``, so a polynomial whose coefficients all sit below it is
+lifted exactly by a power of two (``_dyadic_rescaled``) before
+``poly_roots`` normalises it and before a subspace descriptor reads it.
 """
 
 from __future__ import annotations
@@ -62,12 +77,33 @@ NEG_INF = float("-inf")
 # before root finding.
 _TRIM_REL = 1e-14
 
+# The Horner bound never reads below this floor, so the point rules judge
+# a polynomial whose coefficients all sit under it as vanishing anywhere;
+# ``_dyadic_rescaled`` lifts such a polynomial exactly before they run.
+_BOUND_FLOOR = 1e-300
+
 
 def _trim_exact(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
     last = len(coeffs)
     while last > 0 and coeffs[last - 1] == 0:
         last -= 1
     return coeffs[:last]
+
+
+def _convolved(a: tuple[complex, ...], b: tuple[complex, ...]) -> "Poly":
+    return _poly(tuple(np.convolve(np.array(a, dtype=complex), np.array(b, dtype=complex)).tolist()))
+
+
+def _scaled(a: tuple[complex, ...], s: complex, finite: bool) -> "Poly":
+    """The product of a and the one term s by ``Poly.__mul__``'s rule;
+    ``finite`` says whether s and every coefficient of a are finite."""
+    if not a:
+        return Poly()
+    if finite:
+        return _poly(tuple([x * s + 0j for x in a]))
+    # np.convolve puts the longer factor first, so (a, (s,)) is its order
+    # for either side of the product
+    return _convolved(a, (s,))
 
 
 def _poly(coeffs: tuple[complex, ...]) -> "Poly":
@@ -210,9 +246,8 @@ class Poly:
             return Poly()
         if len(b) == 1 or len(a) == 1:
             s, kept = (b[0], a) if len(b) == 1 else (a[0], b)
-            if cmath.isfinite(s) and all(map(cmath.isfinite, kept)):
-                return _poly(tuple([x * s + 0j for x in kept]))
-        return _poly(tuple(np.convolve(np.array(a, dtype=complex), np.array(b, dtype=complex)).tolist()))
+            return _scaled(kept, s, cmath.isfinite(s) and all(map(cmath.isfinite, kept)))
+        return _convolved(a, b)
 
     __rmul__ = __mul__
 
@@ -335,50 +370,60 @@ def _horner_many(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _horner_table(c: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Rows c, c' = (k c_k) and |c|, and its columns as (3, 1) views, top first:
-    what ``_horner_stacked`` reads.
+def _horner_table(c: np.ndarray, m: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """c and the blocks ``_horner_stacked`` reads at m points: column k of
+    the rows c, c' = (k c_k) and |c|, repeated as one contiguous (3, m)
+    block, top column first.
 
-    Row c' is one entry short and padded at the top; the pass never reads
-    that entry.  |c_k| is numpy's scalar abs, as in ``_horner_bound``: the
-    array abs rounds differently in about a third of the last bits.
+    One ``np.repeat`` fills a (d + 1, 3, m) array, 48 (d + 1) m bytes, and
+    the list holds its views, so every add of the pass is a same-shape
+    contiguous add.  Row c' is one entry short and padded at the top; the
+    pass never reads that entry.  |c_k| is numpy's scalar abs, as in
+    ``_horner_bound``: the array abs rounds differently in about a third
+    of the last bits.
     """
     d = len(c) - 1
-    table = np.zeros((3, d + 1), dtype=complex)
-    table[0] = c
-    table[1, :d] = np.arange(1, d + 1) * c[1:]
-    table[2] = [abs(ck) for ck in c]
-    return table, [table[:, k : k + 1] for k in range(d, -1, -1)]
+    rows = np.zeros((d + 1, 3), dtype=complex)
+    rows[:, 0] = c
+    rows[:d, 1] = np.arange(1, d + 1) * c[1:]
+    rows[:, 2] = [abs(ck) for ck in c]
+    return c, list(np.repeat(rows[::-1, :, None], m, axis=2))
 
 
 def _horner_stacked(
     horner: tuple[np.ndarray, list[np.ndarray]], z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p(z), p'(z) and ``_horner_bound(c, z)`` for the ``_horner_table`` of c, degree >= 1.
+    """p(z), p'(z) and ``_horner_bound(c, z)`` for the ``_horner_table`` of
+    c at len(z) points, degree >= 1.
 
     One Horner pass over the three rows, with |z| as the bound row's
-    point; every value is the one ``_horner_many`` and ``_horner_bound``
-    return, bit for bit.  The bound row runs in complex arithmetic, exact
-    on (x + 0j) while it stays finite; past an overflow inf * 0 would
-    turn it into NaN, so that rare case takes the float loop.
+    point; every value is the one ``_horner_bound`` and the loop
+    ``acc = acc * z + c`` return, bit for bit (``_horner_many``'s too at
+    two or more points: at one, numpy's in-place complex multiply takes
+    another loop).  Each step is ``acc *= points; acc += block``:
+    acc stays the multiply's first operand, as in the separate loops
+    (numpy's complex multiply is not operand-symmetric in its last bit),
+    and an add cannot fuse, so adding a same-shape block gives what
+    adding a broadcast column gives.  The bound row runs in complex
+    arithmetic, exact on (x + 0j) while it stays finite; past an overflow
+    inf * 0 would turn it into NaN, so that rare case takes the float loop.
     """
-    table, columns = horner
+    c, blocks = horner
     points = np.empty((3, len(z)), dtype=complex)
     points[:2] = z
     points[2] = np.abs(z)
-    acc = np.empty_like(points)
-    acc[:] = columns[0]
+    acc = blocks[0].copy()
     acc *= points
     # p' starts one degree lower, at its top coefficient itself: -0 + x is x
     # for every x, a signed zero included, where 0 * z + x need not be
     acc[1] = complex(-0.0, -0.0)
-    np.add(acc, columns[1], out=acc)
-    for column in columns[2:]:
-        np.multiply(acc, points, out=acc)
-        np.add(acc, column, out=acc)
-    bound = np.maximum(acc[2].real, 1e-300)
-    if not np.isfinite(bound).all():
-        bound = _horner_bound(table[0], z)
+    acc += blocks[1]
+    for block in blocks[2:]:
+        acc *= points
+        acc += block
+    bound = np.maximum(acc[2].real, _BOUND_FLOOR)
+    if not np.logical_and.reduce(np.isfinite(bound)):
+        bound = _horner_bound(c, z)
     return acc[0], acc[1], bound
 
 
@@ -414,14 +459,31 @@ def _newton_coefficients(p: Poly, points) -> list[complex]:
 
 
 def _horner_bound(coeffs, z):
-    """sum |c_k| |z|^k of a coefficient tuple or array, floored at 1e-300; floats for scalar z."""
+    """sum |c_k| |z|^k of a coefficient tuple or array, floored at
+    ``_BOUND_FLOOR``; floats for scalar z."""
     az = abs(z)
     acc = abs(coeffs[-1])
     for c in coeffs[-2::-1]:
         acc = acc * az + abs(c)
     if isinstance(z, np.ndarray):
-        return np.maximum(acc, np.full(z.shape, 1e-300))  # z's shape at degree 0 too
-    return max(acc, 1e-300)
+        return np.maximum(acc, np.full(z.shape, _BOUND_FLOOR))  # z's shape at degree 0 too
+    return max(acc, _BOUND_FLOOR)
+
+
+def _dyadic_rescaled(p: Poly, floor: float = _BOUND_FLOOR) -> Poly:
+    """p times the power of two that lifts its scale to about 1 when that
+    scale is below floor, by default ``_BOUND_FLOOR``, else p itself.
+
+    Each part of each coefficient is scaled exactly, so every root and
+    every zero order is p's; the point rules and the root finder's
+    normalisation, which read nothing but noise below the floor, then see
+    p at unit scale.
+    """
+    s = p.scale()
+    if not 0.0 < s < floor:
+        return p
+    e = -math.frexp(s)[1]
+    return _poly(tuple([complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in p.coeffs]))
 
 
 def _zero_order(p: Poly, w: complex, at_most: int | None = None) -> tuple[int, Poly]:
@@ -443,11 +505,10 @@ def _aberth_step(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The Aberth correction of all roots z from their Newton steps w;
     a root coinciding with another sees it as it sees itself, not at all."""
     diff = z[:, None] - z[None, :]
-    diff[diff == 0] = np.inf
-    s = np.divide(1.0, diff, out=diff).sum(axis=1)
+    np.copyto(diff, np.inf, where=diff == 0)
+    s = np.add.reduce(np.divide(1.0, diff, out=diff), axis=1)
     denom = 1.0 - w * s
-    small = np.abs(denom) < 1e-12
-    denom[small] = 1.0
+    np.copyto(denom, 1.0, where=np.abs(denom) < 1e-12)
     return w / denom
 
 
@@ -502,21 +563,21 @@ def _aberth(
     for step in range(121):
         values = _horner_stacked(table, z)
         pz, dpz, bound = values
-        if (np.abs(pz) <= TOL.root_residual * bound).all():
+        if np.logical_and.reduce(np.abs(pz) <= TOL.root_residual * bound):
             return z, values
         if step == 120:
             break
         bad = np.abs(dpz) < 1e-300
-        if bad.any():
+        if np.logical_or.reduce(bad):
             z[bad] += 1e-8 * (1.0 + np.abs(z[bad])) * np.exp(1j * rng.uniform(0, 2 * np.pi, bad.sum()))
             continue
         ratio = pz / dpz
         far = ~np.isfinite(ratio)
-        if far.any():
+        if np.logical_or.reduce(far):
             # p(z) = z^d r(1/z) for the reversed polynomial r, so with u = 1/z
             # p/p' = z / (d - u r'(u) / r(u)), finite where Horner's p overflows
             u = 1.0 / z[far]
-            ru, dru, _ = _horner_stacked(_horner_table(c[::-1]), u)
+            ru, dru, _ = _horner_stacked(_horner_table(c[::-1], len(u)), u)
             ratio[far] = z[far] / (d - u * dru / ru)
         z = z - _aberth_step(z, ratio)
     return None
@@ -529,15 +590,20 @@ def poly_roots(p: Poly, rng: np.random.Generator | int | None = None) -> np.ndar
     0).  Only the simultaneous iteration (degree 3 and up) draws from it,
     so only there is a Generator built from a seed.
 
-    Raises ZeroFunctionError on the zero polynomial and
-    NonConvergenceError if the simultaneous iteration, the companion-matrix
-    fallback and the restart from the Newton polygon all miss the residual
-    target.  Every stage judges the non-finite values of an overflowing
-    Horner sum itself, so numpy emits no warning.
+    Coefficients below ``_BOUND_FLOOR`` in scale are first lifted exactly
+    by a power of two (``_dyadic_rescaled``), so the roots do not depend
+    on the scale.  Raises ZeroFunctionError on the zero polynomial,
+    InputFormatError on a non-finite coefficient and NonConvergenceError
+    if the simultaneous iteration, the companion-matrix fallback and the
+    restart from the Newton polygon all miss the residual target.  Every
+    stage judges the non-finite values of an overflowing Horner sum
+    itself, so numpy emits no warning.
     """
     if p.is_zero:
         raise ZeroFunctionError("the zero polynomial has no root set")
-    work = p.trim()
+    if not all(map(cmath.isfinite, p.coeffs)):
+        raise InputFormatError("cannot root a polynomial with a non-finite coefficient")
+    work = _dyadic_rescaled(p).trim()
     c = work.coeff_array()
     if len(c) == 1:
         return np.zeros(0, dtype=complex)
@@ -562,7 +628,7 @@ def poly_roots(p: Poly, rng: np.random.Generator | int | None = None) -> np.ndar
             found = np.array([-s / (2.0 * a2), -2.0 * a0 / s])
     else:
         rng = np.random.default_rng(0 if rng is None else rng)
-        table = _horner_table(c)
+        table = _horner_table(c, d)
         with np.errstate(over="ignore", invalid="ignore"):
             certified = _aberth(c, table, rng)
             if certified is None:
@@ -602,13 +668,12 @@ def _newton_polish(c: np.ndarray, z: np.ndarray, values=None, table=None) -> np.
     is (p, p', bound) at z from a pass over ``table``, c's Horner table,
     and the polish updates those arrays in place.
     """
-    table = _horner_table(c) if table is None else table
+    table = _horner_table(c, len(z)) if table is None else table
     z = z.copy()
     pz, dpz, bound = _horner_stacked(table, z) if values is None else values
     for _ in range(3):
-        ok = np.abs(dpz) > 1e-300
         step = np.zeros_like(z)
-        step[ok] = pz[ok] / dpz[ok]
+        np.divide(pz, dpz, out=step, where=np.abs(dpz) > 1e-300)
         # reject steps that increase the residual (cluster oscillation)
         trial = z - step
         tpz, tdpz, tbound = _horner_stacked(table, trial)
@@ -620,7 +685,7 @@ def _newton_polish(c: np.ndarray, z: np.ndarray, values=None, table=None) -> np.
         if k:
             pz, dpz, bound = _horner_stacked(table, z)
         stalled = np.abs(pz) > rounding * bound
-        if not stalled.any() or (np.abs(dpz) <= 1e-300).any():
+        if not np.logical_or.reduce(stalled) or np.logical_or.reduce(np.abs(dpz) <= 1e-300):
             break
         z[stalled] -= _aberth_step(z, pz / dpz)[stalled]
     return z
@@ -690,22 +755,20 @@ class RationalFn:
     def __init__(self, num: Poly | complex, den: Poly | complex = 1):
         num = num if isinstance(num, Poly) else Poly([num])
         den = den if isinstance(den, Poly) else Poly([den])
+        dc = den.coeffs
         # normalising by an infinite coefficient would zero num and den; a NaN
         # survives normalising and is rejected where the symbol is validated
-        if any(cmath.isinf(c) for c in den.coeffs):
+        den_finite = all(map(cmath.isfinite, dc))
+        if not den_finite and any(map(cmath.isinf, dc)):
             raise InputFormatError("rational denominator has an infinite coefficient")
-        if den.is_zero:
+        if not dc:
             raise ZeroDivisionError("rational function with zero denominator")
-        d0 = den.coeff(0)
-        if abs(d0) > 1e-12 * den.scale():
-            num = num * (1.0 / d0)
-            den = den * (1.0 / d0)
-        else:
-            lead = den.coeffs[-1]
-            num = num * (1.0 / lead)
-            den = den * (1.0 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        # both products are num * s and den * s by Poly.__mul__'s rule
+        s = 1.0 / (dc[0] if abs(dc[0]) > 1e-12 * den.scale() else dc[-1])
+        s_finite = cmath.isfinite(s)
+        num_finite = all(map(cmath.isfinite, num.coeffs))
+        object.__setattr__(self, "num", _scaled(num.coeffs, s, s_finite and num_finite))
+        object.__setattr__(self, "den", _scaled(dc, s, s_finite and den_finite))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
@@ -727,13 +790,28 @@ class RationalFn:
 
     def __call__(self, z):
         """num(z) / den(z); PoleAtPointError where |den(z)| <= TOL.pole * _horner_bound."""
-        dv = self.den(z)
-        self._pole_rule(z, dv)
+        if isinstance(z, np.ndarray):
+            dv = self.den(z)
+            self._pole_rule(z, dv)
+            return self.num(z) / dv
+        # den(z) and its Horner bound in one loop, each step rounding as in
+        # Poly.__call__ and _horner_bound
+        dc = self.den.coeffs
+        az = abs(z)
+        dv = dc[-1]
+        bound = abs(dv)
+        for c in dc[-2::-1]:
+            dv = dv * z + c
+            bound = bound * az + abs(c)
+        self._pole_rule(z, dv, max(bound, _BOUND_FLOOR))
         return self.num(z) / dv
 
-    def _pole_rule(self, z, dv) -> None:
-        """PoleAtPointError where dv = den(z) has |dv| <= TOL.pole * _horner_bound."""
-        at_pole = abs(dv) <= TOL.pole * _horner_bound(self.den.coeffs, z)
+    def _pole_rule(self, z, dv, bound=None) -> None:
+        """PoleAtPointError where dv = den(z) has |dv| <= TOL.pole * bound,
+        bound the ``_horner_bound`` of den at z, computed when not given."""
+        if bound is None:
+            bound = _horner_bound(self.den.coeffs, z)
+        at_pole = abs(dv) <= TOL.pole * bound
         if np.any(at_pole) if isinstance(z, np.ndarray) else at_pole:
             raise PoleAtPointError(f"evaluation at a pole of the denominator near z = {z}")
 
@@ -800,13 +878,11 @@ class RationalFn:
             if k > 0:
                 acc -= np.dot(den[1 : k + 1], rev[n - k + 1 : n + 1])
             rev[n - k] = acc / d0
-        # from k = m on, every step reads the same window of den
-        window = den[1:]
+        # from k = m on, every step reads the same window of den; at m = 0
+        # it is empty, and x - 0j is x, signed zeros included
+        dot = den[1:].dot
         for k in range(m, n + 1):
-            acc = num[k]
-            if m:
-                acc -= np.dot(window, rev[n - k + 1 : n - k + 1 + m])
-            rev[n - k] = acc / d0
+            rev[n - k] = (num[k] - dot(rev[n - k + 1 : n - k + 1 + m])) / d0
         return rev[::-1].copy()
 
     def taylor_poly(self, n: int) -> Poly:

@@ -261,6 +261,7 @@ class HbSpace:
         self._inv_q = np.zeros(0, dtype=complex)
         self._sweep = (None, [])  # (point sequence, its ``_newton_numerators``)
         self._decay_values: dict = {}  # coefficients -> values, see _on_decay_circle
+        self._Lb_nums: tuple[Poly, Poly] | None = None  # see vector_Lb
 
     # -- the plus companion -------------------------------------------------
 
@@ -350,11 +351,13 @@ class HbSpace:
         return self._member(self.b.num, q * (1.0 / self._a0) - self.a.num, degree)
 
     def vector_Lb(self, degree: int = D_TRUNC) -> HbVector:
-        """Lb = (b - b(0))/z: companion -La."""
-        q = self.b.den
-        return self._member(
-            _backward(self.b.num - self.b(0) * q), -_backward(self.a.num - self.a(0) * q), degree
-        )
+        """Lb = (b - b(0))/z: companion -La.  Its two numerators are built
+        on the first call and kept for the space's later ones."""
+        if self._Lb_nums is None:
+            q = self.b.den
+            self._Lb_nums = (_backward(self.b.num - self.b(0) * q),
+                             -_backward(self.a.num - self.a(0) * q))
+        return self._member(*self._Lb_nums, degree)
 
     def _member_den(self, points) -> Poly:
         """The one denominator rule: q prod_k (1 - conj(x_k) z) over points, q = b.den."""

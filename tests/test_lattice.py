@@ -1015,3 +1015,40 @@ def test_gram_matrix_is_real_exactly_when_the_phi_window_is(name):
         real = last is None or n <= last
         assert g.dtype == (np.float64 if real else np.complex128)
         assert np.array_equal(g, g.conj().T)  # exactly symmetric or Hermitian
+
+
+# Generators at tiny and huge scales: [c f] is [f], and below the Horner
+# bound's floor the numerator is lifted exactly before the zero rule reads it.
+
+_TINY_SCALES = (-1070, -1060, -1022, -1000, -997, -990, -500, 0, 500, 1000)
+
+
+def _dyadic_scaled(p: Poly, k: int) -> Poly:
+    return Poly([complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)) for c in p.coeffs])
+
+
+@pytest.mark.parametrize("gen", [
+    Poly([1, 1, 1, 1]),                       # zeros on the circle off the mate zero: cyclic
+    Poly([-1, 1]) * Poly([-1, 2]),            # the mate zero and 1/2: inner and boundary
+    Poly([1, -2, 1]) * Poly([1, 4]),          # order 2 at the mate zero, capped at 1; -1/4
+])
+def test_descriptors_do_not_depend_on_a_dyadic_scale(half, gen):
+    want = classify(half, gen)
+    for k in _TINY_SCALES:
+        got = classify(half, _dyadic_scaled(gen, k))
+        assert got.form == want.form and got.description == want.description
+        assert got.boundary_orders == want.boundary_orders
+        assert repr(got.inner_roots) == repr(want.inner_roots)
+        assert is_cyclic(half, _dyadic_scaled(gen, k)) == (want.form == "full")
+    far = subspace_distance(half, gen, Poly([1]))
+    for k in _TINY_SCALES[:-1]:  # |f|_b^2 overflows at 2^1000
+        scaled = _dyadic_scaled(gen, k)
+        assert subspace_distance(half, scaled, gen) <= 1e-12
+        assert abs(subspace_distance(half, scaled, Poly([1])) - far) <= 1e-12
+
+
+def test_a_generator_below_the_bound_floor_is_cyclic(half):
+    # 1e-320 (1 + z + z^2 + z^3) vanishes at -1 and +-i, not at the mate zero 1
+    g = Poly([1e-320] * 4)
+    assert classify(half, g).form == "full"
+    assert is_cyclic(half, g)

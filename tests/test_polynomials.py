@@ -175,7 +175,7 @@ def _stacked_cases():
 def test_stacked_horner_is_the_separate_loops_bit_for_bit():
     for c, z in _stacked_cases():
         dc = np.arange(1, len(c)) * c[1:]
-        pz, dpz, bound = _horner_stacked(_horner_table(c), z)
+        pz, dpz, bound = _horner_stacked(_horner_table(c, len(z)), z)
         assert pz.tobytes() == _horner_loop(c, z).tobytes()
         assert dpz.tobytes() == _horner_loop(dc, z).tobytes()
         assert bound.tobytes() == _bound_loop(c, z).tobytes()
@@ -186,7 +186,7 @@ def test_stacked_horner_past_an_overflow():
     c = np.arange(1, 42) * (1.0 + 0.5j)
     z = np.array([1e10, 1e10j, 0.5, -2.0 + 1e-300j])
     with np.errstate(over="ignore", invalid="ignore"):
-        pz, dpz, bound = _horner_stacked(_horner_table(c), z)
+        pz, dpz, bound = _horner_stacked(_horner_table(c, len(z)), z)
         want = _horner_loop(c, z), _horner_loop(np.arange(1, len(c)) * c[1:], z), _bound_loop(c, z)
     assert np.isinf(bound[:2]).all()
     for got, ref in zip((pz, dpz, bound), want):
@@ -253,7 +253,7 @@ def _polish_cases():
         c = scale * c
         unit = c / np.max(np.abs(c))
         with np.errstate(over="ignore", invalid="ignore"):
-            found = _aberth(unit, _horner_table(unit), np.random.default_rng(case))
+            found = _aberth(unit, _horner_table(unit, len(unit) - 1), np.random.default_rng(case))
         yield c, np.roots(c[::-1]) if found is None else found[0]
     # a start whose first stall test flips on the bound at the kept trial,
     # not at the point before it
@@ -878,3 +878,252 @@ def test_rational_json_bare_list_parts():
     assert f == RationalFn(Poly([1]))
     g = RationalFn.from_json({"num": [0, [0, 1]], "den": {"coeffs": [[2, 0], [-1, 0]]}})
     assert g(0.5) == pytest.approx(0.5j / 1.5)
+
+
+# The root-finder kernels against their former forms, bit for bit: the
+# stacked pass over broadcast (3, 1) columns, the Aberth correction and the
+# Newton step by boolean-index gathers and writes, the scalar call by two
+# loops, and the Taylor recurrence with a per-step test of m.
+
+
+def _former_stacked(c, z):
+    d = len(c) - 1
+    table = np.zeros((3, d + 1), dtype=complex)
+    table[0] = c
+    table[1, :d] = np.arange(1, d + 1) * c[1:]
+    table[2] = [abs(ck) for ck in c]
+    columns = [table[:, k : k + 1] for k in range(d, -1, -1)]
+    points = np.empty((3, len(z)), dtype=complex)
+    points[:2] = z
+    points[2] = np.abs(z)
+    acc = np.empty_like(points)
+    acc[:] = columns[0]
+    acc *= points
+    acc[1] = complex(-0.0, -0.0)
+    np.add(acc, columns[1], out=acc)
+    for column in columns[2:]:
+        np.multiply(acc, points, out=acc)
+        np.add(acc, column, out=acc)
+    bound = np.maximum(acc[2].real, 1e-300)
+    if not np.isfinite(bound).all():
+        bound = _horner_bound(c, z)
+    return acc[0], acc[1], bound
+
+
+def _bytes(values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+def test_stacked_blocks_are_the_broadcast_columns_and_the_separate_loops_bit_for_bit():
+    # at widths below, at and above the degree, and past an overflow.  At
+    # one point numpy's in-place complex multiply takes another loop than
+    # at two or more, so there _horner_many may differ in the last bit from
+    # the pass, whose (3, 1) operands are three elements long
+    cases = list(_stacked_cases())
+    cases.append((np.arange(1, 42) * (1.0 + 0.5j), np.array([1e10, 1e10j, 0.5, -2.0 + 1e-300j])))
+    widths = set()
+    for c, z in cases:
+        d = len(c) - 1
+        widths.add(np.sign(len(z) - d))
+        dc = np.arange(1, len(c)) * c[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _horner_stacked(_horner_table(c, len(z)), z)
+            assert _bytes(got) == _bytes(_former_stacked(c, z))
+            want = (polynomials._horner_many(c, z), polynomials._horner_many(dc, z), _horner_bound(c, z))
+        if len(z) > 1:
+            assert _bytes(got) == _bytes(want)
+    assert widths == {-1, 0, 1}
+
+
+def test_horner_table_blocks_are_contiguous_views_of_one_array():
+    c = np.array([1.0, -2j, 0.5, 3.0 + 1j])
+    held, blocks = _horner_table(c, 5)
+    assert held is c and len(blocks) == 4
+    base = blocks[0].base
+    assert base.shape == (4, 3, 5) and base.nbytes == 48 * 4 * 5
+    for k, block in zip(range(3, -1, -1), blocks):
+        assert block.base is base and block.shape == (3, 5) and block.flags.c_contiguous
+        want = [c[k], (k + 1) * c[k + 1] if k < 3 else 0j, abs(c[k])]
+        assert (block == np.array(want)[:, None]).all()
+
+
+def _former_aberth_step(z, w):
+    diff = z[:, None] - z[None, :]
+    diff[diff == 0] = np.inf
+    s = np.divide(1.0, diff, out=diff).sum(axis=1)
+    denom = 1.0 - w * s
+    small = np.abs(denom) < 1e-12
+    denom[small] = 1.0
+    return w / denom
+
+
+def test_aberth_step_is_the_boolean_index_form_bit_for_bit():
+    gen = np.random.default_rng(45)
+    small = 0
+    for case in range(60):
+        n = int(gen.integers(2, 30))
+        z = gen.standard_normal(n) + 1j * gen.standard_normal(n)
+        z[gen.random(n) < 0.2] = z[0]  # coincident points
+        if case % 6 == 0:
+            z[1] = complex(-0.0, 0.0) if case % 12 else 0j
+            z[0] = 0j
+        w = 1e-3 * (gen.standard_normal(n) + 1j * gen.standard_normal(n))
+        # |1 - w s| < 1e-12 at some roots: w = 1 / s there
+        diff = z[:, None] - z[None, :]
+        diff[diff == 0] = np.inf
+        s = (1.0 / diff).sum(axis=1)
+        hit = (gen.random(n) < 0.3) & (s != 0)
+        w[hit] = 1.0 / s[hit]
+        small += int(np.count_nonzero(np.abs(1.0 - w * s) < 1e-12))
+        got = polynomials._aberth_step(z.copy(), w.copy())
+        assert got.tobytes() == _former_aberth_step(z.copy(), w.copy()).tobytes()
+    assert small >= 20
+
+
+def test_newton_step_is_the_boolean_gather_form_bit_for_bit():
+    # dpz = 0, signed zeros, subnormal, NaN and inf derivatives
+    pz = np.array([1 + 1j, -2.0, 3e-310, complex(-0.0, 1.0), np.nan, 4j, 1e300 + 1e300j, 0.5])
+    dpz = np.array([0j, complex(-0.0, -0.0), 2e-300, 1e-301, 1.0, np.inf, 1e-10, np.nan + 0j])
+    ok = np.abs(dpz) > 1e-300
+    want = np.zeros_like(pz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want[ok] = pz[ok] / dpz[ok]
+        got = np.zeros_like(pz)
+        np.divide(pz, dpz, out=got, where=np.abs(dpz) > 1e-300)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_polish_where_the_derivative_vanishes_is_the_reference_loop_bit_for_bit():
+    # z^3 - 1 has p' = 3 z^2 = 0 at the origin: that root takes no Newton step
+    c = np.array([-1, 0, 0, 1], dtype=complex)
+    for start in (np.array([0j, 1.0 + 1e-3j, -0.5 + 0.8j]), np.array([0j, 0j, 2.0])):
+        want, _ = _polish_reference(c, start)
+        got = _newton_polish(c, start)
+        assert got.tobytes() == want.tobytes()
+        assert got[0] == 0
+
+
+def _former_call(f, z):
+    dv = f.den(z)
+    if abs(dv) <= polynomials.TOL.pole * _horner_bound(f.den.coeffs, z):
+        raise PoleAtPointError(f"evaluation at a pole of the denominator near z = {z}")
+    return f.num(z) / dv
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the type and the text must match too
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("num, den", [
+    (Poly([1, 2]), Poly([49, -3])),                    # den(0) = 49: 49 * (1/49) rounds below 1
+    (Poly([0.3, -1j]), Poly([0, 1, 0.5])),             # den(0) = 0: the lead normalises
+    (Poly([1e-300, 2]), Poly([1e-13, 1, 0.25j])),      # den(0) within 1e-12 of the scale
+    (Poly([complex(-0.0, 0.0), 1]), Poly([1, -1])),    # a pole at 1
+    (Poly([math.nan, 1]), Poly([2, math.nan])),        # NaN survives normalising
+    (Poly([math.inf]), Poly([1, 0.5])),                # an infinite numerator
+])
+def test_rational_init_and_scalar_call_are_the_former_paths_bit_for_bit(num, den):
+    f = RationalFn(num, den)
+    want_num, want_den = _ref_rational(num, den)
+    _same(f.num, want_num)
+    _same(f.den, want_den)
+    points = [0.0, 0j, 1.0, 1, -1j, 0.5 + 0.5j, 2.0, 1e-200, np.complex128(0.3 - 0.1j), np.float64(1.0)]
+    for z in points:
+        with np.errstate(all="ignore"):
+            assert _outcome(f, z) == _outcome(_former_call, f, z)
+
+
+def test_rational_init_rejects_an_infinite_or_zero_denominator():
+    with pytest.raises(InputFormatError, match="rational denominator has an infinite coefficient"):
+        RationalFn(Poly([1]), Poly([1, math.inf]))
+    with pytest.raises(InputFormatError, match="infinite"):
+        RationalFn(Poly([1]), Poly([math.nan, complex(0, -math.inf)]))
+    with pytest.raises(ZeroDivisionError, match="rational function with zero denominator"):
+        RationalFn(Poly([1]), Poly([0.0, -0.0]))
+
+
+def test_pole_error_text_names_the_point():
+    f = RationalFn(Poly([1]), Poly([1, -1]))
+    for z in (1.0, 1 + 0j, np.complex128(1.0)):
+        with pytest.raises(PoleAtPointError) as exc:
+            f(z)
+        assert str(exc.value) == f"evaluation at a pole of the denominator near z = {z}"
+
+
+def _former_taylor(f, n):
+    d0 = f.den.coeff(0)
+    num = f.num.coeff_array(n + 1)
+    den = f.den.coeff_array(min(len(f.den.coeffs), n + 1))
+    rev = np.zeros(n + 1, dtype=complex)
+    m = len(den) - 1
+    for k in range(min(m, n + 1)):
+        acc = num[k]
+        if k > 0:
+            acc -= np.dot(den[1 : k + 1], rev[n - k + 1 : n + 1])
+        rev[n - k] = acc / d0
+    window = den[1:]
+    for k in range(m, n + 1):
+        acc = num[k]
+        if m:
+            acc -= np.dot(window, rev[n - k + 1 : n - k + 1 + m])
+        rev[n - k] = acc / d0
+    return rev[::-1].copy()
+
+
+@pytest.mark.parametrize("den", [
+    Poly([3.0]), Poly([complex(-2.0, -0.0)]),               # m = 0
+    Poly([1, -0.5j]), Poly([2, 0, 1, 0.25]), Poly([1, 1e-300, -3, 0.5j, 7]),
+])
+def test_taylor_is_the_former_recurrence_bit_for_bit(den):
+    # signed zeros and NaN in num, and n below, at and above deg den
+    num = Poly([complex(-0.0, -0.0), 1.5, complex(0.0, -0.0), -2j, math.nan, 1e-310, 4.0])
+    f = RationalFn(num, den)
+    for n in range(0, 12):
+        with np.errstate(all="ignore"):
+            assert f.taylor(n).tobytes() == _former_taylor(f, n).tobytes()
+
+
+# Coefficients at tiny and huge scales: a power of two changes no root.
+
+
+_DYADIC = Poly.from_roots([0.5, -0.25, 2.0, 0.75j], leading=32.0)  # integer coefficients
+_SCALES = (-1070, -1060, -1022, -1000, -997, -990, -500, 0, 500, 1000)
+
+
+def test_dyadic_roots_are_the_unit_scale_roots_at_every_scale():
+    assert all(c == complex(round(c.real), round(c.imag)) for c in _DYADIC.coeffs)
+    want = poly_roots(_DYADIC)
+    assert np.allclose(sorted(want, key=lambda r: (r.real, r.imag)),
+                       [-0.25, 0.75j, 0.5, 2.0], atol=1e-14)
+    quadratic = Poly([-2, 0, 2])
+    for k in _SCALES:
+        scaled = Poly([complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)) for c in _DYADIC.coeffs])
+        assert poly_roots(scaled).tobytes() == want.tobytes()
+        scaled = Poly([math.ldexp(c.real, k) for c in quadratic.coeffs])
+        assert poly_roots(scaled).tobytes() == poly_roots(quadratic).tobytes()
+
+
+def test_roots_below_the_bound_floor_are_finite():
+    assert np.allclose(sorted(poly_roots(Poly([2e-310, 0, -2e-310])).real), [-1.0, 1.0])
+    roots = poly_roots(Poly([1e-320] * 4))
+    assert np.allclose(sorted(roots, key=lambda r: (r.imag, r.real)), [-1j, -1, 1j], atol=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [[math.nan, 1, 1, 1], [1, math.inf, 1], [1, 2, complex(0, -math.inf)],
+                                    [complex(math.nan, 0), 1]])
+def test_roots_reject_a_non_finite_coefficient(coeffs):
+    with pytest.raises(InputFormatError, match="non-finite"):
+        poly_roots(Poly(coeffs))
+
+
+def test_dyadic_rescale_lifts_only_below_the_floor():
+    p = Poly([1e-320] * 4)
+    lifted = polynomials._dyadic_rescaled(p)
+    assert 0.5 <= lifted.scale() <= 1.0
+    assert _zero_order(p, 1.0)[0] == 3  # the floor reads every point as a zero
+    assert _zero_order(lifted, 1.0)[0] == 0
+    for q in (Poly([1e-300, 3]), Poly([2e-300]), Poly(), Poly([math.nan, 1e-320])):
+        assert polynomials._dyadic_rescaled(q) is q

@@ -938,3 +938,21 @@ def test_random_symbols_in_the_ball(seed, angle):
     want = (1.0 + space.norm_b_sq) * np.outer(np.conj(c), c)
     got = g[1:, 1:] - g[:-1, :-1]
     assert np.max(np.abs(got - want)) <= 32 * 18 * np.finfo(float).eps * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("name", ["step2", "model3", "complex", "den49"])
+def test_lb_numerators_are_built_once_per_space_with_the_former_bits(name, monkeypatch):
+    space = HbSpace(_radius_symbol(name))
+    q = space.b.den
+    want = (space_module._backward(space.b.num - space.b(0) * q),
+            -space_module._backward(space.a.num - space.a(0) * q))
+    built = []
+    backward = space_module._backward
+    monkeypatch.setattr(space_module, "_backward", lambda p: built.append(p) or backward(p))
+    first, second = space.vector_Lb(), space.vector_Lb(D_TRUNC + 7)
+    assert len(built) == 2
+    assert [repr(p.coeffs) for p in space._Lb_nums] == [repr(p.coeffs) for p in want]
+    fresh = HbSpace(_radius_symbol(name))._member(*want, D_TRUNC)
+    for v in (first, fresh):
+        assert repr(space.pair(v, v)) == repr(space.pair(first, first))
+    assert second.f.degree == first.f.degree + 7

@@ -13,6 +13,11 @@ or an [re, im] pair of numbers, read by ``complex_from_json``; booleans
 are rejected.  ``hb mate`` prints ``MateResult.to_json`` with
 ``a_at_origin`` and ``norm_b_sq`` added.  Each handler imports the
 modules it runs, so a subcommand loads only what it uses.
+
+``main(argv)`` is the in-process API: it returns the exit code.  The
+``hb`` script and ``python -m hbspace.cli`` enter through ``run()``,
+which flushes the output and ends the process without interpreter
+teardown.
 """
 
 from __future__ import annotations
@@ -20,8 +25,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -273,5 +280,42 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_NUMERICAL
 
 
+def run() -> NoReturn:
+    """The process entry point: ``main()``, a flush of stdout and stderr,
+    then ``os._exit`` with main's code.
+
+    Everything the process owes the caller is written once both streams
+    are flushed, so the interpreter's teardown (its final collection and
+    module clean-up, about 20 ms with numpy loaded) is skipped; atexit
+    handlers do not run either.  A write that fails with OSError, from a
+    reader that closed the pipe or a full disk, exits 1 without a
+    traceback; a broken pipe is not reported, any other such error is
+    reported on stderr as JSON when stderr takes it.  A stream that is
+    None is skipped.  A SystemExit (``--help``, ``--version``) and any
+    other exception leave through the interpreter's normal exit.
+    """
+    failed = None
+    try:
+        code = main()
+    except OSError as exc:
+        failed = exc
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError as exc:
+            failed = failed or exc
+    if failed is not None:
+        code = 1
+        if not isinstance(failed, BrokenPipeError):
+            try:
+                print(json.dumps({"error": f"cannot write the output: {failed}",
+                                  "type": type(failed).__name__}, sort_keys=True),
+                      file=sys.stderr, flush=True)
+            except OSError:
+                pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

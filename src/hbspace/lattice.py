@@ -18,10 +18,13 @@ is finite and in lowest terms; a pole inside the disk raises
 PoleInDiskError, and one on the circle band is not a member.  Before
 the gate a numerator whose coefficients all sit below 2^-511 is lifted
 exactly by a power of two: [f] does not change, and neither the Horner
-bound's floor nor an underflowing |f|_b^2 is left to read.  Its
-descriptor reads ord_{lambda_i} f and divides it out of the numerator in
-one pass (polynomials._zero_order) before rooting the rest, so a multiple
-zero at a mate zero cannot splatter into theta.
+bound's floor nor an underflowing |f|_b^2 is left to read.  One whose
+scale reaches 2^500 is lowered to unit scale the same way, so |f|_b^2
+does not overflow, unless a nonzero coefficient part would turn
+subnormal; subspace_distance raises NumericalError for such a
+generator.  Its descriptor reads ord_{lambda_i} f and divides it out of
+the numerator in one pass (polynomials._zero_order) before rooting the
+rest, so a multiple zero at a mate zero cannot splatter into theta.
 
 subspace_distance gives the numeric side, exactly: the distance from f
 to [g], relative to |f|_b.  The same data fix [g]^perp by one family of
@@ -69,6 +72,7 @@ from .config import CIRCLE_BAND, D_TRUNC
 from .errors import (
     InputFormatError,
     MultipleBoundaryZeroError,
+    NumericalError,
     RankDeficiencyError,
 )
 from .factorization import _analytic_lowest_terms, _blaschke, _inner_roots, _lowest_terms
@@ -77,8 +81,10 @@ from .polynomials import (
 from .space import HbSpace
 
 _EPS = np.finfo(float).eps
-# Below this scale a generator's squared norm leaves the normal range.
+# Below this scale a generator's squared norm leaves the normal range;
+# at or above the ceiling it can overflow.
 _SQUARE_FLOOR = 2.0**-511
+_SQUARE_CEILING = 2.0**500
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,15 +147,19 @@ def membership(space: HbSpace, f) -> bool:
 
 
 def _generator(f) -> RationalFn:
-    """f, with its numerator lifted exactly by a power of two to about unit
-    scale when its scale is below ``_SQUARE_FLOOR`` (``_dyadic_rescaled``).
+    """f, with its numerator brought exactly by a power of two to about
+    unit scale when its scale is below ``_SQUARE_FLOOR`` or at or above
+    ``_SQUARE_CEILING`` (``_dyadic_rescaled``).
 
     [f] is [c f] for every c != 0 and a distance relative to |f|_b does
     not see c either; lifted, the zero rule no longer reads every point as
-    a zero under the Horner bound's floor, and |f|_b^2 does not underflow.
+    a zero under the Horner bound's floor, and |f|_b^2 does not underflow;
+    lowered, |f|_b^2 does not overflow.  A numerator is not lowered when
+    a nonzero part of a coefficient would turn subnormal; it keeps its
+    scale, which ``subspace_distance`` refuses.
     """
     f = as_rational(f)
-    num = _dyadic_rescaled(f.num, _SQUARE_FLOOR)
+    num = _dyadic_rescaled(f.num, _SQUARE_FLOOR, _SQUARE_CEILING)
     return f if num is f.num else RationalFn(num, f.den)
 
 
@@ -274,10 +284,17 @@ def subspace_distance(space: HbSpace, f, g) -> float:
     up to rounding and distinct ones their true separation.  Each
     generator passes the gate once and is put in lowest terms; a pole in
     the closed disk (or on the circle band) raises PoleInDiskError;
-    RankDeficiencyError when a kernel Gram matrix is numerically singular.
+    RankDeficiencyError when a kernel Gram matrix is numerically singular;
+    NumericalError for a generator at or above ``_SQUARE_CEILING`` that
+    ``_generator`` cannot lower exactly, whose |f|_b^2 would overflow.
     """
     f, _ = _analytic_lowest_terms(_generator(f))
     g, _ = _analytic_lowest_terms(_generator(g))
+    for h in (f, g):
+        if h.num.scale() >= _SQUARE_CEILING:
+            raise NumericalError(
+                f"generator of scale {h.num.scale():.3e} spans too wide a range to "
+                "be lowered exactly by a power of two; its squared norm would overflow")
     if f.num.is_zero and g.num.is_zero:
         return 0.0
     if f.num.is_zero or g.num.is_zero:

@@ -81,6 +81,7 @@ _TRIM_REL = 1e-14
 # a polynomial whose coefficients all sit under it as vanishing anywhere;
 # ``_dyadic_rescaled`` lifts such a polynomial exactly before they run.
 _BOUND_FLOOR = 1e-300
+_NORMAL_MIN = float(np.finfo(float).tiny)  # 2^-1022, the least normal double
 
 
 def _trim_exact(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
@@ -470,19 +471,25 @@ def _horner_bound(coeffs, z):
     return max(acc, _BOUND_FLOOR)
 
 
-def _dyadic_rescaled(p: Poly, floor: float = _BOUND_FLOOR) -> Poly:
-    """p times the power of two that lifts its scale to about 1 when that
-    scale is below floor, by default ``_BOUND_FLOOR``, else p itself.
+def _dyadic_rescaled(p: Poly, floor: float = _BOUND_FLOOR, ceiling: float = math.inf) -> Poly:
+    """p times the power of two that brings its scale to about 1 when that
+    scale is below floor, by default ``_BOUND_FLOOR``, or at or above
+    ceiling, by default never, else p itself.
 
     Each part of each coefficient is scaled exactly, so every root and
     every zero order is p's; the point rules and the root finder's
     normalisation, which read nothing but noise below the floor, then see
-    p at unit scale.
+    p at unit scale.  A lowering that would turn a nonzero part subnormal
+    is not exact, so such a p is returned as it is.
     """
     s = p.scale()
-    if not 0.0 < s < floor:
+    if not (0.0 < s < floor or s >= ceiling):
         return p
     e = -math.frexp(s)[1]
+    if e < 0:
+        least = min(abs(x) for c in p.coeffs for x in (c.real, c.imag) if x)
+        if math.ldexp(least, e) < _NORMAL_MIN:
+            return p
     return _poly(tuple([complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in p.coeffs]))
 
 

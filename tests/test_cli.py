@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hbspace import HbSpace
 from hbspace import space as space_module
-from hbspace.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_symbol
+from hbspace.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main, parse_symbol, run
 from hbspace.polynomials import complex_to_json
 
 HALF = "[0.5, 0.5]"
@@ -593,3 +593,96 @@ def test_every_command_line_exits_with_a_contract_code(argv):
         strict_json(out.getvalue())
     else:
         assert set(json.loads(err.getvalue().splitlines()[-1])) == {"error", "type"}
+
+
+# The process entry point: run() flushes and ends with os._exit.
+
+def _process_env(**extra):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **extra}
+    env.pop("HB_SEED", None)
+    return env
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["mate", "-b", HALF], ["suite"]], ids=["mate", "suite"])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv, buffered):
+    # buffered, the write fails at run()'s flush; unbuffered, inside main()
+    env = _process_env()
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hbspace.cli", *argv], env=env,
+                              stdout=write_fd, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr  # a reader that left needs no report
+
+
+class _Exited(Exception):
+    pass
+
+
+def _run_in_process(monkeypatch, argv):
+    """run() with os._exit raising _Exited(code) instead of ending the process."""
+    def fake_exit(code):
+        raise _Exited(code)
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    monkeypatch.setattr(sys, "argv", ["hb", *argv])
+    with pytest.raises(_Exited) as info:
+        run()
+    return info.value.args[0]
+
+
+def test_run_skips_streams_that_are_none(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert _run_in_process(monkeypatch, ["mate", "-b", HALF]) == EXIT_OK
+    assert _run_in_process(monkeypatch, ["mate", "-b", "[0.5,"]) == EXIT_VALIDATION
+
+
+class _FullDisk(io.StringIO):
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_flush_exits_1_and_is_reported_as_json(monkeypatch):
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert _run_in_process(monkeypatch, ["mate", "-b", HALF]) == 1
+    blob = json.loads(err.getvalue())
+    assert blob["type"] == "OSError"
+    assert "No space left on device" in blob["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mate", "-b", HALF],
+    ["kernel", "-b", HALF, "--at", "0", "--point", "0.5"],
+    ["gram", "-b", AFFINE, "--size", "32"],
+    ["verify", "-b", STEP1],
+    ["model", "--steps", "2", "--verify"],
+    ["classify", "-b", STEP2, "-g", "[1, -2, 1]"],
+    ["mate", "-b", "[0.5,"],
+    ["--version"],
+], ids=["mate", "kernel", "gram", "verify", "model", "classify", "reject", "version"])
+def test_the_process_path_prints_what_main_prints(argv, monkeypatch):
+    monkeypatch.delenv("HB_SEED", raising=False)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --version
+            code = exc.code
+    proc = subprocess.run([sys.executable, "-m", "hbspace.cli", *argv], env=_process_env(),
+                          capture_output=True, timeout=60)
+    assert proc.returncode == code
+    assert proc.stdout == out.getvalue().encode()
+    assert proc.stderr == err.getvalue().encode()

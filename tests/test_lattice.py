@@ -16,6 +16,7 @@ from hbspace.config import D_TRUNC
 from hbspace.errors import (
     InputFormatError,
     MultipleBoundaryZeroError,
+    NumericalError,
     PoleInDiskError,
     RankDeficiencyError,
     ValidationError,
@@ -1041,10 +1042,38 @@ def test_descriptors_do_not_depend_on_a_dyadic_scale(half, gen):
         assert repr(got.inner_roots) == repr(want.inner_roots)
         assert is_cyclic(half, _dyadic_scaled(gen, k)) == (want.form == "full")
     far = subspace_distance(half, gen, Poly([1]))
-    for k in _TINY_SCALES[:-1]:  # |f|_b^2 overflows at 2^1000
+    for k in _TINY_SCALES:
         scaled = _dyadic_scaled(gen, k)
         assert subspace_distance(half, scaled, gen) <= 1e-12
         assert abs(subspace_distance(half, scaled, Poly([1])) - far) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(-1070, 1000))
+@example(-1070)
+@example(499)
+@example(500)
+@example(510)
+@example(511)
+@example(1000)
+def test_a_distance_does_not_depend_on_a_dyadic_scale(half, k):
+    # 2^k (1 + z) against [(z - 1)(2z - 1)]: |f|_b^2 overflowed from k = 511
+    # and the distance read inf / inf = NaN
+    target = Poly([1, -3, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = subspace_distance(half, _dyadic_scaled(Poly([1, 1]), k), target)
+    assert abs(d - subspace_distance(half, Poly([1, 1]), target)) <= 1e-13
+
+
+def test_a_huge_generator_that_cannot_be_lowered_exactly_raises(half):
+    # lowered to unit scale, the 2^-500 part would turn subnormal
+    g = Poly([2.0**600, 2.0**-500])
+    with pytest.raises(NumericalError, match="too wide a range"):
+        subspace_distance(half, g, Poly([1]))
+    with pytest.raises(NumericalError):
+        subspace_distance(half, Poly([1, -1]), g)
+    assert classify(half, g).form == "full"  # the descriptor needs no norm
 
 
 def test_a_generator_below_the_bound_floor_is_cyclic(half):

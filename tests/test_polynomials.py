@@ -1127,3 +1127,17 @@ def test_dyadic_rescale_lifts_only_below_the_floor():
     assert _zero_order(lifted, 1.0)[0] == 0
     for q in (Poly([1e-300, 3]), Poly([2e-300]), Poly(), Poly([math.nan, 1e-320])):
         assert polynomials._dyadic_rescaled(q) is q
+
+
+def test_dyadic_rescale_lowers_at_the_ceiling_only_where_it_is_exact():
+    ceiling = 2.0**500
+    p = Poly([2.0**600, complex(0, -3 * 2.0**-300)])
+    lowered = polynomials._dyadic_rescaled(p, ceiling=ceiling)
+    assert lowered.coeffs == (0.5 + 0j, complex(0, -3 * 2.0**-901))
+    assert polynomials._dyadic_rescaled(Poly([ceiling]), ceiling=ceiling).coeffs == (0.5 + 0j,)
+    below = Poly([2.0**499, 1])
+    assert polynomials._dyadic_rescaled(below, ceiling=ceiling) is below
+    # lowered by 2^-601, the 2^-500 part would turn subnormal and lose bits
+    wide = Poly([2.0**600, 2.0**-500])
+    assert polynomials._dyadic_rescaled(wide, ceiling=ceiling) is wide
+    assert polynomials._dyadic_rescaled(wide) is wide  # no ceiling by default
